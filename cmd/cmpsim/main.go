@@ -86,7 +86,12 @@ func main() {
 		}
 	}
 	rc := experiments.RunConfig{WarmupInstr: *warmup, Instructions: *instr, Seed: *seed}
-	rc.Validate()
+	// A bad scale (-instr 0, -warmup -5) is a usage error: one line,
+	// exit 2, no goroutine dump from Validate's panic.
+	if f := experiments.CapturePanic("flags", func() { rc.Validate() }); f != nil {
+		fmt.Fprintln(os.Stderr, "cmpsim:", strings.SplitN(f.Diagnostic, "\n", 2)[0])
+		os.Exit(2)
+	}
 	res := experiments.Run(experiments.DesignName(*design), w, rc)
 
 	fmt.Printf("design   %s\nworkload %s\n\n", res.Design, *wl)

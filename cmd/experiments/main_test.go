@@ -2,27 +2,14 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestMain doubles this test binary as the farm worker: -isolate runs
-// spawn os.Executable() with -worker-cell as the first argument, which
-// in tests is this binary. Dispatching before m.Run keeps the testing
-// framework's own flag parsing out of the worker's way.
-func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "-worker-cell" {
-		os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	var out, errOut bytes.Buffer
-	code = run(args, strings.NewReader(""), &out, &errOut)
+	code = run(args, &out, &errOut)
 	return out.String(), errOut.String(), code
 }
 
@@ -129,18 +116,39 @@ func TestCSVFormat(t *testing.T) {
 	}
 }
 
-// TestNegativeMaxCyclesIsUsageError: flag validation failures are
-// usage errors (exit 2), distinct from cell failures (exit 1).
+// TestNegativeMaxCyclesIsUsageError: flag validation failures are usage
+// errors (exit 2), distinct from cell failures (exit 1). Each prints one
+// line naming the problem — RunConfig.Validate's panic included, which
+// must not escape as a goroutine dump.
 func TestNegativeMaxCyclesIsUsageError(t *testing.T) {
-	stdout, stderr, code := runCLI(t, "-max-cycles", "-1", "-exp", "table1")
-	if code != 2 {
-		t.Fatalf("-max-cycles -1 exited %d, want 2", code)
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative max-cycles", []string{"-max-cycles", "-1"}, "max-cycles"},
+		{"zero instr", []string{"-instr", "0"}, "zero measured instructions"},
+		{"negative warmup", []string{"-warmup", "-5"}, "negative warm-up"},
 	}
-	if stdout != "" {
-		t.Errorf("usage error wrote to stdout: %q", stdout)
-	}
-	if !strings.Contains(stderr, "max-cycles") {
-		t.Errorf("stderr does not name the bad flag: %q", stderr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, append(tc.args, "-exp", "table1")...)
+			if code != 2 {
+				t.Fatalf("exited %d, want 2\nstderr: %s", code, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("usage error wrote to stdout: %q", stdout)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not contain %q", stderr, tc.want)
+			}
+			if !strings.HasPrefix(stderr, "experiments: ") || strings.Count(stderr, "\n") != 1 {
+				t.Errorf("stderr is not one experiments: line: %q", stderr)
+			}
+			if strings.Contains(stderr, "goroutine") {
+				t.Errorf("usage error dumped a stack: %q", stderr)
+			}
+		})
 	}
 }
 
@@ -206,164 +214,5 @@ func TestMaxCyclesHeadroomIsHarmless(t *testing.T) {
 	}
 	if plain != capped {
 		t.Error("a non-binding -max-cycles changed the output")
-	}
-}
-
-// tinyArgs is the shared tiny-scale selection the farm CLI tests run:
-// a static table, a derived table, and a figure with simulation cells,
-// small enough that a worker subprocess finishes in well under a
-// second.
-var tinyArgs = []string{"-exp", "table1,table3,fig7", "-warmup", "30000", "-instr", "30000", "-quiet"}
-
-// TestIsolateMatchesInProcess is the farm's core contract at the CLI
-// surface: -isolate routes every cell through worker subprocesses and
-// the serialization codec, yet stdout must be byte-identical to the
-// in-process run.
-func TestIsolateMatchesInProcess(t *testing.T) {
-	inOut, _, inCode := runCLI(t, append(tinyArgs, "-parallel", "4")...)
-	isoOut, isoErr, isoCode := runCLI(t, append(tinyArgs, "-parallel", "4", "-isolate", "-no-store")...)
-	if inCode != 0 || isoCode != 0 {
-		t.Fatalf("exit codes: in-process %d, isolate %d\nisolate stderr: %s", inCode, isoCode, isoErr)
-	}
-	if inOut != isoOut {
-		t.Errorf("-isolate stdout differs from in-process:\n--- in-process ---\n%s\n--- isolate ---\n%s", inOut, isoOut)
-	}
-	if !strings.Contains(isoErr, "farm: ") {
-		t.Errorf("isolate run missing farm summary on stderr: %q", isoErr)
-	}
-}
-
-// TestIsolateChaosKillStillCompletes: with every first worker attempt
-// SIGKILLed mid-cell, the retries must carry the sweep to exit 0 with
-// stdout byte-identical to an undisturbed in-process run.
-func TestIsolateChaosKillStillCompletes(t *testing.T) {
-	inOut, _, inCode := runCLI(t, append(tinyArgs, "-parallel", "4")...)
-	isoOut, isoErr, isoCode := runCLI(t, append(tinyArgs,
-		"-parallel", "4", "-isolate", "-no-store", "-chaos-kill-frac", "1", "-retries", "3")...)
-	if inCode != 0 || isoCode != 0 {
-		t.Fatalf("exit codes: in-process %d, chaos %d\nchaos stderr: %s", inCode, isoCode, isoErr)
-	}
-	if inOut != isoOut {
-		t.Errorf("chaos-kill stdout differs from in-process:\n--- in-process ---\n%s\n--- chaos ---\n%s", inOut, isoOut)
-	}
-}
-
-// TestIsolateRetriesZeroSurfacesCrash: with the retry budget at zero, a
-// killed worker's crash is a permanent CellFailure — reported on stdout
-// with the farm's give-up diagnostic and exit 1, while cell-free
-// experiments still render.
-func TestIsolateRetriesZeroSurfacesCrash(t *testing.T) {
-	stdout, stderr, code := runCLI(t, append(tinyArgs,
-		"-isolate", "-no-store", "-chaos-kill-frac", "1", "-retries", "0")...)
-	if code != 1 {
-		t.Fatalf("chaos run with -retries 0 exited %d, want 1\nstderr: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "FAILURE REPORT:") ||
-		!strings.Contains(stdout, "gave up after 1 attempt") {
-		t.Errorf("failure report missing the farm give-up diagnostic:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "Table 1") {
-		t.Errorf("cell-free table1 did not render despite worker crashes:\n%s", stdout)
-	}
-}
-
-// TestStoreResumeServesHitsByteIdentically: an -isolate sweep populates
-// the store; rerunning it recomputes nothing, reports store hits, and
-// writes the same bytes.
-func TestStoreResumeServesHitsByteIdentically(t *testing.T) {
-	dir := t.TempDir()
-	args := append(tinyArgs, "-isolate", "-store", dir)
-	out1, err1, code1 := runCLI(t, args...)
-	if code1 != 0 {
-		t.Fatalf("first run exited %d\nstderr: %s", code1, err1)
-	}
-	if !strings.Contains(err1, ": 0 store hits") {
-		t.Errorf("first run against an empty store reported hits: %q", err1)
-	}
-	out2, err2, code2 := runCLI(t, args...)
-	if code2 != 0 {
-		t.Fatalf("resumed run exited %d\nstderr: %s", code2, err2)
-	}
-	if strings.Contains(err2, ": 0 store hits") || !strings.Contains(err2, "store hits") {
-		t.Errorf("resumed run served no store hits: %q", err2)
-	}
-	if !strings.Contains(err2, " 0 computed") {
-		t.Errorf("resumed run recomputed cells despite a warm store: %q", err2)
-	}
-	if out1 != out2 {
-		t.Errorf("store-served stdout differs from computed stdout:\n--- computed ---\n%s\n--- store ---\n%s", out1, out2)
-	}
-	// The store must never retain a partial entry under a temp name.
-	tmps, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
-	if err != nil || len(tmps) != 0 {
-		t.Errorf("store left temp files behind: %v (err %v)", tmps, err)
-	}
-}
-
-// TestFarmFlagValidation: farm flags outside -isolate, malformed
-// -cell-timeout values, and inconsistent combinations are usage errors
-// (exit 2) that name the offending flag.
-func TestFarmFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"retries without isolate", []string{"-retries", "1", "-exp", "table1"}, "requires -isolate"},
-		{"store without isolate", []string{"-store", "/tmp/x", "-exp", "table1"}, "requires -isolate"},
-		{"chaos without isolate", []string{"-chaos-kill-frac", "0.5", "-exp", "table1"}, "requires -isolate"},
-		{"unparsable cell-timeout", []string{"-isolate", "-cell-timeout", "banana", "-exp", "table1"}, "cell-timeout"},
-		{"negative cell-timeout", []string{"-isolate", "-cell-timeout", "-5s", "-exp", "table1"}, "cell-timeout"},
-		{"negative retries", []string{"-isolate", "-retries", "-1", "-exp", "table1"}, "retries"},
-		{"store and no-store", []string{"-isolate", "-store", "/tmp/x", "-no-store", "-exp", "table1"}, "mutually exclusive"},
-		{"chaos frac out of range", []string{"-isolate", "-chaos-kill-frac", "1.5", "-exp", "table1"}, "[0, 1]"},
-		{"stall without timeout", []string{"-isolate", "-chaos-stall-frac", "0.5", "-exp", "table1"}, "cell-timeout"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			stdout, stderr, code := runCLI(t, tc.args...)
-			if code != 2 {
-				t.Fatalf("exited %d, want 2\nstderr: %s", code, stderr)
-			}
-			if stdout != "" {
-				t.Errorf("usage error wrote to stdout: %q", stdout)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr %q does not contain %q", stderr, tc.want)
-			}
-		})
-	}
-}
-
-// TestWorkerModeProtocolErrorExitsThree: a worker whose stdin carries
-// no valid request frame must not pretend to have run a cell — it
-// reports the protocol error on stderr and exits 3.
-func TestWorkerModeProtocolErrorExitsThree(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-worker-cell", "nosuch", "-exp", "table1"},
-		strings.NewReader("this is not a frame"), &out, &errOut)
-	if code != 3 {
-		t.Fatalf("worker with garbage stdin exited %d, want 3\nstderr: %s", code, errOut.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("worker wrote to stdout despite protocol error: %q", out.String())
-	}
-	if !strings.Contains(errOut.String(), "worker") {
-		t.Errorf("stderr does not identify the worker failure: %q", errOut.String())
-	}
-}
-
-// TestIsolateSeedSensitivityCells: sens-seed plans seed-namespaced
-// cells that fill sub-evaluation caches; the worker payload path must
-// route them back so the sensitivity text renders identically.
-func TestIsolateSeedSensitivityCells(t *testing.T) {
-	args := []string{"-exp", "sens-seed", "-warmup", "20000", "-instr", "20000", "-quiet"}
-	inOut, _, inCode := runCLI(t, args...)
-	isoOut, isoErr, isoCode := runCLI(t, append(args, "-isolate", "-no-store", "-parallel", "4")...)
-	if inCode != 0 || isoCode != 0 {
-		t.Fatalf("exit codes: in-process %d, isolate %d\nstderr: %s", inCode, isoCode, isoErr)
-	}
-	if inOut != isoOut {
-		t.Errorf("seed-sensitivity stdout differs under -isolate:\n--- in-process ---\n%s\n--- isolate ---\n%s", inOut, isoOut)
 	}
 }

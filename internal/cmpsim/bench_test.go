@@ -1,7 +1,6 @@
 package cmpsim
 
 import (
-	"fmt"
 	"testing"
 
 	"cmpnurapid/internal/core"
@@ -49,8 +48,7 @@ func (s *System) maxCycle() memsys.Cycle {
 // BENCH_quick.json: one scheduler step per iteration, round-robin
 // across cores, over the CMP-NuRAPID design (the deepest per-access
 // path: private tags, d-groups, MESIC, bus). The committed trajectory
-// holds its allocs/op at zero; sim-cycles/sec is the throughput metric
-// ROADMAP's event-driven refactor must improve on.
+// holds its allocs/op at zero; sim-cycles/sec is its throughput metric.
 func BenchmarkSimStep(b *testing.B) {
 	s := benchSystem()
 	s.Warmup(10_000)
@@ -66,84 +64,7 @@ func BenchmarkSimStep(b *testing.B) {
 	}
 }
 
-// schedBenchLatency is the synthetic per-step cost for the scheduler
-// benchmarks: a splitmix-style hash of (clock, core) spread over
-// 1..400 cycles, the stall-heavy regime where most cores sit far in
-// the future waiting on long memory latencies and the scheduler's own
-// laggard selection dominates. Deterministic, allocation-free, and
-// identical for the scan and heap variants, so the simcycles/sec gap
-// between them is pure scheduler overhead.
-func schedBenchLatency(core int, clk memsys.Cycle) memsys.Cycles {
-	h := uint64(clk)*0x9e3779b97f4a7c15 + uint64(core)*0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	return memsys.CyclesOf(int(1 + h%400))
-}
-
-// benchmarkSchedHeap drives the event-driven laggard heap alone — pop
-// the laggard, advance it by a synthetic latency, sift — reporting
-// simulated-cycles/sec of pure scheduling throughput.
-func benchmarkSchedHeap(b *testing.B, n int) {
-	h := newLaggardHeap(n)
-	for i := 0; i < n; i++ {
-		h.Set(i, 0)
-	}
-	h.Init()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core, clk := h.Min()
-		h.AdvanceMin(clk.Add(schedBenchLatency(core, clk)))
-	}
-	b.StopTimer()
-	_, laggard := h.Min()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(laggard.Sub(0))/secs, "simcycles/sec")
-	}
-}
-
-// benchmarkSchedScan is the historical linear laggard scan over the
-// same synthetic workload — the before side of the committed
-// trajectory's scan-vs-heap comparison.
-func benchmarkSchedScan(b *testing.B, n int) {
-	clocks := make([]memsys.Cycle, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pick := 0
-		for c := range clocks {
-			if clocks[c] < clocks[pick] {
-				pick = c
-			}
-		}
-		clocks[pick] = clocks[pick].Add(schedBenchLatency(pick, clocks[pick]))
-	}
-	b.StopTimer()
-	laggard := clocks[0]
-	for _, c := range clocks {
-		if c < laggard {
-			laggard = c
-		}
-	}
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(laggard.Sub(0))/secs, "simcycles/sec")
-	}
-}
-
-// BenchmarkSchedulerLoop records the event-driven refactor's win in
-// the committed trajectory rather than asserting it: heap (the real
-// scheduler) vs scan (the pre-refactor linear laggard scan, also kept
-// as the differential-test reference) at 4, 16 and 64 synthetic
-// cores. Core counts beyond the paper's 4 are the point — ROADMAP
-// item 2's 16-64-core mesh work rides on the O(log N) pop — and both
-// variants hold allocs/op at zero.
-func BenchmarkSchedulerLoop(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("heap%d", n), func(b *testing.B) { benchmarkSchedHeap(b, n) })
-		b.Run(fmt.Sprintf("scan%d", n), func(b *testing.B) { benchmarkSchedScan(b, n) })
-	}
-}
-
-// BenchmarkRunQuantum measures the full event-driven loop end to end —
+// BenchmarkRunQuantum measures the full scheduler loop end to end —
 // runUntil over CMP-NuRAPID with the synthetic bench workload, one
 // complete measurement quantum per iteration — so scheduler overhead
 // is captured in context, not just in isolation.

@@ -148,16 +148,12 @@ type System struct {
 	// caches coherent").
 	directory bool
 
-	// sched is the event-driven scheduler's laggard heap (sched.go),
-	// preallocated here so the per-step path never allocates; runUntil
-	// rebuilds it from the core clocks at every phase start.
-	sched *laggardHeap
 	// phaseDone marks cores that have completed the current phase's
 	// quantum, so runUntil's completion check is an O(1) counter
 	// decrement instead of the historical O(N) sweep per step.
 	phaseDone []bool
 	// onStep, when non-nil, observes every scheduler pick before the
-	// step executes. It is a test-only hook: the seq-vs-heap
+	// step executes. It is a test-only hook: the reference-scan
 	// differential and tie-break tests record step-order traces
 	// through it. Production runs leave it nil (one predictable
 	// branch on the hot path, same discipline as ExtraLatency).
@@ -205,7 +201,6 @@ func New(cfg Config, l2 memsys.L2, w Workload) *System {
 	if inv, ok := l2.(memsys.L1Invalidator); ok {
 		inv.SetL1Invalidate(s.invalidateL1)
 	}
-	s.sched = newLaggardHeap(cfg.Cores)
 	s.phaseDone = make([]bool, cfg.Cores)
 	return s
 }
@@ -425,19 +420,17 @@ const derivedCeilingSlack memsys.Cycles = 1 << 22
 // phantom wait cycles to the cores still running, and its extra
 // instructions are real throughput.
 //
-// The loop is event-driven (sched.go): the laggard comes off an index
-// min-heap ordered by (clock, coreID) in O(log N) instead of the
-// historical O(N) scan, and completion is an O(1) remaining-cores
-// counter — complete(core) is consulted only for the core that just
-// stepped, the only core whose progress can have changed. complete
-// must be monotone (once true for a core, true forever within the
-// phase) and is where Run snapshots a core's quantum-completion state,
-// so it runs at the same instant the historical per-step sweep would
-// have observed the crossing. The step sequence is byte-identical to
-// the scan's: the heap's order is total, so the popped minimum is the
-// unique (clock, coreID) minimum — the exact core the scan's strict-<
-// walk selected (proven by the seq-vs-heap differential tests and the
-// quick-scale golden).
+// The laggard is picked by a linear scan over the cores with a strict
+// <, so clock ties resolve to the lowest core index. At the simulator's
+// fixed four cores the scan is cheaper than any priority queue (see
+// docs/PERF.md, "The scheduler loop"). Completion is an O(1)
+// remaining-cores counter: complete(core) is consulted only for the
+// core that just stepped, the only core whose progress can have
+// changed. complete must be monotone (once true for a core, true
+// forever within the phase) and is where Run snapshots a core's
+// quantum-completion state, so it runs at the same instant a per-step
+// sweep over every core would have observed the crossing
+// (sched_ref_test.go keeps that sweep as the differential reference).
 //
 // Two simguard aborts bound the phase (docs/ROBUSTNESS.md): the
 // forward-progress watchdog panics with a *simguard.ProgressStall when
@@ -445,26 +438,29 @@ const derivedCeilingSlack memsys.Cycles = 1 << 22
 // the cycle ceiling — Config.MaxCycles, or a generous budget derived
 // from instrPerCore when unset, both anchored at the phase's starting
 // clock — panics with a *simguard.CycleLimitExceeded even if the
-// watchdog itself is broken. Both checks observe the popped clock —
-// the laggard's pre-step clock, exactly what the scan loop observed —
-// so diagnostics and detection windows are unchanged (verified by
-// TestWatchdogTripIdenticalUnderHeap).
+// watchdog itself is broken. Both checks observe the picked core's
+// pre-step clock (TestWatchdogTripIdenticalUnderHeap pins the
+// diagnostics against the reference loop).
 //
 // hotpath:root
 func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(core int) bool) {
 	limit, derived := s.cycleCeiling(instrPerCore, phase)
 	wd := simguard.NewWatchdog(s.cfg.StallWindow)
 	remaining := 0
-	for i, cs := range s.cores {
-		s.sched.Set(i, cs.cycles)
+	for i := range s.cores {
 		s.phaseDone[i] = complete(i)
 		if !s.phaseDone[i] {
 			remaining++
 		}
 	}
-	s.sched.Init()
 	for remaining > 0 {
-		pick, now := s.sched.Min()
+		pick := 0
+		for c, cs := range s.cores {
+			if cs.cycles < s.cores[pick].cycles {
+				pick = c
+			}
+		}
+		now := s.cores[pick].cycles
 		if now > limit {
 			panic(&simguard.CycleLimitExceeded{
 				Limit: limit, Derived: derived, Now: now,
@@ -476,7 +472,6 @@ func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(co
 			s.onStep(pick)
 		}
 		retired := s.step(pick)
-		s.sched.AdvanceMin(s.cores[pick].cycles)
 		if !s.phaseDone[pick] && complete(pick) {
 			s.phaseDone[pick] = true
 			remaining--
@@ -512,7 +507,7 @@ const (
 // from the phase's instruction quantum. Both anchor at the phase's
 // starting clock (the maximum core clock when the phase begins) —
 // clocks are never rewound across phases, so anchoring an explicit
-// MaxCycles at absolute cycle 0, as the pre-heap loop did, silently
+// MaxCycles at absolute cycle 0, as an earlier loop did, silently
 // spent part of the budget on warmup and tripped immediately on a
 // healthy run whenever warmup had already consumed it
 // (TestExplicitCeilingIsPhaseRelative pins the fix).

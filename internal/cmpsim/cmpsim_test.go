@@ -156,6 +156,45 @@ func TestCBlockWritesThrough(t *testing.T) {
 	nu.CheckInvariants()
 }
 
+// TestCBlockStoreMissWritesThrough pins the L1-miss half of the C-block
+// write-through rule: a store that misses the writer's L1 and lands on
+// a communication block is counted as a write-through, exactly like a
+// store that hits.
+func TestCBlockStoreMissWritesThrough(t *testing.T) {
+	nucfg := core.DefaultConfig()
+	nucfg.Bus = bus.Config{Latency: 32, SlotCycles: 4}
+	nu := core.New(nucfg)
+	// smallCfg's L1 has 8 sets of 2 ways: 0x4200 and 0x4400 share
+	// 0x4000's set and push it out of core 0's L1.
+	ops := [][]Op{
+		{ // core 0: producer
+			{Addr: 0x4000, Write: true},
+			{Compute: 50, NoMem: true}, // let the consumer's read land
+			{Addr: 0x4200},
+			{Addr: 0x4400},
+			{Addr: 0x4000, Write: true}, // L1 miss on a C block
+		},
+		{ // core 1: consumer forms the C group
+			{Compute: 20, NoMem: true},
+			{Addr: 0x4000},
+			{Compute: 100, NoMem: true},
+		},
+		{}, {},
+	}
+	s := New(smallCfg(), nu, newScripted(ops))
+	r := s.Run(54)
+	if !nu.IsCommunication(0, 0x4000) {
+		t.Fatal("scenario did not leave 0x4000 a communication block for core 0")
+	}
+	if got := r.Cores[0].L1DMisses; got != 4 {
+		t.Fatalf("producer L1D misses = %d, want 4 (the final store must miss)", got)
+	}
+	if got := r.Cores[0].Writethroughs; got != 1 {
+		t.Errorf("producer write-throughs = %d, want 1 (the store miss to the C block)", got)
+	}
+	nu.CheckInvariants()
+}
+
 // TestInclusionInvalidation checks that an L2 eviction removes the L1
 // copy: a subsequent read must miss the L1.
 func TestInclusionInvalidation(t *testing.T) {
@@ -243,6 +282,32 @@ func TestSpeedup(t *testing.T) {
 	}
 	if Speedup(fast, Results{}) != 0 {
 		t.Error("Speedup with zero base should be 0")
+	}
+
+	// Per-core path: only cores with a nonzero base IPC are averaged,
+	// and a single comparable core is enough.
+	r := Results{Cores: []CoreResult{{IPC: 3}, {IPC: 1}, {IPC: 1}, {IPC: 1}}}
+	base := Results{Cores: []CoreResult{{IPC: 2}, {}, {}, {}}}
+	if got := Speedup(r, base); got != 1.5 {
+		t.Errorf("Speedup over one comparable core = %v, want 1.5", got)
+	}
+	if got := Speedup(r, Results{Cores: make([]CoreResult, 4)}); got != 0 {
+		t.Errorf("Speedup with no comparable core = %v, want 0", got)
+	}
+}
+
+// TestOneCycleQuantumIPC: a core whose quantum took exactly one cycle
+// still reports its IPC (the zero-cycle guard must not swallow it).
+func TestOneCycleQuantumIPC(t *testing.T) {
+	r := New(smallCfg(), sharedL2(), lockstepWorkload{}).Run(1)
+	for c, cr := range r.Cores {
+		if cr.Cycles != 1 || cr.Instructions != 1 || cr.IPC != 1 {
+			t.Errorf("core %d: cycles %d, instructions %d, IPC %v; want 1, 1, 1",
+				c, cr.Cycles, cr.Instructions, cr.IPC)
+		}
+	}
+	if r.Cycles != 1 || r.IPC != 4 {
+		t.Errorf("aggregate cycles %d, IPC %v; want 1, 4", r.Cycles, r.IPC)
 	}
 }
 

@@ -156,3 +156,27 @@ func TestValidateRejectsNegativeGuards(t *testing.T) {
 		}()
 	}
 }
+
+// TestValidateL1Boundaries: each L1 geometry and latency field is
+// rejected at zero and accepted at one, its smallest positive value.
+func TestValidateL1Boundaries(t *testing.T) {
+	for name, set := range map[string]func(*Config, int){
+		"L1Bytes":   func(c *Config, v int) { c.L1Bytes = memsys.Bytes(v) },
+		"L1Ways":    func(c *Config, v int) { c.L1Ways = v },
+		"L1Block":   func(c *Config, v int) { c.L1Block = memsys.Bytes(v) },
+		"L1Latency": func(c *Config, v int) { c.L1Latency = memsys.CyclesOf(v) },
+	} {
+		for _, v := range []int{0, 1} {
+			cfg := smallCfg()
+			set(&cfg, v)
+			func() {
+				defer func() {
+					if rejected := recover() != nil; rejected != (v == 0) {
+						t.Errorf("%s = %d: rejected %v, want %v", name, v, rejected, v == 0)
+					}
+				}()
+				cfg.Validate()
+			}()
+		}
+	}
+}

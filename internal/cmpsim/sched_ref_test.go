@@ -5,19 +5,20 @@ import (
 	"cmpnurapid/internal/simguard"
 )
 
-// This file keeps the pre-heap scheduler loop alive as a test-only
-// reference implementation. The event-driven loop in runUntil must
-// produce the exact step sequence this scan produced — same laggard on
-// every iteration, ties to the lowest core index by scan order — so
-// the differential tests (sched_test.go) run both implementations over
-// identical configs and workloads and assert identical step-order
-// traces, Results, and abort diagnostics. The scan is deliberately a
-// verbatim copy of the old loop rather than a call into the new code:
-// a shared helper could hide a shared bug.
+// This file keeps the original scheduler loop alive as a test-only
+// reference implementation. runUntil must produce the exact step
+// sequence this loop produces — same laggard on every iteration, ties
+// to the lowest core index by scan order — while detecting completion
+// with an O(1) counter instead of this loop's per-step done() sweep.
+// The differential tests (sched_test.go) run both loops over identical
+// configs and workloads and assert identical step-order traces,
+// Results, and abort diagnostics. The reference is deliberately a
+// verbatim copy of the old loop rather than a call into runUntil: a
+// shared helper could hide a shared bug.
 
-// runUntilScan is the historical O(N)-per-step loop: a linear laggard
-// scan (strict <, so ties resolve to the lowest index) and a
-// caller-supplied done() that sweeps every core per iteration.
+// runUntilScan is the reference loop: a linear laggard scan (strict <,
+// so ties resolve to the lowest index) and a caller-supplied done()
+// that sweeps every core per iteration.
 func (s *System) runUntilScan(instrPerCore uint64, phase phaseKind, done func() bool) {
 	limit, derived := s.cycleCeiling(instrPerCore, phase)
 	wd := simguard.NewWatchdog(s.cfg.StallWindow)

@@ -36,27 +36,26 @@ func tracedRun(s *System, warmup int, quantum uint64, scan bool) (trace []int, r
 }
 
 // TestSchedulerTieBreakPinned pins the tie-break contract on a
-// workload where every pick is a tie: the heap must step cores in
+// workload where every pick is a tie: runUntil must step cores in
 // strict round-robin order (lowest index first), exactly like the
-// reference scan. The schedmutant build tag — the seeded scheduler
-// bug that drops the (clock, coreID) tie-break — must make this test
-// fail; check.sh and CI prove that it does.
+// reference scan. Turning runUntil's strict < into <= hands ties to
+// the highest index and fails this test.
 func TestSchedulerTieBreakPinned(t *testing.T) {
-	heap := New(smallCfg(), sharedL2(), lockstepWorkload{})
-	heapTrace, _ := tracedRun(heap, 0, 8, false)
+	sys := New(smallCfg(), sharedL2(), lockstepWorkload{})
+	sysTrace, _ := tracedRun(sys, 0, 8, false)
 
-	scan := New(smallCfg(), sharedL2(), lockstepWorkload{})
-	scanTrace, _ := tracedRun(scan, 0, 8, true)
+	ref := New(smallCfg(), sharedL2(), lockstepWorkload{})
+	refTrace, _ := tracedRun(ref, 0, 8, true)
 
-	if !reflect.DeepEqual(heapTrace, scanTrace) {
-		t.Fatalf("heap trace %v != scan trace %v", heapTrace, scanTrace)
+	if !reflect.DeepEqual(sysTrace, refTrace) {
+		t.Fatalf("runUntil trace %v != reference scan trace %v", sysTrace, refTrace)
 	}
-	if len(heapTrace) != 32 {
-		t.Fatalf("trace has %d steps, want 32 (8 instructions x 4 cores)", len(heapTrace))
+	if len(sysTrace) != 32 {
+		t.Fatalf("trace has %d steps, want 32 (8 instructions x 4 cores)", len(sysTrace))
 	}
-	for i, c := range heapTrace {
+	for i, c := range sysTrace {
 		if c != i%4 {
-			t.Fatalf("step %d ran core %d, want strict round-robin (core %d): %v", i, c, i%4, heapTrace)
+			t.Fatalf("step %d ran core %d, want strict round-robin (core %d): %v", i, c, i%4, sysTrace)
 		}
 	}
 }
@@ -93,12 +92,14 @@ func (w *diffWorkload) Next(core int) Op {
 	return op
 }
 
-// TestSeqVsHeapEquivalence is the randomized differential gate for the
-// event-driven refactor: for several seeds and every L2 design family,
-// the heap loop and the reference scan must produce identical
-// step-order traces (warmup and measurement) and identical Results.
-// It fails under the schedmutant build tag (the dropped tie-break
-// reorders tied cores), which is CI's scheduler-mutant-catch step.
+// TestSeqVsHeapEquivalence is the randomized differential
+// gate for the completion counter: for several seeds and every L2
+// design family, runUntil and the reference scan (which sweeps every
+// core for completion on every step) must produce identical step-order
+// traces (warmup and measurement) and identical Results. (The
+// heap-named tests keep the names they had when runUntil picked the
+// laggard from a heap; they now compare runUntil with the reference
+// scan.)
 func TestSeqVsHeapEquivalence(t *testing.T) {
 	designs := map[string]func() memsys.L2{
 		"shared":      sharedL2,
@@ -107,29 +108,29 @@ func TestSeqVsHeapEquivalence(t *testing.T) {
 	}
 	for name, mk := range designs {
 		for seed := uint64(1); seed <= 3; seed++ {
-			heap := New(smallCfg(), mk(), &diffWorkload{r: rng.New(seed)})
-			heapTrace, heapRes := tracedRun(heap, 300, 1500, false)
+			sys := New(smallCfg(), mk(), &diffWorkload{r: rng.New(seed)})
+			sysTrace, sysRes := tracedRun(sys, 300, 1500, false)
 
-			scan := New(smallCfg(), mk(), &diffWorkload{r: rng.New(seed)})
-			scanTrace, scanRes := tracedRun(scan, 300, 1500, true)
+			ref := New(smallCfg(), mk(), &diffWorkload{r: rng.New(seed)})
+			refTrace, refRes := tracedRun(ref, 300, 1500, true)
 
-			if !reflect.DeepEqual(heapTrace, scanTrace) {
-				n := len(heapTrace)
-				if len(scanTrace) < n {
-					n = len(scanTrace)
+			if !reflect.DeepEqual(sysTrace, refTrace) {
+				n := len(sysTrace)
+				if len(refTrace) < n {
+					n = len(refTrace)
 				}
 				div := n
 				for i := 0; i < n; i++ {
-					if heapTrace[i] != scanTrace[i] {
+					if sysTrace[i] != refTrace[i] {
 						div = i
 						break
 					}
 				}
-				t.Fatalf("%s seed %d: step traces diverge at step %d (heap %d steps, scan %d steps)",
-					name, seed, div, len(heapTrace), len(scanTrace))
+				t.Fatalf("%s seed %d: step traces diverge at step %d (runUntil %d steps, reference %d steps)",
+					name, seed, div, len(sysTrace), len(refTrace))
 			}
-			if !reflect.DeepEqual(heapRes, scanRes) {
-				t.Errorf("%s seed %d: results diverge:\nheap: %+v\nscan: %+v", name, seed, heapRes, scanRes)
+			if !reflect.DeepEqual(sysRes, refRes) {
+				t.Errorf("%s seed %d: results diverge:\nrunUntil:  %+v\nreference: %+v", name, seed, sysRes, refRes)
 			}
 		}
 	}
@@ -149,7 +150,7 @@ func (w *missStream) Next(core int) Op {
 }
 
 // TestExplicitCeilingIsPhaseRelative is the regression test for the
-// cycle-ceiling anchoring bug: the pre-heap loop anchored an explicit
+// cycle-ceiling anchoring bug: an earlier loop anchored an explicit
 // MaxCycles at absolute cycle 0, so after a warmup that consumed more
 // cycles than the budget, a healthy measurement run tripped the
 // ceiling on its very first step. The budget must instead anchor at
@@ -196,11 +197,11 @@ func TestExplicitCeilingIsPhaseRelative(t *testing.T) {
 	sys.Run(1_000_000)
 }
 
-// TestWatchdogTripIdenticalUnderHeap verifies the watchdog observation
-// point (the popped pre-step laggard clock) gives the event-driven
-// loop exactly the scan loop's detection window: both implementations
-// must abort a partial livelock after the same number of steps, at the
-// same clock, with the same per-core snapshot.
+// TestWatchdogTripIdenticalUnderHeap verifies the watchdog
+// observation point (the picked core's pre-step clock) gives runUntil
+// exactly the reference scan's detection window: both loops must abort
+// a partial livelock after the same number of steps, at the same
+// clock, with the same per-core snapshot.
 func TestWatchdogTripIdenticalUnderHeap(t *testing.T) {
 	mkOps := func() [][]Op {
 		ops := make([][]Op, 4)
@@ -229,13 +230,13 @@ func TestWatchdogTripIdenticalUnderHeap(t *testing.T) {
 		}
 		return nil
 	}
-	heap, scan := trip(false), trip(true)
-	if heap.Steps != scan.Steps || heap.Now != scan.Now {
-		t.Errorf("detection point diverges: heap (steps=%d now=%d) vs scan (steps=%d now=%d)",
-			heap.Steps, uint64(heap.Now), scan.Steps, uint64(scan.Now))
+	sys, ref := trip(false), trip(true)
+	if sys.Steps != ref.Steps || sys.Now != ref.Now {
+		t.Errorf("detection point diverges: runUntil (steps=%d now=%d) vs reference (steps=%d now=%d)",
+			sys.Steps, uint64(sys.Now), ref.Steps, uint64(ref.Now))
 	}
-	if !reflect.DeepEqual(heap.Cores, scan.Cores) {
-		t.Errorf("stall snapshots diverge:\nheap: %+v\nscan: %+v", heap.Cores, scan.Cores)
+	if !reflect.DeepEqual(sys.Cores, ref.Cores) {
+		t.Errorf("stall snapshots diverge:\nrunUntil:  %+v\nreference: %+v", sys.Cores, ref.Cores)
 	}
 }
 
@@ -256,29 +257,30 @@ func TestRunZeroQuantumNeedsNoSteps(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesScanAfterReentry pins heap reconstruction across
-// phases: a second Run on the same system (clocks mid-flight, stale
-// heap order from the previous phase) must still track the scan.
+// TestHeapMatchesScanAfterReentry pins phase re-entry: a
+// second Run on the same system (clocks mid-flight, completion flags
+// left over from the previous phase) must still track the reference
+// scan.
 func TestHeapMatchesScanAfterReentry(t *testing.T) {
-	heap := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
-	scan := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
+	sys := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
+	ref := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
 
-	var heapTrace, scanTrace []int
-	heap.onStep = func(c int) { heapTrace = append(heapTrace, c) }
-	scan.onStep = func(c int) { scanTrace = append(scanTrace, c) }
+	var sysTrace, refTrace []int
+	sys.onStep = func(c int) { sysTrace = append(sysTrace, c) }
+	ref.onStep = func(c int) { refTrace = append(refTrace, c) }
 	for i := 0; i < 3; i++ {
 		// Each warmup resets the quantum baselines, so every Run is a
-		// fresh phase entered with mid-flight clocks and whatever heap
-		// order the previous phase left behind.
-		heap.Warmup(100 * (i + 1))
-		scan.warmupScan(100 * (i + 1))
-		hr := heap.Run(400)
-		sr := scan.runScan(400)
-		if !reflect.DeepEqual(hr, sr) {
-			t.Fatalf("run %d results diverge:\nheap: %+v\nscan: %+v", i, hr, sr)
+		// fresh phase entered with mid-flight clocks and whatever
+		// completion state the previous phase left behind.
+		sys.Warmup(100 * (i + 1))
+		ref.warmupScan(100 * (i + 1))
+		sr := sys.Run(400)
+		rr := ref.runScan(400)
+		if !reflect.DeepEqual(sr, rr) {
+			t.Fatalf("run %d results diverge:\nrunUntil:  %+v\nreference: %+v", i, sr, rr)
 		}
 	}
-	if !reflect.DeepEqual(heapTrace, scanTrace) {
-		t.Fatalf("re-entry traces diverge (heap %d steps, scan %d steps)", len(heapTrace), len(scanTrace))
+	if !reflect.DeepEqual(sysTrace, refTrace) {
+		t.Fatalf("re-entry traces diverge (runUntil %d steps, reference %d steps)", len(sysTrace), len(refTrace))
 	}
 }

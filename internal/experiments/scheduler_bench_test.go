@@ -6,14 +6,12 @@ import (
 	"testing"
 )
 
-// BenchmarkExecuteCells measures the worker-pool overhead of the cell
-// farm itself — queue fill, goroutine spawn, per-cell publication —
-// against a synthetic plan of 256 cheap deterministic cells, at the
+// BenchmarkExecuteCells measures the worker pool's own overhead —
+// queue fill, goroutine spawn, per-cell panic capture and publication
+// — against a synthetic plan of 256 cheap deterministic cells, at the
 // two worker counts the parallel-throughput baseline tracks. Cells do
 // fixed arithmetic rather than simulate, so the number is the
-// scheduler's own cost: farm-scale PRs (sharded multi-process
-// execution, MSHR-driven async cells) inherit this as the floor their
-// coordination overhead is diffed against via BENCH_quick.json.
+// scheduler's own cost, diffed against BENCH_quick.json.
 func BenchmarkExecuteCells(b *testing.B) {
 	for _, workers := range []int{4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {

@@ -78,9 +78,10 @@ func EnumeratePackage(root, pkgDir string) ([]Site, error) {
 			return nil, fmt.Errorf("mutcheck: %w", err)
 		}
 		if !inDefaultBuild(f) {
-			// Files gated behind custom tags (e.g. the seeded
-			// schedmutant scheduler bug) are not in the build the
-			// target tests compile, so mutating them proves nothing.
+			// Files gated behind custom tags (e.g. a seeded mutant
+			// switched on by its own build tag) are not in the build
+			// the target tests compile, so mutating them proves
+			// nothing.
 			continue
 		}
 		for _, c := range enumerateFile(f) {

@@ -44,7 +44,6 @@ func TestMutantsScriptGatesAndCallers(t *testing.T) {
 		"testdata/unitmutants",    // unit-confusion mutants vs unitcheck
 		"testdata/hotpathmutants", // per-tick allocation mutants vs hotpath
 		"testdata/syncmutants",    // seeded race mutants vs synccheck (one -race-invisible)
-		"-tags schedmutant",       // tie-break-dropping scheduler vs equivalence tests
 		"cmd/protocheck -mutant",  // protocol mutants vs the model checker
 	} {
 		if !strings.Contains(script, gate) {

@@ -295,7 +295,7 @@ func parseDir(prog *Program, dir string) (*Package, error) {
 // inDefaultBuild reports whether file's build constraint (if any) is
 // satisfied by the default build configuration — host GOOS/GOARCH, the
 // gc toolchain, and no custom tags. Files gated behind custom tags
-// (e.g. the seeded `schedmutant` scheduler bug in internal/cmpsim) are
+// (e.g. a seeded mutant switched on by its own build tag) are
 // excluded from the default `go build ./...` and must be excluded here
 // too, or the loader would type-check two declarations of the same
 // symbol at once. Only `//go:build` lines are recognized; the module

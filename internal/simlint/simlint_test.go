@@ -95,7 +95,7 @@ func TestLoadBasics(t *testing.T) {
 }
 
 // TestLoadHonorsBuildConstraints: a file gated behind a custom build
-// tag (the seeded-mutant pattern, e.g. cmpsim's schedmutant) is
+// tag (the seeded-mutant pattern: a tag-switched constant) is
 // excluded from the default build and must be excluded from the load
 // too — otherwise the loader type-checks both declarations of the
 // tag-switched symbol and reports a phantom redeclaration.

@@ -5,14 +5,13 @@ import (
 	"fmt"
 )
 
-// JSON round-tripping for the measurement types. The experiment farm
-// (internal/farm, docs/ROBUSTNESS.md) ships completed simulation
-// results across a process boundary and through the durable result
-// store, so every type a cell can produce must serialize losslessly:
-// counts are integers (exact in JSON), and label order — which is
-// presentation order in the figures — is preserved explicitly. A
-// decoded value must render byte-identically to the original; the
-// round-trip tests pin that.
+// JSON round-tripping for the measurement types. Their fields are
+// unexported, so without these methods encoding/json would silently
+// write an empty object. Every type serializes losslessly: counts are
+// integers (exact in JSON), and label order — which is presentation
+// order in the figures — is preserved explicitly. A decoded value must
+// render byte-identically to the original; the round-trip tests pin
+// that.
 
 // distJSON is the wire shape of a Dist: labels in presentation order
 // with their parallel counts.

@@ -6,8 +6,7 @@ import (
 )
 
 // TestDistJSONRoundTrip: a decoded Dist must be indistinguishable from
-// the original — same label order, counts, fractions, and rendering —
-// because the farm's byte-identical-output contract rides on it.
+// the original — same label order, counts, fractions, and rendering.
 func TestDistJSONRoundTrip(t *testing.T) {
 	d := NewDist("hit", "ros", "rws", "capacity")
 	d.Add("hit", 12345)

@@ -5,9 +5,9 @@
 # allocs/op and B/op exact, wall time and throughput within slack) or
 # rewrites it (-update). Benchmarks are included only when their
 # allocation profile is bit-stable across machines: single-goroutine
-# seeded workloads, plus the cell-farm benchmark whose worker count
-# and plan are fixed (its per-run allocations are deterministic even
-# though execution is parallel). Wall-clock numbers are
+# seeded workloads, plus the cell worker-pool benchmark whose worker
+# count and plan are fixed (its per-run allocations are deterministic
+# even though execution is parallel). Wall-clock numbers are
 # machine-dependent and carry a generous tolerance (override with
 # BENCH_SLACK).
 set -eu
@@ -22,14 +22,11 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 run_benches() {
-	go test -run '^$' -bench '^(BenchmarkSimStep|BenchmarkSchedulerLoop|BenchmarkRunQuantum)$' -benchtime 100000x -benchmem ./internal/cmpsim
+	go test -run '^$' -bench '^(BenchmarkSimStep|BenchmarkRunQuantum)$' -benchtime 100000x -benchmem ./internal/cmpsim
 	go test -run '^$' -bench '^(BenchmarkHitClosest|BenchmarkHitCommunication|BenchmarkMissCapacity|BenchmarkMixedWorkload)$' -benchtime 10000x -benchmem ./internal/core
 	go test -run '^$' -bench '^(BenchmarkSharedAccess|BenchmarkSNUCAAccess|BenchmarkPrivateAccess)$' -benchtime 10000x -benchmem ./internal/l2
 	go test -run '^$' -bench '^(BenchmarkGeneratorNext|BenchmarkMixNext)$' -benchtime 100000x -benchmem ./internal/workload
 	go test -run '^$' -bench '^BenchmarkExecuteCells$' -benchtime 200x -benchmem ./internal/experiments
-	# No -benchmem: subprocess spawning allocates nondeterministically,
-	# so the farm benchmark tracks wall time only (docs/ROBUSTNESS.md).
-	go test -run '^$' -bench '^BenchmarkFarmOverhead$' -benchtime 50x ./internal/farm
 }
 
 run_benches > "$out"

@@ -31,7 +31,7 @@ go test -race -short ./...
 echo "== simlint (incl. hotpath self-lint) =="
 go run ./cmd/simlint ./...
 
-# All hand-seeded mutant gates (protocol, unit, hot-path, scheduler)
+# All hand-seeded mutant gates (protocol, unit, hot-path, concurrency)
 # live in one script so this file and CI cannot drift apart.
 echo "== seeded-mutant gates (scripts/mutants.sh) =="
 scripts/mutants.sh
@@ -57,37 +57,16 @@ diff docs/golden/quick_table1_fig5.golden /tmp/quick_check_p4.out
 diff /tmp/quick_check_p1.out /tmp/quick_check_p4.out
 diff /tmp/quick_check_p1.out /tmp/quick_check_p8.out
 
+echo "== experiments: full -exp all selection byte-identical at -parallel 1/4 =="
+go run ./cmd/experiments -exp all -parallel 1 -warmup 50000 -instr 50000 -quiet > /tmp/all_check_p1.out
+go run ./cmd/experiments -exp all -parallel 4 -warmup 50000 -instr 50000 -quiet > /tmp/all_check_p4.out
+diff /tmp/all_check_p1.out /tmp/all_check_p4.out
+
 echo "== chaos: fault-injection sweep under race (docs/ROBUSTNESS.md) =="
 go test -race -short -run 'TestChaosSweep|TestControlInjectorIsBitIdentical' ./internal/simguard
 
 echo "== chaos: watchdog catches the seeded livelock mutant =="
 go test -race -run 'TestWatchdogCatchesLivelockMutant|TestWatchdogTripsOnZeroWorkStream' ./internal/simguard ./internal/cmpsim
-
-echo "== farm: chaos sweep (worker kills/stalls) under race =="
-go test -race -short -run 'TestChaosSweep|TestChaosFailureReportIsDeterministic' ./internal/farm
-
-echo "== farm: SIGKILLed workers, sweep still byte-identical to golden =="
-go run ./cmd/experiments -exp table1,fig5 -parallel 4 -warmup 200000 -instr 200000 -quiet \
-	-isolate -no-store -chaos-kill-frac 0.5 -retries 3 > /tmp/farm_chaos.out 2>/dev/null
-diff docs/golden/quick_table1_fig5.golden /tmp/farm_chaos.out
-
-echo "== farm: interrupted sweep resumes from the store =="
-farm_store=$(mktemp -d)
-go run ./cmd/experiments -exp table1,fig5 -warmup 50000 -instr 50000 -quiet > /tmp/farm_base.out
-set +e
-go run ./cmd/experiments -exp table1,fig5 -warmup 50000 -instr 50000 -quiet \
-	-isolate -store "$farm_store" -chaos-kill-frac 0.5 -retries 0 > /tmp/farm_interrupted.out 2>/dev/null
-farm_code=$?
-set -e
-if [ "$farm_code" -ne 1 ]; then
-	echo "expected the interrupted sweep to exit 1, got $farm_code"
-	exit 1
-fi
-go run ./cmd/experiments -exp table1,fig5 -warmup 50000 -instr 50000 -quiet \
-	-isolate -store "$farm_store" > /tmp/farm_resumed.out 2> /tmp/farm_resumed.err
-grep 'farm: ' /tmp/farm_resumed.err | grep -vq ' 0 store hits'
-diff /tmp/farm_base.out /tmp/farm_resumed.out
-rm -rf "$farm_store"
 
 echo "== chaos: graceful degradation on cell failure =="
 set +e
