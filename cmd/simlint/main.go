@@ -14,7 +14,7 @@
 //	hotpath         functions reachable from hotpath:root entry points are free of
 //	                allocating/indirecting constructs unless audited with hotpath:alloc
 //	synccheck       synccheck:guardedby fields only touched under their mutex,
-//	                goroutine/WaitGroup/chan/Once lifecycle discipline, and no
+//	                WaitGroup Add/Done pairing, close-once channels, and no
 //	                nondeterminism reachable from goroutines
 //
 // Usage:
@@ -64,16 +64,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		format  = fs.String("format", "text", "diagnostic output format: text or json (NDJSON, one object per line)")
-		asJSON  = fs.Bool("json", false, "deprecated alias for -format json")
 		rules   = fs.String("rules", "", "comma-separated rule names to run exclusively (default: all)")
 		disable = fs.String("disable", "", "comma-separated rule names to skip")
 		list    = fs.Bool("list", false, "list rules and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *asJSON {
-		*format = "json"
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(stderr, "simlint: unknown -format %q (want text or json)\n", *format)

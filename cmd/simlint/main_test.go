@@ -83,32 +83,26 @@ func TestTextFormatOnDirtyModule(t *testing.T) {
 
 func TestJSONFormatOnDirtyModule(t *testing.T) {
 	chdir(t, dirtyModule(t))
-	// -json must behave as a deprecated alias for -format json.
-	for _, args := range [][]string{
-		{"-format", "json", "-disable", "invariantcov"},
-		{"-json", "-disable", "invariantcov"},
-	} {
-		var stdout, stderr strings.Builder
-		if code := run(args, &stdout, &stderr); code != 1 {
-			t.Fatalf("run(%v) = %d, want 1\nstderr:\n%s", args, code, stderr.String())
-		}
-		lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-		if len(lines) != 1 {
-			t.Fatalf("want one NDJSON line per diagnostic, got %d:\n%s", len(lines), stdout.String())
-		}
-		var d struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Pass    string `json:"pass"`
-			Message string `json:"message"`
-		}
-		if err := json.Unmarshal([]byte(lines[0]), &d); err != nil {
-			t.Fatalf("line is not valid JSON: %v\n%s", err, lines[0])
-		}
-		if d.File != "internal/widget/widget.go" || d.Line != 5 || d.Col == 0 || d.Pass != "panicmsg" || d.Message == "" {
-			t.Errorf("run(%v) diagnostic fields: %+v", args, d)
-		}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-format", "json", "-disable", "invariantcov"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("run(-format json) = %d, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("want one NDJSON line per diagnostic, got %d:\n%s", len(lines), stdout.String())
+	}
+	var d struct {
+		File    string `json:"file"`
+		Line    int    `json:"line"`
+		Col     int    `json:"col"`
+		Pass    string `json:"pass"`
+		Message string `json:"message"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &d); err != nil {
+		t.Fatalf("line is not valid JSON: %v\n%s", err, lines[0])
+	}
+	if d.File != "internal/widget/widget.go" || d.Line != 5 || d.Col == 0 || d.Pass != "panicmsg" || d.Message == "" {
+		t.Errorf("diagnostic fields: %+v", d)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // hotpath is the static hot-path allocation/indirection rule group.
@@ -65,144 +64,32 @@ func NewHotpath() *Analyzer {
 	}
 }
 
-// hotFunc is one module-local function declaration the call graph can
-// reach.
-type hotFunc struct {
-	pkg    *Package
-	file   *ast.File
-	decl   *ast.FuncDecl
-	root   bool
-	exempt bool // function-doc hotpath:alloc marker: body not scanned
-}
-
 // hotChecker carries the per-run state of the analysis.
 type hotChecker struct {
-	prog   *Program
 	report Reporter
-	funcs  map[*types.Func]*hotFunc
-	// reachedVia maps each reachable function to the root whose
-	// traversal first found it, for diagnostics.
-	reachedVia map[*types.Func]string
-	// markers caches per-file hotpath:alloc comment lines.
-	markers map[*ast.File]map[int]string
+	audits auditLines
 }
 
 func runHotpath(prog *Program, report Reporter) {
-	hc := &hotChecker{
-		prog:       prog,
-		report:     report,
-		funcs:      map[*types.Func]*hotFunc{},
-		reachedVia: map[*types.Func]string{},
-		markers:    map[*ast.File]map[int]string{},
-	}
-	roots := hc.collect()
-	if len(hc.funcs) == 0 {
-		return
-	}
-	// Breadth-first over static calls, roots first so reachedVia names
-	// the nearest root.
-	queue := make([]*types.Func, 0, len(roots))
-	for _, r := range roots {
-		name := hotFuncName(r)
-		hc.reachedVia[r] = name
-		queue = append(queue, r)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		hf := hc.funcs[fn]
-		via := hc.reachedVia[fn]
-		for _, callee := range hc.scan(hf, via) {
-			if _, seen := hc.reachedVia[callee]; seen {
-				continue
-			}
-			if _, local := hc.funcs[callee]; !local {
-				continue
-			}
-			hc.reachedVia[callee] = via
-			queue = append(queue, callee)
-		}
-	}
-}
-
-// collect indexes every module-local function declaration, returning
-// the hotpath:root entry points in source order.
-func (hc *hotChecker) collect() []*types.Func {
+	hc := &hotChecker{report: report, audits: collectAuditLines(prog, hotAllocMarker, report)}
+	funcs := indexFuncs(prog)
 	var roots []*types.Func
-	for _, pkg := range hc.prog.Packages {
-		if pkg.Info == nil {
-			continue
+	for _, fn := range funcs.list {
+		if _, root := markerReason(fn.decl.Doc, hotRootMarker); root {
+			roots = append(roots, fn.obj)
 		}
-		for _, file := range pkg.Files {
-			hc.collectMarkers(pkg, file)
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				obj = obj.Origin()
-				hf := &hotFunc{pkg: pkg, file: file, decl: fd}
-				if markerLine(fd.Doc, hotRootMarker) {
-					hf.root = true
-					roots = append(roots, obj)
-				}
-				if reason, found := markerReason(fd.Doc, hotAllocMarker); found {
-					hf.exempt = true
-					if reason == "" {
-						hc.report(fd.Pos(), "hotpath:alloc marker on %s is missing a reason", fd.Name.Name)
-					}
-				}
-				hc.funcs[obj] = hf
-			}
+		if reason, found := markerReason(fn.decl.Doc, hotAllocMarker); found && reason == "" {
+			report(fn.decl.Pos(), "hotpath:alloc marker on %s is missing a reason", fn.decl.Name.Name)
 		}
 	}
-	return roots
-}
-
-// collectMarkers records the line of every hotpath:alloc comment in
-// file, flagging reason-less markers.
-func (hc *hotChecker) collectMarkers(pkg *Package, file *ast.File) {
-	lines := map[int]string{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			rest, found := strings.CutPrefix(text, hotAllocMarker)
-			if !found {
-				continue
-			}
-			reason := strings.TrimSpace(rest)
-			if reason == "" {
-				hc.report(c.Pos(), "hotpath:alloc marker is missing a reason")
-				continue
-			}
-			lines[hc.prog.Fset.Position(c.Pos()).Line] = reason
-		}
-	}
-	if len(lines) > 0 {
-		hc.markers[file] = lines
-	}
-}
-
-// suppressed reports whether a diagnostic at pos is covered by a
-// hotpath:alloc marker on the same line or the line directly above.
-func (hc *hotChecker) suppressed(hf *hotFunc, pos token.Pos) bool {
-	lines := hc.markers[hf.file]
-	if lines == nil {
-		return false
-	}
-	line := hc.prog.Fset.Position(pos).Line
-	_, same := lines[line]
-	_, above := lines[line-1]
-	return same || above
+	funcs.walk(roots, func(fn *moduleFunc, root *types.Func) []*types.Func {
+		return hc.scan(fn, hotFuncName(root))
+	})
 }
 
 // flag reports one construct unless a marker audits it.
-func (hc *hotChecker) flag(hf *hotFunc, via string, pos token.Pos, detail string) {
-	if hf.exempt || hc.suppressed(hf, pos) {
+func (hc *hotChecker) flag(hf *moduleFunc, via string, pos token.Pos, detail string) {
+	if hc.audits.covers(hf.decl.Doc, pos) {
 		return
 	}
 	hc.report(pos, "hot path via %s: %s (restructure, or audit with a hotpath:alloc marker)", via, detail)
@@ -210,7 +97,7 @@ func (hc *hotChecker) flag(hf *hotFunc, via string, pos token.Pos, detail string
 
 // scan walks one reachable function: it flags hot-path constructs and
 // returns the statically resolvable callees that extend the graph.
-func (hc *hotChecker) scan(hf *hotFunc, via string) []*types.Func {
+func (hc *hotChecker) scan(hf *moduleFunc, via string) []*types.Func {
 	var callees []*types.Func
 	info := hf.pkg.Info
 	ast.Inspect(hf.decl.Body, func(n ast.Node) bool {
@@ -265,7 +152,7 @@ func (hc *hotChecker) scan(hf *hotFunc, via string) []*types.Func {
 
 // checkCall handles one call expression: builtin allocators, fmt
 // calls, interface boxing, and static callee resolution.
-func (hc *hotChecker) checkCall(hf *hotFunc, via string, call *ast.CallExpr, callees *[]*types.Func) {
+func (hc *hotChecker) checkCall(hf *moduleFunc, via string, call *ast.CallExpr, callees *[]*types.Func) {
 	info := hf.pkg.Info
 	switch {
 	case isBuiltinCall(info, call, "make"):
@@ -294,7 +181,7 @@ func (hc *hotChecker) checkCall(hf *hotFunc, via string, call *ast.CallExpr, cal
 
 // checkBoxing flags arguments whose concrete values are implicitly
 // boxed into empty-interface parameters.
-func (hc *hotChecker) checkBoxing(hf *hotFunc, via string, call *ast.CallExpr, sig *types.Signature) {
+func (hc *hotChecker) checkBoxing(hf *moduleFunc, via string, call *ast.CallExpr, sig *types.Signature) {
 	if call.Ellipsis.IsValid() {
 		return // x... passes an existing slice; nothing new is boxed
 	}
@@ -380,40 +267,6 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 	return sig
 }
 
-// staticCallee resolves a call to a concrete function or method the
-// graph can follow. Interface methods and calls through function
-// values return nil: they dispatch dynamically, which is why each
-// concrete implementation of a hot interface is its own root.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f.Origin()
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil // method value/expr or field read, not a direct call
-			}
-			f, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-				if _, iface := recv.Type().Underlying().(*types.Interface); iface {
-					return nil
-				}
-			}
-			return f.Origin()
-		}
-		// Package-qualified call: pkg.F(...).
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f.Origin()
-		}
-	}
-	return nil
-}
-
 // capturesOuter reports whether lit references a variable declared in
 // the enclosing function but outside lit, naming the first one found.
 func capturesOuter(info *types.Info, enclosing *ast.FuncDecl, lit *ast.FuncLit) (string, bool) {
@@ -437,36 +290,6 @@ func capturesOuter(info *types.Info, enclosing *ast.FuncDecl, lit *ast.FuncLit) 
 		return true
 	})
 	return name, name != ""
-}
-
-// markerLine reports whether a doc comment carries the given marker.
-func markerLine(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == marker || strings.HasPrefix(text, marker+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// markerReason extracts the reason from a `marker <reason>` doc line.
-func markerReason(doc *ast.CommentGroup, marker string) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if rest, found := strings.CutPrefix(text, marker); found {
-			if rest == "" || strings.HasPrefix(rest, " ") {
-				return strings.TrimSpace(rest), true
-			}
-		}
-	}
-	return "", false
 }
 
 // hotFuncName renders a function as pkgname.Func or

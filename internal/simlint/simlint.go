@@ -499,3 +499,174 @@ func rootIdent(expr ast.Expr) *ast.Ident {
 		}
 	}
 }
+
+// markerReason extracts the reason from a `marker <reason>` doc line.
+func markerReason(doc *ast.CommentGroup, marker string) (string, bool) {
+	if doc == nil {
+		return "", false
+	}
+	for _, c := range doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if rest, found := strings.CutPrefix(text, marker); found {
+			if rest == "" || strings.HasPrefix(rest, " ") {
+				return strings.TrimSpace(rest), true
+			}
+		}
+	}
+	return "", false
+}
+
+// auditLines records where a rule's audit marker (for example
+// `hotpath:alloc <reason>`) silences its findings: on the marker's own
+// line, the line directly below it, and anywhere in a function whose
+// doc comment carries it.
+type auditLines struct {
+	marker string
+	fset   *token.FileSet
+	lines  map[string]map[int]bool // filename -> marker lines
+}
+
+// collectAuditLines records the line of every marker comment in the
+// module, reporting each marker that gives no reason.
+func collectAuditLines(prog *Program, marker string, report Reporter) auditLines {
+	a := auditLines{marker: marker, fset: prog.Fset, lines: map[string]map[int]bool{}}
+	for _, pkg := range prog.Packages {
+		if pkg.Info == nil {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					rest, found := strings.CutPrefix(text, marker)
+					if !found {
+						continue
+					}
+					if strings.TrimSpace(rest) == "" {
+						report(c.Pos(), "%s marker is missing a reason", marker)
+						continue
+					}
+					at := prog.Fset.Position(c.Pos())
+					if a.lines[at.Filename] == nil {
+						a.lines[at.Filename] = map[int]bool{}
+					}
+					a.lines[at.Filename][at.Line] = true
+				}
+			}
+		}
+	}
+	return a
+}
+
+// covers reports whether a finding at pos, inside a function with the
+// given doc comment (nil for none), is audited.
+func (a auditLines) covers(doc *ast.CommentGroup, pos token.Pos) bool {
+	if _, whole := markerReason(doc, a.marker); whole {
+		return true
+	}
+	at := a.fset.Position(pos)
+	lines := a.lines[at.Filename]
+	return lines[at.Line] || lines[at.Line-1]
+}
+
+// moduleFunc is one module-local function declaration with a body.
+type moduleFunc struct {
+	obj  *types.Func // origin object: the call-graph node
+	pkg  *Package
+	file *ast.File
+	decl *ast.FuncDecl
+}
+
+// funcIndex holds every module-local function declaration with a body,
+// in source order and by origin object.
+type funcIndex struct {
+	list  []*moduleFunc
+	byObj map[*types.Func]*moduleFunc
+}
+
+func indexFuncs(prog *Program) funcIndex {
+	ix := funcIndex{byObj: map[*types.Func]*moduleFunc{}}
+	for _, pkg := range prog.Packages {
+		if pkg.Info == nil {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				fn := &moduleFunc{obj: obj.Origin(), pkg: pkg, file: file, decl: fd}
+				ix.list = append(ix.list, fn)
+				ix.byObj[fn.obj] = fn
+			}
+		}
+	}
+	return ix
+}
+
+// walk visits every module-local function statically reachable from
+// roots, breadth-first and once each, roots first. visit scans one
+// function and returns the static callees that extend the walk; root
+// is the root through which the walk first reached it. Callees outside
+// the module (the standard library) end the walk.
+func (ix funcIndex) walk(roots []*types.Func, visit func(fn *moduleFunc, root *types.Func) []*types.Func) {
+	rootOf := map[*types.Func]*types.Func{}
+	var queue []*types.Func
+	enqueue := func(fn, root *types.Func) {
+		if _, seen := rootOf[fn]; seen || ix.byObj[fn] == nil {
+			return
+		}
+		rootOf[fn] = root
+		queue = append(queue, fn)
+	}
+	for _, r := range roots {
+		enqueue(r, r)
+	}
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		root := rootOf[fn]
+		for _, callee := range visit(ix.byObj[fn], root) {
+			enqueue(callee, root)
+		}
+	}
+}
+
+// staticCallee resolves a call to a concrete function or method the
+// call graph can follow. Interface methods and calls through function
+// values return nil: they dispatch dynamically, which is why each
+// concrete implementation of a hot interface is its own hotpath root.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if f, ok := info.Uses[fun].(*types.Func); ok {
+			return f.Origin()
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil // method value/expr or field read, not a direct call
+			}
+			f, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil
+			}
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				if _, iface := recv.Type().Underlying().(*types.Interface); iface {
+					return nil
+				}
+			}
+			return f.Origin()
+		}
+		// Package-qualified call: pkg.F(...).
+		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return f.Origin()
+		}
+	}
+	return nil
+}

@@ -28,24 +28,18 @@ import (
 //     call site must actually hold it. A lock still held at return
 //     without a deferred unlock, an unlock without a matching lock,
 //     and re-locking a held mutex are all diagnostics — the static
-//     shadow of a deadlock or a dropped Unlock.
+//     shadow of a deadlock or a dropped Unlock. Function literals
+//     (`go func` bodies included) start with an empty lock set, so a
+//     guarded field they touch lock-free is flagged even when the
+//     creating function held the lock.
 //
-//  2. Goroutine capture. `go func` bodies (and function literals in
-//     general) start with an empty lock set, so a guarded field they
-//     touch lock-free is flagged even when the spawn site held the
-//     lock. A goroutine that captures its enclosing loop variable is
-//     flagged: pass it as an argument instead.
-//
-//  3. Lifecycle pairing. A goroutine that calls WaitGroup.Done must
+//  2. WaitGroup pairing. A goroutine that calls WaitGroup.Done must
 //     be covered by an Add that precedes the spawn (an Add inside the
 //     goroutine is the classic Add-after-Wait race) and the Done must
-//     be deferred so panic paths still release it. A channel may be
-//     closed at most once across the module; sends are only legal in
-//     the function that owns the channel — sends to a captured
-//     channel inside a function literal, or to a channel-typed
-//     parameter/field, require a `synccheck:producer <name>`
-//     registration on the sending function. sync.Once values must
-//     never be copied or reassigned.
+//     be deferred so panic paths still release it.
+//
+//  3. Close-once. A channel may be closed at most once across the
+//     module.
 //
 //  4. Determinism bridge. Functions reachable from a `go` statement
 //     may not write package-level variables or call the determinism
@@ -67,7 +61,6 @@ const (
 	syncGuardedByMarker = "synccheck:guardedby"
 	syncUnguardedMarker = "synccheck:unguarded"
 	syncHoldsMarker     = "synccheck:holds"
-	syncProducerMarker  = "synccheck:producer"
 	syncNondetMarker    = "synccheck:nondet"
 )
 
@@ -76,9 +69,9 @@ func NewSyncCheck() *Analyzer {
 	return &Analyzer{
 		Name: "synccheck",
 		Doc: "synccheck:guardedby fields are only touched under their mutex " +
-			"(total over mutex-bearing structs), goroutines capture no loop vars " +
-			"and pair WaitGroup/chan/Once lifecycles, and nothing reachable from " +
-			"a goroutine writes globals or reads nondeterminism sinks",
+			"(total over mutex-bearing structs), goroutines pair WaitGroup Add/Done, " +
+			"channels close once, and nothing reachable from a goroutine writes " +
+			"globals or reads nondeterminism sinks",
 		Run: runSyncCheck,
 	}
 }
@@ -93,52 +86,33 @@ type guardInfo struct {
 type syncChecker struct {
 	prog   *Program
 	report Reporter
+	funcs  funcIndex
+	nondet auditLines
 
-	guards    map[*types.Var]*guardInfo // guarded field/var -> its mutex
-	unguarded map[*types.Var]bool       // audited lock-free fields
-	holds     map[*types.Func]string    // fn -> raw synccheck:holds marker text
-	producers map[*types.Func]map[string]bool
-	// nondet caches per-file synccheck:nondet comment lines.
-	nondet map[*ast.File]map[int]bool
+	guards map[*types.Var]*guardInfo // guarded field/var -> its mutex
+	holds  map[*types.Func]string    // fn -> raw synccheck:holds marker text
 	// closes records every close(ch) site per channel variable.
 	closes map[*types.Var][]token.Pos
 
-	// goRoots are the function literals spawned by go statements and
-	// goCallees the statically resolved functions they (transitively)
-	// call; both feed the determinism bridge.
-	goRoots   []goRoot
+	// goCallees seed the determinism bridge: each function a go
+	// statement spawns, and each static callee of a spawned literal
+	// (whose own body is scanned at the spawn).
 	goCallees []*types.Func
-	funcs     map[*types.Func]*syncFunc
-}
-
-// syncFunc is one module-local function declaration.
-type syncFunc struct {
-	pkg  *Package
-	file *ast.File
-	decl *ast.FuncDecl
-}
-
-type goRoot struct {
-	pkg  *Package
-	file *ast.File
-	lit  *ast.FuncLit
 }
 
 func runSyncCheck(prog *Program, report Reporter) {
 	sc := &syncChecker{
-		prog:      prog,
-		report:    report,
-		guards:    map[*types.Var]*guardInfo{},
-		unguarded: map[*types.Var]bool{},
-		holds:     map[*types.Func]string{},
-		producers: map[*types.Func]map[string]bool{},
-		nondet:    map[*ast.File]map[int]bool{},
-		closes:    map[*types.Var][]token.Pos{},
-		funcs:     map[*types.Func]*syncFunc{},
+		prog:   prog,
+		report: report,
+		funcs:  indexFuncs(prog),
+		nondet: collectAuditLines(prog, syncNondetMarker, report),
+		guards: map[*types.Var]*guardInfo{},
+		holds:  map[*types.Func]string{},
+		closes: map[*types.Var][]token.Pos{},
 	}
 	sc.collect()
-	for _, sf := range sc.funcs {
-		sc.checkFunc(sf)
+	for _, fn := range sc.funcs.list {
+		sc.checkFunc(fn)
 	}
 	sc.checkCloseCounts()
 	sc.checkBridge()
@@ -152,52 +126,22 @@ func (sc *syncChecker) collect() {
 			continue
 		}
 		for _, file := range pkg.Files {
-			sc.collectNondetLines(pkg, file)
 			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.GenDecl:
+				if d, ok := decl.(*ast.GenDecl); ok {
 					sc.collectGenDecl(pkg, d)
-				case *ast.FuncDecl:
-					sc.collectFuncDecl(pkg, file, d)
 				}
 			}
 		}
 	}
-}
-
-// collectNondetLines records the line of every synccheck:nondet
-// comment, flagging reason-less markers.
-func (sc *syncChecker) collectNondetLines(pkg *Package, file *ast.File) {
-	lines := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			rest, found := strings.CutPrefix(text, syncNondetMarker)
-			if !found {
-				continue
+	for _, fn := range sc.funcs.list {
+		if marker, found := markerReason(fn.decl.Doc, syncHoldsMarker); found {
+			if marker == "" {
+				sc.report(fn.decl.Pos(), "synccheck:holds marker on %s is missing its mutex", fn.decl.Name.Name)
+			} else {
+				sc.holds[fn.obj] = marker
 			}
-			if strings.TrimSpace(rest) == "" {
-				sc.report(c.Pos(), "synccheck:nondet marker is missing a reason")
-				continue
-			}
-			lines[sc.prog.Fset.Position(c.Pos()).Line] = true
 		}
 	}
-	if len(lines) > 0 {
-		sc.nondet[file] = lines
-	}
-}
-
-// nondetSuppressed reports whether a bridge diagnostic at pos is
-// audited by a synccheck:nondet marker on the same line or the line
-// directly above (or the enclosing function's doc, handled by caller).
-func (sc *syncChecker) nondetSuppressed(file *ast.File, pos token.Pos) bool {
-	lines := sc.nondet[file]
-	if lines == nil {
-		return false
-	}
-	line := sc.prog.Fset.Position(pos).Line
-	return lines[line] || lines[line-1]
 }
 
 // collectGenDecl handles struct-type declarations (guarded-by
@@ -246,15 +190,8 @@ func (sc *syncChecker) collectStruct(pkg *Package, name string, st *ast.StructTy
 				}
 			}
 		}
-		if hasUnguard {
-			if unguardReason == "" {
-				sc.report(f.Pos(), "synccheck:unguarded marker on %s.%s is missing a reason", name, fieldLabel(f))
-			}
-			for _, id := range f.Names {
-				if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
-					sc.unguarded[v] = true
-				}
-			}
+		if hasUnguard && unguardReason == "" {
+			sc.report(f.Pos(), "synccheck:unguarded marker on %s.%s is missing a reason", name, fieldLabel(f))
 		}
 		if len(mutexFields) > 0 && !hasGuard && !hasUnguard &&
 			!isSyncPackageType(ft) && len(f.Names) > 0 {
@@ -290,36 +227,6 @@ func (sc *syncChecker) collectPackageVar(pkg *Package, s *ast.ValueSpec, doc *as
 	for _, id := range s.Names {
 		if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
 			sc.guards[v] = &guardInfo{mutexName: target, mutexObj: mu}
-		}
-	}
-}
-
-// collectFuncDecl indexes the function and its holds/producer markers.
-func (sc *syncChecker) collectFuncDecl(pkg *Package, file *ast.File, d *ast.FuncDecl) {
-	obj, ok := pkg.Info.Defs[d.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	obj = obj.Origin()
-	if d.Body != nil {
-		sc.funcs[obj] = &syncFunc{pkg: pkg, file: file, decl: d}
-	}
-	if marker, found := markerReason(d.Doc, syncHoldsMarker); found {
-		if marker == "" {
-			sc.report(d.Pos(), "synccheck:holds marker on %s is missing its mutex", d.Name.Name)
-		} else {
-			sc.holds[obj] = marker
-		}
-	}
-	if marker, found := markerReason(d.Doc, syncProducerMarker); found {
-		if marker == "" {
-			sc.report(d.Pos(), "synccheck:producer marker on %s is missing its channel name", d.Name.Name)
-		} else {
-			set := map[string]bool{}
-			for _, name := range strings.Fields(marker) {
-				set[name] = true
-			}
-			sc.producers[obj] = set
 		}
 	}
 }
@@ -364,37 +271,25 @@ type syncScope struct {
 	sc   *syncChecker
 	pkg  *Package
 	file *ast.File
-	// decl is the enclosing declaration (for producer/holds markers
-	// and loop-variable provenance); lit is non-nil inside a literal.
-	decl *ast.FuncDecl
-	lit  *ast.FuncLit
 	// adds records WaitGroup.Add sites seen so far, by mutex-style key.
 	adds map[string]token.Pos
 }
 
-func (sc *syncChecker) checkFunc(sf *syncFunc) {
-	scope := &syncScope{sc: sc, pkg: sf.pkg, file: sf.file, decl: sf.decl, adds: map[string]token.Pos{}}
+func (sc *syncChecker) checkFunc(fn *moduleFunc) {
+	scope := &syncScope{sc: sc, pkg: fn.pkg, file: fn.file, adds: map[string]token.Pos{}}
 	st := lockState{}
-	if marker, ok := sc.holds[funcObj(sf.pkg, sf.decl)]; ok {
-		if key, display, ok := sc.resolveHoldsMarker(sf.pkg, sf.decl, marker); ok {
+	if marker, ok := sc.holds[fn.obj]; ok {
+		if key, display, ok := sc.resolveHoldsMarker(fn.pkg, fn.decl, marker); ok {
 			// The caller holds it; release is the caller's job too.
-			st[key] = &lockHeld{display: display, pos: sf.decl.Pos(), write: true, deferred: true}
+			st[key] = &lockHeld{display: display, pos: fn.decl.Pos(), write: true, deferred: true}
 		} else {
-			sc.report(sf.decl.Pos(), "synccheck:holds marker %q on %s does not resolve to a receiver mutex field or package-level mutex", marker, sf.decl.Name.Name)
+			sc.report(fn.decl.Pos(), "synccheck:holds marker %q on %s does not resolve to a receiver mutex field or package-level mutex", marker, fn.decl.Name.Name)
 		}
 	}
-	end, terminated := scope.walkStmts(sf.decl.Body.List, st)
+	end, terminated := scope.walkStmts(fn.decl.Body.List, st)
 	if !terminated {
-		scope.checkLeaks(end, sf.decl.Body.Rbrace)
+		scope.checkLeaks(end, fn.decl.Body.Rbrace)
 	}
-}
-
-// funcObj resolves a declaration to its (origin) types.Func.
-func funcObj(pkg *Package, d *ast.FuncDecl) *types.Func {
-	if f, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-		return f.Origin()
-	}
-	return nil
 }
 
 // resolveHoldsMarker maps a holds marker to the canonical lock key as
@@ -469,7 +364,6 @@ func (s *syncScope) walkStmt(stmt ast.Stmt, st lockState) (lockState, bool) {
 			}
 		}
 	case *ast.SendStmt:
-		s.checkSend(t, st)
 		s.walkExpr(t.Chan, st, false)
 		s.walkExpr(t.Value, st, false)
 	case *ast.DeferStmt:
@@ -621,17 +515,10 @@ func (s *syncScope) walkLoopBody(body *ast.BlockStmt, post ast.Stmt, st lockStat
 	return mergeLockStates(st, bodySt)
 }
 
-// walkAssign checks guarded writes, Once copies, and walks both sides.
+// walkAssign checks guarded writes and walks both sides.
 func (s *syncScope) walkAssign(t *ast.AssignStmt, st lockState) {
 	for _, r := range t.Rhs {
 		s.walkExpr(r, st, false)
-		if t.Tok != token.DEFINE {
-			continue
-		}
-		// `x := other.once` copies a live Once even though x is new.
-		if isSyncOnceValue(s.pkg, r) {
-			s.sc.report(r.Pos(), "sync.Once value copied by assignment; share a pointer instead")
-		}
 	}
 	for _, l := range t.Lhs {
 		if t.Tok == token.DEFINE {
@@ -640,10 +527,6 @@ func (s *syncScope) walkAssign(t *ast.AssignStmt, st lockState) {
 					continue // fresh variable, not an access
 				}
 			}
-		}
-		if t.Tok != token.DEFINE && isSyncOnceExpr(s.pkg, l) {
-			s.sc.report(l.Pos(), "sync.Once value reassigned; a reused Once silently re-arms Do")
-			continue
 		}
 		s.walkExpr(l, st, true)
 	}
@@ -666,7 +549,7 @@ func (s *syncScope) walkDefer(t *ast.DeferStmt, st lockState) {
 		return
 	}
 	if lit, ok := t.Call.Fun.(*ast.FuncLit); ok {
-		s.walkLit(lit, false)
+		s.walkLit(lit)
 		return
 	}
 	for _, a := range t.Call.Args {
@@ -674,8 +557,8 @@ func (s *syncScope) walkDefer(t *ast.DeferStmt, st lockState) {
 	}
 }
 
-// walkGo handles a goroutine spawn: loop-variable capture, WaitGroup
-// pairing, and scheduling the body for the determinism bridge.
+// walkGo handles a goroutine spawn: WaitGroup pairing, and seeding the
+// determinism bridge.
 func (s *syncScope) walkGo(t *ast.GoStmt, st lockState) {
 	lit, isLit := t.Call.Fun.(*ast.FuncLit)
 	for _, a := range t.Call.Args {
@@ -688,84 +571,26 @@ func (s *syncScope) walkGo(t *ast.GoStmt, st lockState) {
 		}
 		return
 	}
-	s.checkLoopCapture(t, lit)
-	s.checkWaitGroupPairing(t, lit)
-	s.sc.goRoots = append(s.sc.goRoots, goRoot{pkg: s.pkg, file: s.file, lit: lit})
-	s.walkLit(lit, true)
+	s.checkWaitGroupPairing(lit)
+	s.sc.goCallees = append(s.sc.goCallees, s.sc.scanBridgeNode(s.pkg, s.file, lit.Body, nil)...)
+	s.walkLit(lit)
 }
 
 // walkLit analyzes a function literal body as its own scope with an
 // empty lock set: whatever the creating function holds is not held
 // when the literal eventually runs.
-func (s *syncScope) walkLit(lit *ast.FuncLit, spawned bool) {
-	inner := &syncScope{sc: s.sc, pkg: s.pkg, file: s.file, decl: s.decl, lit: lit, adds: map[string]token.Pos{}}
+func (s *syncScope) walkLit(lit *ast.FuncLit) {
+	inner := &syncScope{sc: s.sc, pkg: s.pkg, file: s.file, adds: map[string]token.Pos{}}
 	end, terminated := inner.walkStmts(lit.Body.List, lockState{})
 	if !terminated {
 		inner.checkLeaks(end, lit.Body.Rbrace)
 	}
-	_ = spawned
-}
-
-// checkLoopCapture flags goroutines that capture the variable of an
-// enclosing for/range statement.
-func (s *syncScope) checkLoopCapture(t *ast.GoStmt, lit *ast.FuncLit) {
-	loopVars := map[*types.Var]bool{}
-	outer := s.decl
-	if outer == nil {
-		return
-	}
-	ast.Inspect(outer.Body, func(n ast.Node) bool {
-		if n == nil || n.Pos() > t.Pos() {
-			return false
-		}
-		switch loop := n.(type) {
-		case *ast.RangeStmt:
-			if loop.End() < t.Pos() {
-				return true // the spawn is not inside this loop
-			}
-			for _, e := range []ast.Expr{loop.Key, loop.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					if v, ok := s.pkg.Info.Defs[id].(*types.Var); ok {
-						loopVars[v] = true
-					}
-				}
-			}
-		case *ast.ForStmt:
-			if loop.End() < t.Pos() {
-				return true
-			}
-			if init, ok := loop.Init.(*ast.AssignStmt); ok {
-				for _, l := range init.Lhs {
-					if id, ok := l.(*ast.Ident); ok {
-						if v, ok := s.pkg.Info.Defs[id].(*types.Var); ok {
-							loopVars[v] = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	if len(loopVars) == 0 {
-		return
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := s.pkg.Info.Uses[id].(*types.Var); ok && loopVars[v] {
-			s.sc.report(id.Pos(), "goroutine captures loop variable %s; pass it as an argument so each iteration gets its own copy", v.Name())
-			delete(loopVars, v) // one diagnostic per variable
-		}
-		return true
-	})
 }
 
 // checkWaitGroupPairing: a spawned body calling wg.Done needs an Add
 // on the same WaitGroup before the spawn, the Done should be
 // deferred, and an Add inside the body is the Add-after-Wait race.
-func (s *syncScope) checkWaitGroupPairing(t *ast.GoStmt, lit *ast.FuncLit) {
+func (s *syncScope) checkWaitGroupPairing(lit *ast.FuncLit) {
 	deferredDones := map[ast.Node]bool{}
 	for _, stmt := range lit.Body.List {
 		if d, ok := stmt.(*ast.DeferStmt); ok {
@@ -810,40 +635,7 @@ func (s *syncScope) checkWaitGroupPairing(t *ast.GoStmt, lit *ast.FuncLit) {
 	})
 }
 
-// checkSend enforces the producer registration on channel sends: the
-// declaring function may send freely; a literal sending on a captured
-// channel, or any function sending on a parameter/field/package
-// channel, must be registered with synccheck:producer.
-func (s *syncScope) checkSend(t *ast.SendStmt, st lockState) {
-	v := chanVar(s.pkg, t.Chan)
-	if v == nil {
-		return
-	}
-	_, display, _ := syncExprKey(s.pkg.Info, t.Chan)
-	if display == "" {
-		display = v.Name()
-	}
-	if s.lit != nil && !insideNode(s.lit, v.Pos()) {
-		s.sc.report(t.Arrow, "send on captured channel %s inside a function literal; only the declaring function or a registered synccheck:producer may send", display)
-		return
-	}
-	localToFunc := s.decl != nil && insideNode(s.decl, v.Pos()) && !v.IsField()
-	isParam := false
-	if s.decl != nil && s.decl.Type.Params != nil && insideNode(s.decl.Type.Params, v.Pos()) {
-		isParam, localToFunc = true, false
-	}
-	if localToFunc && !isParam {
-		return
-	}
-	if s.decl != nil {
-		if set := s.sc.producers[funcObj(s.pkg, s.decl)]; set[v.Name()] {
-			return
-		}
-	}
-	s.sc.report(t.Arrow, "send on channel %s outside its declaring function; register the sender with a synccheck:producer %s marker", display, v.Name())
-}
-
-// chanVar resolves the variable a send/close targets.
+// chanVar resolves the variable a close targets.
 func chanVar(pkg *Package, e ast.Expr) *types.Var {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -863,13 +655,9 @@ func chanVar(pkg *Package, e ast.Expr) *types.Var {
 	return nil
 }
 
-func insideNode(n ast.Node, pos token.Pos) bool {
-	return pos >= n.Pos() && pos <= n.End()
-}
-
 // walkExpr walks one expression in evaluation order, checking guarded
 // accesses (isWrite for assignment targets), mutex operations, holds
-// obligations, Once copies into calls, and close() sites.
+// obligations, and close() sites.
 func (s *syncScope) walkExpr(e ast.Expr, st lockState, isWrite bool) {
 	switch t := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -906,13 +694,14 @@ func (s *syncScope) walkExpr(e ast.Expr, st lockState, isWrite bool) {
 	case *ast.TypeAssertExpr:
 		s.walkExpr(t.X, st, false)
 	case *ast.FuncLit:
-		s.walkLit(t, false)
+		s.walkLit(t)
 	}
 }
 
 // walkCall dispatches one call: mutex ops mutate the lock state,
 // holds-marked callees impose their lock at the call site, close()
-// sites are recorded, Once arguments by value are flagged.
+// sites are recorded. Literal arguments (callbacks, Once.Do bodies)
+// are analyzed with their own empty lock state by walkExpr.
 func (s *syncScope) walkCall(call *ast.CallExpr, st lockState) {
 	if key, op := s.mutexOp(call, st); op != "" {
 		s.applyMutexOp(call, key, op, st)
@@ -927,36 +716,14 @@ func (s *syncScope) walkCall(call *ast.CallExpr, st lockState) {
 	if isBuiltinCall(s.pkg.Info, call, "panic") {
 		return // terminal; diagnostic construction is exempt
 	}
-	// Once.Do runs its argument; other literal arguments are callbacks
-	// analyzed with their own empty lock state by walkExpr below.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if isSyncMethod(s.pkg, sel, "Once") && sel.Sel.Name == "Do" {
-			s.walkExpr(sel.X, st, false)
-			for _, a := range call.Args {
-				if lit, ok := a.(*ast.FuncLit); ok {
-					s.walkLit(lit, false)
-				} else {
-					s.walkExpr(a, st, false)
-				}
-			}
-			return
-		}
-	}
 	if callee := staticCallee(s.pkg.Info, call); callee != nil {
 		if marker, ok := s.sc.holds[callee]; ok {
 			s.checkHoldsCall(call, callee, marker, st)
 		}
-		if s.adds != nil {
-			s.recordAdd(call)
-		}
-	} else {
-		s.recordAdd(call)
 	}
+	s.recordAdd(call)
 	s.walkExpr(call.Fun, st, false)
 	for _, a := range call.Args {
-		if isSyncOnceValue(s.pkg, a) {
-			s.sc.report(a.Pos(), "sync.Once passed by value; the copy re-arms Do — pass a pointer")
-		}
 		s.walkExpr(a, st, false)
 	}
 }
@@ -1019,8 +786,7 @@ func (s *syncScope) applyMutexOp(call *ast.CallExpr, key, op string, st lockStat
 // the call site.
 func (s *syncScope) checkHoldsCall(call *ast.CallExpr, callee *types.Func, marker string, st lockState) {
 	var required, display string
-	if recvName, rest, found := strings.Cut(marker, "."); found {
-		_ = recvName
+	if _, rest, found := strings.Cut(marker, "."); found {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return
@@ -1107,43 +873,23 @@ func (sc *syncChecker) checkCloseCounts() {
 	}
 }
 
-// checkBridge walks everything reachable from a go statement —
-// spawned literal bodies plus the static call graph out of them — and
-// flags nondeterminism sinks and package-level writes.
+// checkBridge walks the static call graph out of every go statement
+// (spawned literal bodies were scanned at the spawn) and flags
+// nondeterminism sinks and package-level writes.
 func (sc *syncChecker) checkBridge() {
-	seen := map[*types.Func]bool{}
-	queue := append([]*types.Func(nil), sc.goCallees...)
-	for _, root := range sc.goRoots {
-		queue = append(queue, sc.scanBridgeNode(root.pkg, root.file, root.lit.Body, nil)...)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		sf, ok := sc.funcs[fn]
-		if !ok {
-			continue // outside the module (stdlib) or no body
-		}
-		queue = append(queue, sc.scanBridgeNode(sf.pkg, sf.file, sf.decl.Body, sf.decl.Doc)...)
-	}
+	sc.funcs.walk(sc.goCallees, func(fn *moduleFunc, _ *types.Func) []*types.Func {
+		return sc.scanBridgeNode(fn.pkg, fn.file, fn.decl.Body, fn.decl.Doc)
+	})
 }
 
 // scanBridgeNode scans one goroutine-reachable body for sinks and
 // global writes, returning the static callees that extend the graph.
 func (sc *syncChecker) scanBridgeNode(pkg *Package, file *ast.File, body *ast.BlockStmt, doc *ast.CommentGroup) []*types.Func {
-	if body == nil {
-		return nil
-	}
-	exemptAll := markerLine(doc, syncNondetMarker)
 	var callees []*types.Func
 	flag := func(pos token.Pos, format string, args ...any) {
-		if exemptAll || sc.nondetSuppressed(file, pos) {
-			return
+		if !sc.nondet.covers(doc, pos) {
+			sc.report(pos, format, args...)
 		}
-		sc.report(pos, format, args...)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch t := n.(type) {
@@ -1244,20 +990,6 @@ func isSyncMethod(pkg *Package, sel *ast.SelectorExpr, typeName string) bool {
 		rt = p.Elem()
 	}
 	return isNamedSyncType(rt, typeName)
-}
-
-func isSyncOnceExpr(pkg *Package, e ast.Expr) bool {
-	return isNamedSyncType(exprType(pkg.Info, e), "Once")
-}
-
-// isSyncOnceValue reports whether e evaluates to a sync.Once value
-// that already exists (composite literals create fresh, un-armed
-// Onces and are fine to assign into a new variable).
-func isSyncOnceValue(pkg *Package, e ast.Expr) bool {
-	if _, isLit := ast.Unparen(e).(*ast.CompositeLit); isLit {
-		return false
-	}
-	return isSyncOnceExpr(pkg, e)
 }
 
 // fieldType resolves a struct field's type.

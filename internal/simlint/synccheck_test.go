@@ -271,28 +271,6 @@ func (p *P) Spawn() {
 		"write of n (guarded by mu) without holding p.mu")
 }
 
-func TestSyncCheckLoopVariableCapture(t *testing.T) {
-	diags := lintFixture(t, map[string]string{
-		"internal/a/a.go": `package a
-
-func Run(xs []int, f func(int)) {
-	for _, x := range xs {
-		go func() {
-			f(x)
-		}()
-	}
-	for _, x := range xs {
-		go func(x int) {
-			f(x)
-		}(x)
-	}
-}
-`,
-	}, NewSyncCheck())
-	expectDiags(t, diags,
-		"goroutine captures loop variable x")
-}
-
 // --- lifecycle pairing ---
 
 func TestSyncCheckWaitGroupPairing(t *testing.T) {
@@ -347,24 +325,6 @@ func DoubleClose() {
 	close(ch)
 }
 
-func SendFromLiteral() {
-	ch := make(chan int, 1)
-	func() {
-		ch <- 1
-	}()
-}
-
-func SendToParam(ch chan int) {
-	ch <- 1
-}
-
-// feed is the registered producer for out.
-//
-// synccheck:producer out
-func feed(out chan int) {
-	out <- 1
-}
-
 func LocalSendOK() {
 	ch := make(chan int, 1)
 	ch <- 1
@@ -373,39 +333,7 @@ func LocalSendOK() {
 `,
 	}, NewSyncCheck())
 	expectDiags(t, diags,
-		"channel ch is closed more than once",
-		"send on captured channel ch inside a function literal",
-		"send on channel ch outside its declaring function")
-}
-
-func TestSyncCheckOnceCopies(t *testing.T) {
-	diags := lintFixture(t, map[string]string{
-		"internal/a/a.go": `package a
-
-import "sync"
-
-type P struct {
-	once sync.Once
-}
-
-func Reset(p *P) {
-	p.once = sync.Once{}
-}
-
-func Copy(p *P) {
-	local := p.once
-	local.Do(func() {})
-}
-
-func FreshOK() {
-	var once sync.Once
-	once.Do(func() {})
-}
-`,
-	}, NewSyncCheck())
-	expectDiags(t, diags,
-		"sync.Once value reassigned",
-		"sync.Once value copied by assignment")
+		"channel ch is closed more than once")
 }
 
 // --- determinism bridge ---
@@ -456,10 +384,29 @@ func Unreasoned(f func()) {
 		f()
 	}()
 }
+
+// stamp is audited as a whole by its doc comment.
+//
+// synccheck:nondet progress timing only, never reaches results
+func stamp() time.Time {
+	return time.Now()
+}
+
+func unaudited() time.Time {
+	return time.Now()
+}
+
+func SpawnHelpers(report func(time.Time)) {
+	go func() {
+		report(stamp())
+		report(unaudited())
+	}()
+}
 `,
 	}, NewSyncCheck())
 	expectDiags(t, diags,
-		"synccheck:nondet marker is missing a reason")
+		"synccheck:nondet marker is missing a reason",
+		"goroutine-reachable code calls time.Now")
 }
 
 // TestSyncCheckAcceptsLoaderShape pins the annotation shape the

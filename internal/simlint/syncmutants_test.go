@@ -32,7 +32,7 @@ func TestSyncMutantsCaught(t *testing.T) {
 		file    string
 		message string
 	}{
-		{"addafter/farm.go", "wg.Add inside the goroutine it covers races Wait"},
+		{"addafter/pool.go", "wg.Add inside the goroutine it covers races Wait"},
 		{"droppedunlock/pool.go", "locked in this loop body is still held at the end of the iteration"},
 		{"lockfree/pool.go", "read of done (guarded by mu) without holding p.mu"},
 	}
