@@ -13,6 +13,8 @@ package cmpnurapid_test
 import (
 	"testing"
 
+	"cmpnurapid"
+	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/experiments"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/stats"
@@ -162,11 +164,28 @@ func ablationBenchRC() experiments.RunConfig {
 	return experiments.RunConfig{WarmupInstr: 3_000_000, Instructions: 1_500_000, Seed: 42}
 }
 
+// runNuRAPIDVariant runs a CMP-NuRAPID whose default config is
+// mutated by mut on w, through the public API.
+func runNuRAPIDVariant(rc experiments.RunConfig, w cmpnurapid.Workload, mut func(*cmpnurapid.NuRAPIDConfig)) cmpnurapid.Results {
+	cfg := cmpnurapid.DefaultNuRAPIDConfig()
+	mut(&cfg)
+	sys := cmpnurapid.NewSystemWith(cmpnurapid.NewCMPNuRAPID(cfg), w)
+	sys.Warmup(rc.WarmupInstr)
+	return sys.Run(rc.Instructions)
+}
+
 func BenchmarkAblationPromotion(b *testing.B) {
 	b.ReportAllocs()
+	rc := ablationBenchRC()
+	promote := func(pol core.PromotionPolicy) cmpnurapid.Results {
+		return runNuRAPIDVariant(rc, cmpnurapid.Mixes(rc.Seed)[2], // MIX3: mcf vs small apps
+			func(c *cmpnurapid.NuRAPIDConfig) { c.Promotion = pol })
+	}
 	var fastest, next float64
 	for i := 0; i < b.N; i++ {
-		fastest, next = experiments.PromotionSpeedups(ablationBenchRC(), 2) // MIX3: mcf vs small apps
+		base := promote(core.NoPromotion)
+		fastest = cmpnurapid.Speedup(promote(core.Fastest), base)
+		next = cmpnurapid.Speedup(promote(core.NextFastest), base)
 	}
 	b.ReportMetric(fastest, "fastest-x")
 	b.ReportMetric(next, "next-fastest-x")
@@ -174,9 +193,15 @@ func BenchmarkAblationPromotion(b *testing.B) {
 
 func BenchmarkAblationTagCapacity(b *testing.B) {
 	b.ReportAllocs()
+	rc := ablationBenchRC()
 	var s [3]float64
 	for i := 0; i < b.N; i++ {
-		s = experiments.TagCapacitySpeedups(ablationBenchRC(), workload.OLTP(42))
+		base := experiments.RunProfile(experiments.UniformShared, workload.OLTP(rc.Seed), rc)
+		for j, factor := range []int{1, 2, 4} {
+			r := runNuRAPIDVariant(rc, cmpnurapid.OLTP(rc.Seed),
+				func(c *cmpnurapid.NuRAPIDConfig) { c.TagSets = c.TagSets * factor / 2 })
+			s[j] = cmpnurapid.Speedup(r, base)
+		}
 	}
 	b.ReportMetric(s[0], "tags1x-x")
 	b.ReportMetric(s[1], "tags2x-x")
@@ -186,7 +211,7 @@ func BenchmarkAblationTagCapacity(b *testing.B) {
 func BenchmarkAblationOptimizations(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if t := experiments.AblationOptimizations(benchRC()); t.NumRows() == 0 {
+		if t := experiments.NewEval(benchRC()).AblationOptimizations(); t.NumRows() == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -195,7 +220,7 @@ func BenchmarkAblationOptimizations(b *testing.B) {
 func BenchmarkAblationReplicationTrigger(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if t := experiments.AblationReplicationTrigger(benchRC()); t.NumRows() == 0 {
+		if t := experiments.NewEval(benchRC()).AblationReplicationTrigger(); t.NumRows() == 0 {
 			b.Fatal("empty")
 		}
 	}

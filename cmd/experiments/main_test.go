@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cmpnurapid/internal/experiments"
 )
 
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
@@ -214,5 +216,37 @@ func TestMaxCyclesHeadroomIsHarmless(t *testing.T) {
 	}
 	if plain != capped {
 		t.Error("a non-binding -max-cycles changed the output")
+	}
+}
+
+// TestMaxCyclesBindsEveryCell: -max-cycles reaches every simulation of
+// every experiment, not just the figures' design cells. A ceiling far
+// below what the warm-up needs must fail each experiment's cells, and
+// the failure report must name every cell the experiment planned.
+func TestMaxCyclesBindsEveryCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every registered experiment; skipped under -short (race gate)")
+	}
+	rc := experiments.RunConfig{WarmupInstr: 500, Instructions: 500, Seed: 42, MaxCycles: 500}
+	for _, ex := range experiments.Experiments() {
+		if ex.Cells == nil {
+			continue
+		}
+		t.Run(ex.Name, func(t *testing.T) {
+			stdout, _, code := runCLI(t, "-exp", ex.Name,
+				"-warmup", "500", "-instr", "500", "-max-cycles", "500", "-quiet")
+			if code != 1 {
+				t.Fatalf("exited %d, want 1", code)
+			}
+			_, report, ok := strings.Cut(stdout, "FAILURE REPORT:")
+			if !ok {
+				t.Fatalf("no failure report:\n%s", stdout)
+			}
+			for _, c := range experiments.Plan([]experiments.Experiment{ex}, experiments.NewEval(rc)) {
+				if !strings.Contains(report, "\n  "+c.Key+": ") {
+					t.Errorf("failure report does not name planned cell %s:\n%s", c.Key, report)
+				}
+			}
+		})
 	}
 }

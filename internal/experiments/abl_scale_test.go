@@ -27,7 +27,9 @@ func TestAblationPromotionOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	fastest, next := PromotionSpeedups(ablationRC(), 2)
+	e := NewEval(ablationRC())
+	sp := ablPromotion.speedups(e, e.mpInput(2))
+	fastest, next := sp[0], sp[1]
 	if fastest <= 1.0 {
 		t.Errorf("fastest promotion speedup %.4f not above no-promotion", fastest)
 	}
@@ -43,7 +45,8 @@ func TestAblationTagCapacity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	s := TagCapacitySpeedups(ablationRC(), workload.OLTP(42))
+	e := NewEval(ablationRC())
+	s := ablTags.speedups(e, e.mtInput(workload.OLTP(42)))
 	x1, x2, x4 := s[0], s[1], s[2]
 	if x2 < x4*0.99 {
 		t.Errorf("2x tags (%.4f) not within 1%% of 4x (%.4f); paper: 'almost as well'", x2, x4)
@@ -61,7 +64,9 @@ func TestSizeSensitivityShape(t *testing.T) {
 		t.Skip("sensitivity simulation skipped in -short mode")
 	}
 	rc := RunConfig{WarmupInstr: 2_000_000, Instructions: 1_000_000, Seed: 42}
-	priv, nur := SizeSpeedups(rc, 8)
+	e := NewEval(rc)
+	sp := sizePoint(8).speedups(e, e.mtInput(workload.OLTP(rc.Seed)))
+	priv, nur := sp[0], sp[1]
 	if nur <= 1 || nur <= priv*0.95 {
 		t.Errorf("8 MB point broken: private %.3f, NuRAPID %.3f", priv, nur)
 	}
@@ -74,8 +79,13 @@ func TestSeedOrderingStable(t *testing.T) {
 		t.Skip("sensitivity simulation skipped in -short mode")
 	}
 	rc := RunConfig{WarmupInstr: 1_500_000, Instructions: 700_000, Seed: 0}
-	if !SeedOrderingStable(rc, []uint64{7, 1234, 999999}) {
-		t.Error("CMP-NuRAPID > private > uniform-shared ordering unstable across seeds")
+	e := NewEval(rc)
+	for _, seed := range []uint64{7, 1234, 999999} {
+		sub := e.subEval(seed)
+		if nur, priv := sub.Speedup(NuRAPID), sub.Speedup(Private); !(nur > priv && priv > 1) {
+			t.Error("CMP-NuRAPID > private > uniform-shared ordering unstable across seeds")
+			break
+		}
 	}
 }
 
@@ -89,7 +99,9 @@ func TestUpdateProtocolTradeoffs(t *testing.T) {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
 	rc := RunConfig{WarmupInstr: 2_500_000, Instructions: 1_200_000, Seed: 42}
-	inv, upd, isc := UpdateProtocolSpeedups(rc, workload.OLTP(rc.Seed))
+	e := NewEval(rc)
+	sp := ablUpdate.speedups(e, e.mtInput(workload.OLTP(rc.Seed)))
+	inv, upd, isc := sp[0], sp[1], sp[2]
 	if isc <= upd {
 		t.Errorf("ISC (%.3f) not above update protocol (%.3f); §3.2's argument should hold", isc, upd)
 	}
@@ -127,7 +139,8 @@ func TestDemotionBandwidthClaim(t *testing.T) {
 	// MIX1's non-uniform demand drives capacity stealing; multithreaded
 	// workloads replace frame-for-frame in the closest d-group and
 	// rarely demote at all.
-	rate := DemotionsPer1K(rc, workload.Mixes(rc.Seed)[0])
+	r := NewEval(rc).MP(NuRAPID, 0)
+	rate := 1000 * float64(r.L2.Demotions) / float64(r.Instructions)
 	if rate > 50 {
 		t.Errorf("demotion rate %.2f per 1000 instructions contradicts the bandwidth claim", rate)
 	}
@@ -141,7 +154,7 @@ func TestBandwidthReportRenders(t *testing.T) {
 		t.Skip("skipped in -short mode")
 	}
 	rc := RunConfig{WarmupInstr: 100_000, Instructions: 100_000, Seed: 1}
-	s := BandwidthReport(rc).String()
+	s := NewEval(rc).BandwidthReport().String()
 	if len(s) < 100 {
 		t.Errorf("bandwidth report suspicious:\n%s", s)
 	}
@@ -155,7 +168,7 @@ func TestCapacityReportShowsStealing(t *testing.T) {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
 	rc := RunConfig{WarmupInstr: 2_000_000, Instructions: 500_000, Seed: 42}
-	s := CapacityReport(rc, 2).String()
+	s := NewEval(rc).CapacityReport(2).String()
 	if len(s) < 100 {
 		t.Fatalf("capacity report suspicious:\n%s", s)
 	}

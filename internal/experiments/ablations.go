@@ -1,351 +1,136 @@
 package experiments
 
 import (
-	"fmt"
-
-	"cmpnurapid/internal/cmpsim"
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/stats"
-	"cmpnurapid/internal/workload"
 )
 
 // This file regenerates the design-choice ablations DESIGN.md calls
 // out: promotion policy (§3.3.1 prefers fastest in CMPs), tag-array
 // capacity (§2.2.2 doubles instead of quadrupling), the CR replication
 // trigger (§3.1 copies on the second use), and the CR/ISC optimization
-// matrix (§5.1.2). Each ablation is an Eval method backed by memoized
-// variant runs, plus a cell declaration so the scheduler can execute
-// the runs concurrently before rendering; the package-level functions
-// of the same names are sequential convenience wrappers.
+// matrix (§5.1.2), plus the extension baselines. Each is a speedup
+// table over CMP-NuRAPID config variants; a column equal to an existing
+// design (the default config is CMP-NuRAPID itself) names that design,
+// so it reuses the figures' simulation instead of running a duplicate.
 
-// runNuRAPIDVariant runs a workload on a CMP-NuRAPID with the config
-// mutated by mut, returning the results.
-func runNuRAPIDVariant(w cmpsim.Workload, rc RunConfig, mut func(*core.Config)) cmpsim.Results {
-	cfg := core.DefaultConfig()
-	mut(&cfg)
-	sys := cmpsim.New(cmpsim.DefaultConfig(), core.New(cfg), w)
-	sys.Warmup(rc.WarmupInstr)
-	return sys.Run(rc.Instructions)
+// ablPromotion compares the fastest and next-fastest promotion policies
+// against no promotion on the multiprogrammed mixes, where capacity
+// stealing matters most. The paper found fastest more effective in
+// CMPs because "one core's next-fastest d-group is another core's
+// fastest" (§3.3.1). Fastest is the default policy.
+var ablPromotion = speedupTable{
+	title: "Ablation: CS promotion policy (weighted speedup vs no promotion)",
+	heads: []string{"fastest", "next-fastest"},
+	rows:  mixRows,
+	base:  nurapidVariant("promotion=none", func(c *core.Config) { c.Promotion = core.NoPromotion }),
+	cols: []config{
+		design(NuRAPID),
+		nurapidVariant("promotion=next-fastest", func(c *core.Config) { c.Promotion = core.NextFastest }),
+	},
 }
 
-// variantMT memoizes a CMP-NuRAPID config variant on a multithreaded
-// profile under key.
-func (e *Eval) variantMT(key string, p workload.Profile, mut func(*core.Config)) cmpsim.Results {
-	return e.results(key, func() cmpsim.Results {
-		pp := p
-		pp.Seed = e.RC.Seed
-		return runNuRAPIDVariant(workload.New(pp), e.RC, mut)
-	})
+// ablTags compares 1x, 2x, and 4x tag-array capacity on the commercial
+// workloads. The paper found doubling performs almost as well as
+// quadrupling at a quarter of the capacity overhead (§2.2.2); 2x is the
+// default.
+var ablTags = speedupTable{
+	title: "Ablation: private tag capacity (speedup vs uniform-shared)",
+	heads: []string{"1x tags", "2x tags (paper)", "4x tags"},
+	rows:  commercialRows, base: design(UniformShared),
+	cols: []config{
+		nurapidVariant("tags=1x", func(c *core.Config) { c.TagSets /= 2 }),
+		design(NuRAPID),
+		nurapidVariant("tags=4x", func(c *core.Config) { c.TagSets *= 2 }),
+	},
 }
 
-// variantMix memoizes a CMP-NuRAPID config variant on a Table 2 mix
-// under key. A fresh generator per fill keeps streams identical across
-// variants.
-func (e *Eval) variantMix(key string, mixIdx int, mut func(*core.Config)) cmpsim.Results {
-	return e.results(key, func() cmpsim.Results {
-		return runNuRAPIDVariant(workload.Mixes(e.RC.Seed)[mixIdx], e.RC, mut)
-	})
+// ablReplication compares replicating on first use (the ISC-only
+// design), second use (CR, the default), and never, on the commercial
+// workloads (§3.1: not copying on the first use saves capacity for the
+// ~40% of blocks never reused; copying on the second avoids slow
+// repeat accesses).
+var ablReplication = speedupTable{
+	title: "Ablation: CR replication trigger (speedup vs uniform-shared)",
+	heads: []string{"first use", "second use (CR)", "never"},
+	rows:  commercialRows, base: design(UniformShared),
+	cols: []config{
+		design(NuRAPIDISC),
+		design(NuRAPID),
+		nurapidVariant("replication=never", func(c *core.Config) { c.Replication = core.ReplicateNever }),
+	},
 }
 
-// --- promotion policy (§3.3.1) ---
-
-var promotionPolicies = []core.PromotionPolicy{core.NoPromotion, core.Fastest, core.NextFastest}
-
-func promotionKey(mixIdx int, pol core.PromotionPolicy) string {
-	return fmt.Sprintf("abl/promotion/%d/%d", mixIdx, pol)
+// ablOptimizations crosses CR and ISC on the commercial workloads
+// (Figure 8's one-at-a-time runs, completed to the full 2x2 matrix).
+// CR off means replicating on first use.
+var ablOptimizations = speedupTable{
+	title: "Ablation: CR x ISC (speedup vs uniform-shared)",
+	heads: []string{"neither", "CR only", "ISC only", "both"},
+	rows:  commercialRows, base: design(UniformShared),
+	cols: []config{
+		nurapidVariant("replication=first-use,isc=off", func(c *core.Config) {
+			c.Replication = core.ReplicateFirstUse
+			c.EnableISC = false
+		}),
+		design(NuRAPIDCR),
+		design(NuRAPIDISC),
+		design(NuRAPID),
+	},
 }
 
-func (e *Eval) promotionRun(mixIdx int, pol core.PromotionPolicy) cmpsim.Results {
-	return e.variantMix(promotionKey(mixIdx, pol), mixIdx,
-		func(c *core.Config) { c.Promotion = pol })
-}
-
-func (e *Eval) ablationPromotionCells() []Cell {
-	var cells []Cell
-	for i := range e.mixes {
-		for _, pol := range promotionPolicies {
-			cells = append(cells, Cell{Key: promotionKey(i, pol), Run: func() { e.promotionRun(i, pol) }})
-		}
-	}
-	return cells
-}
-
-// AblationPromotion compares the fastest and next-fastest promotion
-// policies (and no promotion) on the multiprogrammed mixes, where
-// capacity stealing matters most. The paper found fastest more
-// effective in CMPs because "one core's next-fastest d-group is
-// another core's fastest" (§3.3.1).
-func (e *Eval) AblationPromotion() *stats.Table {
-	t := stats.NewTable("Ablation: CS promotion policy (weighted speedup vs no promotion)",
-		"Workload", "fastest", "next-fastest")
-	for i, m := range e.mixes {
-		base := e.promotionRun(i, core.NoPromotion)
-		row := []string{m.Name()}
-		for _, pol := range []core.PromotionPolicy{core.Fastest, core.NextFastest} {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.promotionRun(i, pol), base)))
-		}
-		t.Row(row...)
-	}
-	return t
-}
-
-// AblationPromotion is the sequential wrapper used by tests and
-// benchmarks.
-func AblationPromotion(rc RunConfig) *stats.Table { return NewEval(rc).AblationPromotion() }
-
-// PromotionSpeedups returns (fastest, nextFastest) weighted speedups
-// over no-promotion for one mix, for tests.
-func PromotionSpeedups(rc RunConfig, mixIdx int) (fastest, nextFastest float64) {
-	e := NewEval(rc)
-	base := e.promotionRun(mixIdx, core.NoPromotion)
-	f := e.promotionRun(mixIdx, core.Fastest)
-	n := e.promotionRun(mixIdx, core.NextFastest)
-	return cmpsim.Speedup(f, base), cmpsim.Speedup(n, base)
-}
-
-// --- tag-array capacity (§2.2.2) ---
-
-var tagFactors = []int{1, 2, 4}
-
-func tagKey(factor int, p workload.Profile) string {
-	return fmt.Sprintf("abl/tags/%dx/%s", factor, p.Name)
-}
-
-func (e *Eval) tagRun(factor int, p workload.Profile) cmpsim.Results {
-	return e.variantMT(tagKey(factor, p), p, func(c *core.Config) {
-		c.TagSets = c.TagSets * factor / 2 // default is the 2x config
-	})
-}
-
-func (e *Eval) ablationTagCapacityCells() []Cell {
-	cells := e.mtCells([]DesignName{UniformShared}, e.commercial())
-	for _, p := range e.commercial() {
-		for _, f := range tagFactors {
-			cells = append(cells, Cell{Key: tagKey(f, p), Run: func() { e.tagRun(f, p) }})
-		}
-	}
-	return cells
-}
-
-// AblationTagCapacity compares 1x, 2x, and 4x tag-array capacity on
-// the commercial workloads. The paper found doubling performs almost
-// as well as quadrupling at a quarter of the capacity overhead
-// (§2.2.2).
-func (e *Eval) AblationTagCapacity() *stats.Table {
-	t := stats.NewTable("Ablation: private tag capacity (speedup vs uniform-shared)",
-		"Workload", "1x tags", "2x tags (paper)", "4x tags")
-	for _, p := range e.commercial() {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for _, f := range tagFactors {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.tagRun(f, p), base)))
-		}
-		t.Row(row...)
-	}
-	return t
-}
-
-// AblationTagCapacity is the sequential wrapper used by tests and
-// benchmarks.
-func AblationTagCapacity(rc RunConfig) *stats.Table { return NewEval(rc).AblationTagCapacity() }
-
-// TagCapacitySpeedups returns the speedups over uniform-shared for
-// 1x/2x/4x tags on one commercial workload, for tests.
-func TagCapacitySpeedups(rc RunConfig, p workload.Profile) [3]float64 {
-	e := NewEval(rc)
-	base := e.MT(UniformShared, p)
-	var out [3]float64
-	for i, f := range tagFactors {
-		out[i] = cmpsim.Speedup(e.tagRun(f, p), base)
-	}
-	return out
-}
-
-// --- CR replication trigger (§3.1) ---
-
-var replicationPolicies = []core.ReplicationPolicy{
-	core.ReplicateFirstUse, core.ReplicateSecondUse, core.ReplicateNever,
-}
-
-func replicationKey(pol core.ReplicationPolicy, p workload.Profile) string {
-	return fmt.Sprintf("abl/replication/%d/%s", pol, p.Name)
-}
-
-func (e *Eval) replicationRun(pol core.ReplicationPolicy, p workload.Profile) cmpsim.Results {
-	return e.variantMT(replicationKey(pol, p), p,
-		func(c *core.Config) { c.Replication = pol })
-}
-
-func (e *Eval) ablationReplicationCells() []Cell {
-	cells := e.mtCells([]DesignName{UniformShared}, e.commercial())
-	for _, p := range e.commercial() {
-		for _, pol := range replicationPolicies {
-			cells = append(cells, Cell{Key: replicationKey(pol, p), Run: func() { e.replicationRun(pol, p) }})
-		}
-	}
-	return cells
-}
-
-// AblationReplicationTrigger compares replicating on first use, second
-// use (CR), and never, on the commercial workloads (§3.1: not copying
-// on the first use saves capacity for the ~40% of blocks never
-// reused; copying on the second avoids slow repeat accesses).
-func (e *Eval) AblationReplicationTrigger() *stats.Table {
-	t := stats.NewTable("Ablation: CR replication trigger (speedup vs uniform-shared)",
-		"Workload", "first use", "second use (CR)", "never")
-	for _, p := range e.commercial() {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for _, pol := range replicationPolicies {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.replicationRun(pol, p), base)))
-		}
-		t.Row(row...)
-	}
-	return t
-}
-
-// AblationReplicationTrigger is the sequential wrapper used by tests
-// and benchmarks.
-func AblationReplicationTrigger(rc RunConfig) *stats.Table {
-	return NewEval(rc).AblationReplicationTrigger()
-}
-
-// --- stuck-C-copy migration extension (§3.2 future work) ---
-
-var cMigrationThresholds = []int{0, 4, 16}
-
-func cMigrationKey(threshold int, p workload.Profile) string {
-	return fmt.Sprintf("abl/cmigration/%d/%s", threshold, p.Name)
-}
-
-func (e *Eval) cMigrationRun(threshold int, p workload.Profile) cmpsim.Results {
-	return e.variantMT(cMigrationKey(threshold, p), p,
-		func(c *core.Config) { c.CMigrationThreshold = threshold })
-}
-
-func (e *Eval) ablationCMigrationCells() []Cell {
-	cells := e.mtCells([]DesignName{UniformShared}, e.commercial())
-	for _, p := range e.commercial() {
-		for _, th := range cMigrationThresholds {
-			cells = append(cells, Cell{Key: cMigrationKey(th, p), Run: func() { e.cMigrationRun(th, p) }})
-		}
-	}
-	return cells
-}
-
-// AblationCMigration evaluates the stuck-C-copy migration extension
-// (the paper's §3.2 future-work item) on the commercial workloads:
+// ablCMigration evaluates the stuck-C-copy migration extension (the
+// paper's §3.2 future-work item) on the commercial workloads:
 // threshold 0 is the published design; small thresholds let a copy
 // abandoned by its host migrate to the reader still using it.
-func (e *Eval) AblationCMigration() *stats.Table {
-	t := stats.NewTable("Extension: stuck-C-copy migration (speedup vs uniform-shared)",
-		"Workload", "off (paper)", "threshold 4", "threshold 16")
-	for _, p := range e.commercial() {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for _, th := range cMigrationThresholds {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.cMigrationRun(th, p), base)))
-		}
-		t.Row(row...)
-	}
-	return t
+var ablCMigration = speedupTable{
+	title: "Extension: stuck-C-copy migration (speedup vs uniform-shared)",
+	heads: []string{"off (paper)", "threshold 4", "threshold 16"},
+	rows:  commercialRows, base: design(UniformShared),
+	cols: []config{
+		design(NuRAPID),
+		nurapidVariant("cmigration=4", func(c *core.Config) { c.CMigrationThreshold = 4 }),
+		nurapidVariant("cmigration=16", func(c *core.Config) { c.CMigrationThreshold = 16 }),
+	},
 }
 
-// AblationCMigration is the sequential wrapper used by tests and
-// benchmarks.
-func AblationCMigration(rc RunConfig) *stats.Table { return NewEval(rc).AblationCMigration() }
-
-// --- invalidate vs update vs ISC (§3.2) ---
-
-var updateProtocolDesigns = []DesignName{Private, PrivateUpdate, NuRAPID}
-
-func (e *Eval) ablationUpdateCells() []Cell {
-	return e.mtCells(withBaseline(updateProtocolDesigns), e.commercial())
+// ablUpdate pits in-situ communication against the update-protocol
+// alternative §3.2 dismisses: both avoid coherence misses on
+// read-write sharing, but the update protocol pays a bus broadcast per
+// shared write and keeps a copy per sharer, while ISC keeps one copy
+// and posts invalidations only for L1 freshness.
+var ablUpdate = speedupTable{
+	title: "Extension: invalidate vs update vs ISC (speedup vs uniform-shared)",
+	heads: []string{"private (invalidate)", "private-update", "CMP-NuRAPID (ISC)"},
+	rows:  commercialRows, base: design(UniformShared),
+	cols: designs(Private, PrivateUpdate, NuRAPID),
 }
 
-// AblationUpdateProtocol pits in-situ communication against the
-// update-protocol alternative §3.2 dismisses: both avoid coherence
-// misses on read-write sharing, but the update protocol pays a bus
-// broadcast per shared write and keeps a copy per sharer, while ISC
-// keeps one copy and posts invalidations only for L1 freshness.
-func (e *Eval) AblationUpdateProtocol() *stats.Table {
-	t := stats.NewTable("Extension: invalidate vs update vs ISC (speedup vs uniform-shared)",
-		"Workload", "private (invalidate)", "private-update", "CMP-NuRAPID (ISC)")
-	for _, p := range e.commercial() {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for _, d := range updateProtocolDesigns {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.MT(d, p), base)))
-		}
-		t.Row(row...)
-	}
-	return t
+// ablDNUCA extends Figure 6 with the CMP-DNUCA baseline [6] whose
+// negative result the paper cites.
+var ablDNUCA = speedupTable{
+	title: "Extension: CMP-DNUCA vs CMP-SNUCA vs CMP-NuRAPID (speedup vs uniform-shared)",
+	heads: []string{"SNUCA (static)", "DNUCA (migration)", "CMP-NuRAPID"},
+	rows:  commercialRows, base: design(UniformShared),
+	cols: designs(NonUniform, DNUCA, NuRAPID),
 }
 
-// AblationUpdateProtocol is the sequential wrapper used by tests and
-// benchmarks.
-func AblationUpdateProtocol(rc RunConfig) *stats.Table { return NewEval(rc).AblationUpdateProtocol() }
+// AblationPromotion regenerates the promotion-policy ablation (see
+// ablPromotion).
+func (e *Eval) AblationPromotion() *stats.Table { return ablPromotion.render(e) }
 
-// UpdateProtocolSpeedups returns (invalidate, update, isc) speedups on
-// one workload, for tests.
-func UpdateProtocolSpeedups(rc RunConfig, p workload.Profile) (inv, upd, isc float64) {
-	base := RunProfile(UniformShared, p, rc)
-	return cmpsim.Speedup(RunProfile(Private, p, rc), base),
-		cmpsim.Speedup(RunProfile(PrivateUpdate, p, rc), base),
-		cmpsim.Speedup(RunProfile(NuRAPID, p, rc), base)
-}
+// AblationTagCapacity regenerates the tag-capacity ablation (see
+// ablTags).
+func (e *Eval) AblationTagCapacity() *stats.Table { return ablTags.render(e) }
 
-// --- CR x ISC optimization matrix (§5.1.2) ---
+// AblationReplicationTrigger regenerates the replication-trigger
+// ablation (see ablReplication).
+func (e *Eval) AblationReplicationTrigger() *stats.Table { return ablReplication.render(e) }
 
-// optVariants crosses the replication trigger with ISC: Figure 8's
-// one-at-a-time runs, completed to the full 2x2 matrix.
-var optVariants = []struct {
-	repl core.ReplicationPolicy
-	isc  bool
-}{
-	{core.ReplicateFirstUse, false},
-	{core.ReplicateSecondUse, false},
-	{core.ReplicateFirstUse, true},
-	{core.ReplicateSecondUse, true},
-}
+// AblationOptimizations regenerates the CR x ISC matrix (see
+// ablOptimizations).
+func (e *Eval) AblationOptimizations() *stats.Table { return ablOptimizations.render(e) }
 
-func optKey(v int, p workload.Profile) string {
-	return fmt.Sprintf("abl/opt/%d-%t/%s", optVariants[v].repl, optVariants[v].isc, p.Name)
-}
-
-func (e *Eval) optRun(v int, p workload.Profile) cmpsim.Results {
-	return e.variantMT(optKey(v, p), p, func(c *core.Config) {
-		c.Replication = optVariants[v].repl
-		c.EnableISC = optVariants[v].isc
-	})
-}
-
-func (e *Eval) ablationOptimizationsCells() []Cell {
-	cells := e.mtCells([]DesignName{UniformShared}, e.commercial())
-	for _, p := range e.commercial() {
-		for v := range optVariants {
-			cells = append(cells, Cell{Key: optKey(v, p), Run: func() { e.optRun(v, p) }})
-		}
-	}
-	return cells
-}
-
-// AblationOptimizations crosses CR and ISC on the commercial workloads
-// (Figure 8's one-at-a-time runs, completed to the full 2x2 matrix).
-func (e *Eval) AblationOptimizations() *stats.Table {
-	t := stats.NewTable("Ablation: CR x ISC (speedup vs uniform-shared)",
-		"Workload", "neither", "CR only", "ISC only", "both")
-	for _, p := range e.commercial() {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for v := range optVariants {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.optRun(v, p), base)))
-		}
-		t.Row(row...)
-	}
-	return t
-}
-
-// AblationOptimizations is the sequential wrapper used by tests and
-// benchmarks.
-func AblationOptimizations(rc RunConfig) *stats.Table { return NewEval(rc).AblationOptimizations() }
+// AblationCMigration regenerates the C-migration extension (see
+// ablCMigration).
+func (e *Eval) AblationCMigration() *stats.Table { return ablCMigration.render(e) }

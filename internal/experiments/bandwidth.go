@@ -11,10 +11,12 @@ import (
 	"cmpnurapid/internal/workload"
 )
 
-// bandwidthWorkloads names the two traffic cases the report measures:
+// bandwidthInputs are the two traffic cases the report measures:
 // OLTP exercises the write-through/BusUpg claim; MIX1 (non-uniform
 // demand) exercises the demotion-bandwidth claim.
-var bandwidthWorkloads = []string{"oltp", "MIX1"}
+func (e *Eval) bandwidthInputs() []input {
+	return []input{e.mtInput(workload.OLTP(e.RC.Seed)), e.mpInput(0)}
+}
 
 // bandwidthDesigns are the designs whose bus traffic is compared.
 var bandwidthDesigns = []DesignName{Private, NuRAPID}
@@ -28,24 +30,17 @@ type busRun struct {
 	busWait memsys.Cycles
 }
 
-func bandwidthKey(wname string, d DesignName) string { return "bw/" + wname + "/" + string(d) }
+func bandwidthKey(in input, d DesignName) string { return "bw/" + in.name + "/" + string(d) }
 
 // bandwidthRun memoizes one (workload, design) traffic measurement.
-func (e *Eval) bandwidthRun(wname string, d DesignName) busRun {
-	return e.memo(bandwidthKey(wname, d), func() any {
-		var w cmpsim.Workload
-		switch wname {
-		case "oltp":
-			w = workload.New(workload.OLTP(e.RC.Seed))
-		case "MIX1":
-			w = workload.Mixes(e.RC.Seed)[0]
-		default:
-			panic(fmt.Sprintf("experiments: unknown bandwidth workload %q", wname))
-		}
-		sys := cmpsim.New(cmpsim.DefaultConfig(), NewDesign(d), w)
-		sys.Warmup(e.RC.WarmupInstr)
-		br := busRun{results: sys.Run(e.RC.Instructions)}
-		switch l2d := sys.L2().(type) {
+// The bus counters are read off the live L2 inside the fill; the memo
+// keeps only the numbers, not the cache.
+func (e *Eval) bandwidthRun(in input, d DesignName) busRun {
+	return e.memo(bandwidthKey(in, d), func() any {
+		w := in.new()
+		l2d := NewDesign(d)
+		br := busRun{results: simulate(l2d, w, e.RC)}
+		switch l2d := l2d.(type) {
 		case *core.Cache:
 			br.busTx, br.busWait = l2d.Bus().TotalTransactions(), l2d.Bus().WaitCycles()
 		case *l2.Private:
@@ -57,9 +52,9 @@ func (e *Eval) bandwidthRun(wname string, d DesignName) busRun {
 
 func (e *Eval) bandwidthCells() []Cell {
 	var cells []Cell
-	for _, wname := range bandwidthWorkloads {
+	for _, in := range e.bandwidthInputs() {
 		for _, d := range bandwidthDesigns {
-			cells = append(cells, Cell{Key: bandwidthKey(wname, d), Run: func() { e.bandwidthRun(wname, d) }})
+			cells = append(cells, Cell{Key: bandwidthKey(in, d), Run: func() { e.bandwidthRun(in, d) }})
 		}
 	}
 	return cells
@@ -79,9 +74,9 @@ func (e *Eval) bandwidthCells() []Cell {
 func (e *Eval) BandwidthReport() *stats.Table {
 	t := stats.NewTable("Bandwidth: bus and d-group traffic per 1000 instructions",
 		"Workload", "Design", "Bus txns", "Bus wait cyc", "Demotions", "Promotions", "Write-throughs")
-	for _, wname := range bandwidthWorkloads {
+	for _, in := range e.bandwidthInputs() {
 		for _, d := range bandwidthDesigns {
-			br := e.bandwidthRun(wname, d)
+			br := e.bandwidthRun(in, d)
 			r := br.results
 			per1k := func(n uint64) string {
 				return fmt.Sprintf("%.2f", 1000*float64(n)/float64(r.Instructions))
@@ -91,47 +86,9 @@ func (e *Eval) BandwidthReport() *stats.Table {
 				wt += c.Writethroughs
 			}
 			s := r.L2
-			t.Row(wname, string(d), per1k(br.busTx), fmt.Sprint(br.busWait),
+			t.Row(in.name, string(d), per1k(br.busTx), fmt.Sprint(br.busWait),
 				per1k(s.Demotions), per1k(s.Promotions), per1k(wt))
 		}
 	}
 	return t
 }
-
-// BandwidthReport is the sequential wrapper used by tests.
-func BandwidthReport(rc RunConfig) *stats.Table { return NewEval(rc).BandwidthReport() }
-
-// DemotionsPer1K returns CMP-NuRAPID's demotion rate on a workload,
-// for the §3.3.2 bandwidth-claim test.
-func DemotionsPer1K(rc RunConfig, w cmpsim.Workload) float64 {
-	sys := cmpsim.New(cmpsim.DefaultConfig(), NewDesign(NuRAPID), w)
-	sys.Warmup(rc.WarmupInstr)
-	r := sys.Run(rc.Instructions)
-	return 1000 * float64(r.L2.Demotions) / float64(r.Instructions)
-}
-
-// dnucaDesigns extends Figure 6's series with the CMP-DNUCA baseline.
-var dnucaDesigns = []DesignName{NonUniform, DNUCA, NuRAPID}
-
-func (e *Eval) dnucaCells() []Cell {
-	return e.mtCells(withBaseline(dnucaDesigns), e.commercial())
-}
-
-// DNUCAComparison extends Figure 6 with the CMP-DNUCA baseline [6]
-// whose negative result the paper cites.
-func (e *Eval) DNUCAComparison() *stats.Table {
-	t := stats.NewTable("Extension: CMP-DNUCA vs CMP-SNUCA vs CMP-NuRAPID (speedup vs uniform-shared)",
-		"Workload", "SNUCA (static)", "DNUCA (migration)", "CMP-NuRAPID")
-	for _, p := range e.commercial() {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for _, d := range dnucaDesigns {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.MT(d, p), base)))
-		}
-		t.Row(row...)
-	}
-	return t
-}
-
-// DNUCAComparison is the sequential wrapper used by tests.
-func DNUCAComparison(rc RunConfig) *stats.Table { return NewEval(rc).DNUCAComparison() }

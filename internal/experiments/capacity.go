@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"cmpnurapid/internal/cmpsim"
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/topo"
@@ -33,33 +32,22 @@ func (e *Eval) capacityCell(mixIdx int) Cell {
 // the cores with less capacity demands" of §3.3.
 func (e *Eval) CapacityReport(mixIdx int) *stats.Table {
 	return e.memo(capacityKey(mixIdx), func() any {
-		return capacityTable(e.RC, mixIdx)
+		m := workload.Mixes(e.RC.Seed)[mixIdx]
+		apps := m.Apps()
+		nu := core.New(core.DefaultConfig())
+		simulate(nu, m, e.RC)
+
+		t := stats.NewTable(
+			fmt.Sprintf("Capacity allocation on %s (CMP-NuRAPID)", m.Name()),
+			"Core (app)", "Tag entries used", "Blocks in own d-group", "Blocks stolen elsewhere")
+		own, stolen := nu.OwnershipByDGroup()
+		tags := nu.TagOccupancy()
+		for c := 0; c < topo.NumCores; c++ {
+			t.Row(fmt.Sprintf("P%d (%s)", c, apps[c].Name),
+				fmt.Sprint(tags[c]), fmt.Sprint(own[c]), fmt.Sprint(stolen[c]))
+		}
+		occ := nu.Occupancy()
+		t.Row("d-group frames used", fmt.Sprintf("a=%d b=%d c=%d d=%d", occ[0], occ[1], occ[2], occ[3]), "", "")
+		return t
 	}).(*stats.Table)
-}
-
-// CapacityReport is the sequential wrapper used by tests.
-func CapacityReport(rc RunConfig, mixIdx int) *stats.Table {
-	return capacityTable(rc, mixIdx)
-}
-
-func capacityTable(rc RunConfig, mixIdx int) *stats.Table {
-	m := workload.Mixes(rc.Seed)[mixIdx]
-	apps := m.Apps()
-	nu := core.New(core.DefaultConfig())
-	sys := cmpsim.New(cmpsim.DefaultConfig(), nu, m)
-	sys.Warmup(rc.WarmupInstr)
-	sys.Run(rc.Instructions)
-
-	t := stats.NewTable(
-		fmt.Sprintf("Capacity allocation on %s (CMP-NuRAPID)", m.Name()),
-		"Core (app)", "Tag entries used", "Blocks in own d-group", "Blocks stolen elsewhere")
-	own, stolen := nu.OwnershipByDGroup()
-	tags := nu.TagOccupancy()
-	for c := 0; c < topo.NumCores; c++ {
-		t.Row(fmt.Sprintf("P%d (%s)", c, apps[c].Name),
-			fmt.Sprint(tags[c]), fmt.Sprint(own[c]), fmt.Sprint(stolen[c]))
-	}
-	occ := nu.Occupancy()
-	t.Row("d-group frames used", fmt.Sprintf("a=%d b=%d c=%d d=%d", occ[0], occ[1], occ[2], occ[3]), "", "")
-	return t
 }

@@ -109,14 +109,22 @@ func NewDesign(d DesignName) memsys.L2 {
 	panic(fmt.Sprintf("experiments: unknown design %q", d))
 }
 
-// Run simulates one (design, workload) pair: build the system, warm it
-// up, run the measurement window.
-func Run(d DesignName, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
+// simulate is the package's one run path: build the system around l2,
+// warm it up, run the measurement window. Every experiment cell comes
+// here, so rc.MaxCycles bounds every simulation the evaluation runs.
+// The caller keeps l2, so reports that read live structural state
+// (bus counters, occupancy) read it after simulate returns.
+func simulate(l2 memsys.L2, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
 	cfg := cmpsim.DefaultConfig()
 	cfg.MaxCycles = rc.MaxCycles
-	sys := cmpsim.New(cfg, NewDesign(d), w)
+	sys := cmpsim.New(cfg, l2, w)
 	sys.Warmup(rc.WarmupInstr)
 	return sys.Run(rc.Instructions)
+}
+
+// Run simulates one (design, workload) pair.
+func Run(d DesignName, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
+	return simulate(NewDesign(d), w, rc)
 }
 
 // RunProfile builds a fresh workload generator for p and runs it on d.
@@ -124,11 +132,6 @@ func Run(d DesignName, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
 func RunProfile(d DesignName, p workload.Profile, rc RunConfig) cmpsim.Results {
 	p.Seed = rc.Seed
 	return Run(d, workload.New(p), rc)
-}
-
-// RunMix runs a Table 2 multiprogrammed mix on d.
-func RunMix(d DesignName, apps [topo.NumCores]workload.App, name string, rc RunConfig) cmpsim.Results {
-	return Run(d, workload.NewMix(name, apps, rc.Seed), rc)
 }
 
 // Table1 regenerates the paper's Table 1 (cache and bus latencies)

@@ -5,13 +5,15 @@ import (
 	"sync"
 
 	"cmpnurapid/internal/cmpsim"
+	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/workload"
 )
 
-// Eval runs and caches (design, workload) simulations so the figures
-// that share runs (5/6 and 8/9/10, 11/12) reuse them. The cache is
+// Eval runs and caches (config, workload) simulations so the figures
+// and ablations that share runs (5/6, 8/9/10, 11/12, and every
+// default-config ablation column) reuse them. The cache is
 // concurrency-safe with single-fill semantics: when the scheduler
 // (scheduler.go) executes an evaluation's cells on a worker pool, a
 // cell requested by several figures is simulated exactly once, and
@@ -78,9 +80,111 @@ func (e *Eval) memo(key string, fill func() any) any {
 	return ent.val
 }
 
-// results is memo specialized to simulation results, the common case.
-func (e *Eval) results(key string, fill func() cmpsim.Results) cmpsim.Results {
-	return e.memo(key, func() any { return fill() }).(cmpsim.Results)
+// config is one simulated machine: an L2 design, or CMP-NuRAPID with
+// its default config mutated. Its name is the middle segment of every
+// memo key it fills, so a column that is an existing design names that
+// design and shares its simulation.
+type config struct {
+	name string
+	l2   func() memsys.L2
+}
+
+func design(d DesignName) config {
+	return config{string(d), func() memsys.L2 { return NewDesign(d) }}
+}
+
+func designs(ds ...DesignName) []config {
+	cfgs := make([]config, len(ds))
+	for i, d := range ds {
+		cfgs[i] = design(d)
+	}
+	return cfgs
+}
+
+// nurapidVariant is CMP-NuRAPID with mut applied to its default config;
+// label names the mutation in the key ("CMP-NuRAPID[tags=1x]").
+func nurapidVariant(label string, mut func(*core.Config)) config {
+	return config{string(NuRAPID) + "[" + label + "]", func() memsys.L2 {
+		cfg := core.DefaultConfig()
+		mut(&cfg)
+		return core.New(cfg)
+	}}
+}
+
+// input is one workload a config runs: a multithreaded profile ("mt")
+// or a Table 2 mix ("mp"). new builds a fresh generator per fill, so
+// every config sees an identical reference stream.
+type input struct {
+	kind, name string
+	new        func() cmpsim.Workload
+}
+
+func (e *Eval) mtInput(p workload.Profile) input {
+	p.Seed = e.RC.Seed
+	return input{"mt", p.Name, func() cmpsim.Workload { return workload.New(p) }}
+}
+
+func (e *Eval) mpInput(mixIdx int) input {
+	return input{"mp", e.mixes[mixIdx].Name(), func() cmpsim.Workload {
+		return workload.Mixes(e.RC.Seed)[mixIdx]
+	}}
+}
+
+// rowSet names the inputs a table runs over.
+type rowSet int
+
+const (
+	profileRows    rowSet = iota // all multithreaded workloads, Figure 5 order
+	commercialRows               // the three commercial workloads
+	mixRows                      // the Table 2 mixes
+)
+
+func (e *Eval) inputs(rs rowSet) []input {
+	var ins []input
+	switch rs {
+	case mixRows:
+		for i := range e.mixes {
+			ins = append(ins, e.mpInput(i))
+		}
+	case commercialRows:
+		for _, p := range e.commercial() {
+			ins = append(ins, e.mtInput(p))
+		}
+	default:
+		for _, p := range e.profiles {
+			ins = append(ins, e.mtInput(p))
+		}
+	}
+	return ins
+}
+
+// cellKey is the memo key of (c, in), and the key of the cell that
+// fills it.
+func cellKey(c config, in input) string { return in.kind + "/" + c.name + "/" + in.name }
+
+// result returns the cached simulation of config c on input in.
+func (e *Eval) result(c config, in input) cmpsim.Results {
+	return e.memo(cellKey(c, in), func() any {
+		w := in.new()
+		return simulate(c.l2(), w, e.RC)
+	}).(cmpsim.Results)
+}
+
+// cells declares one cell per (input, config) pair, input-major.
+func (e *Eval) cells(ins []input, cfgs ...config) []Cell {
+	var cells []Cell
+	for _, in := range ins {
+		for _, c := range cfgs {
+			cells = append(cells, Cell{Key: cellKey(c, in), Run: func() { e.result(c, in) }})
+		}
+	}
+	return cells
+}
+
+// designCells is the Cells function of an experiment that reads the
+// given designs over rs.
+func designCells(rs rowSet, ds ...DesignName) func(*Eval) []Cell {
+	return func(e *Eval) []Cell { return e.cells(e.inputs(rs), designs(ds...)...) }
 }
 
 // Profiles returns the multithreaded workloads in Figure 5 order.
@@ -93,82 +197,127 @@ func (e *Eval) Mixes() []*workload.Multiprogrammed { return e.mixes }
 // numbers average over (the first three of the Figure 5 order).
 func (e *Eval) commercial() []workload.Profile { return e.profiles[:3] }
 
-func mtKey(d DesignName, p workload.Profile) string { return "mt/" + string(d) + "/" + p.Name }
-
-func (e *Eval) mpKey(d DesignName, mixIdx int) string {
-	return "mp/" + string(d) + "/" + e.mixes[mixIdx].Name()
-}
-
 // MT returns the cached result for (design, multithreaded workload).
 func (e *Eval) MT(d DesignName, p workload.Profile) cmpsim.Results {
-	return e.results(mtKey(d, p), func() cmpsim.Results {
-		return RunProfile(d, p, e.RC)
-	})
+	return e.result(design(d), e.mtInput(p))
 }
 
 // MP returns the cached result for (design, mix).
 func (e *Eval) MP(d DesignName, mixIdx int) cmpsim.Results {
-	return e.results(e.mpKey(d, mixIdx), func() cmpsim.Results {
-		// Each design must see identical streams: fresh generator per run.
-		fresh := workload.Mixes(e.RC.Seed)[mixIdx]
-		return Run(d, fresh, e.RC)
-	})
+	return e.result(design(d), e.mpInput(mixIdx))
 }
 
-// mtCells declares one cell per (design, profile) pair; running a cell
-// fills the MT cache entry the figures read.
-func (e *Eval) mtCells(designs []DesignName, profiles []workload.Profile) []Cell {
-	cells := make([]Cell, 0, len(designs)*len(profiles))
-	for _, p := range profiles {
-		for _, d := range designs {
-			cells = append(cells, Cell{Key: mtKey(d, p), Run: func() { e.MT(d, p) }})
-		}
-	}
-	return cells
-}
+// avgRow selects a speedup table's closing average row. The two forms
+// are the figures' historical arithmetic, kept so output bytes match.
+type avgRow int
 
-// mpCells declares one cell per (design, mix) pair.
-func (e *Eval) mpCells(designs []DesignName) []Cell {
-	cells := make([]Cell, 0, len(designs)*len(e.mixes))
-	for i := range e.mixes {
-		for _, d := range designs {
-			cells = append(cells, Cell{Key: e.mpKey(d, i), Run: func() { e.MP(d, i) }})
-		}
-	}
-	return cells
-}
-
-// Per-figure design series. The cell declarations below and the
-// renderers share these so the plan always matches what rendering
-// reads.
-var (
-	figure5Designs  = []DesignName{UniformShared, Private}
-	figure6Designs  = []DesignName{NonUniform, Private, Ideal}
-	figure8Designs  = []DesignName{UniformShared, Private, NuRAPIDCR, NuRAPIDISC}
-	figure9Designs  = []DesignName{NuRAPIDCR, NuRAPIDISC}
-	figure10Designs = []DesignName{NonUniform, Private, Ideal, NuRAPID}
-	figure11Designs = []DesignName{UniformShared, Private, NuRAPID}
-	figure12Designs = []DesignName{NonUniform, Private, NuRAPID}
+const (
+	noAvg         avgRow = iota
+	commercialAvg        // "commercial-avg": the commercial rows' sum / 3
+	mixAvg               // "average": each row's speedup / rows, accumulated
 )
 
-// withBaseline prepends the uniform-shared baseline the relative
-// figures normalize against.
-func withBaseline(designs []DesignName) []DesignName {
-	return append([]DesignName{UniformShared}, designs...)
+// speedupTable is a table whose cells are speedups of each column
+// config over a baseline config, one row per input. Its cells and its
+// rendering both derive from this one spec, so the plan always covers
+// exactly what rendering reads.
+type speedupTable struct {
+	title string
+	heads []string // column headers; nil uses the column configs' names
+	rows  rowSet
+	base  config
+	cols  []config
+	avg   avgRow
 }
 
-func (e *Eval) figure5Cells() []Cell { return e.mtCells(figure5Designs, e.profiles) }
-func (e *Eval) figure6Cells() []Cell { return e.mtCells(withBaseline(figure6Designs), e.profiles) }
-func (e *Eval) figure7Cells() []Cell { return e.mtCells([]DesignName{Private}, e.profiles) }
-func (e *Eval) figure8Cells() []Cell { return e.mtCells(figure8Designs, e.profiles) }
-func (e *Eval) figure9Cells() []Cell { return e.mtCells(figure9Designs, e.profiles) }
-func (e *Eval) figure10Cells() []Cell {
-	return e.mtCells(withBaseline(figure10Designs), e.profiles)
+// configs lists the baseline and then the columns, the order each
+// row's cells are declared in.
+func (s speedupTable) configs() []config { return append([]config{s.base}, s.cols...) }
+
+func (s speedupTable) cells(e *Eval) []Cell { return e.cells(e.inputs(s.rows), s.configs()...) }
+
+// speedups returns each column's speedup over the baseline on in.
+func (s speedupTable) speedups(e *Eval, in input) []float64 {
+	base := e.result(s.base, in)
+	sp := make([]float64, len(s.cols))
+	for j, c := range s.cols {
+		sp[j] = cmpsim.Speedup(e.result(c, in), base)
+	}
+	return sp
 }
-func (e *Eval) figure11Cells() []Cell { return e.mpCells(figure11Designs) }
-func (e *Eval) figure12Cells() []Cell { return e.mpCells(withBaseline(figure12Designs)) }
-func (e *Eval) summaryCells() []Cell {
-	return e.mtCells([]DesignName{UniformShared, Private, NuRAPID}, e.commercial())
+
+func (s speedupTable) render(e *Eval) *stats.Table {
+	header := append([]string{"Workload"}, s.heads...)
+	if s.heads == nil {
+		for _, c := range s.cols {
+			header = append(header, c.name)
+		}
+	}
+	t := stats.NewTable(s.title, header...)
+	ins := e.inputs(s.rows)
+	avg := make([]float64, len(s.cols))
+	for i, in := range ins {
+		row := []string{in.name}
+		for j, sp := range s.speedups(e, in) {
+			row = append(row, stats.Rel(sp))
+			switch {
+			case s.avg == mixAvg:
+				avg[j] += sp / float64(len(ins))
+			case s.avg == commercialAvg && i < len(e.commercial()):
+				avg[j] += sp
+			}
+		}
+		t.Row(row...)
+	}
+	switch s.avg {
+	case commercialAvg:
+		row := []string{"commercial-avg"}
+		for _, sum := range avg {
+			row = append(row, stats.Rel(sum/3))
+		}
+		t.Row(row...)
+	case mixAvg:
+		row := []string{"average"}
+		for _, a := range avg {
+			row = append(row, stats.Rel(a))
+		}
+		t.Row(row...)
+	}
+	return t
+}
+
+// Per-figure design series shared by the cell declarations in the
+// registry and the distribution renderers below.
+var (
+	figure5Designs  = []DesignName{UniformShared, Private}
+	figure8Designs  = []DesignName{UniformShared, Private, NuRAPIDCR, NuRAPIDISC}
+	figure9Designs  = []DesignName{NuRAPIDCR, NuRAPIDISC}
+	figure11Designs = []DesignName{UniformShared, Private, NuRAPID}
+	summaryDesigns  = []DesignName{UniformShared, Private, NuRAPID}
+)
+
+// figure6 is the performance-opportunity figure: non-uniform-shared,
+// private, and ideal caches normalized to the uniform-shared cache.
+var figure6 = speedupTable{
+	title: "Figure 6: Performance Opportunity (relative to uniform-shared)",
+	rows:  profileRows, base: design(UniformShared),
+	cols: designs(NonUniform, Private, Ideal), avg: commercialAvg,
+}
+
+// figure10 is the headline performance figure, adding CMP-NuRAPID to
+// Figure 6's designs.
+var figure10 = speedupTable{
+	title: "Figure 10: Performance (relative to uniform-shared)",
+	rows:  profileRows, base: design(UniformShared),
+	cols: designs(NonUniform, Private, Ideal, NuRAPID), avg: commercialAvg,
+}
+
+// figure12 is the multiprogrammed IPC figure: non-uniform-shared,
+// private, and CMP-NuRAPID relative to uniform-shared.
+var figure12 = speedupTable{
+	title: "Figure 12: Performance, multiprogrammed (IPC relative to uniform-shared)",
+	rows:  mixRows, base: design(UniformShared),
+	cols: designs(NonUniform, Private, NuRAPID), avg: mixAvg,
 }
 
 // commercialAvg averages a metric over the three commercial workloads.
@@ -218,57 +367,18 @@ func (e *Eval) Figure5() *stats.Table {
 }
 
 func (e *Eval) avgAccessRow(d DesignName) []string {
-	labels := []string{memsys.LabelHit, memsys.LabelROS, memsys.LabelRWS, memsys.LabelCapacity}
 	cells := make([]string, 0, 4)
-	for _, l := range labels {
-		cells = append(cells, stats.Pct(e.commercialAvg(func(p workload.Profile) float64 {
-			return e.MT(d, p).L2.Accesses.Frac(l)
-		})))
+	for _, l := range []string{memsys.LabelHit, memsys.LabelROS, memsys.LabelRWS, memsys.LabelCapacity} {
+		cells = append(cells, stats.Pct(e.MissFrac(d, l)))
 	}
 	return cells
 }
 
-// Figure6 regenerates the performance-opportunity figure: non-uniform-
-// shared, private, and ideal caches normalized to the uniform-shared
-// cache.
-func (e *Eval) Figure6() *stats.Table {
-	return e.perfTable(
-		"Figure 6: Performance Opportunity (relative to uniform-shared)",
-		figure6Designs)
-}
+// Figure6 regenerates Figure 6 (see figure6).
+func (e *Eval) Figure6() *stats.Table { return figure6.render(e) }
 
-// Figure10 regenerates the headline performance figure, adding
-// CMP-NuRAPID to Figure 6's designs.
-func (e *Eval) Figure10() *stats.Table {
-	return e.perfTable(
-		"Figure 10: Performance (relative to uniform-shared)",
-		figure10Designs)
-}
-
-func (e *Eval) perfTable(title string, designs []DesignName) *stats.Table {
-	header := []string{"Workload"}
-	for _, d := range designs {
-		header = append(header, string(d))
-	}
-	t := stats.NewTable(title, header...)
-	for _, p := range e.profiles {
-		base := e.MT(UniformShared, p)
-		row := []string{p.Name}
-		for _, d := range designs {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.MT(d, p), base)))
-		}
-		t.Row(row...)
-	}
-	row := []string{"commercial-avg"}
-	for _, d := range designs {
-		avg := e.commercialAvg(func(p workload.Profile) float64 {
-			return cmpsim.Speedup(e.MT(d, p), e.MT(UniformShared, p))
-		})
-		row = append(row, stats.Rel(avg))
-	}
-	t.Row(row...)
-	return t
-}
+// Figure10 regenerates Figure 10 (see figure10).
+func (e *Eval) Figure10() *stats.Table { return figure10.render(e) }
 
 // Speedup returns design d's commercial-average speedup over the
 // uniform-shared baseline (the paper's headline metric).
@@ -284,21 +394,13 @@ func (e *Eval) Speedup(d DesignName) float64 {
 func (e *Eval) Figure7() *stats.Table {
 	t := stats.NewTable("Figure 7: Reuse Patterns (private caches; fraction of lifetimes)",
 		"Workload", "Kind", "0 reuses", "1 reuse", "2-5 reuses", ">5 reuses")
-	var avgROS, avgRWS [4]float64
 	for _, p := range e.profiles {
 		s := e.MT(Private, p).L2
 		ros, rws := s.ReuseROS.Fracs(), s.ReuseRWS.Fracs()
 		t.Row(p.Name, "ROS-replaced", stats.Pct(ros[0]), stats.Pct(ros[1]), stats.Pct(ros[2]), stats.Pct(ros[3]))
 		t.Row(p.Name, "RWS-invalidated", stats.Pct(rws[0]), stats.Pct(rws[1]), stats.Pct(rws[2]), stats.Pct(rws[3]))
 	}
-	for _, p := range e.commercial() {
-		s := e.MT(Private, p).L2
-		ros, rws := s.ReuseROS.Fracs(), s.ReuseRWS.Fracs()
-		for b := 0; b < 4; b++ {
-			avgROS[b] += ros[b] / 3
-			avgRWS[b] += rws[b] / 3
-		}
-	}
+	avgROS, avgRWS := e.ReuseFracs(true), e.ReuseFracs(false)
 	t.Row("commercial-avg", "ROS-replaced", stats.Pct(avgROS[0]), stats.Pct(avgROS[1]), stats.Pct(avgROS[2]), stats.Pct(avgROS[3]))
 	t.Row("commercial-avg", "RWS-invalidated", stats.Pct(avgRWS[0]), stats.Pct(avgRWS[1]), stats.Pct(avgRWS[2]), stats.Pct(avgRWS[3]))
 	return t
@@ -363,21 +465,20 @@ func (e *Eval) Figure9() *stats.Table {
 	}
 	for _, d := range figure9Designs {
 		t.Row("commercial-avg", string(d),
-			stats.Pct(e.dataFrac(d, memsys.LabelClosest)),
-			stats.Pct(e.dataFrac(d, memsys.LabelFarther)),
-			stats.Pct(e.dataFrac(d, memsys.LabelMiss)))
+			stats.Pct(e.DataFrac(d, memsys.LabelClosest)),
+			stats.Pct(e.DataFrac(d, memsys.LabelFarther)),
+			stats.Pct(e.DataFrac(d, memsys.LabelMiss)))
 	}
 	return t
 }
 
-func (e *Eval) dataFrac(d DesignName, label string) float64 {
+// DataFrac returns design d's commercial-average fraction of
+// data-array accesses in the given category.
+func (e *Eval) DataFrac(d DesignName, label string) float64 {
 	return e.commercialAvg(func(p workload.Profile) float64 {
 		return e.MT(d, p).L2.DataArray.Frac(label)
 	})
 }
-
-// DataFrac exposes the commercial-average data-array fractions.
-func (e *Eval) DataFrac(d DesignName, label string) float64 { return e.dataFrac(d, label) }
 
 // Figure11 regenerates the multiprogrammed access distributions for
 // shared, private, and CMP-NuRAPID.
@@ -408,32 +509,8 @@ func (e *Eval) MixMissRate(d DesignName) float64 {
 	return sum / float64(len(e.mixes))
 }
 
-// Figure12 regenerates the multiprogrammed IPC figure: non-uniform-
-// shared, private, and CMP-NuRAPID relative to uniform-shared.
-func (e *Eval) Figure12() *stats.Table {
-	header := []string{"Workload"}
-	for _, d := range figure12Designs {
-		header = append(header, string(d))
-	}
-	t := stats.NewTable("Figure 12: Performance, multiprogrammed (IPC relative to uniform-shared)", header...)
-	avg := map[DesignName]float64{}
-	for i, m := range e.mixes {
-		base := e.MP(UniformShared, i)
-		row := []string{m.Name()}
-		for _, d := range figure12Designs {
-			sp := cmpsim.Speedup(e.MP(d, i), base)
-			row = append(row, stats.Rel(sp))
-			avg[d] += sp / float64(len(e.mixes))
-		}
-		t.Row(row...)
-	}
-	row := []string{"average"}
-	for _, d := range figure12Designs {
-		row = append(row, stats.Rel(avg[d]))
-	}
-	t.Row(row...)
-	return t
-}
+// Figure12 regenerates Figure 12 (see figure12).
+func (e *Eval) Figure12() *stats.Table { return figure12.render(e) }
 
 // MixSpeedup returns design d's average speedup over uniform-shared
 // across the mixes.

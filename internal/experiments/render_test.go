@@ -57,12 +57,13 @@ func TestAblationTablesRender(t *testing.T) {
 		t.Skip("ablation rendering skipped in -short mode")
 	}
 	rc := RunConfig{WarmupInstr: 40_000, Instructions: 40_000, Seed: 13}
+	e := NewEval(rc)
 	tables := map[string]interface{ String() string }{
-		"promotion":   AblationPromotion(rc),
-		"tags":        AblationTagCapacity(rc),
-		"replication": AblationReplicationTrigger(rc),
-		"cross":       AblationOptimizations(rc),
-		"cmigration":  AblationCMigration(rc),
+		"promotion":   e.AblationPromotion(),
+		"tags":        e.AblationTagCapacity(),
+		"replication": e.AblationReplicationTrigger(),
+		"cross":       e.AblationOptimizations(),
+		"cmigration":  e.AblationCMigration(),
 	}
 	for name, tb := range tables {
 		s := tb.String()

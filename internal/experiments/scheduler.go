@@ -52,13 +52,13 @@ func Experiments() []Experiment {
 		{Name: "table1", InAll: true, Table: func(e *Eval) *stats.Table { return Table1() }},
 		{Name: "table2", InAll: true, Table: func(e *Eval) *stats.Table { return Table2() }},
 		{Name: "table3", InAll: true, Table: func(e *Eval) *stats.Table { return Table3(e.RC.Seed) }},
-		{Name: "abl-promotion", Cells: (*Eval).ablationPromotionCells, Table: (*Eval).AblationPromotion},
-		{Name: "abl-tags", Cells: (*Eval).ablationTagCapacityCells, Table: (*Eval).AblationTagCapacity},
-		{Name: "abl-replication", Cells: (*Eval).ablationReplicationCells, Table: (*Eval).AblationReplicationTrigger},
-		{Name: "abl-optimizations", Cells: (*Eval).ablationOptimizationsCells, Table: (*Eval).AblationOptimizations},
-		{Name: "abl-cmigration", Cells: (*Eval).ablationCMigrationCells, Table: (*Eval).AblationCMigration},
-		{Name: "abl-update", Cells: (*Eval).ablationUpdateCells, Table: (*Eval).AblationUpdateProtocol},
-		{Name: "abl-dnuca", Cells: (*Eval).dnucaCells, Table: (*Eval).DNUCAComparison},
+		{Name: "abl-promotion", Cells: ablPromotion.cells, Table: ablPromotion.render},
+		{Name: "abl-tags", Cells: ablTags.cells, Table: ablTags.render},
+		{Name: "abl-replication", Cells: ablReplication.cells, Table: ablReplication.render},
+		{Name: "abl-optimizations", Cells: ablOptimizations.cells, Table: ablOptimizations.render},
+		{Name: "abl-cmigration", Cells: ablCMigration.cells, Table: ablCMigration.render},
+		{Name: "abl-update", Cells: ablUpdate.cells, Table: ablUpdate.render},
+		{Name: "abl-dnuca", Cells: ablDNUCA.cells, Table: ablDNUCA.render},
 		{Name: "bandwidth", Cells: (*Eval).bandwidthCells, Table: (*Eval).BandwidthReport},
 		{Name: "capacity",
 			Cells: func(e *Eval) []Cell { return []Cell{e.capacityCell(capacityMixIdx)} },
@@ -69,15 +69,15 @@ func Experiments() []Experiment {
 		{Name: "sens-seed",
 			Cells: func(e *Eval) []Cell { return e.seedSensitivityCells(e.seedSweep()) },
 			Table: func(e *Eval) *stats.Table { return e.SeedSensitivity(e.seedSweep()) }},
-		{Name: "fig5", InAll: true, Cells: (*Eval).figure5Cells, Table: (*Eval).Figure5},
-		{Name: "fig6", InAll: true, Cells: (*Eval).figure6Cells, Table: (*Eval).Figure6},
-		{Name: "fig7", InAll: true, Cells: (*Eval).figure7Cells, Table: (*Eval).Figure7},
-		{Name: "fig8", InAll: true, Cells: (*Eval).figure8Cells, Table: (*Eval).Figure8},
-		{Name: "fig9", InAll: true, Cells: (*Eval).figure9Cells, Table: (*Eval).Figure9},
-		{Name: "fig10", InAll: true, Cells: (*Eval).figure10Cells, Table: (*Eval).Figure10},
-		{Name: "fig11", InAll: true, Cells: (*Eval).figure11Cells, Table: (*Eval).Figure11},
-		{Name: "fig12", InAll: true, Cells: (*Eval).figure12Cells, Table: (*Eval).Figure12},
-		{Name: "summary", InAll: true, Cells: (*Eval).summaryCells, Text: (*Eval).Summary},
+		{Name: "fig5", InAll: true, Cells: designCells(profileRows, figure5Designs...), Table: (*Eval).Figure5},
+		{Name: "fig6", InAll: true, Cells: figure6.cells, Table: figure6.render},
+		{Name: "fig7", InAll: true, Cells: designCells(profileRows, Private), Table: (*Eval).Figure7},
+		{Name: "fig8", InAll: true, Cells: designCells(profileRows, figure8Designs...), Table: (*Eval).Figure8},
+		{Name: "fig9", InAll: true, Cells: designCells(profileRows, figure9Designs...), Table: (*Eval).Figure9},
+		{Name: "fig10", InAll: true, Cells: figure10.cells, Table: figure10.render},
+		{Name: "fig11", InAll: true, Cells: designCells(mixRows, figure11Designs...), Table: (*Eval).Figure11},
+		{Name: "fig12", InAll: true, Cells: figure12.cells, Table: figure12.render},
+		{Name: "summary", InAll: true, Cells: designCells(commercialRows, summaryDesigns...), Text: (*Eval).Summary},
 	}
 }
 

@@ -122,6 +122,97 @@ func TestPlanDeduplicates(t *testing.T) {
 	}
 }
 
+// TestPlanCounts pins how many simulations the plans hold. A column
+// equal to an existing design reuses that design's key, so the four
+// NuRAPID ablations share their default-config columns with each other
+// and with the figures.
+func TestPlanCounts(t *testing.T) {
+	e := NewEval(RunConfig{WarmupInstr: 1, Instructions: 1, Seed: 42})
+	optIn := "abl-promotion,abl-tags,abl-replication,abl-optimizations,abl-cmigration," +
+		"abl-update,abl-dnuca,bandwidth,capacity,sens-size,sens-seed"
+	for spec, want := range map[string]int{
+		"abl-tags,abl-replication,abl-cmigration,abl-optimizations": 30,
+		"all":          51,
+		"all," + optIn: 118,
+	} {
+		sel, err := Select(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(Plan(sel, e)); got != want {
+			t.Errorf("-exp %s plans %d cells, want %d", spec, got, want)
+		}
+	}
+}
+
+// TestPlanAllKeys pins the keys and order "-exp all" plans: the repo
+// benchmark parses these keys back into cells, and its reference
+// fingerprints are recorded against them.
+func TestPlanAllKeys(t *testing.T) {
+	want := strings.Fields(`
+		mt/uniform-shared/oltp mt/private/oltp mt/uniform-shared/apache mt/private/apache
+		mt/uniform-shared/specjbb mt/private/specjbb mt/uniform-shared/ocean mt/private/ocean
+		mt/uniform-shared/barnes mt/private/barnes
+		mt/non-uniform-shared/oltp mt/ideal/oltp mt/non-uniform-shared/apache mt/ideal/apache
+		mt/non-uniform-shared/specjbb mt/ideal/specjbb mt/non-uniform-shared/ocean mt/ideal/ocean
+		mt/non-uniform-shared/barnes mt/ideal/barnes
+		mt/CMP-NuRAPID-CR/oltp mt/CMP-NuRAPID-ISC/oltp mt/CMP-NuRAPID-CR/apache mt/CMP-NuRAPID-ISC/apache
+		mt/CMP-NuRAPID-CR/specjbb mt/CMP-NuRAPID-ISC/specjbb mt/CMP-NuRAPID-CR/ocean mt/CMP-NuRAPID-ISC/ocean
+		mt/CMP-NuRAPID-CR/barnes mt/CMP-NuRAPID-ISC/barnes
+		mt/CMP-NuRAPID/oltp mt/CMP-NuRAPID/apache mt/CMP-NuRAPID/specjbb mt/CMP-NuRAPID/ocean mt/CMP-NuRAPID/barnes
+		mp/uniform-shared/MIX1 mp/private/MIX1 mp/CMP-NuRAPID/MIX1 mp/uniform-shared/MIX2 mp/private/MIX2
+		mp/CMP-NuRAPID/MIX2 mp/uniform-shared/MIX3 mp/private/MIX3 mp/CMP-NuRAPID/MIX3
+		mp/uniform-shared/MIX4 mp/private/MIX4 mp/CMP-NuRAPID/MIX4
+		mp/non-uniform-shared/MIX1 mp/non-uniform-shared/MIX2 mp/non-uniform-shared/MIX3 mp/non-uniform-shared/MIX4`)
+	sel, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range Plan(sel, NewEval(RunConfig{WarmupInstr: 1, Instructions: 1, Seed: 42})) {
+		got = append(got, c.Key)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-exp all plan changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestRenderReadsOnlyPlannedCells is the plan/render agreement check:
+// once an experiment's planned cells have run, rendering it must find
+// every value it reads already cached, and so add no cache entry (a
+// seed sweep's child evaluations included).
+func TestRenderReadsOnlyPlannedCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deterministic full-registry check; skipped under -short (race gate)")
+	}
+	var entries func(e *Eval) int
+	entries = func(e *Eval) int {
+		n := len(e.cache)
+		for _, ent := range e.cache {
+			if sub, ok := ent.val.(*Eval); ok {
+				n += entries(sub)
+			}
+		}
+		return n
+	}
+	rc := RunConfig{WarmupInstr: 2_000, Instructions: 2_000, Seed: 42}
+	for _, ex := range Experiments() {
+		e := NewEval(rc)
+		if failures := ExecuteCells(Plan([]Experiment{ex}, e), 2, false, nil); len(failures) > 0 {
+			t.Fatalf("%s: cell %s failed: %s", ex.Name, failures[0].Key, failures[0].Diagnostic)
+		}
+		before := entries(e)
+		if ex.Table != nil {
+			ex.Table(e)
+		} else {
+			ex.Text(e)
+		}
+		if after := entries(e); after != before {
+			t.Errorf("%s: rendering added %d cache entries its plan did not fill", ex.Name, after-before)
+		}
+	}
+}
+
 // TestExecuteCellsSingleFill: many cells racing on few cache keys must
 // fill each key exactly once.
 func TestExecuteCellsSingleFill(t *testing.T) {

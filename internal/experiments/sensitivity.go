@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cmpnurapid/internal/bus"
-	"cmpnurapid/internal/cmpsim"
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
@@ -18,10 +17,19 @@ import (
 // tradeoff CMP-NuRAPID navigates shifts with cache size) and workload
 // seed (the paper injects random perturbations and reruns, §4.3).
 
-// SizedDesign constructs one of the three principal designs at an
-// alternative total capacity, with latencies re-derived from the
-// timing model at that geometry.
-func SizedDesign(d DesignName, totalBytes memsys.Bytes) memsys.L2 {
+// sized is design d at an alternative total capacity, with latencies
+// re-derived from the timing model at that geometry. At the paper's
+// 8 MB it is the design itself, so that point shares the figures'
+// simulation.
+func sized(d DesignName, totalMB int) config {
+	total := memsys.MB(totalMB)
+	if total == topo.TotalL2Bytes {
+		return design(d)
+	}
+	return config{fmt.Sprintf("%s[size=%dMB]", d, totalMB), func() memsys.L2 { return sizedL2(d, total) }}
+}
+
+func sizedL2(d DesignName, totalBytes memsys.Bytes) memsys.L2 {
 	dgroupBytes := totalBytes / topo.NumDGroups
 	lat := topo.DeriveWith(dgroupBytes)
 	switch d {
@@ -41,33 +49,26 @@ func SizedDesign(d DesignName, totalBytes memsys.Bytes) memsys.L2 {
 		cfg.Bus = bus.Config{Latency: lat.Bus, SlotCycles: 4}
 		return core.New(cfg)
 	}
-	panic(fmt.Sprintf("experiments: SizedDesign does not support %q", d))
+	panic(fmt.Sprintf("experiments: no sized variant of %q", d))
 }
 
 // sizeSweepMB is the capacity sweep the "sens-size" experiment runs.
 var sizeSweepMB = []int{4, 8, 16}
 
-// sizeSweepDesigns are the designs compared at each capacity point
-// (uniform-shared is the per-point baseline).
-var sizeSweepDesigns = []DesignName{Private, NuRAPID}
-
-func sizedKey(d DesignName, totalMB int) string {
-	return fmt.Sprintf("sens/size/%dMB/%s", totalMB, d)
-}
-
-// sizedRun memoizes one (design, capacity) point of the sweep.
-func (e *Eval) sizedRun(d DesignName, totalMB int) cmpsim.Results {
-	return e.results(sizedKey(d, totalMB), func() cmpsim.Results {
-		return runSized(d, memsys.MB(totalMB), e.RC)
-	})
+// sizePoint is one capacity point of the sweep: private and
+// CMP-NuRAPID against the same-size uniform-shared cache.
+func sizePoint(totalMB int) speedupTable {
+	return speedupTable{
+		base: sized(UniformShared, totalMB),
+		cols: []config{sized(Private, totalMB), sized(NuRAPID, totalMB)},
+	}
 }
 
 func (e *Eval) sizeSensitivityCells(totalsMB []int) []Cell {
+	oltp := []input{e.mtInput(workload.OLTP(e.RC.Seed))}
 	var cells []Cell
 	for _, mb := range totalsMB {
-		for _, d := range withBaseline(sizeSweepDesigns) {
-			cells = append(cells, Cell{Key: sizedKey(d, mb), Run: func() { e.sizedRun(d, mb) }})
-		}
+		cells = append(cells, e.cells(oltp, sizePoint(mb).configs()...)...)
 	}
 	return cells
 }
@@ -77,41 +78,17 @@ func (e *Eval) sizeSensitivityCells(totalsMB []int) []Cell {
 // uniform-shared cache. Smaller caches raise capacity pressure (CR's
 // territory); larger ones leave latency as the only differentiator.
 func (e *Eval) SizeSensitivity(totalsMB []int) *stats.Table {
-	header := []string{"Total L2"}
-	for _, d := range sizeSweepDesigns {
-		header = append(header, string(d))
-	}
-	t := stats.NewTable("Sensitivity: total L2 capacity (speedup vs same-size uniform-shared, OLTP)", header...)
+	t := stats.NewTable("Sensitivity: total L2 capacity (speedup vs same-size uniform-shared, OLTP)",
+		"Total L2", string(Private), string(NuRAPID))
+	oltp := e.mtInput(workload.OLTP(e.RC.Seed))
 	for _, mb := range totalsMB {
 		row := []string{fmt.Sprintf("%d MB", mb)}
-		base := e.sizedRun(UniformShared, mb)
-		for _, d := range sizeSweepDesigns {
-			row = append(row, stats.Rel(cmpsim.Speedup(e.sizedRun(d, mb), base)))
+		for _, sp := range sizePoint(mb).speedups(e, oltp) {
+			row = append(row, stats.Rel(sp))
 		}
 		t.Row(row...)
 	}
 	return t
-}
-
-// SizeSensitivity is the sequential wrapper used by tests.
-func SizeSensitivity(rc RunConfig, totalsMB []int) *stats.Table {
-	return NewEval(rc).SizeSensitivity(totalsMB)
-}
-
-func runSized(d DesignName, totalBytes memsys.Bytes, rc RunConfig) cmpsim.Results {
-	p := workload.OLTP(rc.Seed)
-	sys := cmpsim.New(cmpsim.DefaultConfig(), SizedDesign(d, totalBytes), workload.New(p))
-	sys.Warmup(rc.WarmupInstr)
-	return sys.Run(rc.Instructions)
-}
-
-// SizeSpeedups returns (private, nurapid) speedups over uniform-shared
-// at one capacity, for tests.
-func SizeSpeedups(rc RunConfig, totalMB int) (private, nurapid float64) {
-	total := memsys.MB(totalMB)
-	base := runSized(UniformShared, total, rc)
-	return cmpsim.Speedup(runSized(Private, total, rc), base),
-		cmpsim.Speedup(runSized(NuRAPID, total, rc), base)
 }
 
 // seedSweep is the seed series the "sens-seed" experiment reruns the
@@ -120,10 +97,6 @@ func SizeSpeedups(rc RunConfig, totalMB int) (private, nurapid float64) {
 func (e *Eval) seedSweep() []uint64 {
 	return []uint64{e.RC.Seed, e.RC.Seed + 1, e.RC.Seed + 2}
 }
-
-// seedSweepDesigns are the designs whose commercial-average speedups
-// the sweep reports (plus the uniform-shared baseline each needs).
-var seedSweepDesigns = []DesignName{Private, NuRAPID, Ideal}
 
 // subEval returns a child evaluation at the same scale but a different
 // seed, memoized so cells and rendering share one instance (and one
@@ -144,13 +117,16 @@ func (e *Eval) seedSensitivityCells(seeds []uint64) []Cell {
 	var cells []Cell
 	for _, seed := range seeds {
 		sub := e.subEval(seed)
-		// Namespace the child's cells by seed: the same (design,
-		// workload) pair at two seeds is two distinct simulations, and
-		// the planner deduplicates by key.
-		prefix := fmt.Sprintf("seed/%d/", seed)
-		for _, c := range sub.mtCells(withBaseline(seedSweepDesigns), sub.commercial()) {
-			cells = append(cells, Cell{Key: prefix + c.Key, Run: c.Run})
+		subCells := sub.cells(sub.inputs(commercialRows), designs(UniformShared, Private, NuRAPID, Ideal)...)
+		if sub != e {
+			// Namespace another seed's cells: the same (config,
+			// workload) pair at two seeds is two distinct simulations,
+			// and the planner deduplicates by key.
+			for i := range subCells {
+				subCells[i].Key = fmt.Sprintf("seed/%d/%s", seed, subCells[i].Key)
+			}
 		}
+		cells = append(cells, subCells...)
 	}
 	return cells
 }
@@ -171,23 +147,4 @@ func (e *Eval) SeedSensitivity(seeds []uint64) *stats.Table {
 			stats.Rel(sub.Speedup(Ideal)))
 	}
 	return t
-}
-
-// SeedSensitivity is the sequential wrapper used by tests.
-func SeedSensitivity(rc RunConfig, seeds []uint64) *stats.Table {
-	return NewEval(rc).SeedSensitivity(seeds)
-}
-
-// SeedOrderingStable reports whether NuRAPID > private > 1 holds for
-// every seed (used by tests).
-func SeedOrderingStable(rc RunConfig, seeds []uint64) bool {
-	e := NewEval(rc)
-	for _, seed := range seeds {
-		sub := e.subEval(seed)
-		nur, priv := sub.Speedup(NuRAPID), sub.Speedup(Private)
-		if !(nur > priv && priv > 1) {
-			return false
-		}
-	}
-	return true
 }

@@ -57,6 +57,13 @@ diff docs/golden/quick_table1_fig5.golden /tmp/quick_check_p4.out
 diff /tmp/quick_check_p1.out /tmp/quick_check_p4.out
 diff /tmp/quick_check_p1.out /tmp/quick_check_p8.out
 
+echo "== experiments: opt-in ablations and sweeps vs golden at -parallel 1/4 =="
+optin=abl-promotion,abl-tags,abl-replication,abl-optimizations,abl-cmigration,abl-update,abl-dnuca,bandwidth,capacity,sens-size,sens-seed
+go run ./cmd/experiments -exp $optin -parallel 1 -warmup 50000 -instr 50000 -quiet > /tmp/optin_check_p1.out
+go run ./cmd/experiments -exp $optin -parallel 4 -warmup 50000 -instr 50000 -quiet > /tmp/optin_check_p4.out
+diff docs/golden/tiny_optin.golden /tmp/optin_check_p1.out
+diff docs/golden/tiny_optin.golden /tmp/optin_check_p4.out
+
 echo "== experiments: full -exp all selection byte-identical at -parallel 1/4 =="
 go run ./cmd/experiments -exp all -parallel 1 -warmup 50000 -instr 50000 -quiet > /tmp/all_check_p1.out
 go run ./cmd/experiments -exp all -parallel 4 -warmup 50000 -instr 50000 -quiet > /tmp/all_check_p4.out
