@@ -13,9 +13,6 @@
 //	recovercheck    recover() only inside the scheduler's designated recovery helper
 //	hotpath         functions reachable from hotpath:root entry points are free of
 //	                allocating/indirecting constructs unless audited with hotpath:alloc
-//	synccheck       synccheck:guardedby fields only touched under their mutex,
-//	                WaitGroup Add/Done pairing, close-once channels, and no
-//	                nondeterminism reachable from goroutines
 //
 // Usage:
 //

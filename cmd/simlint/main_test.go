@@ -210,7 +210,6 @@ func TestListPrintsRuleTable(t *testing.T) {
 	want := []string{
 		"determinism", "panicmsg", "floatcmp", "invariantcov",
 		"configvalidate", "enumswitch", "unitcheck", "recovercheck", "hotpath",
-		"synccheck",
 	}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
 	if len(lines) != len(want) {

@@ -271,9 +271,20 @@ func TestEvalCaching(t *testing.T) {
 	if r1.Cycles != r2.Cycles {
 		t.Error("cached run differs")
 	}
-	if len(e.cache) != 1 {
-		t.Errorf("cache holds %d entries, want 1", len(e.cache))
+	if n := len(cacheEntries(e)); n != 1 {
+		t.Errorf("cache holds %d entries, want 1", n)
 	}
+}
+
+// cacheEntries returns the entries of e's own memo (not its seed
+// sweep's child evaluations).
+func cacheEntries(e *Eval) []*cacheEntry {
+	var ents []*cacheEntry
+	e.cache.Range(func(_, v any) bool {
+		ents = append(ents, v.(*cacheEntry))
+		return true
+	})
+	return ents
 }
 
 func TestSummaryMentionsHeadline(t *testing.T) {

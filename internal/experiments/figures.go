@@ -13,32 +13,27 @@ import (
 
 // Eval runs and caches (config, workload) simulations so the figures
 // and ablations that share runs (5/6, 8/9/10, 11/12, and every
-// default-config ablation column) reuse them. The cache is
-// concurrency-safe with single-fill semantics: when the scheduler
-// (scheduler.go) executes an evaluation's cells on a worker pool, a
-// cell requested by several figures is simulated exactly once, and
-// figures rendered afterwards read the completed entries without
-// running anything. Sequential use (call a FigureN method directly)
-// still works: a missing entry is filled on demand.
+// default-config ablation column) reuse them. The cache is write-once
+// and safe for concurrent use: when the scheduler (scheduler.go)
+// executes an evaluation's cells on a worker pool, a cell requested by
+// several figures is simulated exactly once, and figures rendered
+// afterwards read the completed entries without running anything.
+// Sequential use (call a FigureN method directly) still works: a
+// missing entry is filled on demand.
 type Eval struct {
-	// synccheck:unguarded immutable after NewEval
-	RC RunConfig
-	// synccheck:unguarded immutable after NewEval
+	// RC, profiles and mixes are fixed by NewEval.
+	RC       RunConfig
 	profiles []workload.Profile
-	// synccheck:unguarded immutable after NewEval
-	mixes []*workload.Multiprogrammed
+	mixes    []*workload.Multiprogrammed
 
-	mu sync.Mutex
-	// synccheck:guardedby mu
-	cache map[string]*cacheEntry
+	cache sync.Map // string key -> *cacheEntry; entries are only added
 }
 
-// cacheEntry is one memoized simulation (or derived value). The entry
-// is inserted under Eval.mu, but filled under its own once so that
-// concurrent requesters of *different* keys never serialize on the
-// evaluation-wide lock while a simulation runs. A fill that panics
-// poisons the entry (pv/stack) instead of completing it: every later
-// read re-panics with the original value, so a failed cell fails
+// cacheEntry is one memoized simulation (or derived value). It is
+// filled under its own once, so concurrent requesters of *different*
+// keys never wait on each other while a simulation runs. A fill that
+// panics poisons the entry (pv/stack) instead of completing it: every
+// later read re-panics with the original value, so a failed cell fails
 // identically no matter which figure reads it or in what order.
 type cacheEntry struct {
 	once  sync.Once
@@ -53,7 +48,6 @@ func NewEval(rc RunConfig) *Eval {
 		RC:       rc,
 		profiles: workload.Multithreaded(rc.Seed),
 		mixes:    workload.Mixes(rc.Seed),
-		cache:    map[string]*cacheEntry{},
 	}
 }
 
@@ -62,13 +56,11 @@ func NewEval(rc RunConfig) *Eval {
 // fill completes). Each fill draws only from its own seeded workload
 // split, so the value is independent of which goroutine fills it.
 func (e *Eval) memo(key string, fill func() any) any {
-	e.mu.Lock()
-	ent, ok := e.cache[key]
+	v, ok := e.cache.Load(key)
 	if !ok {
-		ent = &cacheEntry{}
-		e.cache[key] = ent
+		v, _ = e.cache.LoadOrStore(key, &cacheEntry{})
 	}
-	e.mu.Unlock()
+	ent := v.(*cacheEntry)
 	ent.once.Do(func() {
 		if f := CapturePanic(key, func() { ent.val = fill() }); f != nil {
 			ent.pv, ent.stack = f.Value, f.Stack

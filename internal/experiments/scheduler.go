@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cmpnurapid/internal/stats"
@@ -26,7 +25,7 @@ import (
 // Cell is one independent, seed-deterministic simulation the scheduler
 // can run. Running a cell fills the evaluation's cache entry under Key;
 // running it again (or concurrently) is a no-op thanks to the cache's
-// single-fill semantics.
+// write-once semantics.
 type Cell struct {
 	Key string
 	Run func()
@@ -162,123 +161,76 @@ func Plan(exps []Experiment, e *Eval) []Cell {
 // available CPU.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// Progress is called (serialized) as each cell completes.
+// Progress is called as each cell completes, on ExecuteCells's
+// calling goroutine.
 type Progress func(done, total int, key string, elapsed time.Duration)
 
 // ExecuteCells runs the planned cells in-process on a bounded pool of
 // workers (values below 1 are treated as 1, i.e. sequential). It
 // returns when every dispatched cell has completed. Which worker runs
 // which cell — and in what order — cannot affect any result: cells
-// share no mutable state except the single-fill Eval cache, and each
+// share no mutable state except the write-once Eval cache, and each
 // simulates from its own seeded workload split.
+//
+// The calling goroutine owns all run state. It hands plan indices to
+// the workers over an unbuffered channel, so a cell is dispatched only
+// at the moment a worker takes it, and it alone reads completions,
+// counts them, calls progress and records failures by plan position.
 //
 // A failing cell does not take down the run: CapturePanic converts its
 // panic into a CellFailure, its cache entry stays poisoned, and the
-// remaining cells keep executing. The returned failures are sorted by
-// plan position, so the failure report is deterministic regardless of
-// worker interleaving. With failFast set, the first failure cancels
-// the run: workers drain the remaining queue without running (or
-// counting) the skipped cells, so only cells already in flight when
-// the failure landed still finish — the pre-simguard
-// abort-on-first-failure behaviour behind the CLI's -failfast flag.
+// remaining cells keep executing. The returned failures are in plan
+// order, so the failure report is deterministic regardless of worker
+// interleaving. With failFast set, the first failure stops dispatch:
+// cells never handed out never start (or count), and only cells
+// already in flight still finish — the abort-on-first-failure
+// behaviour behind the CLI's -failfast flag.
 func ExecuteCells(cells []Cell, workers int, failFast bool, progress Progress) []CellFailure {
-	if workers < 1 {
-		workers = 1
+	type completion struct {
+		i       int
+		failure *CellFailure
+		elapsed time.Duration
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	index := make(map[string]int, len(cells))
-	for i, c := range cells {
-		index[c.Key] = i
-	}
-	r := &cellRun{
-		total:    len(cells),
-		failFast: failFast,
-		progress: progress,
-		stop:     make(chan struct{}),
-	}
-	// The queue holds the whole plan up front; cancellation is the
-	// workers draining it, not a dispatcher refusing to feed it, so
-	// there is no window where a cell is neither run nor skipped.
-	queue := make(chan Cell, len(cells))
-	for _, c := range cells {
-		queue <- c
-	}
-	close(queue)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	jobs := make(chan int)
+	done := make(chan completion)
+	for w := min(max(workers, 1), len(cells)); w > 0; w-- {
 		go func() {
-			defer wg.Done()
-			for c := range queue {
-				if r.cancelled() {
-					continue // drain: skipped cells are never half-started
-				}
-				start := time.Now() // synccheck:nondet progress timing only; reaches stderr, never results
-				f := CapturePanic(c.Key, c.Run)
-				r.finish(c.Key, f, time.Since(start)) // synccheck:nondet progress timing only; reaches stderr, never results
+			for i := range jobs {
+				start := time.Now()
+				f := CapturePanic(cells[i].Key, cells[i].Run)
+				done <- completion{i, f, time.Since(start)}
 			}
 		}()
 	}
-	wg.Wait()
-	r.mu.Lock()
-	failures := r.failures
-	r.mu.Unlock()
-	sort.Slice(failures, func(i, j int) bool {
-		return index[failures[i].Key] < index[failures[j].Key]
-	})
-	return failures
-}
-
-// cellRun is the shared state of one ExecuteCells invocation.
-type cellRun struct {
-	// synccheck:unguarded immutable after construction
-	total int
-	// synccheck:unguarded immutable after construction
-	failFast bool
-	// synccheck:unguarded immutable after construction; invoked only inside finish's critical section
-	progress Progress
-
-	mu sync.Mutex
-	// synccheck:guardedby mu
-	done int
-	// synccheck:guardedby mu
-	stopped bool
-	// synccheck:guardedby mu
-	failures []CellFailure
-
-	// synccheck:unguarded closed exactly once, from finish's critical section; reads are channel ops
-	stop chan struct{}
-}
-
-// finish publishes one completed cell atomically: the done count, any
-// failure, the fail-fast cancellation, and the progress callback all
-// commit under mu, so no observer ever sees a cell half-published
-// (counted but its failure missing, or progress fired before the
-// failure is recorded).
-func (r *cellRun) finish(key string, f *CellFailure, elapsed time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.done++
-	if f != nil {
-		r.failures = append(r.failures, *f)
-		if r.failFast && !r.stopped {
-			r.stopped = true
-			close(r.stop)
+	failed := make([]*CellFailure, len(cells))
+	next, inFlight, finished := 0, 0, 0
+	for next < len(cells) || inFlight > 0 {
+		var dispatch chan<- int // stays nil, so never ready, once dispatch ends
+		if next < len(cells) {
+			dispatch = jobs
+		}
+		select {
+		case dispatch <- next:
+			next++
+			inFlight++
+		case c := <-done:
+			inFlight--
+			finished++
+			failed[c.i] = c.failure
+			if failFast && c.failure != nil {
+				next = len(cells) // stop dispatch; cells in flight still finish
+			}
+			if progress != nil {
+				progress(finished, len(cells), cells[c.i].Key, c.elapsed)
+			}
 		}
 	}
-	if r.progress != nil {
-		r.progress(r.done, r.total, key, elapsed)
+	close(jobs)
+	var failures []CellFailure
+	for _, f := range failed {
+		if f != nil {
+			failures = append(failures, *f)
+		}
 	}
-}
-
-// cancelled reports whether a fail-fast stop has been requested.
-func (r *cellRun) cancelled() bool {
-	select {
-	case <-r.stop:
-		return true
-	default:
-		return false
-	}
+	return failures
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -187,8 +186,9 @@ func TestRenderReadsOnlyPlannedCells(t *testing.T) {
 	}
 	var entries func(e *Eval) int
 	entries = func(e *Eval) int {
-		n := len(e.cache)
-		for _, ent := range e.cache {
+		ents := cacheEntries(e)
+		n := len(ents)
+		for _, ent := range ents {
 			if sub, ok := ent.val.(*Eval); ok {
 				n += entries(sub)
 			}
@@ -262,26 +262,40 @@ func TestExecuteCellsProgress(t *testing.T) {
 // execution of the plan followed by rendering must produce the exact
 // bytes a purely sequential evaluation produces. Runs at tiny scale so
 // the race-short gate (`go test -race -short`) exercises the
-// concurrent path on every CI run.
+// concurrent path on every CI run. Between them the selections cover
+// every kind of memo fill: plain simulations, the seed sweep's child
+// evaluations (sens-seed) and fills that read live L2 state
+// (bandwidth).
 func TestSchedulerEquivalence(t *testing.T) {
-	rc := RunConfig{WarmupInstr: 20_000, Instructions: 20_000, Seed: 9}
-	render := func(e *Eval) string {
-		return e.Figure5().String() + "\n" + e.Figure11().String() + "\n" + e.Summary()
-	}
+	for _, tc := range []struct {
+		exps   string
+		rc     RunConfig
+		render func(e *Eval) string
+	}{
+		{"fig5,fig11,summary", RunConfig{WarmupInstr: 20_000, Instructions: 20_000, Seed: 9},
+			func(e *Eval) string {
+				return e.Figure5().String() + "\n" + e.Figure11().String() + "\n" + e.Summary()
+			}},
+		{"sens-seed,bandwidth", RunConfig{WarmupInstr: 2_000, Instructions: 2_000, Seed: 9},
+			func(e *Eval) string {
+				return e.SeedSensitivity(e.seedSweep()).String() + "\n" + e.BandwidthReport().String()
+			}},
+	} {
+		t.Run(tc.exps, func(t *testing.T) {
+			t.Parallel()
+			seq := NewEval(tc.rc) // no scheduling: every run fills on demand
+			seqOut := tc.render(seq)
 
-	seq := NewEval(rc) // no scheduling: every run fills on demand
-	seqOut := render(seq)
-
-	par := NewEval(rc)
-	sel, err := Select("fig5,fig11,summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ExecuteCells(Plan(sel, par), 8, false, nil)
-	parOut := render(par)
-
-	if seqOut != parOut {
-		t.Errorf("parallel rendering differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqOut, parOut)
+			par := NewEval(tc.rc)
+			sel, err := Select(tc.exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ExecuteCells(Plan(sel, par), 8, false, nil)
+			if parOut := tc.render(par); seqOut != parOut {
+				t.Errorf("parallel rendering differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqOut, parOut)
+			}
+		})
 	}
 }
 
@@ -334,38 +348,42 @@ func TestExecuteCellsFailuresInPlanOrder(t *testing.T) {
 }
 
 // TestExecuteCellsFailFast: with failFast set, no cells are dispatched
-// after the first failure is observed.
+// after the first failure is observed, at any worker count.
 func TestExecuteCellsFailFast(t *testing.T) {
-	var ran atomic.Int64
-	cells := []Cell{
-		{Key: "boom", Run: func() { panic("experiments: first cell fails") }},
-	}
-	for i := 0; i < 32; i++ {
-		cells = append(cells, Cell{Key: fmt.Sprintf("tail-%d", i), Run: func() {
-			ran.Add(1)
-			time.Sleep(time.Millisecond)
-		}})
-	}
-	failures := ExecuteCells(cells, 1, true, nil)
-	if len(failures) == 0 {
-		t.Fatal("failfast run reported no failures")
-	}
-	if failures[0].Key != "boom" {
-		t.Errorf("first failure %q, want boom", failures[0].Key)
-	}
-	// With one worker the failure lands before any tail cell can be
-	// dispatched, so nothing after it may run.
-	if ran.Load() != 0 {
-		t.Errorf("failfast still ran %d cells after the failure", ran.Load())
+	for _, workers := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			var ran atomic.Int64
+			cells := []Cell{
+				{Key: "boom", Run: func() { panic("experiments: first cell fails") }},
+			}
+			for i := 0; i < 32; i++ {
+				cells = append(cells, Cell{Key: fmt.Sprintf("tail-%d", i), Run: func() {
+					ran.Add(1)
+					time.Sleep(time.Millisecond)
+				}})
+			}
+			failures := ExecuteCells(cells, workers, true, nil)
+			if len(failures) == 0 {
+				t.Fatal("failfast run reported no failures")
+			}
+			if failures[0].Key != "boom" {
+				t.Errorf("first failure %q, want boom", failures[0].Key)
+			}
+			// With one worker the failure lands before any tail cell
+			// can be dispatched, so nothing after it may run.
+			if workers == 1 && ran.Load() != 0 {
+				t.Errorf("failfast still ran %d cells after the failure", ran.Load())
+			}
+		})
 	}
 }
 
 // TestExecuteCellsFailFastDrainsQueue: with failFast and several
-// workers, the first failure cancels the run by making the workers
-// drain the remaining queue — skipped cells neither run nor count.
-// Only cells already in flight when the failure landed may still
-// finish, so at most workers-1 tails (plus the handful a worker can
-// grab in the microseconds before the stop lands) ever execute.
+// workers, the first failure stops dispatch — cells never handed out
+// neither run nor count. Only cells already in flight when the failure
+// landed may still finish, so at most workers-1 tails (plus the
+// handful dispatched before the failure's completion is read) ever
+// execute.
 func TestExecuteCellsFailFastDrainsQueue(t *testing.T) {
 	const tails = 64
 	var ran atomic.Int64
@@ -386,44 +404,12 @@ func TestExecuteCellsFailFastDrainsQueue(t *testing.T) {
 		t.Fatalf("failures = %+v, want exactly boom", failures)
 	}
 	if got := ran.Load(); got >= tails/2 {
-		t.Errorf("failfast ran %d of %d tail cells; the queue was not drained", got, tails)
+		t.Errorf("failfast ran %d of %d tail cells; dispatch did not stop", got, tails)
 	}
-	// Drained cells are skipped entirely: every progress callback is a
+	// Undispatched cells are skipped entirely: every progress callback is a
 	// cell that actually executed, nothing more and nothing less.
 	if got, want := progressed.Load(), ran.Load()+1; got != want {
-		t.Errorf("progress fired %d times for %d executed cells; drained cells must not be counted", got, want)
-	}
-}
-
-// TestCellRunPublishesAtomically pins that a cell's completion commits
-// in one piece: the progress callback runs inside finish's critical
-// section, so at the instant it observes done == N, the failures slice
-// already holds every failure among those N completions. A finish that
-// bumped the count before (or without) recording the failure, or fired
-// progress outside the lock, fails this test under -race.
-func TestCellRunPublishesAtomically(t *testing.T) {
-	const n = 96
-	r := &cellRun{total: n, stop: make(chan struct{})}
-	r.progress = func(done, total int, key string, _ time.Duration) {
-		// Safe: finish holds r.mu while invoking progress.
-		if len(r.failures) != done {
-			t.Errorf("progress saw done=%d with %d failures recorded; completion published partially", done, len(r.failures))
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(8)
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < n/8; i++ {
-				key := fmt.Sprintf("w%d-c%d", w, i)
-				r.finish(key, &CellFailure{Key: key, Diagnostic: "experiments: synthetic"}, 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if r.done != n || len(r.failures) != n {
-		t.Errorf("final state done=%d failures=%d, want %d/%d", r.done, len(r.failures), n, n)
+		t.Errorf("progress fired %d times for %d executed cells; undispatched cells must not be counted", got, want)
 	}
 }
 

@@ -43,7 +43,6 @@ func TestMutantsScriptGatesAndCallers(t *testing.T) {
 	for _, gate := range []string{
 		"testdata/unitmutants",    // unit-confusion mutants vs unitcheck
 		"testdata/hotpathmutants", // per-tick allocation mutants vs hotpath
-		"testdata/syncmutants",    // seeded race mutants vs synccheck (one -race-invisible)
 		"cmd/protocheck -mutant",  // protocol mutants vs the model checker
 	} {
 		if !strings.Contains(script, gate) {

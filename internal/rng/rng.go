@@ -9,7 +9,10 @@
 // every experiment is bit-reproducible.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a splitmix64 generator. The zero value is a valid generator
 // seeded with 0; use New to seed explicitly. splitmix64 passes BigCrush
@@ -42,15 +45,14 @@ func (s *Source) Intn(n int) int {
 	// modulo on the fast path.
 	un := uint64(n)
 	v := s.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		thresh := -un % un
 		for lo < thresh {
 			v = s.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
-	_ = lo
 	return int(hi)
 }
 
@@ -89,21 +91,6 @@ func (s *Source) Geometric(p float64) int {
 // consumer does not perturb the draws seen by others.
 func (s *Source) Split() *Source {
 	return New(s.Uint64())
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // Zipf generates Zipf-distributed ranks in [0, n) with exponent theta.

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -122,31 +121,6 @@ func TestSplitIndependence(t *testing.T) {
 	b := parent.Split()
 	if a.Uint64() == b.Uint64() {
 		t.Error("sibling splits produced identical first draws")
-	}
-}
-
-func TestMul64MatchesBig(t *testing.T) {
-	// Property: our portable 128-bit multiply agrees with the
-	// identity (x*y) mod 2^64 for the low word, and with schoolbook
-	// computation for a few fixed cases for the high word.
-	f := func(x, y uint64) bool {
-		_, lo := mul64(x, y)
-		return lo == x*y
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	cases := []struct{ x, y, hi uint64 }{
-		{0, 0, 0},
-		{1 << 63, 2, 1},
-		{1 << 32, 1 << 32, 1},
-		{^uint64(0), ^uint64(0), ^uint64(0) - 1},
-	}
-	for _, c := range cases {
-		hi, _ := mul64(c.x, c.y)
-		if hi != c.hi {
-			t.Errorf("mul64(%#x, %#x) hi = %#x, want %#x", c.x, c.y, hi, c.hi)
-		}
 	}
 }
 

@@ -101,11 +101,9 @@ type Analyzer struct {
 // is held, and each load hands out through Program.Fset / progImporter
 // the references it captured inside its own critical section.
 var (
-	loadMu sync.Mutex
-	// synccheck:guardedby loadMu
-	sharedFset = token.NewFileSet()
-	// synccheck:guardedby loadMu
-	stdlibImport types.ImporterFrom
+	loadMu       sync.Mutex
+	sharedFset   = token.NewFileSet() // guarded by loadMu
+	stdlibImport types.ImporterFrom   // guarded by loadMu
 )
 
 // Load parses and type-checks every package under root, which must be
@@ -197,7 +195,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewUnitCheck(),
 		NewRecoverCheck(DefaultRecoverAllowed),
 		NewHotpath(),
-		NewSyncCheck(),
 	}
 }
 
@@ -350,9 +347,8 @@ func (i *progImporter) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 	return i.stdlib.ImportFrom(path, dir, mode)
 }
 
-// checkAll type-checks every package in local-dependency order.
-//
-// synccheck:holds loadMu
+// checkAll type-checks every package in local-dependency order. The
+// caller (Load) holds loadMu.
 func checkAll(prog *Program) {
 	imp := &progImporter{prog: prog, stdlib: stdlibImport, checked: map[string]*types.Package{}}
 

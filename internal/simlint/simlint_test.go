@@ -126,10 +126,8 @@ func TestLoadHonorsBuildConstraints(t *testing.T) {
 // TestLoadParallel exercises loadMu under the race gate: concurrent
 // loads of distinct modules share the process-wide FileSet and stdlib
 // importer, and must serialize on loadMu without corrupting either —
-// each caller still gets its own module's packages back. This is the
-// dynamic half of the loader's concurrency story; the static half is
-// synccheck's guardedby annotations on sharedFset/stdlibImport
-// (TestSyncCheckAcceptsLoaderShape pins the annotation shape).
+// each caller still gets its own module's packages back. It is the
+// loader's concurrency check: run it under `go test -race -short`.
 func TestLoadParallel(t *testing.T) {
 	dirs := []string{
 		writeFixture(t, map[string]string{
@@ -201,7 +199,6 @@ func TestDefaultAnalyzersComplete(t *testing.T) {
 		"determinism": true, "panicmsg": true, "floatcmp": true,
 		"invariantcov": true, "configvalidate": true, "enumswitch": true,
 		"unitcheck": true, "recovercheck": true, "hotpath": true,
-		"synccheck": true,
 	}
 	for _, a := range DefaultAnalyzers() {
 		if !want[a.Name] {

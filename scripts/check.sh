@@ -31,7 +31,7 @@ go test -race -short ./...
 echo "== simlint (incl. hotpath self-lint) =="
 go run ./cmd/simlint ./...
 
-# All hand-seeded mutant gates (protocol, unit, hot-path, concurrency)
+# All hand-seeded mutant gates (protocol, unit, hot-path)
 # live in one script so this file and CI cannot drift apart.
 echo "== seeded-mutant gates (scripts/mutants.sh) =="
 scripts/mutants.sh
@@ -48,8 +48,8 @@ go run ./cmd/protocheck
 echo "== experiments quick scale vs golden, byte-identical at -parallel 1/4/8 =="
 # One selection, three worker counts: the golden diff pins the bytes,
 # and the cross-diffs pin that the worker count is unobservable in
-# them (docs/PARALLEL.md) — the scheduler-equivalence contract the
-# synccheck determinism bridge enforces statically.
+# them (docs/PARALLEL.md) — the scheduler-equivalence contract that
+# TestSchedulerEquivalence also checks under the race gate.
 go run ./cmd/experiments -exp table1,fig5 -parallel 1 -warmup 200000 -instr 200000 -quiet > /tmp/quick_check_p1.out
 go run ./cmd/experiments -exp table1,fig5 -parallel 4 -warmup 200000 -instr 200000 -quiet > /tmp/quick_check_p4.out
 go run ./cmd/experiments -exp table1,fig5 -parallel 8 -warmup 200000 -instr 200000 -quiet > /tmp/quick_check_p8.out
