@@ -24,9 +24,9 @@ func pick(name string, seed uint64) (cmpsim.Workload, bool) {
 			return workload.New(p), true
 		}
 	}
-	for i, m := range workload.Mixes(seed) {
+	for _, m := range workload.Mixes(seed) {
 		if m.Name() == name {
-			return workload.Mixes(seed)[i], true
+			return m, true
 		}
 	}
 	return nil, false

@@ -146,7 +146,7 @@ func TestZipfLargeN(t *testing.T) {
 	s := New(23)
 	n := zipfTabulateLimit * 4
 	z := NewZipf(s, n, 1.0)
-	if z.cdf != nil {
+	if z.t.cdf != nil || z.t.guide != nil {
 		t.Fatal("large-n Zipf should not tabulate")
 	}
 	low := 0

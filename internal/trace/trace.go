@@ -213,6 +213,8 @@ func (rp *Replayer) Name() string { return rp.name }
 func (rp *Replayer) Len(core int) int { return len(rp.ops[core]) }
 
 // Next implements cmpsim.Workload.
+//
+// hotpath:root
 func (rp *Replayer) Next(core int) cmpsim.Op {
 	if rp.pos[core] < len(rp.ops[core]) {
 		op := rp.ops[core][rp.pos[core]]

@@ -57,7 +57,10 @@ type Multiprogrammed struct {
 
 type mixCore struct {
 	r *rng.Source
-	z *rng.Zipf
+	// zsrc is the Zipf stream's source until the core's first draw
+	// builds its table; from then on z samples it and zsrc is nil.
+	zsrc *rng.Source
+	z    rng.Zipf
 	// ring holds recently issued references for temporal bursts.
 	ring    [repeatRing]cmpsim.Op
 	ringLen int
@@ -65,12 +68,14 @@ type mixCore struct {
 }
 
 // NewMix builds a multiprogrammed workload from four applications.
+// It builds no Zipf table: each core builds its own on its first draw,
+// so a mix that never runs costs only its seeds.
 func NewMix(name string, apps [topo.NumCores]App, seed uint64) *Multiprogrammed {
 	m := &Multiprogrammed{name: name, apps: apps}
 	root := rng.New(seed ^ 0x5bf0_3635)
 	for c := 0; c < topo.NumCores; c++ {
 		r := root.Split()
-		m.cores[c] = mixCore{r: r, z: rng.NewZipf(r.Split(), max1(apps[c].Blocks), apps[c].Theta)}
+		m.cores[c] = mixCore{r: r, zsrc: r.Split()}
 	}
 	return m
 }
@@ -82,6 +87,8 @@ func (m *Multiprogrammed) Name() string { return m.name }
 func (m *Multiprogrammed) Apps() [topo.NumCores]App { return m.apps }
 
 // Next implements cmpsim.Workload.
+//
+// hotpath:root
 func (m *Multiprogrammed) Next(core int) cmpsim.Op {
 	mc := &m.cores[core]
 	app := &m.apps[core]
@@ -95,6 +102,10 @@ func (m *Multiprogrammed) Next(core int) cmpsim.Op {
 	if mc.ringLen > 0 && mc.r.Bool(app.RepeatFrac) {
 		op.Addr = mc.ring[mc.r.Intn(mc.ringLen)].Addr
 		return op
+	}
+	if mc.zsrc != nil {
+		mc.z = rng.NewZipfTable(max1(app.Blocks), app.Theta).Sampler(mc.zsrc)
+		mc.zsrc = nil
 	}
 	base := memsys.Addr(PrivateBase + core*PrivateStep)
 	op.Addr = base + memsys.Addr(mc.z.Next()*BlockBytes)

@@ -105,10 +105,10 @@ type Generator struct {
 
 type coreGen struct {
 	r       *rng.Source
-	code    *rng.Zipf
-	ro      *rng.Zipf
-	rw      *rng.Zipf
-	private *rng.Zipf
+	code    rng.Zipf
+	ro      rng.Zipf
+	rw      rng.Zipf
+	private rng.Zipf
 	// pendingStore holds the second half of a read-modify-write pair.
 	pendingStore memsys.Addr
 	hasPending   bool
@@ -118,18 +118,35 @@ type coreGen struct {
 	ringPos int
 }
 
-// New builds a generator for the profile.
+// New builds a generator for the profile. Each distinct (footprint,
+// theta) Zipf table is built once and shared read-only by every stream
+// that draws from it: the four cores' code, RO and RW streams, and
+// their private streams when the footprints are uniform.
 func New(p Profile) *Generator {
 	g := &Generator{p: p}
+	type key struct {
+		n     int
+		theta float64
+	}
+	tables := map[key]*rng.ZipfTable{}
+	table := func(blocks int, theta float64) *rng.ZipfTable {
+		k := key{max1(blocks), theta}
+		t, ok := tables[k]
+		if !ok {
+			t = rng.NewZipfTable(k.n, k.theta)
+			tables[k] = t
+		}
+		return t
+	}
 	root := rng.New(p.Seed ^ 0x9e37_79b9)
 	for c := 0; c < topo.NumCores; c++ {
 		r := root.Split()
 		g.cores[c] = coreGen{
 			r:       r,
-			code:    rng.NewZipf(r.Split(), max1(p.CodeBlocks), p.CodeTheta),
-			ro:      rng.NewZipf(r.Split(), max1(p.ROBlocks), p.ROTheta),
-			rw:      rng.NewZipf(r.Split(), max1(p.RWBlocks), p.RWTheta),
-			private: rng.NewZipf(r.Split(), max1(p.PrivateBlocks[c]), p.PrivateTheta),
+			code:    table(p.CodeBlocks, p.CodeTheta).Sampler(r.Split()),
+			ro:      table(p.ROBlocks, p.ROTheta).Sampler(r.Split()),
+			rw:      table(p.RWBlocks, p.RWTheta).Sampler(r.Split()),
+			private: table(p.PrivateBlocks[c], p.PrivateTheta).Sampler(r.Split()),
 		}
 	}
 	return g
@@ -146,6 +163,8 @@ func max1(n int) int {
 func (g *Generator) Name() string { return g.p.Name }
 
 // Next implements cmpsim.Workload.
+//
+// hotpath:root
 func (g *Generator) Next(core int) cmpsim.Op {
 	cg := &g.cores[core]
 	p := &g.p

@@ -20,22 +20,34 @@ func TestDeterministicPerCore(t *testing.T) {
 }
 
 func TestPerCoreStreamsIndependentOfInterleave(t *testing.T) {
-	// Core 2's stream must be identical whether or not other cores
-	// consumed ops in between — the property that makes runs comparable
-	// across cache designs.
-	a, b := New(Apache(7)), New(Apache(7))
-	var seqA, seqB []cmpsim.Op
-	for i := 0; i < 500; i++ {
-		a.Next(0)
-		a.Next(1)
-		seqA = append(seqA, a.Next(2))
+	// Each core's stream must be identical however the other cores'
+	// draws interleave with it — the property that makes runs
+	// comparable across cache designs. One copy interleaves the cores
+	// last to first, the other runs each core alone, first to last, so
+	// a mix core also builds its Zipf table at a different point.
+	fresh := func() []cmpsim.Workload {
+		ws := []cmpsim.Workload{New(Apache(7))}
+		for _, m := range Mixes(7) {
+			ws = append(ws, m)
+		}
+		return ws
 	}
-	for i := 0; i < 500; i++ {
-		seqB = append(seqB, b.Next(2))
-	}
-	for i := range seqA {
-		if seqA[i] != seqB[i] {
-			t.Fatalf("core 2 stream depends on other cores' draws at %d", i)
+	const ops = 500
+	as, bs := fresh(), fresh()
+	for w := range as {
+		a, b := as[w], bs[w]
+		var seqA [topo.NumCores][]cmpsim.Op
+		for i := 0; i < ops; i++ {
+			for c := topo.NumCores - 1; c >= 0; c-- {
+				seqA[c] = append(seqA[c], a.Next(c))
+			}
+		}
+		for c := 0; c < topo.NumCores; c++ {
+			for i := 0; i < ops; i++ {
+				if op := b.Next(c); op != seqA[c][i] {
+					t.Fatalf("%s: core %d stream depends on other cores' draws at op %d", a.Name(), c, i)
+				}
+			}
 		}
 	}
 }
