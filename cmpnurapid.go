@@ -87,7 +87,7 @@ type NuRAPIDConfig = core.Config
 func DefaultNuRAPIDConfig() NuRAPIDConfig { return core.DefaultConfig() }
 
 // NuRAPIDCache is the concrete CMP-NuRAPID type, exposing the
-// inspection surface (StateOf, Occupancy, CheckInvariants, Bus) used
+// inspection surface (StateOf, Occupancy, CheckInvariants) used
 // by tests and the protocol-walkthrough example.
 type NuRAPIDCache = core.Cache
 

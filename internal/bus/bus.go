@@ -7,14 +7,20 @@
 // to reach the farthest tag array, 32 cycles — and pipelined slots:
 // a new transaction may be issued every SlotCycles even while earlier
 // transactions are still in flight.
+//
+// The bus keeps timing state only. Each issued transaction and its
+// arbitration wait are counted in the owning design's memsys.L2Stats,
+// the one place a run's traffic is measured (and reset at warm-up).
 package bus
 
 import "cmpnurapid/internal/memsys"
 
-// Kind enumerates snoopy bus transactions. BusRepl is CMP-NuRAPID's
-// addition: a broadcast sent before replacing a shared data block so
-// sharers whose tags point at the dying frame can invalidate them
-// (§3.1).
+// Kind enumerates the transactions issued on the snoopy bus. BusRepl
+// is CMP-NuRAPID's addition: a broadcast sent before replacing a
+// shared data block so sharers whose tags point at the dying frame can
+// invalidate them (§3.1). Snoop flushes and pointer returns are
+// responses, not issued transactions; designs count them directly
+// under memsys.LabelFlush and memsys.LabelPtrRet.
 type Kind int
 
 const (
@@ -22,25 +28,19 @@ const (
 	BusRdX
 	BusUpg
 	BusRepl
-	Flush
-	PtrReturn
-	numKinds
 )
 
+// String returns the kind's memsys bus-transaction label.
 func (k Kind) String() string {
 	switch k {
 	case BusRd:
-		return "BusRd"
+		return memsys.LabelBusRd
 	case BusRdX:
-		return "BusRdX"
+		return memsys.LabelBusRdX
 	case BusUpg:
-		return "BusUpg"
+		return memsys.LabelBusUpg
 	case BusRepl:
-		return "BusRepl"
-	case Flush:
-		return "Flush"
-	case PtrReturn:
-		return "PtrReturn"
+		return memsys.LabelBusRepl
 	}
 	return "Kind(?)"
 }
@@ -59,51 +59,49 @@ type Config struct {
 	// arbitration deterministically from a seeded source, and a nil
 	// hook (the default everywhere outside chaos tests) leaves timing
 	// bit-identical to a bus without the hook.
-	GrantJitter func(now memsys.Cycle, kind Kind) memsys.Cycles
+	GrantJitter func(now memsys.Cycle) memsys.Cycles
 }
 
 // DefaultConfig matches the paper's Table 1 bus.
 func DefaultConfig() Config { return Config{Latency: 32, SlotCycles: 4} }
 
-// Bus tracks slot occupancy and counts traffic. It is not safe for
-// concurrent use; the simulator is single-threaded by design (the
-// simulated cores interleave deterministically).
+// Bus tracks slot occupancy. It is not safe for concurrent use; the
+// simulator is single-threaded by design (the simulated cores
+// interleave deterministically).
 type Bus struct {
 	cfg      Config
 	nextFree memsys.Cycle
-	counts   [numKinds]uint64
-	// waitCycles accumulates arbitration stalls for bandwidth analysis.
-	waitCycles memsys.Cycles
+	stats    *memsys.L2Stats
 }
 
-// New creates a bus with the given configuration.
-func New(cfg Config) *Bus {
+// New creates a bus with the given configuration that counts its
+// transactions and arbitration wait into stats.
+func New(cfg Config, stats *memsys.L2Stats) *Bus {
 	if cfg.Latency <= 0 || cfg.SlotCycles <= 0 {
 		panic("bus: non-positive latency or slot width")
 	}
-	return &Bus{cfg: cfg}
+	return &Bus{cfg: cfg, stats: stats}
 }
 
 // Transact issues a transaction of the given kind at cycle now. It
 // returns the cycle at which the transaction is visible to all snoopers
 // (grant + latency). Arbitration delay due to earlier transactions is
-// included.
+// included, and is added to the stats' BusWait.
 //
 // hotpath:root
 func (b *Bus) Transact(now memsys.Cycle, kind Kind) (visibleAt memsys.Cycle) {
 	grant := now
 	if b.cfg.GrantJitter != nil {
-		if j := b.cfg.GrantJitter(now, kind); j > 0 {
-			b.waitCycles += j
+		if j := b.cfg.GrantJitter(now); j > 0 {
 			grant = grant.Add(j)
 		}
 	}
 	if b.nextFree > grant {
-		b.waitCycles += b.nextFree.Sub(grant)
 		grant = b.nextFree
 	}
 	b.nextFree = grant.Add(b.cfg.SlotCycles)
-	b.counts[kind]++
+	b.stats.BusTransactions.Inc(kind.String())
+	b.stats.BusWait += grant.Sub(now)
 	return grant.Add(b.cfg.Latency)
 }
 
@@ -121,28 +119,12 @@ func (b *Bus) Backlog(now memsys.Cycle) memsys.Cycles {
 // Latency returns the configured end-to-end latency.
 func (b *Bus) Latency() memsys.Cycles { return b.cfg.Latency }
 
-// Count returns how many transactions of the given kind were issued.
-func (b *Bus) Count(kind Kind) uint64 { return b.counts[kind] }
-
-// TotalTransactions returns the total number issued.
-func (b *Bus) TotalTransactions() uint64 {
-	var t uint64
-	for _, c := range b.counts {
-		t += c
-	}
-	return t
-}
-
-// WaitCycles returns the cumulative arbitration stall cycles.
-func (b *Bus) WaitCycles() memsys.Cycles { return b.waitCycles }
-
 // Port models a single-ported, unpipelined structure (a private tag
 // array or a data d-group; §3.3.2: "each private tag array and data
 // d-group is single-ported and not pipelined"). An access occupies the
 // port for its full duration.
 type Port struct {
-	nextFree   memsys.Cycle
-	busyCycles memsys.Cycles
+	nextFree memsys.Cycle
 }
 
 // Acquire reserves the port at cycle now for dur cycles and returns the
@@ -153,9 +135,5 @@ func (p *Port) Acquire(now memsys.Cycle, dur memsys.Cycles) (start memsys.Cycle)
 		start = p.nextFree
 	}
 	p.nextFree = start.Add(dur)
-	p.busyCycles += dur
 	return start
 }
-
-// BusyCycles returns the total cycles the port has been occupied.
-func (p *Port) BusyCycles() memsys.Cycles { return p.busyCycles }

@@ -7,15 +7,21 @@ import (
 	"cmpnurapid/internal/memsys"
 )
 
+// newBus returns a bus counting into fresh stats.
+func newBus(cfg Config) (*Bus, *memsys.L2Stats) {
+	s := memsys.NewL2Stats()
+	return New(cfg, s), s
+}
+
 func TestTransactLatency(t *testing.T) {
-	b := New(DefaultConfig())
+	b, _ := newBus(DefaultConfig())
 	if got := b.Transact(100, BusRd); got != 132 {
 		t.Errorf("first transaction visible at %d, want 132", got)
 	}
 }
 
 func TestTransactPipelining(t *testing.T) {
-	b := New(Config{Latency: 32, SlotCycles: 4})
+	b, s := newBus(Config{Latency: 32, SlotCycles: 4})
 	// Two back-to-back transactions at the same cycle: the second waits
 	// one slot, not a full latency.
 	first := b.Transact(0, BusRd)
@@ -26,33 +32,40 @@ func TestTransactPipelining(t *testing.T) {
 	if second != 36 {
 		t.Errorf("second = %d, want 36 (one slot later)", second)
 	}
-	if b.WaitCycles() != 4 {
-		t.Errorf("WaitCycles = %d, want 4", b.WaitCycles())
+	if s.BusWait != 4 {
+		t.Errorf("BusWait = %d, want 4", s.BusWait)
 	}
 }
 
 func TestTransactNoContentionWhenSpaced(t *testing.T) {
-	b := New(Config{Latency: 32, SlotCycles: 4})
+	b, s := newBus(Config{Latency: 32, SlotCycles: 4})
 	b.Transact(0, BusRd)
 	if got := b.Transact(10, BusRd); got != 42 {
 		t.Errorf("spaced transaction visible at %d, want 42", got)
 	}
-	if b.WaitCycles() != 0 {
-		t.Errorf("WaitCycles = %d, want 0", b.WaitCycles())
+	if s.BusWait != 0 {
+		t.Errorf("BusWait = %d, want 0", s.BusWait)
 	}
 }
 
+// TestCounts: each issued transaction is counted once, under its
+// kind's label, in the stats the bus was built with.
 func TestCounts(t *testing.T) {
-	b := New(DefaultConfig())
+	b, s := newBus(DefaultConfig())
 	b.Transact(0, BusRd)
 	b.Transact(0, BusRd)
 	b.Transact(0, BusRepl)
-	if b.Count(BusRd) != 2 || b.Count(BusRepl) != 1 || b.Count(BusUpg) != 0 {
+	d := s.BusTransactions
+	if d.Count(memsys.LabelBusRd) != 2 || d.Count(memsys.LabelBusRepl) != 1 || d.Count(memsys.LabelBusUpg) != 0 {
 		t.Errorf("counts wrong: BusRd=%d BusRepl=%d BusUpg=%d",
-			b.Count(BusRd), b.Count(BusRepl), b.Count(BusUpg))
+			d.Count(memsys.LabelBusRd), d.Count(memsys.LabelBusRepl), d.Count(memsys.LabelBusUpg))
 	}
-	if b.TotalTransactions() != 3 {
-		t.Errorf("TotalTransactions = %d, want 3", b.TotalTransactions())
+	if d.Total() != 3 {
+		t.Errorf("total = %d, want 3", d.Total())
+	}
+	// Two slots of queueing behind the first transaction.
+	if s.BusWait != 4+8 {
+		t.Errorf("BusWait = %d, want 12", s.BusWait)
 	}
 }
 
@@ -62,14 +75,13 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("New with zero latency did not panic")
 		}
 	}()
-	New(Config{Latency: 0, SlotCycles: 4})
+	New(Config{Latency: 0, SlotCycles: 4}, memsys.NewL2Stats())
 }
 
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
-		BusRd: "BusRd", BusRdX: "BusRdX", BusUpg: "BusUpg",
-		BusRepl: "BusRepl", Flush: "Flush", PtrReturn: "PtrReturn",
-		Kind(99): "Kind(?)",
+		BusRd: memsys.LabelBusRd, BusRdX: memsys.LabelBusRdX, BusUpg: memsys.LabelBusUpg,
+		BusRepl: memsys.LabelBusRepl, Kind(99): "Kind(?)",
 	}
 	for k, w := range want {
 		if got := k.String(); got != w {
@@ -81,7 +93,7 @@ func TestKindString(t *testing.T) {
 func TestTransactMonotone(t *testing.T) {
 	// Property: visibility times never decrease as issue times advance,
 	// and a transaction is always visible at least Latency after issue.
-	b := New(Config{Latency: 32, SlotCycles: 4})
+	b, _ := newBus(Config{Latency: 32, SlotCycles: 4})
 	f := func(deltas []uint8) bool {
 		now := memsys.Cycle(0)
 		lastVis := memsys.Cycle(0)
@@ -113,8 +125,10 @@ func TestPortSerializes(t *testing.T) {
 	if got := p.Acquire(100, 6); got != 100 {
 		t.Errorf("late acquire starts at %d, want 100", got)
 	}
-	if p.BusyCycles() != 18 {
-		t.Errorf("BusyCycles = %d, want 18", p.BusyCycles())
+	// Every acquire occupied the port for its full duration: the next
+	// free cycle is the last start plus 6.
+	if got := p.Acquire(0, 1); got != 106 {
+		t.Errorf("acquire after the last access starts at %d, want 106", got)
 	}
 }
 
@@ -126,36 +140,36 @@ func TestPortZeroValueUsable(t *testing.T) {
 }
 
 func TestGrantJitterDelaysGrant(t *testing.T) {
-	b := New(Config{Latency: 32, SlotCycles: 4,
-		GrantJitter: func(now memsys.Cycle, kind Kind) memsys.Cycles { return 10 }})
+	b, s := newBus(Config{Latency: 32, SlotCycles: 4,
+		GrantJitter: func(now memsys.Cycle) memsys.Cycles { return 10 }})
 	if got := b.Transact(0, BusRd); got != 42 {
 		t.Errorf("jittered transaction visible at %d, want 42 (10 jitter + 32 latency)", got)
 	}
-	if b.WaitCycles() != 10 {
-		t.Errorf("WaitCycles = %d, want 10 (jitter counts as arbitration wait)", b.WaitCycles())
+	if s.BusWait != 10 {
+		t.Errorf("BusWait = %d, want 10 (jitter counts as arbitration wait)", s.BusWait)
 	}
 }
 
 func TestGrantJitterNilIsBitIdentical(t *testing.T) {
 	// The hook's zero value must leave the bus exactly as before the
 	// hook existed: same grants, same waits, for the same schedule.
-	plain := New(Config{Latency: 32, SlotCycles: 4})
-	hooked := New(Config{Latency: 32, SlotCycles: 4,
-		GrantJitter: func(now memsys.Cycle, kind Kind) memsys.Cycles { return 0 }})
+	plain, ps := newBus(Config{Latency: 32, SlotCycles: 4})
+	hooked, hs := newBus(Config{Latency: 32, SlotCycles: 4,
+		GrantJitter: func(now memsys.Cycle) memsys.Cycles { return 0 }})
 	for i := 0; i < 50; i++ {
 		now := memsys.Cycle(0).Add(memsys.CyclesOf(i * 3))
-		kind := Kind(i % int(numKinds))
+		kind := Kind(i % int(BusRepl+1))
 		if a, b := plain.Transact(now, kind), hooked.Transact(now, kind); a != b {
 			t.Fatalf("step %d: plain %d != zero-jitter %d", i, a, b)
 		}
 	}
-	if plain.WaitCycles() != hooked.WaitCycles() {
-		t.Errorf("wait cycles diverge: %d vs %d", plain.WaitCycles(), hooked.WaitCycles())
+	if ps.BusWait != hs.BusWait {
+		t.Errorf("wait cycles diverge: %d vs %d", ps.BusWait, hs.BusWait)
 	}
 }
 
 func TestBacklog(t *testing.T) {
-	b := New(Config{Latency: 32, SlotCycles: 4})
+	b, _ := newBus(Config{Latency: 32, SlotCycles: 4})
 	if got := b.Backlog(0); got != 0 {
 		t.Errorf("idle backlog = %d, want 0", got)
 	}
@@ -182,5 +196,5 @@ func TestNewPanicsOnZeroSlotCycles(t *testing.T) {
 			t.Fatal("New with zero slot width did not panic")
 		}
 	}()
-	New(Config{Latency: 32, SlotCycles: 0})
+	New(Config{Latency: 32, SlotCycles: 0}, memsys.NewL2Stats())
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/topo"
@@ -130,7 +129,7 @@ func TestBusReplOnlyForSharedEvictions(t *testing.T) {
 		c.Access(now, 0, memsys.Addr(0x100000+i*stride), true)
 		now += 100
 	}
-	if got := c.Bus().Count(bus.BusRepl); got != 0 {
+	if got := c.Stats().BusTransactions.Count(memsys.LabelBusRepl); got != 0 {
 		t.Errorf("private evictions sent %d BusRepl", got)
 	}
 	c.CheckInvariants()
@@ -166,7 +165,7 @@ func TestOwnerEvictionOfSharedCopy(t *testing.T) {
 	if st, _ := c.StateOf(1, X); st != coherence.Invalid {
 		t.Errorf("P1's pointer to the evicted copy survived (%v): dangling", st)
 	}
-	if got := c.Bus().Count(bus.BusRepl); got == 0 {
+	if got := c.Stats().BusTransactions.Count(memsys.LabelBusRepl); got == 0 {
 		t.Error("owner eviction of a shared copy sent no BusRepl")
 	}
 	// The other four blocks remain shared and reachable by both.

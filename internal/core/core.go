@@ -249,12 +249,13 @@ func (cfg Config) Validate() {
 // New builds a CMP-NuRAPID cache.
 func New(cfg Config) *Cache {
 	cfg.Validate()
+	st := memsys.NewL2Stats()
 	c := &Cache{
 		cfg:         cfg,
 		tagPort:     make([]bus.Port, cfg.Cores),
-		bus:         bus.New(cfg.Bus),
+		bus:         bus.New(cfg.Bus, st),
 		rand:        rng.New(cfg.Seed),
-		stats:       memsys.NewL2Stats(),
+		stats:       st,
 		pinnedFrame: ptr{dgroup: -1, frame: -1},
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -289,9 +290,6 @@ func (c *Cache) Name() string {
 
 // Stats implements memsys.L2.
 func (c *Cache) Stats() *memsys.L2Stats { return c.stats }
-
-// Bus exposes the snoopy bus for traffic analysis.
-func (c *Cache) Bus() *bus.Bus { return c.bus }
 
 // SetL1Invalidate implements memsys.L1Invalidator.
 func (c *Cache) SetL1Invalidate(fn func(core int, addr memsys.Addr)) {
@@ -348,29 +346,10 @@ func (c *Cache) dgAccess(now memsys.Cycle, core, dg int) memsys.Cycles {
 	return start.Sub(now) + c.latTo(core, dg)
 }
 
-// countBus tallies a bus transaction into the stats distribution.
-func (c *Cache) countBus(kind bus.Kind) {
-	switch kind {
-	case bus.BusRd:
-		c.stats.BusTransactions.Inc(memsys.LabelBusRd)
-	case bus.BusRdX:
-		c.stats.BusTransactions.Inc(memsys.LabelBusRdX)
-	case bus.BusUpg:
-		c.stats.BusTransactions.Inc(memsys.LabelBusUpg)
-	case bus.BusRepl:
-		c.stats.BusTransactions.Inc(memsys.LabelBusRepl)
-	case bus.Flush:
-		c.stats.BusTransactions.Inc(memsys.LabelFlush)
-	case bus.PtrReturn:
-		c.stats.BusTransactions.Inc(memsys.LabelPtrRet)
-	}
-}
-
 // transact issues a bus transaction and returns the cycles it adds to
 // the requester's critical path.
 func (c *Cache) transact(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
 	vis := c.bus.Transact(now, kind)
-	c.countBus(kind)
 	return vis.Sub(now)
 }
 
@@ -379,7 +358,6 @@ func (c *Cache) transact(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
 // of C-state writes).
 func (c *Cache) post(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
 	vis := c.bus.Transact(now, kind)
-	c.countBus(kind)
 	wait := vis.Sub(now) - c.bus.Latency()
 	if wait < 0 {
 		wait = 0

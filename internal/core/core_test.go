@@ -455,7 +455,7 @@ func TestBusReplInvalidatesPointerSharers(t *testing.T) {
 	if st, _ := c.StateOf(1, X); st != coherence.Shared {
 		t.Fatal("setup failed")
 	}
-	busReplBefore := c.Bus().Count(bus.BusRepl)
+	busReplBefore := c.Stats().BusTransactions.Count(memsys.LabelBusRepl)
 
 	// Force P0 to evict X's tag by filling its set: X is at set
 	// (0x2000>>6)&7 = 0. Blocks at stride sets*block map to set 0.
@@ -469,7 +469,7 @@ func TestBusReplInvalidatesPointerSharers(t *testing.T) {
 		if st1, _ := c.StateOf(1, X); st1 != coherence.Invalid {
 			t.Error("P0's copy evicted but P1's pointer survived (dangling)")
 		}
-		if c.Bus().Count(bus.BusRepl) == busReplBefore {
+		if c.Stats().BusTransactions.Count(memsys.LabelBusRepl) == busReplBefore {
 			t.Error("shared-copy eviction sent no BusRepl")
 		}
 	}

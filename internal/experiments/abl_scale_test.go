@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"fmt"
 	"strings"
 	"testing"
 
 	"cmpnurapid/internal/cmpsim"
+	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/workload"
 )
 
@@ -157,6 +160,54 @@ func TestBandwidthReportRenders(t *testing.T) {
 	s := NewEval(rc).BandwidthReport().String()
 	if len(s) < 100 {
 		t.Errorf("bandwidth report suspicious:\n%s", s)
+	}
+}
+
+// TestBandwidthReportReadsMeasurementWindow: the bandwidth report's
+// bus columns must equal what each cell's own Results say: issued
+// transactions (BusRd, BusRdX, BusUpg, BusRepl; flushes and pointer
+// returns answer them and take no slot) per 1 000 instructions, and
+// the window's arbitration wait. Warm-up traffic must not leak in, and
+// the report must read the standard mt/ and mp/ cells.
+func TestBandwidthReportReadsMeasurementWindow(t *testing.T) {
+	e := NewEval(RunConfig{WarmupInstr: 50_000, Instructions: 50_000, Seed: 42})
+	var keys []string
+	for _, c := range e.bandwidthCells() {
+		keys = append(keys, c.Key)
+	}
+	wantKeys := []string{"mt/private/oltp", "mt/CMP-NuRAPID/oltp", "mp/private/MIX1", "mp/CMP-NuRAPID/MIX1"}
+	if strings.Join(keys, " ") != strings.Join(wantKeys, " ") {
+		t.Errorf("bandwidth plans %v, want %v", keys, wantKeys)
+	}
+
+	rows, err := csv.NewReader(strings.NewReader(e.BandwidthReport().CSV())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string]cmpsim.Results{
+		"oltp/private":     e.MT(Private, workload.OLTP(42)),
+		"oltp/CMP-NuRAPID": e.MT(NuRAPID, workload.OLTP(42)),
+		"MIX1/private":     e.MP(Private, 0),
+		"MIX1/CMP-NuRAPID": e.MP(NuRAPID, 0),
+	}
+	if len(rows) != 1+len(results) {
+		t.Fatalf("report has %d rows, want a header and %d", len(rows), len(results))
+	}
+	for _, row := range rows[1:] {
+		r, ok := results[row[0]+"/"+row[1]]
+		if !ok {
+			t.Fatalf("unexpected row %v", row)
+		}
+		var issued uint64
+		for _, l := range []string{memsys.LabelBusRd, memsys.LabelBusRdX, memsys.LabelBusUpg, memsys.LabelBusRepl} {
+			issued += r.L2.BusTransactions.Count(l)
+		}
+		if want := fmt.Sprintf("%.2f", 1000*float64(issued)/float64(r.Instructions)); row[2] != want {
+			t.Errorf("%s/%s: Bus txns %s, want %s from the window's L2Stats", row[0], row[1], row[2], want)
+		}
+		if want := fmt.Sprint(r.L2.BusWait); row[3] != want {
+			t.Errorf("%s/%s: Bus wait cyc %s, want %s from the window's L2Stats", row[0], row[1], row[3], want)
+		}
 	}
 }
 

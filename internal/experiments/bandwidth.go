@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"cmpnurapid/internal/cmpsim"
-	"cmpnurapid/internal/core"
-	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/workload"
@@ -21,43 +18,19 @@ func (e *Eval) bandwidthInputs() []input {
 // bandwidthDesigns are the designs whose bus traffic is compared.
 var bandwidthDesigns = []DesignName{Private, NuRAPID}
 
-// busRun carries one bandwidth measurement: the simulation results
-// plus the bus counters read from the live system (Results alone does
-// not expose them).
-type busRun struct {
-	results cmpsim.Results
-	busTx   uint64
-	busWait memsys.Cycles
-}
-
-func bandwidthKey(in input, d DesignName) string { return "bw/" + in.name + "/" + string(d) }
-
-// bandwidthRun memoizes one (workload, design) traffic measurement.
-// The bus counters are read off the live L2 inside the fill; the memo
-// keeps only the numbers, not the cache.
-func (e *Eval) bandwidthRun(in input, d DesignName) busRun {
-	return e.memo(bandwidthKey(in, d), func() any {
-		w := in.new()
-		l2d := NewDesign(d)
-		br := busRun{results: simulate(l2d, w, e.RC)}
-		switch l2d := l2d.(type) {
-		case *core.Cache:
-			br.busTx, br.busWait = l2d.Bus().TotalTransactions(), l2d.Bus().WaitCycles()
-		case *l2.Private:
-			br.busTx, br.busWait = l2d.Bus().TotalTransactions(), l2d.Bus().WaitCycles()
-		}
-		return br
-	}).(busRun)
-}
-
 func (e *Eval) bandwidthCells() []Cell {
-	var cells []Cell
-	for _, in := range e.bandwidthInputs() {
-		for _, d := range bandwidthDesigns {
-			cells = append(cells, Cell{Key: bandwidthKey(in, d), Run: func() { e.bandwidthRun(in, d) }})
-		}
+	return e.cells(e.bandwidthInputs(), designs(bandwidthDesigns...)...)
+}
+
+// issuedBusTxns is the number of transactions issued on the bus: the
+// snoop flushes and pointer returns in the same distribution answer
+// them and occupy no arbitration slot.
+func issuedBusTxns(s *memsys.L2Stats) uint64 {
+	var n uint64
+	for _, l := range []string{memsys.LabelBusRd, memsys.LabelBusRdX, memsys.LabelBusUpg, memsys.LabelBusRepl} {
+		n += s.BusTransactions.Count(l)
 	}
-	return cells
+	return n
 }
 
 // BandwidthReport quantifies the traffic claims the paper makes
@@ -69,15 +42,17 @@ func (e *Eval) bandwidthCells() []Cell {
 //   - §3.2: "write through for C blocks is not likely to cause
 //     bandwidth problems" — reported as write-throughs and posted
 //     BusUpg invalidations per 1 000 instructions.
-//   - Bus health overall: transactions per 1 000 instructions and
-//     cumulative arbitration wait.
+//   - Bus health overall: issued transactions per 1 000 instructions
+//     and cumulative arbitration wait.
+//
+// Every column reads the measurement window's Results, so warm-up
+// traffic is excluded.
 func (e *Eval) BandwidthReport() *stats.Table {
 	t := stats.NewTable("Bandwidth: bus and d-group traffic per 1000 instructions",
 		"Workload", "Design", "Bus txns", "Bus wait cyc", "Demotions", "Promotions", "Write-throughs")
 	for _, in := range e.bandwidthInputs() {
 		for _, d := range bandwidthDesigns {
-			br := e.bandwidthRun(in, d)
-			r := br.results
+			r := e.result(design(d), in)
 			per1k := func(n uint64) string {
 				return fmt.Sprintf("%.2f", 1000*float64(n)/float64(r.Instructions))
 			}
@@ -86,7 +61,7 @@ func (e *Eval) BandwidthReport() *stats.Table {
 				wt += c.Writethroughs
 			}
 			s := r.L2
-			t.Row(in.name, string(d), per1k(br.busTx), fmt.Sprint(br.busWait),
+			t.Row(in.name, string(d), per1k(issuedBusTxns(s)), fmt.Sprint(s.BusWait),
 				per1k(s.Demotions), per1k(s.Promotions), per1k(wt))
 		}
 	}

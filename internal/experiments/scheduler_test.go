@@ -124,7 +124,8 @@ func TestPlanDeduplicates(t *testing.T) {
 // TestPlanCounts pins how many simulations the plans hold. A column
 // equal to an existing design reuses that design's key, so the four
 // NuRAPID ablations share their default-config columns with each other
-// and with the figures.
+// and with the figures, and bandwidth's four cells are all figure
+// cells.
 func TestPlanCounts(t *testing.T) {
 	e := NewEval(RunConfig{WarmupInstr: 1, Instructions: 1, Seed: 42})
 	optIn := "abl-promotion,abl-tags,abl-replication,abl-optimizations,abl-cmigration," +
@@ -132,7 +133,7 @@ func TestPlanCounts(t *testing.T) {
 	for spec, want := range map[string]int{
 		"abl-tags,abl-replication,abl-cmigration,abl-optimizations": 30,
 		"all":          51,
-		"all," + optIn: 118,
+		"all," + optIn: 114,
 	} {
 		sel, err := Select(spec)
 		if err != nil {
@@ -263,9 +264,8 @@ func TestExecuteCellsProgress(t *testing.T) {
 // bytes a purely sequential evaluation produces. Runs at tiny scale so
 // the race-short gate (`go test -race -short`) exercises the
 // concurrent path on every CI run. Between them the selections cover
-// every kind of memo fill: plain simulations, the seed sweep's child
-// evaluations (sens-seed) and fills that read live L2 state
-// (bandwidth).
+// both kinds of memo fill: plain simulations (which bandwidth's cells
+// also are) and the seed sweep's child evaluations (sens-seed).
 func TestSchedulerEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		exps   string

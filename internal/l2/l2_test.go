@@ -213,6 +213,11 @@ func TestPrivateReplicationMakesCopies(t *testing.T) {
 	if copies != 4 {
 		t.Errorf("%d shared copies, want 4 (uncontrolled replication)", copies)
 	}
+	// Only the cold miss goes to memory: each later reader is served
+	// cache-to-cache, by a Shared copy once no holder is in E.
+	if got := p.Stats().OffChipMisses; got != 1 {
+		t.Errorf("%d off-chip misses, want 1 (on-chip copies supply the rest)", got)
+	}
 }
 
 func TestPrivateWriteInvalidatesSharers(t *testing.T) {

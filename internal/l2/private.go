@@ -45,12 +45,13 @@ func NewPrivate() *Private {
 
 // NewPrivateWith builds private caches with explicit geometry/timing.
 func NewPrivateWith(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, hitLatency memsys.Cycles, busCfg bus.Config, memLatency memsys.Cycles) *Private {
+	st := memsys.NewL2Stats()
 	p := &Private{
 		ports:      make([]bus.Port, topo.NumCores),
-		bus:        bus.New(busCfg),
+		bus:        bus.New(busCfg, st),
 		hitLatency: hitLatency,
 		memLatency: memLatency,
-		stats:      memsys.NewL2Stats(),
+		stats:      st,
 	}
 	for c := 0; c < topo.NumCores; c++ {
 		p.caches = append(p.caches, cache.NewArray[privPayload](
@@ -71,9 +72,6 @@ func (p *Private) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { p.l1inv
 // MaintainsL1Coherence implements memsys.L1Coherent: MESI snooping
 // invalidates and downgrades L1 copies.
 func (p *Private) MaintainsL1Coherence() {}
-
-// Bus exposes the snoopy bus for traffic analysis.
-func (p *Private) Bus() *bus.Bus { return p.bus }
 
 // StateOf reports core's MESI state for addr (exposed for tests).
 func (p *Private) StateOf(core int, addr memsys.Addr) coherence.State {
@@ -198,7 +196,6 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		if busOp != coherence.BusNone {
 			// S→M upgrade: the bus transaction is on the critical path.
 			vis := p.bus.Transact(t, bus.BusUpg)
-			p.stats.BusTransactions.Inc(memsys.LabelBusUpg)
 			lat += vis.Sub(t)
 			p.snoopOthers(core, addr, coherence.BusUpg)
 		}
@@ -227,11 +224,6 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		mesiOp = coherence.BusRdX
 	}
 	vis := p.bus.Transact(t, busKind)
-	if busKind == bus.BusRd {
-		p.stats.BusTransactions.Inc(memsys.LabelBusRd)
-	} else {
-		p.stats.BusTransactions.Inc(memsys.LabelBusRdX)
-	}
 	lat += vis.Sub(t)
 	t2 := now.Add(lat)
 

@@ -58,12 +58,13 @@ func NewPrivateUpdate() *PrivateUpdate {
 
 // NewPrivateUpdateWith builds the baseline with explicit geometry.
 func NewPrivateUpdateWith(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, hitLatency memsys.Cycles, busCfg bus.Config, memLatency memsys.Cycles) *PrivateUpdate {
+	st := memsys.NewL2Stats()
 	p := &PrivateUpdate{
 		ports:      make([]bus.Port, topo.NumCores),
-		bus:        bus.New(busCfg),
+		bus:        bus.New(busCfg, st),
 		hitLatency: hitLatency,
 		memLatency: memLatency,
-		stats:      memsys.NewL2Stats(),
+		stats:      st,
 	}
 	for c := 0; c < topo.NumCores; c++ {
 		p.caches = append(p.caches, cache.NewArray[updPayload](
@@ -84,9 +85,6 @@ func (p *PrivateUpdate) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { p
 // MaintainsL1Coherence implements memsys.L1Coherent: updates drop the
 // sharers' L1 copies themselves.
 func (p *PrivateUpdate) MaintainsL1Coherence() {}
-
-// Bus exposes the bus for traffic analysis.
-func (p *PrivateUpdate) Bus() *bus.Bus { return p.bus }
 
 // LineState implements memsys.LineStateProber for stall diagnostics.
 func (p *PrivateUpdate) LineState(core int, addr memsys.Addr) string {
@@ -166,10 +164,10 @@ func (p *PrivateUpdate) kill(core int, l *cache.Line[updPayload]) {
 
 // update broadcasts core's write to the sharers: their L2 copies
 // freshen in place (stay valid, clean), their L1 copies drop, and the
-// writer becomes the dirty owner.
+// writer becomes the dirty owner. The caller accounts the broadcast's
+// bus transaction.
 func (p *PrivateUpdate) update(core int, addr memsys.Addr) {
 	p.Updates++
-	p.stats.BusTransactions.Inc(memsys.LabelBusUpg)
 	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
@@ -223,7 +221,6 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 		category = memsys.ROSMiss
 	}
 	vis := p.bus.Transact(t, bus.BusRd)
-	p.stats.BusTransactions.Inc(memsys.LabelBusRd)
 	lat += vis.Sub(t)
 	t2 := now.Add(lat)
 	if n > 0 {
@@ -243,7 +240,10 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 		pay.dirty = true
 		if n > 0 {
 			// The sharer set is unchanged since copies(): the victim
-			// kill above only touched core's own cache.
+			// kill above only touched core's own cache. The miss
+			// issues no separate transaction for the update, but it
+			// counts as a BusUpg like the hit path's.
+			p.stats.BusTransactions.Inc(memsys.LabelBusUpg)
 			p.update(core, addr)
 		}
 	}

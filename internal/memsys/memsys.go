@@ -160,8 +160,13 @@ type L2Stats struct {
 	// RWS misses (recorded at invalidation).
 	ReuseROS stats.ReuseHist
 	ReuseRWS stats.ReuseHist
-	// BusTransactions counts snoop traffic by kind.
+	// BusTransactions counts snoop traffic by kind: the transactions
+	// issued on the bus (counted by bus.Transact) plus the snoop
+	// flushes and pointer returns that answer them.
 	BusTransactions *stats.Dist
+	// BusWait accumulates the bus arbitration wait of every issued
+	// transaction (counted by bus.Transact).
+	BusWait Cycles
 	// Replications counts data copies made by controlled replication;
 	// PointerReturns counts CR pointer transfers that avoided a copy.
 	Replications   uint64
@@ -231,15 +236,8 @@ func (s *L2Stats) RecordAccess(r Result) {
 func (s *L2Stats) Reset() {
 	s.Accesses.Reset()
 	s.DataArray.Reset()
-	s.ReuseROS.Reset()
-	s.ReuseRWS.Reset()
 	s.BusTransactions.Reset()
-	s.Replications = 0
-	s.PointerReturns = 0
-	s.Promotions = 0
-	s.Demotions = 0
-	s.OffChipMisses = 0
-	s.LatencySum = 0
+	*s = L2Stats{Accesses: s.Accesses, DataArray: s.DataArray, BusTransactions: s.BusTransactions}
 }
 
 // MissRate returns the fraction of accesses that missed.

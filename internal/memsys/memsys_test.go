@@ -2,8 +2,11 @@ package memsys
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"cmpnurapid/internal/stats"
 )
 
 func TestBlockAddr(t *testing.T) {
@@ -125,5 +128,54 @@ func TestRecordAccessDataArrayLabels(t *testing.T) {
 	}
 	if got := s.DataArray.Count(LabelFarther); got != 1 {
 		t.Errorf("farther hits = %d, want 1 (d-group 0 is a real d-group)", got)
+	}
+}
+
+// TestResetZeroesEveryField sets every L2Stats field to a non-zero
+// value by reflection, resets, and requires every field to read zero
+// again, so a field added to L2Stats cannot escape the warm-up reset.
+// The distributions must survive as the same (emptied) objects.
+func TestResetZeroesEveryField(t *testing.T) {
+	s := NewL2Stats()
+	v := reflect.ValueOf(s).Elem()
+	dists := map[string]*stats.Dist{}
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch x := f.Addr().Interface().(type) {
+		case **stats.Dist:
+			(*x).Inc((*x).Labels()[0])
+			dists[name] = *x
+		case *stats.ReuseHist:
+			x.Record(1)
+		default:
+			switch f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(7)
+			case reflect.Int64:
+				f.SetInt(7)
+			default:
+				t.Fatalf("field %s has type %s, which this test cannot fill", name, f.Type())
+			}
+		}
+		if f.IsZero() || (dists[name] != nil && dists[name].Total() == 0) {
+			t.Fatalf("field %s still zero after filling", name)
+		}
+	}
+	if s.BusWait == 0 {
+		t.Fatal("BusWait was not filled")
+	}
+
+	s.Reset()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if d, ok := dists[name]; ok {
+			if got := f.Interface().(*stats.Dist); got != d || got.Total() != 0 {
+				t.Errorf("Reset: %s not the same emptied distribution (total %d)", name, got.Total())
+			}
+			continue
+		}
+		if !f.IsZero() {
+			t.Errorf("Reset left %s = %v", name, f)
+		}
 	}
 }

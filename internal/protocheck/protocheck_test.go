@@ -73,26 +73,32 @@ func TestUnreachableSnoopPairs(t *testing.T) {
 }
 
 // TestMutantsAreCaught is the seeded-mutant acceptance criterion: each
-// deliberately broken protocol must produce violations of the kind the
-// break causes.
+// registered deliberately broken protocol must produce violations of
+// the kind the break causes. A mutant registered without an expectation
+// row fails, so no seeded mutant ships ungated.
 func TestMutantsAreCaught(t *testing.T) {
-	cases := []struct {
-		mutant   string
-		kind     string
-		contains string
-	}{
-		{"restore-m-to-s", "safety", "S coexists with C"},
-		{"exit-c-on-busrdx", "c-exit", "left C"},
-		{"panic-on-shared-busrd", "panic", "panicked on reachable input"},
+	want := map[string]struct{ kind, contains string }{
+		"restore-m-to-s":        {"safety", "S coexists with C"},
+		"exit-c-on-busrdx":      {"c-exit", "left C"},
+		"panic-on-shared-busrd": {"panic", "panicked on reachable input"},
 	}
-	for _, c := range cases {
-		p, err := Mutant(c.mutant)
+	names := MutantNames()
+	if len(names) != len(want) {
+		t.Errorf("%d registered mutants, %d expectation rows", len(names), len(want))
+	}
+	for _, name := range names {
+		c, ok := want[name]
+		if !ok {
+			t.Errorf("mutant %s has no expectation row", name)
+			continue
+		}
+		p, err := Mutant(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := CheckAll(3, p)
 		if r.Ok() {
-			t.Errorf("mutant %s passed the checker", c.mutant)
+			t.Errorf("mutant %s passed the checker", name)
 			continue
 		}
 		found := false
@@ -103,7 +109,7 @@ func TestMutantsAreCaught(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("mutant %s: no [%s] violation containing %q in %v", c.mutant, c.kind, c.contains, r.Violations)
+			t.Errorf("mutant %s: no [%s] violation containing %q in %v", name, c.kind, c.contains, r.Violations)
 		}
 	}
 }

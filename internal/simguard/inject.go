@@ -1,7 +1,6 @@
 package simguard
 
 import (
-	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
 )
@@ -16,9 +15,9 @@ import (
 
 // BusJitter returns a bus.Config.GrantJitter hook adding a uniform
 // [0, max] cycle arbitration delay to every bus transaction.
-func BusJitter(seed uint64, max memsys.Cycles) func(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
+func BusJitter(seed uint64, max memsys.Cycles) func(now memsys.Cycle) memsys.Cycles {
 	src := rng.New(seed ^ 0xb05_717e8)
-	return func(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
+	return func(now memsys.Cycle) memsys.Cycles {
 		return memsys.CyclesOf(src.Intn(int(max) + 1))
 	}
 }
@@ -41,7 +40,7 @@ type Injector struct {
 	Name string
 	// Bus perturbs bus arbitration (wired into bus.Config.GrantJitter
 	// through the design's Config).
-	Bus func(now memsys.Cycle, kind bus.Kind) memsys.Cycles
+	Bus func(now memsys.Cycle) memsys.Cycles
 	// Latency perturbs observed L2 latency (wired into
 	// cmpsim.Config.ExtraLatency).
 	Latency func(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Cycles

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/memsys"
 )
 
@@ -125,7 +124,7 @@ func TestInjectorsDeterministicAndBounded(t *testing.T) {
 	b := BusJitter(9, 24)
 	for i := 0; i < 500; i++ {
 		now := memsys.Cycle(0).Add(memsys.CyclesOf(i))
-		ja, jb := a(now, bus.BusRd), b(now, bus.BusRd)
+		ja, jb := a(now), b(now)
 		if ja != jb {
 			t.Fatalf("BusJitter not reproducible at draw %d: %d vs %d", i, ja, jb)
 		}

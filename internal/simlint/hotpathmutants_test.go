@@ -10,8 +10,7 @@ import (
 // testdata/hotpathmutants to the diagnostics the hotpath rule must
 // produce for them: a fresh make inside a tick loop, a growing trace
 // append, and the fmt.Sprintf feeding it. If an analyzer refactor
-// stops catching any of these shapes, this test fails before CI's
-// mutant-catch step does.
+// stops catching any of these shapes, this test fails.
 func TestHotpathMutantsCaught(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "hotpathmutants"))
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // testdata/unitmutants to the diagnostics unitcheck must produce for
 // them. If a refactor of the analyzer stops catching either bug shape
 // — the ps-as-cycles conversion swap or the timestamp+timestamp add —
-// this test fails before CI's mutant-catch step does.
+// this test fails.
 func TestUnitMutantsCaught(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "unitmutants"))
 	if err != nil {

@@ -200,13 +200,6 @@ func (h *ReuseHist) Merge(other *ReuseHist) {
 	}
 }
 
-// Reset zeroes the histogram.
-func (h *ReuseHist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-}
-
 // Table accumulates rows of string cells and renders them with aligned
 // columns, in the style of the paper's tables. The first row added is
 // the header.
