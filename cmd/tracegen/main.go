@@ -33,46 +33,74 @@ func pick(name string, seed uint64) (cmpsim.Workload, bool) {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with the process edges (args, streams, exit code) made
+// explicit so the CLI tests can drive it. Exit codes: 0 success, 1 an
+// unreadable or unwritable trace file, 2 usage errors (each one
+// "tracegen: " line).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl      = flag.String("workload", "oltp", "workload: oltp, apache, specjbb, ocean, barnes, MIX1..MIX4")
-		ops     = flag.Int("ops", 100_000, "ops per core to record")
-		out     = flag.String("o", "", "output file (default <workload>.trace)")
-		seed    = flag.Uint64("seed", 42, "workload seed")
-		inspect = flag.String("inspect", "", "print a summary of an existing trace instead of recording")
+		wl      = fs.String("workload", "oltp", "workload: oltp, apache, specjbb, ocean, barnes, MIX1..MIX4")
+		ops     = fs.Int("ops", 100_000, "ops per core to record")
+		out     = fs.String("o", "", "output file (default <workload>.trace)")
+		seed    = fs.Uint64("seed", 42, "workload seed")
+		inspect = fs.String("inspect", "", "print a summary of an existing trace instead of recording")
 	)
-	flag.Parse()
-
-	if *inspect != "" {
-		if err := inspectTrace(*inspect); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tracegen: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
+	if *ops <= 0 {
+		return usage("-ops must be positive, got %d", *ops)
+	}
 	src, ok := pick(*wl, *seed)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tracegen: unknown workload %q\n", *wl)
-		os.Exit(1)
+		return usage("unknown workload %q", *wl)
 	}
+
+	if *inspect != "" {
+		if err := inspectTrace(stdout, *inspect); err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
+		}
+		return 0
+	}
+
 	path := *out
 	if path == "" {
 		path = *wl + ".trace"
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+	if err := record(path, src, *ops); err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
-	defer f.Close()
-	if err := trace.Record(f, src, topo.NumCores, *ops); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("recorded %d ops x %d cores of %s into %s\n", *ops, topo.NumCores, *wl, path)
+	fmt.Fprintf(stdout, "recorded %d ops x %d cores of %s into %s\n", *ops, topo.NumCores, *wl, path)
+	return 0
 }
 
-func inspectTrace(path string) error {
+// record writes opsPerCore ops of every core of src to a new file at
+// path. A failed Close is an error too: it can be the first report of
+// a failed write.
+func record(path string, src cmpsim.Workload, opsPerCore int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = trace.Record(f, src, topo.NumCores, opsPerCore)
+	return errors.Join(err, f.Close())
+}
+
+func inspectTrace(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -103,10 +131,10 @@ func inspectTrace(path string) error {
 			instrs++
 		}
 	}
-	fmt.Printf("%s: %d cores, %d ops (%d writes, %d ifetches, %d compute-only)\n",
+	fmt.Fprintf(stdout, "%s: %d cores, %d ops (%d writes, %d ifetches, %d compute-only)\n",
 		path, r.Cores(), total, writes, instrs, nomem)
 	for c, n := range perCore {
-		fmt.Printf("  core %d: %d ops\n", c, n)
+		fmt.Fprintf(stdout, "  core %d: %d ops\n", c, n)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 package cmpnurapid_test
 
 // TestFullReproduction re-derives EXPERIMENTS.md's headline claims at
-// full scale. It takes ~3 minutes, so it only runs when explicitly
-// requested:
+// full scale. It takes about a minute (56–60 s wall, ≈110 s CPU on a
+// 2-vCPU Xeon VM), so it only runs when explicitly requested:
 //
 //	CMPNURAPID_FULL=1 go test -run TestFullReproduction -timeout 30m .
 
@@ -16,7 +16,7 @@ import (
 
 func TestFullReproduction(t *testing.T) {
 	if os.Getenv("CMPNURAPID_FULL") == "" {
-		t.Skip("set CMPNURAPID_FULL=1 to run the full-scale reproduction (~3 min)")
+		t.Skip("set CMPNURAPID_FULL=1 to run the full-scale reproduction (56–60 s on a 2-vCPU VM)")
 	}
 	e := experiments.NewEval(experiments.DefaultRunConfig())
 

@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"runtime"
 	"testing"
 
 	"cmpnurapid/internal/core"
@@ -44,19 +45,39 @@ func (s *System) maxCycle() memsys.Cycle {
 	return m
 }
 
-// BenchmarkSimStep is the per-cycle microbenchmark behind
-// BENCH_quick.json: one scheduler step per iteration, round-robin
-// across cores, over the CMP-NuRAPID design (the deepest per-access
-// path: private tags, d-groups, MESIC, bus). The committed trajectory
-// holds its allocs/op at zero; sim-cycles/sec is its throughput metric.
-func BenchmarkSimStep(b *testing.B) {
+// simStepOp is BenchmarkSimStep's loop body: the i-th call steps core
+// i mod 4, round-robin.
+func simStepOp(s *System) func(i int) {
+	return func(i int) { s.step(i % s.cfg.Cores) }
+}
+
+// runQuantumOp is BenchmarkRunQuantum's loop body: one complete
+// measurement quantum.
+func runQuantumOp(s *System) func(i int) {
+	return func(int) {
+		s.Warmup(0) // resets quantum baselines; executes no steps
+		s.Run(200)
+	}
+}
+
+// warmOp builds the bench system, warms it for 10,000 instructions per
+// core and returns it with op's loop body bound to it. The benchmarks
+// time that body and the allocation tests below count it, so both
+// measure the same loop.
+func warmOp(op func(*System) func(int)) (*System, func(int)) {
 	s := benchSystem()
 	s.Warmup(10_000)
+	return s, op(s)
+}
+
+// runSimBench times op and reports its simulated-cycle throughput.
+func runSimBench(b *testing.B, op func(*System) func(int)) {
+	s, f := warmOp(op)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := s.maxCycle()
 	for i := 0; i < b.N; i++ {
-		s.step(i % s.cfg.Cores)
+		f(i)
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
@@ -64,24 +85,35 @@ func BenchmarkSimStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSimStep is the per-cycle microbenchmark: one scheduler step
+// per iteration, round-robin across cores, over the CMP-NuRAPID design
+// (the deepest per-access path: private tags, d-groups, MESIC, bus).
+// TestStepDoesNotAllocate holds its loop body at zero allocations;
+// sim-cycles/sec is its throughput metric.
+func BenchmarkSimStep(b *testing.B) { runSimBench(b, simStepOp) }
+
 // BenchmarkRunQuantum measures the full scheduler loop end to end —
 // runUntil over CMP-NuRAPID with the synthetic bench workload, one
 // complete measurement quantum per iteration — so scheduler overhead
 // is captured in context, not just in isolation.
-func BenchmarkRunQuantum(b *testing.B) {
-	s := benchSystem()
-	s.Warmup(10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := s.maxCycle()
-	for i := 0; i < b.N; i++ {
-		s.Warmup(0) // resets quantum baselines; executes no steps
-		s.Run(200)
+// TestRunQuantumAllocs pins its allocations.
+func BenchmarkRunQuantum(b *testing.B) { runSimBench(b, runQuantumOp) }
+
+// perRun counts the heap allocations and bytes of the i-th call of f,
+// averaged over runs calls after one warm-up call, the way
+// testing.AllocsPerRun counts allocations (GOMAXPROCS 1, truncated
+// mean) and a benchmark reports B/op.
+func perRun(runs int, f func(int)) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		f(i)
 	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(s.maxCycle().Sub(start))/secs, "simcycles/sec")
-	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs),
+		(after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestStepDoesNotAllocate holds the per-cycle path to zero heap
@@ -90,14 +122,21 @@ func BenchmarkRunQuantum(b *testing.B) {
 // the lint misses, or an audited marker hiding a per-cycle cost) shows
 // up as a nonzero average.
 func TestStepDoesNotAllocate(t *testing.T) {
-	s := benchSystem()
-	s.Warmup(10_000)
-	next := 0
-	avg := testing.AllocsPerRun(20_000, func() {
-		s.step(next)
-		next = (next + 1) % s.cfg.Cores
-	})
-	if avg != 0 {
-		t.Fatalf("step allocates %.4f times per call, want 0", avg)
+	_, f := warmOp(simStepOp)
+	if allocs, bytes := perRun(20_000, f); allocs != 0 || bytes != 0 {
+		t.Fatalf("step allocates %d times (%d B) per call, want 0", allocs, bytes)
+	}
+}
+
+// TestRunQuantumAllocs pins a measurement quantum's allocations: the
+// quantum's steps allocate nothing, and results appends the four
+// 64-byte CoreResults one at a time, growing Results.Cores through
+// capacities 1, 2 and 4 (3 allocations, 448 bytes). Any other count is
+// a change to the allocation profile, an improvement included; update
+// the pin in the commit that explains it.
+func TestRunQuantumAllocs(t *testing.T) {
+	_, f := warmOp(runQuantumOp)
+	if allocs, bytes := perRun(500, f); allocs != 3 || bytes != 448 {
+		t.Fatalf("a quantum allocates %d times (%d B), want 3 (448 B)", allocs, bytes)
 	}
 }

@@ -15,39 +15,55 @@ func benchCache() *Cache {
 	return New(DefaultConfig())
 }
 
-func BenchmarkHitClosest(b *testing.B) {
+// The four access benchmarks below share runAccessBench: each one's
+// setup builds and primes a cache and returns one iteration's body,
+// and TestAccessBenchesDoNotAllocate counts those same bodies.
+var accessBenches = []struct {
+	name  string
+	setup func() func(i int)
+}{
+	{"HitClosest", hitClosest},
+	{"HitCommunication", hitCommunication},
+	{"MissCapacity", missCapacity},
+	{"MixedWorkload", mixedWorkload},
+}
+
+func runAccessBench(b *testing.B, setup func() func(int)) {
 	b.ReportAllocs()
+	op := setup()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+func hitClosest() func(int) {
 	c := benchCache()
 	addr := memsys.Addr(0x1000)
 	c.Access(0, 0, addr, false)
-	b.ResetTimer()
 	now := memsys.Cycle(100)
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		c.Access(now, 0, addr, false)
 		now += 10
 	}
 }
 
-func BenchmarkHitCommunication(b *testing.B) {
-	b.ReportAllocs()
+func hitCommunication() func(int) {
 	c := benchCache()
 	addr := memsys.Addr(0x2000)
 	c.Access(0, 0, addr, true)
 	c.Access(50, 1, addr, false) // C group
-	b.ResetTimer()
 	now := memsys.Cycle(100)
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		c.Access(now, i%2, addr, i%2 == 0)
 		now += 10
 	}
 }
 
-func BenchmarkMissCapacity(b *testing.B) {
-	b.ReportAllocs()
+func missCapacity() func(int) {
 	c := benchCache()
-	b.ResetTimer()
 	now := memsys.Cycle(0)
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		// A fresh block every time: always a capacity miss with the
 		// full placement path (tag victim, demotion chain once full).
 		c.Access(now, i%4, memsys.Addr(i*128), false)
@@ -55,13 +71,11 @@ func BenchmarkMissCapacity(b *testing.B) {
 	}
 }
 
-func BenchmarkMixedWorkload(b *testing.B) {
-	b.ReportAllocs()
+func mixedWorkload() func(int) {
 	c := benchCache()
 	r := rng.New(1)
-	b.ResetTimer()
 	now := memsys.Cycle(0)
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		core := r.Intn(4)
 		var addr memsys.Addr
 		switch r.Intn(3) {
@@ -74,6 +88,24 @@ func BenchmarkMixedWorkload(b *testing.B) {
 		}
 		c.Access(now, core, addr, r.Bool(0.3))
 		now += 10
+	}
+}
+
+func BenchmarkHitClosest(b *testing.B)       { runAccessBench(b, hitClosest) }
+func BenchmarkHitCommunication(b *testing.B) { runAccessBench(b, hitCommunication) }
+func BenchmarkMissCapacity(b *testing.B)     { runAccessBench(b, missCapacity) }
+func BenchmarkMixedWorkload(b *testing.B)    { runAccessBench(b, mixedWorkload) }
+
+// TestAccessBenchesDoNotAllocate holds every access benchmark's loop
+// body at zero heap allocations: hits, communication, the capacity
+// miss path with its demotion chain, and the mixed stream.
+func TestAccessBenchesDoNotAllocate(t *testing.T) {
+	for _, bench := range accessBenches {
+		op := bench.setup()
+		i := 0
+		if avg := testing.AllocsPerRun(10_000, func() { op(i); i++ }); avg != 0 {
+			t.Errorf("%s allocates %.0f times per access, want 0", bench.name, avg)
+		}
 	}
 }
 

@@ -7,37 +7,47 @@ import (
 	"cmpnurapid/internal/rng"
 )
 
-func BenchmarkSharedAccess(b *testing.B) {
+// The baseline designs' access benchmarks share runAccessBench: each
+// one's setup builds a design and returns one iteration's body, and
+// TestAccessBenchesDoNotAllocate counts those same bodies.
+var accessBenches = []struct {
+	name  string
+	setup func() func(i int)
+}{
+	{"SharedAccess", sharedAccesses},
+	{"SNUCAAccess", snucaAccesses},
+	{"PrivateAccess", privateAccesses},
+}
+
+func runAccessBench(b *testing.B, setup func() func(int)) {
 	b.ReportAllocs()
-	s := NewUniformShared()
-	r := rng.New(1)
-	now := memsys.Cycle(0)
+	op := setup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+func sharedAccesses() func(int) { return uniformAccesses(NewUniformShared()) }
+func snucaAccesses() func(int)  { return uniformAccesses(NewSNUCA()) }
+
+// uniformAccesses draws blocks uniformly from a 64K-block space.
+func uniformAccesses(s memsys.L2) func(int) {
+	r := rng.New(1)
+	now := memsys.Cycle(0)
+	return func(int) {
 		s.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<16)*128), r.Bool(0.3))
 		now += 10
 	}
 }
 
-func BenchmarkSNUCAAccess(b *testing.B) {
-	b.ReportAllocs()
-	s := NewSNUCA()
-	r := rng.New(1)
-	now := memsys.Cycle(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<16)*128), r.Bool(0.3))
-		now += 10
-	}
-}
-
-func BenchmarkPrivateAccess(b *testing.B) {
-	b.ReportAllocs()
+// privateAccesses sends 70% of each core's accesses to its own region
+// and the rest to a shared one.
+func privateAccesses() func(int) {
 	p := NewPrivate()
 	r := rng.New(1)
 	now := memsys.Cycle(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		core := r.Intn(4)
 		var addr memsys.Addr
 		if r.Bool(0.7) {
@@ -47,5 +57,21 @@ func BenchmarkPrivateAccess(b *testing.B) {
 		}
 		p.Access(now, core, addr, r.Bool(0.3))
 		now += 10
+	}
+}
+
+func BenchmarkSharedAccess(b *testing.B)  { runAccessBench(b, sharedAccesses) }
+func BenchmarkSNUCAAccess(b *testing.B)   { runAccessBench(b, snucaAccesses) }
+func BenchmarkPrivateAccess(b *testing.B) { runAccessBench(b, privateAccesses) }
+
+// TestAccessBenchesDoNotAllocate holds every baseline design's
+// benchmark loop body at zero heap allocations.
+func TestAccessBenchesDoNotAllocate(t *testing.T) {
+	for _, bench := range accessBenches {
+		op := bench.setup()
+		i := 0
+		if avg := testing.AllocsPerRun(10_000, func() { op(i); i++ }); avg != 0 {
+			t.Errorf("%s allocates %.0f times per access, want 0", bench.name, avg)
+		}
 	}
 }
