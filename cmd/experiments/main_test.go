@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -89,6 +92,72 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 	if !strings.Contains(seqOut, "Figure 7") || !strings.Contains(seqOut, "Table 3") {
 		t.Errorf("selection did not render the requested tables:\n%s", seqOut)
 	}
+}
+
+// TestGoldens is the byte-level output contract (docs/PARALLEL.md):
+// the quick Table 1 + Figure 5 selection must equal its golden at
+// -parallel 1, 4 and 8, the opt-in ablations and sweeps must equal
+// theirs at -parallel 1 and 4, and the whole -exp all selection, which
+// has no golden, must render the same bytes at -parallel 1 and 4.
+// Skipped under -short: TestSchedulerEquivalence and
+// TestParallelOutputMatchesSequential cover the worker-count contract
+// under the race gate.
+func TestGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs -exp all and the golden selections; skipped under -short (race gate)")
+	}
+	const optin = "abl-promotion,abl-tags,abl-replication,abl-optimizations,abl-cmigration," +
+		"abl-update,abl-dnuca,bandwidth,capacity,sens-size,sens-seed"
+	cases := []struct {
+		name     string
+		golden   string // under docs/golden; "" means the first run is the reference
+		args     []string
+		parallel []string
+	}{
+		{"quick", "quick_table1_fig5.golden",
+			[]string{"-exp", "table1,fig5", "-warmup", "200000", "-instr", "200000"}, []string{"1", "4", "8"}},
+		{"optin", "tiny_optin.golden",
+			[]string{"-exp", optin, "-warmup", "50000", "-instr", "50000"}, []string{"1", "4"}},
+		{"all", "",
+			[]string{"-exp", "all", "-warmup", "50000", "-instr", "50000"}, []string{"1", "4"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want, ref string
+			if tc.golden != "" {
+				ref = filepath.Join("..", "..", "docs", "golden", tc.golden)
+				b, err := os.ReadFile(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = string(b)
+			}
+			for _, p := range tc.parallel {
+				stdout, stderr, code := runCLI(t, append([]string{"-quiet", "-parallel", p}, tc.args...)...)
+				if code != 0 {
+					t.Fatalf("-parallel %s exited %d\nstderr: %s", p, code, stderr)
+				}
+				if ref == "" {
+					want, ref = stdout, "-parallel "+p
+					continue
+				}
+				if stdout != want {
+					t.Errorf("-parallel %s: stdout differs from %s at %s", p, ref, firstDiff(want, stdout))
+				}
+			}
+		})
+	}
+}
+
+// firstDiff names the first line at which got departs from want.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d:\n want %q\n  got %q", i+1, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("line %d: want %d lines, got %d", min(len(w), len(g))+1, len(w), len(g))
 }
 
 // TestProgressOnStderr: cell progress and render timings go to stderr,

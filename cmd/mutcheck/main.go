@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs    = fs.String("pkgs", "", "comma-separated package dirs to mutate (default: all hot packages)")
 		write   = fs.String("write", "", "write the JSON report to this file")
 		diff    = fs.String("diff", "", "diff the run against this committed baseline (kill ratio may rise, never fall)")
-		allowF  = fs.String("allow", "MUTATION_allow", "allowlist file of equivalent mutants (mutcheck:survives <reason>)")
+		allowF  = fs.String("allow", "MUTATION_allow", "allowlist file of equivalent mutants (mutcheck:survives <reason>); a relative path is taken from the module root")
 		shadow  = fs.String("shadow", "", "shadow copy directory (default: under the system temp dir; reuse keeps builds cached)")
 		timeout = fs.Duration("timeout", 60*time.Second, "go test -timeout per mutant (runaway mutants self-kill)")
 		list    = fs.Bool("list", false, "list mutation operators and hot packages, then exit")
@@ -101,7 +101,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	allow, err := mutcheck.LoadAllowlist(filepath.Join(root, *allowF))
+	allowPath := *allowF
+	if !filepath.IsAbs(allowPath) {
+		allowPath = filepath.Join(root, allowPath)
+	}
+	allow, err := mutcheck.LoadAllowlist(allowPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "mutcheck:", err)
 		return 2

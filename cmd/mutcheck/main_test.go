@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -44,5 +46,22 @@ func TestDiffAgainstMissingBaselineFailsFast(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "no_such_file.json") {
 		t.Errorf("stderr: %s", stderr.String())
+	}
+}
+
+// TestAbsoluteAllowPathIsReadAsGiven: an absolute -allow path is read
+// as given, not joined onto the module root, so a reason-less entry
+// in it is a parse error (exit 2) before the baseline is even opened.
+func TestAbsoluteAllowPathIsReadAsGiven(t *testing.T) {
+	allow := filepath.Join(t.TempDir(), "allow")
+	if err := os.WriteFile(allow, []byte("internal/cache/cache.go:1:1:relswap mutcheck:survives\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-allow", allow, "-diff", "no_such_file.json"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "without a reason") {
+		t.Errorf("stderr does not report the allowlist parse error: %s", stderr.String())
 	}
 }

@@ -1,13 +1,9 @@
 package protocheck
 
-import "fmt"
-
 // Result aggregates every check protocheck runs over a set of
 // protocols.
 type Result struct {
-	MaxN         int
-	Explorations []*Exploration // per protocol, per N in 2..MaxN
-	DiffStates   int            // lockstep differential state count at MaxN
+	Explorations []*Exploration // per protocol, per N in 2..maxN
 	Violations   []Violation
 }
 
@@ -26,7 +22,7 @@ func CheckAll(maxN int, protocols ...*Protocol) *Result {
 	if len(protocols) == 0 {
 		protocols = []*Protocol{MESI(), MESIC()}
 	}
-	r := &Result{MaxN: maxN}
+	r := &Result{}
 	names := map[string]bool{}
 	for _, p := range protocols {
 		names[p.Name] = true
@@ -42,24 +38,8 @@ func CheckAll(maxN int, protocols ...*Protocol) *Result {
 		}
 	}
 	if names["MESI"] && names["MESIC"] {
-		states, violations := DiffExplore(maxN)
-		r.DiffStates = states
+		_, violations := DiffExplore(maxN)
 		r.Violations = append(r.Violations, violations...)
 	}
 	return r
-}
-
-// Summary renders a short human-readable account of what was checked.
-func (r *Result) Summary() string {
-	out := ""
-	for _, e := range r.Explorations {
-		out += fmt.Sprintf("%-6s N=%d: %4d joint states, %5d transitions, %2d unreachable snoop inputs\n",
-			e.Protocol.Name, e.N, e.States, e.Edges, len(e.UnreachableSnoopPairs()))
-	}
-	if r.DiffStates > 0 {
-		out += fmt.Sprintf("differential (dirty-free lockstep, N=%d): %d state pairs, MESI ≡ MESIC\n",
-			r.MaxN, r.DiffStates)
-	}
-	out += fmt.Sprintf("violations: %d\n", len(r.Violations))
-	return out
 }

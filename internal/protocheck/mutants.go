@@ -8,9 +8,8 @@ import (
 )
 
 // Mutants are deliberately broken variants of MESIC used to prove the
-// checker actually catches protocol bugs (cmd/protocheck's -mutant
-// flag and the tests in this package). Each one re-introduces a
-// plausible hand-coding mistake.
+// checker actually catches protocol bugs (TestMutantsAreCaught). Each
+// one re-introduces a plausible hand-coding mistake.
 var mutants = map[string]func() *Protocol{
 	// restore-m-to-s puts back the MESI M→S arc the paper deletes: an
 	// M holder snooping a BusRd hands the reader a C copy while itself

@@ -25,7 +25,9 @@
 // A golden encoding of the paper's Figure 4 (golden.go) pins the
 // expected transition relation, so any drift in internal/coherence —
 // including re-introducing the deleted M→S arc — fails the check.
-// cmd/protocheck wires this into scripts/check.sh and CI.
+// The package's own tests are the gate: TestRealProtocolsPassEverything
+// runs the whole battery and TestProtocolDoc keeps docs/PROTOCOL.md in
+// sync (`go generate ./internal/protocheck` refreshes it).
 package protocheck
 
 import (
@@ -105,7 +107,7 @@ var allSignals = []coherence.Signals{
 // Violation is one check failure, with enough provenance to reproduce
 // it by hand.
 type Violation struct {
-	Kind    string // "safety", "c-exit", "panic", "totality", "unreachable", "golden", "differential", "doc"
+	Kind    string // "safety", "c-exit", "panic", "totality", "unreachable", "golden", "differential"
 	Message string
 }
 

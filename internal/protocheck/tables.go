@@ -209,16 +209,16 @@ func (p *Protocol) SnoopTable(e *Exploration) string {
 	return b.String()
 }
 
+//go:generate go run gendoc.go
+
 // Markers bracketing the generated block in docs/PROTOCOL.md.
 const (
-	DocBegin = "<!-- BEGIN protocheck:generated — run `go run ./cmd/protocheck -write` to refresh -->"
+	DocBegin = "<!-- BEGIN protocheck:generated — run `go generate ./internal/protocheck` to refresh -->"
 	DocEnd   = "<!-- END protocheck:generated -->"
 )
 
 // DocExplorations runs the canonical exploration set the published
-// tables are generated from — both protocols at N=2..4 — so the doc
-// block is byte-identical no matter what -n a particular check run
-// used.
+// tables are generated from — both protocols at N=2..4.
 func DocExplorations() []*Exploration {
 	var es []*Exploration
 	for _, p := range []*Protocol{MESI(), MESIC()} {
@@ -236,9 +236,9 @@ func GenerateDoc(explorations []*Exploration) string {
 	var b strings.Builder
 	b.WriteString("## Verified transition tables (generated)\n\n")
 	b.WriteString("Everything between the `protocheck:generated` markers is produced by\n")
-	b.WriteString("`go run ./cmd/protocheck -write` from the *actual* transition functions\n")
-	b.WriteString("in `internal/coherence` — do not edit by hand. `cmd/protocheck` fails\n")
-	b.WriteString("CI if this section drifts from the code or the code drifts from the\n")
+	b.WriteString("`go generate ./internal/protocheck` from the *actual* transition functions\n")
+	b.WriteString("in `internal/coherence` — do not edit by hand. `go test ./internal/protocheck`\n")
+	b.WriteString("fails if this section drifts from the code or the code drifts from the\n")
 	b.WriteString("golden Figure 4 encoding (`internal/protocheck/golden.go`).\n\n")
 
 	byProto := map[string][]*Exploration{}

@@ -1,6 +1,7 @@
 package protocheck
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -67,5 +68,18 @@ func TestSpliceDocRoundTrip(t *testing.T) {
 	}
 	if DocInSync(doc, block) {
 		t.Error("stale doc reported in sync")
+	}
+}
+
+// TestProtocolDoc is the docs/PROTOCOL.md sync check: the committed
+// generated block must equal what the code generates now. It only
+// reads the file; `go generate ./internal/protocheck` rewrites it.
+func TestProtocolDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !DocInSync(doc, GenerateDoc(DocExplorations())) {
+		t.Error("docs/PROTOCOL.md generated block is stale; run `go generate ./internal/protocheck`")
 	}
 }

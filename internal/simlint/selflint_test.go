@@ -25,16 +25,15 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestSelfLint runs the full default pass suite over this repository —
-// the same gate cmd/simlint applies in scripts/check.sh and CI — so a
-// plain `go test ./...` already exercises every analyzer end-to-end on
-// real sources and fails on any new violation.
+// TestSelfLint runs the full default pass suite over this repository,
+// so a plain `go test ./...` exercises every analyzer end-to-end on
+// real sources and fails on any new violation. It is the only place
+// the suite runs over the repository.
 func TestSelfLint(t *testing.T) {
 	if testing.Short() {
-		// The race-short gate runs `go run ./cmd/simlint ./...`
-		// separately; type-checking the stdlib under -race is the
-		// slowest single test in the tree.
-		t.Skip("self-lint skipped under -short; cmd/simlint covers it")
+		// Type-checking the stdlib under -race is the slowest single
+		// test in the tree; the normal-mode `go test ./...` runs it.
+		t.Skip("self-lint skipped under -short; the normal-mode run covers it")
 	}
 	prog, err := Load(repoRoot(t))
 	if err != nil {

@@ -11,8 +11,8 @@
 // go/types with the source importer), matching the repository's
 // zero-dependency go.mod. Each rule is an independent Analyzer with
 // its own file and table-driven tests on synthetic source fixtures;
-// cmd/simlint wires them into a CLI that scripts/check.sh and CI run
-// on every change. See docs/ANALYSIS.md for the rule catalogue.
+// TestSelfLint runs the whole suite over this repository on every
+// `go test ./...`. See docs/ANALYSIS.md for the rule catalogue.
 package simlint
 
 import (
