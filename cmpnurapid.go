@@ -34,7 +34,6 @@ import (
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/experiments"
 	"cmpnurapid/internal/memsys"
-	"cmpnurapid/internal/nurapid"
 	"cmpnurapid/internal/topo"
 	"cmpnurapid/internal/trace"
 	"cmpnurapid/internal/workload"
@@ -90,21 +89,6 @@ func DefaultNuRAPIDConfig() NuRAPIDConfig { return core.DefaultConfig() }
 // inspection surface (StateOf, Occupancy, CheckInvariants) used
 // by tests and the protocol-walkthrough example.
 type NuRAPIDCache = core.Cache
-
-// UniprocessorNuRAPID is the single-core NuRAPID substrate [8] the CMP
-// design extends: distance associativity, forward/reverse pointers,
-// promotion and demotion — without coherence or sharing.
-type UniprocessorNuRAPID = nurapid.Cache
-
-// UniprocessorConfig configures the substrate.
-type UniprocessorConfig = nurapid.Config
-
-// DefaultUniprocessorConfig returns an 8 MB four-d-group NuRAPID at
-// the Table 1 latencies.
-func DefaultUniprocessorConfig() UniprocessorConfig { return nurapid.DefaultConfig() }
-
-// NewUniprocessorNuRAPID builds the substrate cache.
-func NewUniprocessorNuRAPID(cfg UniprocessorConfig) *UniprocessorNuRAPID { return nurapid.New(cfg) }
 
 // NewCMPNuRAPID builds a CMP-NuRAPID cache from an explicit config.
 func NewCMPNuRAPID(cfg NuRAPIDConfig) *NuRAPIDCache { return core.New(cfg) }

@@ -65,6 +65,14 @@ type Config struct {
 // DefaultConfig matches the paper's Table 1 bus.
 func DefaultConfig() Config { return Config{Latency: 32, SlotCycles: 4} }
 
+// Validate panics unless the latency and slot width are positive.
+// New runs it, and so does every design config that embeds a bus.
+func (cfg Config) Validate() {
+	if cfg.Latency <= 0 || cfg.SlotCycles <= 0 {
+		panic("bus: non-positive latency or slot width")
+	}
+}
+
 // Bus tracks slot occupancy. It is not safe for concurrent use; the
 // simulator is single-threaded by design (the simulated cores
 // interleave deterministically).
@@ -77,9 +85,7 @@ type Bus struct {
 // New creates a bus with the given configuration that counts its
 // transactions and arbitration wait into stats.
 func New(cfg Config, stats *memsys.L2Stats) *Bus {
-	if cfg.Latency <= 0 || cfg.SlotCycles <= 0 {
-		panic("bus: non-positive latency or slot width")
-	}
+	cfg.Validate()
 	return &Bus{cfg: cfg, stats: stats}
 }
 

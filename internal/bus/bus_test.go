@@ -140,13 +140,15 @@ func TestPortZeroValueUsable(t *testing.T) {
 }
 
 func TestGrantJitterDelaysGrant(t *testing.T) {
-	b, s := newBus(Config{Latency: 32, SlotCycles: 4,
-		GrantJitter: func(now memsys.Cycle) memsys.Cycles { return 10 }})
-	if got := b.Transact(0, BusRd); got != 42 {
-		t.Errorf("jittered transaction visible at %d, want 42 (10 jitter + 32 latency)", got)
-	}
-	if s.BusWait != 10 {
-		t.Errorf("BusWait = %d, want 10 (jitter counts as arbitration wait)", s.BusWait)
+	for _, j := range []memsys.Cycles{1, 10} {
+		b, s := newBus(Config{Latency: 32, SlotCycles: 4,
+			GrantJitter: func(now memsys.Cycle) memsys.Cycles { return j }})
+		if got, want := b.Transact(0, BusRd), memsys.Cycle(0).Add(j+32); got != want {
+			t.Errorf("jitter %d: transaction visible at %d, want %d (jitter + 32 latency)", j, got, want)
+		}
+		if s.BusWait != j {
+			t.Errorf("jitter %d: BusWait = %d (jitter counts as arbitration wait)", j, s.BusWait)
+		}
 	}
 }
 

@@ -14,8 +14,6 @@
 package cmpsim
 
 import (
-	"fmt"
-
 	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/cacti"
 	"cmpnurapid/internal/memsys"
@@ -52,7 +50,6 @@ type CommunicationProber interface {
 // Config sets the per-core L1 parameters (paper §4.1 defaults) and the
 // robustness envelope every run executes under.
 type Config struct {
-	Cores     int
 	L1Bytes   memsys.Bytes
 	L1Ways    int
 	L1Block   memsys.Bytes
@@ -90,7 +87,6 @@ type Config struct {
 // 3-cycle latency.
 func DefaultConfig() Config {
 	return Config{
-		Cores:     topo.NumCores,
 		L1Bytes:   64 << 10,
 		L1Ways:    2,
 		L1Block:   64,
@@ -160,20 +156,29 @@ type System struct {
 	onStep func(core int)
 }
 
-// Validate panics unless the L1 configuration is structurally sound.
-// New runs it on every construction so hand-built configs fail fast.
+// Validate panics unless the L1 configuration is one New can build:
+// positive fields that make a power-of-two number of sets of
+// power-of-two blocks. New runs it on every construction so
+// hand-built configs fail fast.
 func (cfg Config) Validate() {
-	if cfg.Cores != topo.NumCores {
-		panic(fmt.Sprintf("cmpsim: config requires %d cores", topo.NumCores))
-	}
 	if cfg.L1Bytes <= 0 || cfg.L1Ways <= 0 || cfg.L1Block <= 0 || cfg.L1Latency <= 0 {
 		panic("cmpsim: L1 geometry and latency must be positive")
 	}
+	cfg.l1Geometry().Validate()
 	if cfg.MaxCycles < 0 {
 		panic("cmpsim: negative MaxCycles (0 derives a ceiling from the instruction budget)")
 	}
 	if cfg.StallWindow < 0 {
 		panic("cmpsim: negative StallWindow (0 selects the default window)")
+	}
+}
+
+// l1Geometry is the shape of each core's L1 I and D arrays.
+func (cfg Config) l1Geometry() cache.Geometry {
+	return cache.Geometry{
+		Sets:       cfg.L1Bytes.Per(cfg.L1Block.Times(cfg.L1Ways)),
+		Ways:       cfg.L1Ways,
+		BlockBytes: cfg.L1Block,
 	}
 }
 
@@ -187,12 +192,8 @@ func New(cfg Config, l2 memsys.L2, w Workload) *System {
 	if _, ok := l2.(memsys.L1Coherent); !ok {
 		s.directory = true
 	}
-	geo := cache.Geometry{
-		Sets:       cfg.L1Bytes.Per(cfg.L1Block.Times(cfg.L1Ways)),
-		Ways:       cfg.L1Ways,
-		BlockBytes: cfg.L1Block,
-	}
-	for i := 0; i < cfg.Cores; i++ {
+	geo := cfg.l1Geometry()
+	for i := 0; i < topo.NumCores; i++ {
 		s.cores = append(s.cores, &coreState{
 			l1d: cache.NewArray[l1Line](geo),
 			l1i: cache.NewArray[l1Line](geo),
@@ -201,22 +202,23 @@ func New(cfg Config, l2 memsys.L2, w Workload) *System {
 	if inv, ok := l2.(memsys.L1Invalidator); ok {
 		inv.SetL1Invalidate(s.invalidateL1)
 	}
-	s.phaseDone = make([]bool, cfg.Cores)
+	s.phaseDone = make([]bool, topo.NumCores)
 	return s
 }
 
 // L2 returns the underlying design.
 func (s *System) L2() memsys.L2 { return s.l2 }
 
+// l2Block is the span of one L2 block, which inclusion invalidations
+// and dirty-copy probes cover in the L1s. L1 blocks are powers of two:
+// a smaller one is probed at each L1Block step inside the L2 block, and
+// a larger one holds the whole L2 block and is found at its start.
+const l2Block memsys.Bytes = topo.BlockBytes
+
 // invalidateL1 preserves inclusion: the L2 calls this when core must
 // drop its L1 copies covering the L2 block.
 func (s *System) invalidateL1(core int, addr memsys.Addr) {
 	cs := s.cores[core]
-	// An L2 block may span several L1 blocks (128 B vs 64 B).
-	l2Block := memsys.Bytes(128)
-	if s.cfg.L1Block > l2Block {
-		l2Block = s.cfg.L1Block
-	}
 	base := addr.BlockAddr(l2Block)
 	for off := memsys.Bytes(0); off < l2Block; off += s.cfg.L1Block {
 		a := base + memsys.Addr(off)
@@ -243,7 +245,7 @@ func (s *System) l2Access(now memsys.Cycle, core int, addr memsys.Addr, write bo
 		}
 	}
 	if s.directory {
-		for o := 0; o < s.cfg.Cores; o++ {
+		for o := 0; o < topo.NumCores; o++ {
 			if o == core {
 				continue
 			}
@@ -258,10 +260,6 @@ func (s *System) l2Access(now memsys.Cycle, core int, addr memsys.Addr, write bo
 // dirtyL1Copy reports whether core's L1 D-cache holds a dirty line of
 // the L2 block containing addr.
 func (s *System) dirtyL1Copy(core int, addr memsys.Addr) bool {
-	l2Block := memsys.Bytes(128)
-	if s.cfg.L1Block > l2Block {
-		l2Block = s.cfg.L1Block
-	}
 	base := addr.BlockAddr(l2Block)
 	cs := s.cores[core]
 	for off := memsys.Bytes(0); off < l2Block; off += s.cfg.L1Block {

@@ -7,7 +7,6 @@ import (
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
-	"cmpnurapid/internal/topo"
 )
 
 // scriptedWorkload replays fixed per-core op lists, then idles with
@@ -33,7 +32,7 @@ func (w *scriptedWorkload) Next(core int) Op {
 func (w *scriptedWorkload) Name() string { return "scripted" }
 
 func smallCfg() Config {
-	return Config{Cores: 4, L1Bytes: 1 << 10, L1Ways: 2, L1Block: 64, L1Latency: 3}
+	return Config{L1Bytes: 1 << 10, L1Ways: 2, L1Block: 64, L1Latency: 3}
 }
 
 func sharedL2() memsys.L2 {
@@ -74,6 +73,28 @@ func TestComputeOpsAdvanceClock(t *testing.T) {
 	if r.Cores[0].Cycles != 100 || r.Cores[0].Instructions != 100 {
 		t.Errorf("compute op: %d cycles %d instr, want 100/100",
 			r.Cores[0].Cycles, r.Cores[0].Instructions)
+	}
+}
+
+// TestEarlyFinisherReportsItsQuantum: a core that completes its
+// quantum keeps running while a slower core catches up, but its
+// results stop at the quantum. Core 1's cold L2 miss puts it far
+// ahead in time, so cores 0, 2 and 3 finish at cycle 100 and then run
+// on as laggards.
+func TestEarlyFinisherReportsItsQuantum(t *testing.T) {
+	ops := [][]Op{{}, {{Addr: 0x1000}}, {}, {}}
+	s := New(smallCfg(), sharedL2(), newScripted(ops))
+	r := s.Run(100)
+	for c, cr := range r.Cores {
+		if cr.Instructions != 100 {
+			t.Errorf("core %d reports %d instructions, want its quantum of 100", c, cr.Instructions)
+		}
+	}
+	if got := r.Cores[0].Cycles; got != 100 {
+		t.Errorf("core 0 reports %d cycles, want the 100 it took to finish", got)
+	}
+	if s.cores[0].instructions <= 100 {
+		t.Fatalf("core 0 stopped at %d instructions; the test needs it to run past its quantum", s.cores[0].instructions)
 	}
 }
 
@@ -236,6 +257,27 @@ func TestL1SpansL2Block(t *testing.T) {
 	}
 }
 
+// TestL2BlockInsideL1Block checks inclusion when an L1 block is larger
+// than the L2's: dropping the 128 B L2 block at 0x080 must drop the
+// 256 B L1 block that holds it, so the L1 block's first half misses.
+func TestL2BlockInsideL1Block(t *testing.T) {
+	sh := l2.NewShared("tiny", 1<<10, 1, 128, 10, 100)
+	ops := [][]Op{
+		{
+			{Addr: 0x080}, // L1 block 0x000-0x0ff, L2 block 0x080
+			{Addr: 0x480}, // evicts L2 block 0x080; another L1 way
+			{Addr: 0x000}, // must miss: its L1 block was dropped
+		},
+		{}, {}, {},
+	}
+	cfg := smallCfg()
+	cfg.L1Bytes, cfg.L1Block = 2<<10, 256
+	r := New(cfg, sh, newScripted(ops)).Run(3)
+	if r.Cores[0].L1DMisses != 3 {
+		t.Errorf("L1D misses = %d, want 3 (the enclosing L1 block must drop)", r.Cores[0].L1DMisses)
+	}
+}
+
 func TestRunInterleavesAllCores(t *testing.T) {
 	ops := [][]Op{}
 	for c := 0; c < 4; c++ {
@@ -330,12 +372,6 @@ func TestIdealFasterThanUniformShared(t *testing.T) {
 	ri := idl.Run(200)
 	if Speedup(ri, ru) <= 1 {
 		t.Errorf("ideal speedup %v over uniform-shared, want > 1", Speedup(ri, ru))
-	}
-}
-
-func TestTopoCoresMatch(t *testing.T) {
-	if DefaultConfig().Cores != topo.NumCores {
-		t.Error("core count mismatch")
 	}
 }
 

@@ -158,17 +158,22 @@ func TestValidateRejectsNegativeGuards(t *testing.T) {
 }
 
 // TestValidateL1Boundaries: each L1 geometry and latency field is
-// rejected at zero and accepted at one, its smallest positive value.
+// rejected at zero and accepted at its smallest buildable value. For
+// L1Bytes that is one set of smallCfg's two 64 B ways; every other
+// field builds at one.
 func TestValidateL1Boundaries(t *testing.T) {
-	for name, set := range map[string]func(*Config, int){
-		"L1Bytes":   func(c *Config, v int) { c.L1Bytes = memsys.Bytes(v) },
-		"L1Ways":    func(c *Config, v int) { c.L1Ways = v },
-		"L1Block":   func(c *Config, v int) { c.L1Block = memsys.Bytes(v) },
-		"L1Latency": func(c *Config, v int) { c.L1Latency = memsys.CyclesOf(v) },
+	for name, f := range map[string]struct {
+		set func(*Config, int)
+		min int
+	}{
+		"L1Bytes":   {func(c *Config, v int) { c.L1Bytes = memsys.Bytes(v) }, 128},
+		"L1Ways":    {func(c *Config, v int) { c.L1Ways = v }, 1},
+		"L1Block":   {func(c *Config, v int) { c.L1Block = memsys.Bytes(v) }, 1},
+		"L1Latency": {func(c *Config, v int) { c.L1Latency = memsys.CyclesOf(v) }, 1},
 	} {
-		for _, v := range []int{0, 1} {
+		for _, v := range []int{0, f.min} {
 			cfg := smallCfg()
-			set(&cfg, v)
+			f.set(&cfg, v)
 			func() {
 				defer func() {
 					if rejected := recover() != nil; rejected != (v == 0) {
@@ -177,6 +182,32 @@ func TestValidateL1Boundaries(t *testing.T) {
 				}()
 				cfg.Validate()
 			}()
+			if v != 0 {
+				New(cfg, sharedL2(), lockstepWorkload{})
+			}
 		}
+	}
+}
+
+// TestValidateRejectsUnbuildableL1: Validate itself must reject every
+// L1 shape cache.NewArray cannot build (a set count or block size that
+// is not a power of two), not leave New to panic inside the cache.
+func TestValidateRejectsUnbuildableL1(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"L1Bytes=1":    func(c *Config) { c.L1Bytes = 1 },
+		"L1Bytes=1000": func(c *Config) { c.L1Bytes = 1000 },
+		"L1Ways=3":     func(c *Config) { c.L1Ways = 3 },
+		"L1Block=96":   func(c *Config) { c.L1Block = 96 },
+	} {
+		cfg := smallCfg()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted by Validate", name)
+				}
+			}()
+			cfg.Validate()
+		}()
 	}
 }

@@ -255,6 +255,15 @@ func TestRunZeroQuantumNeedsNoSteps(t *testing.T) {
 	if len(r.Cores) != 4 || r.Instructions != 0 {
 		t.Errorf("Run(0) results: %+v", r)
 	}
+	// An empty window reports IPC 0, not 0/0 = NaN.
+	if r.Cycles != 0 || r.IPC != 0 {
+		t.Errorf("Run(0): %d cycles, IPC %v; want 0 and 0", r.Cycles, r.IPC)
+	}
+	for c, cr := range r.Cores {
+		if cr.IPC != 0 {
+			t.Errorf("Run(0): core %d IPC %v, want 0", c, cr.IPC)
+		}
+	}
 }
 
 // TestHeapMatchesScanAfterReentry pins phase re-entry: a

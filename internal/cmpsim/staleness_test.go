@@ -8,6 +8,7 @@ import (
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
+	"cmpnurapid/internal/topo"
 )
 
 // The multi-level staleness property (§3.2): after any store by core A
@@ -81,14 +82,14 @@ func stepOnce(s *System) (coreID int, op Op) {
 
 func runStaleDetector(t *testing.T, mk func() memsys.L2, steps int, l2Block memsys.Bytes) {
 	t.Helper()
-	cfg := Config{Cores: 4, L1Bytes: 1 << 10, L1Ways: 2, L1Block: 64, L1Latency: 3}
+	cfg := Config{L1Bytes: 1 << 10, L1Ways: 2, L1Block: 64, L1Latency: 3}
 	sys := New(cfg, mk(), &randomWorkload{r: rng.New(99)})
 	for i := 0; i < steps; i++ {
 		coreID, op := stepOnce(sys)
 		if op.NoMem || !op.Write {
 			continue
 		}
-		for o := 0; o < cfg.Cores; o++ {
+		for o := 0; o < topo.NumCores; o++ {
 			if o == coreID {
 				continue
 			}

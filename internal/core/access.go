@@ -4,6 +4,7 @@ import (
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/topo"
 )
 
 // Access implements memsys.L2: one reference by core at cycle now.
@@ -91,7 +92,7 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 			// Write-through plus a posted invalidating broadcast so C
 			// sharers drop stale L1 copies while keeping their tags.
 			lat += c.post(t, bus.BusUpg)
-			for o := 0; o < c.cfg.Cores; o++ {
+			for o := 0; o < topo.NumCores; o++ {
 				if o == core {
 					continue
 				}
@@ -134,7 +135,7 @@ func (c *Cache) replicate(core int, addr memsys.Addr, line *tagLine) {
 	if owns {
 		// Safe to repoint mid-scan: core's own tag already moved to np
 		// above, so only other cores' tags still match src.
-		for o := 0; o < c.cfg.Cores; o++ {
+		for o := 0; o < topo.NumCores; o++ {
 			if ol := c.pointsAt(o, addr, src); ol != nil {
 				ol.Data.fwd = np
 			}
@@ -156,7 +157,7 @@ func (c *Cache) migrateC(core int, addr memsys.Addr, line *tagLine) {
 	c.unpin()
 	np := ptr{cl, nf}
 	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state == coherence.Communication {
 			ol.Data.fwd = np
 		}
@@ -171,7 +172,7 @@ func (c *Cache) migrateC(core int, addr memsys.Addr, line *tagLine) {
 // writer.
 func (c *Cache) upgradeToM(core int, addr memsys.Addr, line *tagLine) {
 	p := line.Data.fwd
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
 		}
@@ -203,7 +204,7 @@ type snoopState struct {
 // shared/dirty lines would.
 func (c *Cache) snoop(core int, addr memsys.Addr) snoopState {
 	s := snoopState{bestLat: 1 << 30}
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
 		}
@@ -266,7 +267,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	}
 
 	// Read: all clean holders transition E→S / stay S (snoop side).
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
 		}
@@ -311,7 +312,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 		// writer enters C pointing its tag entry to the already-
 		// existing data copy, and writes to the copy. Thus, the copy
 		// stays close to the reader." (§3.2)
-		for o := 0; o < c.cfg.Cores; o++ {
+		for o := 0; o < topo.NumCores; o++ {
 			if o == core {
 				continue
 			}
@@ -337,7 +338,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	nf := c.freeFrameIn(t, core, cl, freed)
 	np := ptr{cl, nf}
 	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
 		}
@@ -385,7 +386,7 @@ func (c *Cache) missDirtyMESI(t memsys.Cycle, core int, addr memsys.Addr, write 
 // invalidateAllOthers kills every other core's tag entry for addr,
 // freeing any data copies those entries own.
 func (c *Cache) invalidateAllOthers(core int, addr memsys.Addr) {
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
 		}

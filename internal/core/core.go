@@ -66,7 +66,6 @@ func (p PromotionPolicy) String() string {
 
 // Config describes a CMP-NuRAPID instance.
 type Config struct {
-	Cores      int
 	BlockBytes memsys.Bytes
 
 	// TagSets/TagWays size each core's private tag array. The paper
@@ -146,7 +145,6 @@ func (r ReplicationPolicy) String() string {
 func DefaultConfig() Config {
 	l := topo.Derive()
 	return Config{
-		Cores:           topo.NumCores,
 		BlockBytes:      topo.BlockBytes,
 		TagSets:         2 * (topo.PrivateBytes / (topo.BlockBytes * topo.PrivateAssoc)),
 		TagWays:         topo.PrivateAssoc,
@@ -229,21 +227,44 @@ type Cache struct {
 	CMigrations uint64
 }
 
-// Validate panics unless the configuration is structurally sound: the
-// fixed 4-core floorplan, tag arrays that cover at least one d-group,
-// and positive geometry. New runs it on every construction, so any
-// hand-built Config fails fast instead of producing a silently
-// misshapen cache.
+// Validate panics unless New can build the configuration: tag arrays
+// cache.NewArray accepts that cover at least one d-group, a valid bus,
+// non-negative latencies and thresholds, and policies that exist. New
+// runs it on every construction, so any hand-built Config fails fast
+// instead of producing a silently misshapen cache.
 func (cfg Config) Validate() {
-	if cfg.Cores != topo.NumCores {
-		panic(fmt.Sprintf("core: config requires %d cores (floorplan is fixed)", topo.NumCores))
-	}
-	if cfg.BlockBytes <= 0 || cfg.TagSets <= 0 || cfg.TagWays <= 0 || cfg.DGroupFrames <= 0 {
-		panic("core: block size, tag geometry and d-group frames must be positive")
+	cfg.tagGeometry().Validate()
+	if cfg.DGroupFrames <= 0 {
+		panic("core: d-group frames must be positive")
 	}
 	if cfg.TagSets*cfg.TagWays < cfg.DGroupFrames {
 		panic("core: tag arrays must cover at least one d-group of frames")
 	}
+	cfg.Bus.Validate()
+	if cfg.TagLatency < 0 || cfg.MemLatency < 0 || cfg.DGroupOccupancy < 0 {
+		panic("core: negative tag, memory or d-group occupancy latency")
+	}
+	for _, row := range cfg.DGroupLat {
+		for _, l := range row {
+			if l < 0 {
+				panic("core: negative d-group latency")
+			}
+		}
+	}
+	if cfg.Replication < ReplicateSecondUse || cfg.Replication > ReplicateNever {
+		panic(fmt.Sprintf("core: unknown replication policy %d", int(cfg.Replication)))
+	}
+	if cfg.Promotion < Fastest || cfg.Promotion > NoPromotion {
+		panic(fmt.Sprintf("core: unknown promotion policy %d", int(cfg.Promotion)))
+	}
+	if cfg.CMigrationThreshold < 0 {
+		panic("core: negative CMigrationThreshold (0 disables migration)")
+	}
+}
+
+// tagGeometry is the shape of each core's private tag array.
+func (cfg Config) tagGeometry() cache.Geometry {
+	return cache.Geometry{Sets: cfg.TagSets, Ways: cfg.TagWays, BlockBytes: cfg.BlockBytes}
 }
 
 // New builds a CMP-NuRAPID cache.
@@ -252,16 +273,14 @@ func New(cfg Config) *Cache {
 	st := memsys.NewL2Stats()
 	c := &Cache{
 		cfg:         cfg,
-		tagPort:     make([]bus.Port, cfg.Cores),
+		tagPort:     make([]bus.Port, topo.NumCores),
 		bus:         bus.New(cfg.Bus, st),
 		rand:        rng.New(cfg.Seed),
 		stats:       st,
 		pinnedFrame: ptr{dgroup: -1, frame: -1},
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		c.tags = append(c.tags, cache.NewArray[tagPayload](cache.Geometry{
-			Sets: cfg.TagSets, Ways: cfg.TagWays, BlockBytes: cfg.BlockBytes,
-		}))
+	for i := 0; i < topo.NumCores; i++ {
+		c.tags = append(c.tags, cache.NewArray[tagPayload](cfg.tagGeometry()))
 	}
 	for g := 0; g < topo.NumDGroups; g++ {
 		dg := &dgroup{frames: make([]frameInfo, cfg.DGroupFrames)}
@@ -365,22 +384,11 @@ func (c *Cache) post(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
 	return wait
 }
 
-// recordLifetime folds a dying tag entry into the Figure 7 reuse
-// histograms.
-func (c *Cache) recordLifetime(p tagPayload) {
-	switch p.broughtBy {
-	case memsys.ROSMiss:
-		c.stats.ReuseROS.Record(p.reuses)
-	case memsys.RWSMiss:
-		c.stats.ReuseRWS.Record(p.reuses)
-	}
-}
-
 // killTag invalidates core's tag entry l (recording its lifetime) and
 // drops the L1 copy for inclusion.
 func (c *Cache) killTag(core int, l *tagLine) {
 	addr := c.tags[core].AddrOf(l)
-	c.recordLifetime(l.Data)
+	c.stats.RecordLifetime(l.Data.broughtBy, l.Data.reuses)
 	c.tags[core].Invalidate(l)
 	c.dropL1(core, addr)
 }

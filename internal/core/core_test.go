@@ -15,8 +15,8 @@ import (
 // per d-group (64 total), simple latencies.
 func tinyConfig() Config {
 	cfg := Config{
-		Cores: 4, BlockBytes: 64,
-		TagSets: 8, TagWays: 4,
+		BlockBytes: 64,
+		TagSets:    8, TagWays: 4,
 		DGroupFrames: 16,
 		TagLatency:   1,
 		MemLatency:   50,
@@ -636,6 +636,67 @@ func TestDefaultConfigConstructs(t *testing.T) {
 		now += 10
 	}
 	c.CheckInvariants()
+}
+
+// TestValidateRejectsUnbuildable: Validate itself must reject every
+// config New cannot build or that would run with a meaningless
+// parameter, not leave it to a panic inside cache or bus, or to a
+// silent run.
+func TestValidateRejectsUnbuildable(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"TagSets=3":              func(c *Config) { c.TagSets = 3 },
+		"TagSets=5":              func(c *Config) { c.TagSets = 5 }, // 20 tags cover 16 frames
+		"TagWays=65":             func(c *Config) { c.TagWays = 65 },
+		"BlockBytes=96":          func(c *Config) { c.BlockBytes = 96 },
+		"Bus.Latency=0":          func(c *Config) { c.Bus.Latency = 0 },
+		"Bus.SlotCycles=0":       func(c *Config) { c.Bus.SlotCycles = 0 },
+		"TagLatency=-1":          func(c *Config) { c.TagLatency = -1 },
+		"MemLatency=-1":          func(c *Config) { c.MemLatency = -1 },
+		"DGroupOccupancy=-1":     func(c *Config) { c.DGroupOccupancy = -1 },
+		"DGroupLat[3][0]=-1":     func(c *Config) { c.DGroupLat[3][0] = -1 },
+		"Promotion=7":            func(c *Config) { c.Promotion = 7 },
+		"Promotion=-1":           func(c *Config) { c.Promotion = -1 },
+		"Replication=9":          func(c *Config) { c.Replication = 9 },
+		"Replication=-1":         func(c *Config) { c.Replication = -1 },
+		"CMigrationThreshold=-1": func(c *Config) { c.CMigrationThreshold = -1 },
+	} {
+		cfg := tinyConfig()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted by Validate", name)
+				}
+			}()
+			cfg.Validate()
+		}()
+	}
+}
+
+// TestValidateAcceptsBoundaries: the smallest legal value of each
+// field Validate bounds still builds.
+func TestValidateAcceptsBoundaries(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"TagLatency=0":          func(c *Config) { c.TagLatency = 0 },
+		"MemLatency=0":          func(c *Config) { c.MemLatency = 0 },
+		"DGroupOccupancy=0":     func(c *Config) { c.DGroupOccupancy = 0 },
+		"DGroupLat[0][0]=0":     func(c *Config) { c.DGroupLat[0][0] = 0 },
+		"Promotion=NoPromotion": func(c *Config) { c.Promotion = NoPromotion },
+		"Replication=Never":     func(c *Config) { c.Replication = ReplicateNever },
+		"CMigrationThreshold=0": func(c *Config) { c.CMigrationThreshold = 0 },
+		"Bus.SlotCycles=1":      func(c *Config) { c.Bus.SlotCycles = 1 },
+	} {
+		cfg := tinyConfig()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s rejected: %v", name, r)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestIsCommunication(t *testing.T) {

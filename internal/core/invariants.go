@@ -5,6 +5,7 @@ import (
 
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/topo"
 )
 
 // CheckInvariants validates the cache's full pointer and coherence
@@ -162,7 +163,7 @@ func (c *Cache) OwnershipByDGroup() (own, stolen [4]int) {
 
 // TagOccupancy returns the number of valid tag entries per core.
 func (c *Cache) TagOccupancy() []int {
-	occ := make([]int, c.cfg.Cores)
+	occ := make([]int, topo.NumCores)
 	for i, ta := range c.tags {
 		occ[i] = ta.CountValid()
 	}

@@ -84,7 +84,7 @@ func (c *Cache) pointsAt(o int, addr memsys.Addr, p ptr) *tagLine {
 
 // anyDirtyTag reports whether any tag pointing at p holds it dirty.
 func (c *Cache) anyDirtyTag(addr memsys.Addr, p ptr) bool {
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if l := c.pointsAt(o, addr, p); l != nil && l.Data.state.Dirty() {
 			return true
 		}
@@ -103,7 +103,7 @@ func (c *Cache) evictFrame(now memsys.Cycle, p ptr) {
 		c.Writebacks++
 	}
 	shared := false
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if l := c.pointsAt(o, addr, p); l != nil && !l.Data.state.PrivateBlock() {
 			shared = true
 		}
@@ -115,7 +115,7 @@ func (c *Cache) evictFrame(now memsys.Cycle, p ptr) {
 	}
 	// killTag only touches core o's own tag, so re-probing per core
 	// sees exactly the holder set the scans above saw.
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if l := c.pointsAt(o, addr, p); l != nil {
 			c.killTag(o, l)
 		}
@@ -284,7 +284,7 @@ func (c *Cache) evictFrameSharedRemainder(now memsys.Cycle, addr memsys.Addr, p 
 		c.Writebacks++
 	}
 	c.post(now, bus.BusRepl)
-	for o := 0; o < c.cfg.Cores; o++ {
+	for o := 0; o < topo.NumCores; o++ {
 		if l := c.pointsAt(o, addr, p); l != nil {
 			c.killTag(o, l)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"cmpnurapid/internal/cmpsim"
@@ -11,14 +12,55 @@ import (
 	"cmpnurapid/internal/workload"
 )
 
-// cmpsimSpeedup aliases cmpsim.Speedup for test brevity.
-var cmpsimSpeedup = cmpsim.Speedup
+// sharedEval is one Eval per distinct RunConfig of this file's tests.
+// The first test to need it simulates the union of the cells its
+// tests read in one parallel pass, so a cell two tests share is
+// simulated once.
+type sharedEval struct {
+	rc       RunConfig
+	cells    func(e *Eval) []Cell
+	once     sync.Once
+	e        *Eval
+	failures []CellFailure
+}
+
+func (s *sharedEval) get(t *testing.T) *Eval {
+	t.Helper()
+	s.once.Do(func() {
+		s.e = NewEval(s.rc)
+		plan := Plan([]Experiment{{Name: "shared", Cells: s.cells}}, s.e)
+		s.failures = ExecuteCells(plan, DefaultParallelism(), false, nil)
+	})
+	for _, f := range s.failures {
+		t.Fatalf("cell %s failed: %v", f.Key, f.Value)
+	}
+	return s.e
+}
 
 // ablationRC is the smallest scale at which the ablation effects are
 // measurable: the tag arrays and d-groups must actually fill before
 // tag capacity or promotion policy can matter.
 func ablationRC() RunConfig {
 	return RunConfig{WarmupInstr: 3_000_000, Instructions: 1_500_000, Seed: 42}
+}
+
+// ablationEval serves the promotion (MIX3) and tag-capacity (OLTP)
+// ablations.
+var ablationEval = &sharedEval{rc: ablationRC(), cells: func(e *Eval) []Cell {
+	return append(e.cells([]input{e.mpInput(2)}, ablPromotion.configs()...),
+		e.cells([]input{e.mtInput(workload.OLTP(42))}, ablTags.configs()...)...)
+}}
+
+// sensEval serves the 2M+1M seed-42 tests: the 8 MB size point and the
+// SNUCA/DNUCA comparison on OLTP, and CMP-NuRAPID on MIX1.
+var sensEval = &sharedEval{
+	rc: RunConfig{WarmupInstr: 2_000_000, Instructions: 1_000_000, Seed: 42},
+	cells: func(e *Eval) []Cell {
+		oltp := []input{e.mtInput(workload.OLTP(42))}
+		return append(append(e.cells(oltp, sizePoint(8).configs()...),
+			e.cells(oltp, designs(UniformShared, NonUniform, DNUCA)...)...),
+			e.cells([]input{e.mpInput(0)}, design(NuRAPID))...)
+	},
 }
 
 // TestAblationPromotionOrdering checks §3.3.1: in CMPs the fastest
@@ -30,7 +72,7 @@ func TestAblationPromotionOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	e := NewEval(ablationRC())
+	e := ablationEval.get(t)
 	sp := ablPromotion.speedups(e, e.mpInput(2))
 	fastest, next := sp[0], sp[1]
 	if fastest <= 1.0 {
@@ -48,7 +90,7 @@ func TestAblationTagCapacity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	e := NewEval(ablationRC())
+	e := ablationEval.get(t)
 	s := ablTags.speedups(e, e.mtInput(workload.OLTP(42)))
 	x1, x2, x4 := s[0], s[1], s[2]
 	if x2 < x4*0.99 {
@@ -66,9 +108,8 @@ func TestSizeSensitivityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity simulation skipped in -short mode")
 	}
-	rc := RunConfig{WarmupInstr: 2_000_000, Instructions: 1_000_000, Seed: 42}
-	e := NewEval(rc)
-	sp := sizePoint(8).speedups(e, e.mtInput(workload.OLTP(rc.Seed)))
+	e := sensEval.get(t)
+	sp := sizePoint(8).speedups(e, e.mtInput(workload.OLTP(e.RC.Seed)))
 	priv, nur := sp[0], sp[1]
 	if nur <= 1 || nur <= priv*0.95 {
 		t.Errorf("8 MB point broken: private %.3f, NuRAPID %.3f", priv, nur)
@@ -81,15 +122,43 @@ func TestSeedOrderingStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity simulation skipped in -short mode")
 	}
-	rc := RunConfig{WarmupInstr: 1_500_000, Instructions: 700_000, Seed: 0}
-	e := NewEval(rc)
-	for _, seed := range []uint64{7, 1234, 999999} {
+	e := seedEval.get(t)
+	for _, seed := range orderingSeeds {
 		sub := e.subEval(seed)
 		if nur, priv := sub.Speedup(NuRAPID), sub.Speedup(Private); !(nur > priv && priv > 1) {
 			t.Error("CMP-NuRAPID > private > uniform-shared ordering unstable across seeds")
 			break
 		}
 	}
+}
+
+// orderingSeeds are the seeds TestSeedOrderingStable checks.
+var orderingSeeds = []uint64{7, 1234, 999999}
+
+// seedEval serves TestSeedOrderingStable: each seed's commercial rows
+// on the designs its speedups read. Another seed's cells are keyed
+// under its seed, as the sens-seed experiment keys them.
+var seedEval = &sharedEval{
+	rc: RunConfig{WarmupInstr: 1_500_000, Instructions: 700_000, Seed: 0},
+	cells: func(e *Eval) []Cell {
+		var cells []Cell
+		for _, seed := range orderingSeeds {
+			sub := e.subEval(seed)
+			for _, c := range sub.cells(sub.inputs(commercialRows), designs(UniformShared, Private, NuRAPID)...) {
+				c.Key = fmt.Sprintf("seed/%d/%s", seed, c.Key)
+				cells = append(cells, c)
+			}
+		}
+		return cells
+	},
+}
+
+// updateEval serves TestUpdateProtocolTradeoffs.
+var updateEval = &sharedEval{
+	rc: RunConfig{WarmupInstr: 2_500_000, Instructions: 1_200_000, Seed: 42},
+	cells: func(e *Eval) []Cell {
+		return e.cells([]input{e.mtInput(workload.OLTP(42))}, ablUpdate.configs()...)
+	},
 }
 
 // TestUpdateProtocolTradeoffs checks §3.2's argument end to end on
@@ -101,9 +170,8 @@ func TestUpdateProtocolTradeoffs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	rc := RunConfig{WarmupInstr: 2_500_000, Instructions: 1_200_000, Seed: 42}
-	e := NewEval(rc)
-	sp := ablUpdate.speedups(e, e.mtInput(workload.OLTP(rc.Seed)))
+	e := updateEval.get(t)
+	sp := ablUpdate.speedups(e, e.mtInput(workload.OLTP(e.RC.Seed)))
 	inv, upd, isc := sp[0], sp[1], sp[2]
 	if isc <= upd {
 		t.Errorf("ISC (%.3f) not above update protocol (%.3f); §3.2's argument should hold", isc, upd)
@@ -121,11 +189,11 @@ func TestDNUCALosesToSNUCA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	rc := RunConfig{WarmupInstr: 2_000_000, Instructions: 1_000_000, Seed: 42}
-	p := workload.OLTP(rc.Seed)
-	base := RunProfile(UniformShared, p, rc)
-	snuca := cmpsimSpeedup(RunProfile(NonUniform, p, rc), base)
-	dnuca := cmpsimSpeedup(RunProfile(DNUCA, p, rc), base)
+	e := sensEval.get(t)
+	p := workload.OLTP(e.RC.Seed)
+	base := e.MT(UniformShared, p)
+	snuca := cmpsim.Speedup(e.MT(NonUniform, p), base)
+	dnuca := cmpsim.Speedup(e.MT(DNUCA, p), base)
 	if dnuca >= snuca {
 		t.Errorf("CMP-DNUCA (%.3f) not below CMP-SNUCA (%.3f); [6]'s result should reproduce", dnuca, snuca)
 	}
@@ -138,11 +206,10 @@ func TestDemotionBandwidthClaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation-scale simulation skipped in -short mode")
 	}
-	rc := RunConfig{WarmupInstr: 2_000_000, Instructions: 1_000_000, Seed: 42}
 	// MIX1's non-uniform demand drives capacity stealing; multithreaded
 	// workloads replace frame-for-frame in the closest d-group and
 	// rarely demote at all.
-	r := NewEval(rc).MP(NuRAPID, 0)
+	r := sensEval.get(t).MP(NuRAPID, 0)
 	rate := 1000 * float64(r.L2.Demotions) / float64(r.Instructions)
 	if rate > 50 {
 		t.Errorf("demotion rate %.2f per 1000 instructions contradicts the bandwidth claim", rate)

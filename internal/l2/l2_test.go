@@ -182,20 +182,51 @@ func TestPrivateHitLatency(t *testing.T) {
 	}
 }
 
+// privateDesign is what the tests below need of the two private-cache
+// designs, which classify misses and keep L1 inclusion alike.
+type privateDesign interface {
+	memsys.L2
+	SetL1Invalidate(fn func(core int, addr memsys.Addr))
+	CheckInvariants()
+}
+
 func TestPrivateMissClassification(t *testing.T) {
-	p := smallPrivate()
-	A, B := memsys.Addr(0x1000), memsys.Addr(0x2000)
-	if r := p.Access(0, 0, A, false); r.Category != memsys.CapacityMiss {
-		t.Errorf("cold: %v", r.Category)
+	for _, p := range []privateDesign{smallPrivate(), smallUpdate()} {
+		A, B := memsys.Addr(0x1000), memsys.Addr(0x2000)
+		if r := p.Access(0, 0, A, false); r.Category != memsys.CapacityMiss {
+			t.Errorf("%s cold: %v", p.Name(), r.Category)
+		}
+		if r := p.Access(100, 1, A, false); r.Category != memsys.ROSMiss {
+			t.Errorf("%s clean elsewhere: %v, want ROS", p.Name(), r.Category)
+		}
+		p.Access(200, 2, B, true)
+		if r := p.Access(300, 3, B, false); r.Category != memsys.RWSMiss {
+			t.Errorf("%s dirty elsewhere: %v, want RWS", p.Name(), r.Category)
+		}
+		p.CheckInvariants()
 	}
-	if r := p.Access(100, 1, A, false); r.Category != memsys.ROSMiss {
-		t.Errorf("clean elsewhere: %v, want ROS", r.Category)
+}
+
+// TestPrivateEvictionInvalidatesL1: a core's L2 eviction drops that
+// core's L1 copy of the victim (inclusion), in both private designs.
+func TestPrivateEvictionInvalidatesL1(t *testing.T) {
+	for _, p := range []privateDesign{smallPrivate(), smallUpdate()} {
+		var dropped []memsys.Addr
+		p.SetL1Invalidate(func(core int, addr memsys.Addr) {
+			if core == 0 {
+				dropped = append(dropped, addr)
+			}
+		})
+		// Five blocks in one set of a 4-way, 16-set cache: the fifth
+		// evicts the least recently used, block 0.
+		for i := 0; i < 5; i++ {
+			p.Access(memsys.Cycle(100*i), 0, memsys.Addr(i*1024), false)
+		}
+		if len(dropped) != 1 || dropped[0] != 0 {
+			t.Errorf("%s: core 0's L1 drops %v, want [0]", p.Name(), dropped)
+		}
+		p.CheckInvariants()
 	}
-	p.Access(200, 2, B, true)
-	if r := p.Access(300, 3, B, false); r.Category != memsys.RWSMiss {
-		t.Errorf("dirty elsewhere: %v, want RWS", r.Category)
-	}
-	p.CheckInvariants()
 }
 
 func TestPrivateReplicationMakesCopies(t *testing.T) {

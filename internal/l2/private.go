@@ -96,12 +96,7 @@ func (p *Private) blockBytes() memsys.Bytes { return p.caches[0].Geometry().Bloc
 // L1 inclusion.
 func (p *Private) kill(core int, l *cache.Line[privPayload]) {
 	addr := p.caches[core].AddrOf(l)
-	switch l.Data.broughtBy {
-	case memsys.ROSMiss:
-		p.stats.ReuseROS.Record(l.Data.reuses)
-	case memsys.RWSMiss:
-		p.stats.ReuseRWS.Record(l.Data.reuses)
-	}
+	p.stats.RecordLifetime(l.Data.broughtBy, l.Data.reuses)
 	if l.Data.state == coherence.Modified {
 		p.Writebacks++
 	}

@@ -145,12 +145,7 @@ func (p *PrivateUpdate) copies(core int, addr memsys.Addr) (n, first int, dirty 
 
 func (p *PrivateUpdate) kill(core int, l *cache.Line[updPayload]) {
 	addr := p.caches[core].AddrOf(l)
-	switch l.Data.broughtBy {
-	case memsys.ROSMiss:
-		p.stats.ReuseROS.Record(l.Data.reuses)
-	case memsys.RWSMiss:
-		p.stats.ReuseRWS.Record(l.Data.reuses)
-	}
+	p.stats.RecordLifetime(l.Data.broughtBy, l.Data.reuses)
 	if l.Data.dirty {
 		// The owner's eviction hands write-back duty to memory; any
 		// remaining sharers keep clean copies.

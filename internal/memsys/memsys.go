@@ -231,6 +231,18 @@ func (s *L2Stats) RecordAccess(r Result) {
 	}
 }
 
+// RecordLifetime folds a dying L2 entry, and the reuses it saw, into
+// the Figure 7 histograms: ReuseROS if an ROS miss brought it in,
+// ReuseRWS if an RWS miss did. Other entries are not in Figure 7.
+func (s *L2Stats) RecordLifetime(broughtBy Category, reuses int) {
+	switch broughtBy {
+	case ROSMiss:
+		s.ReuseROS.Record(reuses)
+	case RWSMiss:
+		s.ReuseRWS.Record(reuses)
+	}
+}
+
 // Reset zeroes all measurements; the simulator calls it after cache
 // warm-up so figures reflect steady state, as the paper measures.
 func (s *L2Stats) Reset() {

@@ -179,3 +179,21 @@ func TestResetZeroesEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordLifetimeByBringer: Figure 7's rule. An entry an ROS miss
+// brought in lands in ReuseROS, an RWS-brought one in ReuseRWS, and
+// capacity-miss entries in neither.
+func TestRecordLifetimeByBringer(t *testing.T) {
+	s := NewL2Stats()
+	s.RecordLifetime(ROSMiss, 0)
+	s.RecordLifetime(RWSMiss, 3)
+	s.RecordLifetime(RWSMiss, 9)
+	s.RecordLifetime(CapacityMiss, 1)
+	if s.ReuseROS.Total() != 1 || s.ReuseROS.Count(stats.Reuse0) != 1 {
+		t.Errorf("ReuseROS = %d lifetimes, %d with 0 reuses; want 1, 1",
+			s.ReuseROS.Total(), s.ReuseROS.Count(stats.Reuse0))
+	}
+	if s.ReuseRWS.Total() != 2 || s.ReuseRWS.Count(stats.Reuse2to5) != 1 || s.ReuseRWS.Count(stats.ReuseOver5) != 1 {
+		t.Errorf("ReuseRWS buckets wrong: %d total", s.ReuseRWS.Total())
+	}
+}

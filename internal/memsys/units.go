@@ -56,9 +56,6 @@ func CyclesOf(n int) Cycles { return Cycles(n) }
 // Times scales a duration by a dimensionless count.
 func (d Cycles) Times(n int) Cycles { return d * Cycles(n) }
 
-// BytesOf types a raw byte count as a capacity.
-func BytesOf(n int) Bytes { return Bytes(n) }
-
 // MB types a mebibyte count as a capacity (the sweep inputs are in MB).
 func MB(n int) Bytes { return Bytes(n) << 20 }
 

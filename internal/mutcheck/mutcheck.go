@@ -94,13 +94,12 @@ func SelectSites(sites []Site, cap int) []Site {
 // developer can reproduce with plain `go test`.
 var DefaultPackages = map[string][]string{
 	"internal/bus":       {"./internal/bus", "./internal/cmpsim", "."},
-	"internal/cache":     {"./internal/cache", "./internal/core", "./internal/l2", "./internal/nurapid", "./internal/cmpsim", "."},
+	"internal/cache":     {"./internal/cache", "./internal/core", "./internal/l2", "./internal/cmpsim", "."},
 	"internal/cmpsim":    {"./internal/cmpsim", "."},
 	"internal/coherence": {"./internal/coherence", "./internal/core", "./internal/l2", "."},
 	"internal/core":      {"./internal/core", "./internal/cmpsim", "."},
 	"internal/l2":        {"./internal/l2", "."},
 	"internal/memsys":    {"./internal/memsys", "./internal/bus", "./internal/cache", "./internal/core", "./internal/l2", "./internal/cmpsim", "."},
-	"internal/nurapid":   {"./internal/nurapid", "."},
 }
 
 // PackageNames returns the DefaultPackages keys, sorted.

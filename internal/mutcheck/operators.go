@@ -34,15 +34,6 @@ var Operators = []*Operator{
 	opOrderSwap,
 }
 
-// OperatorNames returns the operator names in enumeration order.
-func OperatorNames() []string {
-	names := make([]string, len(Operators))
-	for i, op := range Operators {
-		names[i] = op.Name
-	}
-	return names
-}
-
 // relswap: boundary-condition faults. < ↔ <=, > ↔ >=, == ↔ !=.
 var relSwapped = map[token.Token]token.Token{
 	token.LSS: token.LEQ,

@@ -16,7 +16,6 @@ var DefaultRestrictedPaths = []string{
 	"internal/l2",
 	"internal/bus",
 	"internal/coherence",
-	"internal/nurapid",
 	"internal/workload",
 }
 

@@ -2,8 +2,13 @@ package simlint
 
 import (
 	"os"
+	"path"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+
+	"cmpnurapid/internal/mutcheck"
 )
 
 // repoRoot walks up from the working directory to the module root.
@@ -51,4 +56,57 @@ func TestSelfLint(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
+}
+
+// TestDefaultListsNamePackages: every directory a simlint rule list or
+// mutcheck.DefaultPackages names must hold a Go package. The rules and
+// the mutation campaign skip a path no package is under, so a stale
+// entry (a deleted package still listed) would otherwise pass silently.
+func TestDefaultListsNamePackages(t *testing.T) {
+	root := repoRoot(t)
+	listed := map[string][]string{} // directory -> the lists naming it
+	add := func(list, dir string) { listed[dir] = append(listed[dir], list) }
+	for _, dir := range DefaultRestrictedPaths {
+		add("DefaultRestrictedPaths", dir)
+	}
+	for _, dir := range DefaultFloatComparePaths {
+		add("DefaultFloatComparePaths", dir)
+	}
+	for _, tgt := range DefaultCoverageTargets {
+		add("DefaultCoverageTargets", tgt.Rel)
+	}
+	for dir := range DefaultRecoverAllowed {
+		add("DefaultRecoverAllowed", dir)
+	}
+	for pkg, targets := range mutcheck.DefaultPackages {
+		add("mutcheck.DefaultPackages", pkg)
+		for _, target := range targets {
+			add("mutcheck.DefaultPackages["+pkg+"]", path.Clean(target))
+		}
+	}
+	dirs := make([]string, 0, len(listed))
+	for dir := range listed {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if !holdsGoPackage(filepath.Join(root, filepath.FromSlash(dir))) {
+			t.Errorf("%s names %q, which holds no Go package", strings.Join(listed[dir], ", "), dir)
+		}
+	}
+}
+
+// holdsGoPackage reports whether dir has a non-test .go file.
+func holdsGoPackage(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			return true
+		}
+	}
+	return false
 }

@@ -86,19 +86,6 @@ func (d *Dist) Reset() {
 	}
 }
 
-// Merge adds other's counts into d. The label sets must be identical.
-func (d *Dist) Merge(other *Dist) {
-	if len(other.labels) != len(d.labels) {
-		panic("stats: merging dists with different label sets")
-	}
-	for i, l := range other.labels {
-		if d.labels[i] != l {
-			panic("stats: merging dists with different label sets")
-		}
-		d.counts[i] += other.counts[i]
-	}
-}
-
 // String renders the distribution as "label: count (frac%)" lines.
 func (d *Dist) String() string {
 	var b strings.Builder
@@ -191,13 +178,6 @@ func (h *ReuseHist) Fracs() [4]float64 {
 		f[b] = h.Frac(b)
 	}
 	return f
-}
-
-// Merge adds other's counts into h.
-func (h *ReuseHist) Merge(other *ReuseHist) {
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
 }
 
 // Table accumulates rows of string cells and renders them with aligned

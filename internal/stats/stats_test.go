@@ -60,29 +60,6 @@ func TestDistReset(t *testing.T) {
 	}
 }
 
-func TestDistMerge(t *testing.T) {
-	a := NewDist("x", "y")
-	b := NewDist("x", "y")
-	a.Add("x", 2)
-	b.Add("x", 3)
-	b.Add("y", 1)
-	a.Merge(b)
-	if a.Count("x") != 5 || a.Count("y") != 1 {
-		t.Errorf("after merge: x=%d y=%d, want 5, 1", a.Count("x"), a.Count("y"))
-	}
-}
-
-func TestDistMergeMismatchPanics(t *testing.T) {
-	a := NewDist("x")
-	b := NewDist("y")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge with different labels did not panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestDistLabelsOrder(t *testing.T) {
 	d := NewDist("hits", "ros", "rws", "capacity")
 	got := d.Labels()
@@ -154,17 +131,6 @@ func TestReuseHistEmpty(t *testing.T) {
 	var h ReuseHist
 	if h.Frac(Reuse0) != 0 {
 		t.Error("Frac on empty hist should be 0")
-	}
-}
-
-func TestReuseHistMerge(t *testing.T) {
-	var a, b ReuseHist
-	a.Record(0)
-	b.Record(0)
-	b.Record(7)
-	a.Merge(&b)
-	if a.Count(Reuse0) != 2 || a.Count(ReuseOver5) != 1 {
-		t.Errorf("merge result wrong: %v", a.counts)
 	}
 }
 
