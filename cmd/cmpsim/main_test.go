@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cmpnurapid/internal/trace"
 )
 
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
@@ -58,5 +63,23 @@ func TestTinyRun(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestTraceOfOtherCoreCount: a trace recorded for a machine of another
+// size is refused with one "cmpsim: trace: " line and exit 1, before
+// any simulation runs.
+func TestTraceOfOtherCoreCount(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint16(append([]byte{}, trace.Magic[:]...), trace.Version)
+	path := filepath.Join(t.TempDir(), "two.trace")
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint16(hdr, 2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runCLI(t, "-trace", path, "-warmup", "100", "-instr", "100")
+	if code != 1 || stdout != "" {
+		t.Fatalf("exit %d, stdout %q; want exit 1 and no output", code, stdout)
+	}
+	if !strings.HasPrefix(stderr, "cmpsim: trace: ") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("stderr is not one cmpsim: trace: line: %q", stderr)
 	}
 }

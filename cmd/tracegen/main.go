@@ -96,7 +96,7 @@ func record(path string, src cmpsim.Workload, opsPerCore int) error {
 	if err != nil {
 		return err
 	}
-	err = trace.Record(f, src, topo.NumCores, opsPerCore)
+	err = trace.Record(f, src, opsPerCore)
 	return errors.Join(err, f.Close())
 }
 
@@ -111,7 +111,7 @@ func inspectTrace(stdout io.Writer, path string) error {
 		return err
 	}
 	var total, writes, instrs, nomem uint64
-	perCore := make([]uint64, r.Cores())
+	perCore := make([]uint64, topo.NumCores)
 	for {
 		core, op, err := r.Next()
 		if errors.Is(err, io.EOF) {
@@ -132,7 +132,7 @@ func inspectTrace(stdout io.Writer, path string) error {
 		}
 	}
 	fmt.Fprintf(stdout, "%s: %d cores, %d ops (%d writes, %d ifetches, %d compute-only)\n",
-		path, r.Cores(), total, writes, instrs, nomem)
+		path, topo.NumCores, total, writes, instrs, nomem)
 	for c, n := range perCore {
 		fmt.Fprintf(stdout, "  core %d: %d ops\n", c, n)
 	}

@@ -159,7 +159,7 @@ const NumCores = topo.NumCores
 // RecordTrace captures opsPerCore ops per core from w into out in the
 // binary trace format.
 func RecordTrace(out io.Writer, w Workload, opsPerCore int) error {
-	return trace.Record(out, w, NumCores, opsPerCore)
+	return trace.Record(out, w, opsPerCore)
 }
 
 // LoadTrace loads a recorded trace as a replayable workload.

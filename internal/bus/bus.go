@@ -8,42 +8,19 @@
 // a new transaction may be issued every SlotCycles even while earlier
 // transactions are still in flight.
 //
-// The bus keeps timing state only. Each issued transaction and its
-// arbitration wait are counted in the owning design's memsys.L2Stats,
-// the one place a run's traffic is measured (and reset at warm-up).
+// The bus keeps timing state only. Each issued transaction — a
+// coherence.BusOp, including CMP-NuRAPID's BusRepl broadcast (§3.1) —
+// and its arbitration wait are counted in the owning design's
+// memsys.L2Stats, the one place a run's traffic is measured (and reset
+// at warm-up). Snoop flushes and pointer returns are responses, not
+// issued transactions; designs count them directly under
+// memsys.LabelFlush and memsys.LabelPtrRet.
 package bus
 
-import "cmpnurapid/internal/memsys"
-
-// Kind enumerates the transactions issued on the snoopy bus. BusRepl
-// is CMP-NuRAPID's addition: a broadcast sent before replacing a
-// shared data block so sharers whose tags point at the dying frame can
-// invalidate them (§3.1). Snoop flushes and pointer returns are
-// responses, not issued transactions; designs count them directly
-// under memsys.LabelFlush and memsys.LabelPtrRet.
-type Kind int
-
-const (
-	BusRd Kind = iota
-	BusRdX
-	BusUpg
-	BusRepl
+import (
+	"cmpnurapid/internal/coherence"
+	"cmpnurapid/internal/memsys"
 )
-
-// String returns the kind's memsys bus-transaction label.
-func (k Kind) String() string {
-	switch k {
-	case BusRd:
-		return memsys.LabelBusRd
-	case BusRdX:
-		return memsys.LabelBusRdX
-	case BusUpg:
-		return memsys.LabelBusUpg
-	case BusRepl:
-		return memsys.LabelBusRepl
-	}
-	return "Kind(?)"
-}
 
 // Config sets the bus timing parameters.
 type Config struct {
@@ -89,13 +66,14 @@ func New(cfg Config, stats *memsys.L2Stats) *Bus {
 	return &Bus{cfg: cfg, stats: stats}
 }
 
-// Transact issues a transaction of the given kind at cycle now. It
-// returns the cycle at which the transaction is visible to all snoopers
-// (grant + latency). Arbitration delay due to earlier transactions is
-// included, and is added to the stats' BusWait.
+// Transact issues op at cycle now and counts it under op.String(),
+// which is its memsys.LabelBus* label. It returns the cycle at which
+// the transaction is visible to all snoopers (grant + latency).
+// Arbitration delay due to earlier transactions is included, and is
+// added to the stats' BusWait.
 //
 // hotpath:root
-func (b *Bus) Transact(now memsys.Cycle, kind Kind) (visibleAt memsys.Cycle) {
+func (b *Bus) Transact(now memsys.Cycle, op coherence.BusOp) (visibleAt memsys.Cycle) {
 	grant := now
 	if b.cfg.GrantJitter != nil {
 		if j := b.cfg.GrantJitter(now); j > 0 {
@@ -106,7 +84,7 @@ func (b *Bus) Transact(now memsys.Cycle, kind Kind) (visibleAt memsys.Cycle) {
 		grant = b.nextFree
 	}
 	b.nextFree = grant.Add(b.cfg.SlotCycles)
-	b.stats.BusTransactions.Inc(kind.String())
+	b.stats.BusTransactions.Inc(op.String())
 	b.stats.BusWait += grant.Sub(now)
 	return grant.Add(b.cfg.Latency)
 }

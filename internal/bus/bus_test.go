@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 )
 
@@ -15,7 +16,7 @@ func newBus(cfg Config) (*Bus, *memsys.L2Stats) {
 
 func TestTransactLatency(t *testing.T) {
 	b, _ := newBus(DefaultConfig())
-	if got := b.Transact(100, BusRd); got != 132 {
+	if got := b.Transact(100, coherence.BusRd); got != 132 {
 		t.Errorf("first transaction visible at %d, want 132", got)
 	}
 }
@@ -24,8 +25,8 @@ func TestTransactPipelining(t *testing.T) {
 	b, s := newBus(Config{Latency: 32, SlotCycles: 4})
 	// Two back-to-back transactions at the same cycle: the second waits
 	// one slot, not a full latency.
-	first := b.Transact(0, BusRd)
-	second := b.Transact(0, BusRdX)
+	first := b.Transact(0, coherence.BusRd)
+	second := b.Transact(0, coherence.BusRdX)
 	if first != 32 {
 		t.Errorf("first = %d, want 32", first)
 	}
@@ -39,8 +40,8 @@ func TestTransactPipelining(t *testing.T) {
 
 func TestTransactNoContentionWhenSpaced(t *testing.T) {
 	b, s := newBus(Config{Latency: 32, SlotCycles: 4})
-	b.Transact(0, BusRd)
-	if got := b.Transact(10, BusRd); got != 42 {
+	b.Transact(0, coherence.BusRd)
+	if got := b.Transact(10, coherence.BusRd); got != 42 {
 		t.Errorf("spaced transaction visible at %d, want 42", got)
 	}
 	if s.BusWait != 0 {
@@ -52,9 +53,9 @@ func TestTransactNoContentionWhenSpaced(t *testing.T) {
 // kind's label, in the stats the bus was built with.
 func TestCounts(t *testing.T) {
 	b, s := newBus(DefaultConfig())
-	b.Transact(0, BusRd)
-	b.Transact(0, BusRd)
-	b.Transact(0, BusRepl)
+	b.Transact(0, coherence.BusRd)
+	b.Transact(0, coherence.BusRd)
+	b.Transact(0, coherence.BusRepl)
 	d := s.BusTransactions
 	if d.Count(memsys.LabelBusRd) != 2 || d.Count(memsys.LabelBusRepl) != 1 || d.Count(memsys.LabelBusUpg) != 0 {
 		t.Errorf("counts wrong: BusRd=%d BusRepl=%d BusUpg=%d",
@@ -78,14 +79,21 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	New(Config{Latency: 0, SlotCycles: 4}, memsys.NewL2Stats())
 }
 
-func TestKindString(t *testing.T) {
-	want := map[Kind]string{
-		BusRd: memsys.LabelBusRd, BusRdX: memsys.LabelBusRdX, BusUpg: memsys.LabelBusUpg,
-		BusRepl: memsys.LabelBusRepl, Kind(99): "Kind(?)",
+// TestOpLabels: Transact counts each issued op under its memsys label,
+// so coherence.BusOp's String is the bus report's vocabulary.
+func TestOpLabels(t *testing.T) {
+	want := map[coherence.BusOp]string{
+		coherence.BusRd: memsys.LabelBusRd, coherence.BusRdX: memsys.LabelBusRdX,
+		coherence.BusUpg: memsys.LabelBusUpg, coherence.BusRepl: memsys.LabelBusRepl,
 	}
-	for k, w := range want {
-		if got := k.String(); got != w {
-			t.Errorf("%d.String() = %q, want %q", int(k), got, w)
+	for op, label := range want {
+		b, s := newBus(DefaultConfig())
+		b.Transact(0, op)
+		if got := s.BusTransactions.Count(label); got != 1 {
+			t.Errorf("Transact(%v) counted %d under %q, want 1", op, got, label)
+		}
+		if got := s.BusTransactions.Total(); got != 1 {
+			t.Errorf("Transact(%v) counted %d transactions, want 1", op, got)
 		}
 	}
 }
@@ -99,7 +107,7 @@ func TestTransactMonotone(t *testing.T) {
 		lastVis := memsys.Cycle(0)
 		for _, d := range deltas {
 			now += memsys.Cycle(d)
-			vis := b.Transact(now, BusRd)
+			vis := b.Transact(now, coherence.BusRd)
 			if vis < now+32 || vis < lastVis {
 				return false
 			}
@@ -143,7 +151,7 @@ func TestGrantJitterDelaysGrant(t *testing.T) {
 	for _, j := range []memsys.Cycles{1, 10} {
 		b, s := newBus(Config{Latency: 32, SlotCycles: 4,
 			GrantJitter: func(now memsys.Cycle) memsys.Cycles { return j }})
-		if got, want := b.Transact(0, BusRd), memsys.Cycle(0).Add(j+32); got != want {
+		if got, want := b.Transact(0, coherence.BusRd), memsys.Cycle(0).Add(j+32); got != want {
 			t.Errorf("jitter %d: transaction visible at %d, want %d (jitter + 32 latency)", j, got, want)
 		}
 		if s.BusWait != j {
@@ -160,8 +168,8 @@ func TestGrantJitterNilIsBitIdentical(t *testing.T) {
 		GrantJitter: func(now memsys.Cycle) memsys.Cycles { return 0 }})
 	for i := 0; i < 50; i++ {
 		now := memsys.Cycle(0).Add(memsys.CyclesOf(i * 3))
-		kind := Kind(i % int(BusRepl+1))
-		if a, b := plain.Transact(now, kind), hooked.Transact(now, kind); a != b {
+		op := coherence.BusRd + coherence.BusOp(i%4) // BusRd..BusRepl
+		if a, b := plain.Transact(now, op), hooked.Transact(now, op); a != b {
 			t.Fatalf("step %d: plain %d != zero-jitter %d", i, a, b)
 		}
 	}
@@ -175,7 +183,7 @@ func TestBacklog(t *testing.T) {
 	if got := b.Backlog(0); got != 0 {
 		t.Errorf("idle backlog = %d, want 0", got)
 	}
-	b.Transact(0, BusRd) // occupies the slot until cycle 4
+	b.Transact(0, coherence.BusRd) // occupies the slot until cycle 4
 	if got := b.Backlog(0); got != 4 {
 		t.Errorf("backlog right after issue = %d, want 4", got)
 	}
@@ -185,9 +193,12 @@ func TestBacklog(t *testing.T) {
 	if got := b.Backlog(4); got != 0 {
 		t.Errorf("backlog at slot end = %d, want 0", got)
 	}
+	if got := b.Backlog(100); got != 0 {
+		t.Errorf("backlog long after the slot = %d, want 0", got)
+	}
 	// Probing must not reserve: the next transaction still starts at
 	// its natural grant.
-	if got := b.Transact(4, BusRd); got != 36 {
+	if got := b.Transact(4, coherence.BusRd); got != 36 {
 		t.Errorf("transaction after probes visible at %d, want 36", got)
 	}
 }
@@ -199,4 +210,13 @@ func TestNewPanicsOnZeroSlotCycles(t *testing.T) {
 		}
 	}()
 	New(Config{Latency: 32, SlotCycles: 0}, memsys.NewL2Stats())
+}
+
+// TestSmallestConfig: one-cycle latency and slots are the smallest bus
+// Validate accepts, and it runs like any other.
+func TestSmallestConfig(t *testing.T) {
+	b, _ := newBus(Config{Latency: 1, SlotCycles: 1})
+	if first, second := b.Transact(0, coherence.BusRd), b.Transact(0, coherence.BusRd); first != 1 || second != 2 {
+		t.Errorf("visible at %d and %d, want 1 and 2", first, second)
+	}
 }

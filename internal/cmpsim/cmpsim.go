@@ -321,13 +321,13 @@ func (s *System) access(core int, addr memsys.Addr, write, instr bool) memsys.Cy
 	v := arr.Victim(addr)
 	// Dirty victim write-back is functional only: the L2 already holds
 	// the block in M (ownership was taken on the first store).
-	arr.Install(v, addr, l1Line{})
-	nl := arr.Probe(addr)
-	if write && (s.comm == nil || !s.comm.IsCommunication(core, addr)) {
+	nl := arr.Install(v, addr, l1Line{})
+	comm := write && s.comm != nil && s.comm.IsCommunication(core, addr)
+	if write && !comm {
 		nl.Data.dirty = true
 	}
-	if write && s.comm != nil && s.comm.IsCommunication(core, addr) {
-		cs.Writethroughs++
+	if comm {
+		cs.Writethroughs++ // C lines stay clean: later stores write through
 	}
 	return lat + res.Latency
 }

@@ -4,11 +4,11 @@
 // MESIC extension (Figure 4) whose communication state C lets multiple
 // processors share a dirty block for in-situ communication.
 //
-// The transition logic is expressed as pure functions over (state,
-// event, bus signals) so the protocol can be tested directly against
-// the paper's state-transition diagram; the cache models in
-// internal/l2 and internal/core drive these functions and handle data
-// movement, pointers, and replacement around them.
+// The transitions are pure functions over (state, event, bus signals),
+// tested against the paper's diagram, model-checked by internal/protocheck
+// and written nowhere else: the private caches in internal/l2 drive MESI,
+// and CMP-NuRAPID in internal/core drives MESIC (MESI with in-situ
+// communication off) for every state change around its data movement.
 package coherence
 
 import "fmt"
@@ -102,7 +102,7 @@ func (op BusOp) String() string {
 	case BusRepl:
 		return "BusRepl"
 	}
-	return fmt.Sprintf("BusOp(%d)", int8(op))
+	return fmt.Sprintf("BusOp(%d)", int8(op)) // hotpath:alloc only an out-of-range op formats; every issued op has a constant name
 }
 
 // Signals carries the wired-OR bus response lines sampled by a

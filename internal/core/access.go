@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/topo"
@@ -39,12 +38,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 	// replication moves the pointer, since Figure 9 classifies the
 	// access by where the data was when it was read.
 	servedDG := line.Data.fwd.dgroup
+	st := line.Data.state
+	next, op := c.onProc(st, write, coherence.Signals{})
+	line.Data.state = next
 
-	switch line.Data.state {
+	switch st {
 	case coherence.Exclusive, coherence.Modified:
-		if write {
-			line.Data.state = coherence.Modified // E→M is silent
-		}
 		lat += c.dgAccess(t, core, line.Data.fwd.dgroup)
 		if line.Data.fwd.dgroup != c.closest(core) {
 			// Capacity stealing: promote reused private blocks
@@ -54,11 +53,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 
 	case coherence.Shared:
 		if write {
-			// S→M upgrade: BusUpg invalidates every other copy; we take
-			// ownership of the data copy our pointer targets.
-			lat += c.transact(t, bus.BusUpg)
-			c.upgradeToM(core, addr, line)
-			servedDG = line.Data.fwd.dgroup
+			// S→M upgrade: BusUpg invalidates every other copy, freeing
+			// the copies they own; we take ownership of the data copy
+			// our pointer targets.
+			lat += c.transact(t, op)
+			c.snoopOthers(core, addr, op, line.Data.fwd)
+			c.frameAt(line.Data.fwd).revCore = core
 			lat += c.dgAccess(t.Add(lat), core, servedDG)
 		} else {
 			p := line.Data.fwd
@@ -91,19 +91,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 		if write {
 			// Write-through plus a posted invalidating broadcast so C
 			// sharers drop stale L1 copies while keeping their tags.
-			lat += c.post(t, bus.BusUpg)
-			for o := 0; o < topo.NumCores; o++ {
-				if o == core {
-					continue
-				}
-				if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state == coherence.Communication {
-					c.dropL1(o, addr)
-				}
-			}
+			lat += c.post(t, op)
+			c.snoopOthers(core, addr, op, p)
 		}
 
 	default: // Invalid — Probe never returns invalid lines
-		panic("core: tag hit on line in state " + line.Data.state.String())
+		panic("core: tag hit on line in state " + st.String())
 	}
 
 	return memsys.Result{
@@ -166,12 +159,39 @@ func (c *Cache) migrateC(core int, addr memsys.Addr, line *tagLine) {
 	c.CMigrations++
 }
 
-// upgradeToM performs the data-side work of an S→M upgrade: every
-// other tag copy is invalidated, other cores' owned data copies are
-// freed, and the copy the writer points at changes ownership to the
-// writer.
-func (c *Cache) upgradeToM(core int, addr memsys.Addr, line *tagLine) {
-	p := line.Data.fwd
+// onProc is the protocol's requester side: the next state of core's
+// copy in state s and the bus op it issues for a read or write, given
+// the signals a miss samples. With in-situ communication CMP-NuRAPID
+// runs MESIC (Figure 4b); without it, plain MESI (Figure 4a).
+func (c *Cache) onProc(s coherence.State, write bool, sig coherence.Signals) (coherence.State, coherence.BusOp) {
+	op := coherence.PrRd
+	if write {
+		op = coherence.PrWr
+	}
+	if c.cfg.EnableISC {
+		return coherence.MESICProc(s, op, sig)
+	}
+	return coherence.MESIProc(s, op, sig)
+}
+
+// onSnoop is the protocol's snooper side: the next state of a copy in
+// state s that observes op. The snoop's data action is not used: each
+// flow counts its own flushes, pointer returns and write-backs.
+func (c *Cache) onSnoop(s coherence.State, op coherence.BusOp) coherence.State {
+	if c.cfg.EnableISC {
+		next, _ := coherence.MESICSnoop(s, op)
+		return next
+	}
+	next, _ := coherence.MESISnoop(s, op)
+	return next
+}
+
+// snoopOthers applies op, issued by core for addr, to every other
+// core's copy. A copy that goes to I loses its tag, and the data frame
+// it owns too unless that frame is keep. A copy that stays valid under
+// an invalidating op (BusRdX, BusUpg) drops its stale L1 copy: MESIC's
+// InvalidateL1 for a C sharer, and an M holder joining C.
+func (c *Cache) snoopOthers(core int, addr memsys.Addr, op coherence.BusOp, keep ptr) {
 	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
@@ -180,24 +200,29 @@ func (c *Cache) upgradeToM(core int, addr memsys.Addr, line *tagLine) {
 		if ol == nil {
 			continue
 		}
-		op := ol.Data.fwd
-		ownsOther := op != p && c.frameAt(op).valid && c.frameAt(op).addr == addr && c.frameAt(op).revCore == o
+		if next := c.onSnoop(ol.Data.state, op); next.Valid() {
+			ol.Data.state = next
+			if op != coherence.BusRd {
+				c.dropL1(o, addr)
+			}
+			continue
+		}
+		p := ol.Data.fwd
+		fr := c.frameAt(p)
+		owns := p != keep && fr.valid && fr.addr == addr && fr.revCore == o
 		c.killTag(o, ol)
-		if ownsOther {
-			c.releaseFrame(op)
+		if owns {
+			c.releaseFrame(p)
 		}
 	}
-	c.frameAt(p).revCore = core
-	line.Data.state = coherence.Modified
 }
 
 // snoopState summarizes the other cores' copies sampled by a miss.
 type snoopState struct {
-	dirty     bool // dirty signal: an M or C copy exists (§3.2)
-	clean     bool // shared signal: an S or E copy exists
-	dirtyPtr  ptr  // the single dirty data copy
-	bestClean ptr  // the clean copy fastest to reach from the requester
-	bestLat   memsys.Cycles
+	coherence.Signals     // the wired-OR shared and dirty lines (§3.2)
+	dirtyPtr          ptr // the single dirty data copy
+	bestClean         ptr // the clean copy fastest to reach from the requester
+	bestLat           memsys.Cycles
 }
 
 // snoop samples the other tag arrays the way the bus's wired-OR
@@ -213,10 +238,10 @@ func (c *Cache) snoop(core int, addr memsys.Addr) snoopState {
 			continue
 		}
 		if ol.Data.state.Dirty() {
-			s.dirty = true
+			s.Dirty = true
 			s.dirtyPtr = ol.Data.fwd
 		} else {
-			s.clean = true
+			s.Shared = true
 			if l := c.latTo(core, ol.Data.fwd.dgroup); l < s.bestLat {
 				s.bestLat = l
 				s.bestClean = ol.Data.fwd
@@ -230,175 +255,105 @@ func (c *Cache) snoop(core int, addr memsys.Addr) snoopState {
 // taxonomy, and run the matching coherence flow.
 func (c *Cache) miss(t memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Result {
 	s := c.snoop(core, addr)
-	kind := bus.BusRd
-	if write {
-		kind = bus.BusRdX
-	}
-	lat := c.transact(t, kind)
+	next, op := c.onProc(coherence.Invalid, write, s.Signals)
+	lat := c.transact(t, op)
 	t2 := t.Add(lat)
 
 	switch {
-	case s.dirty:
-		return c.missDirty(t2, core, addr, write, s, lat)
-	case s.clean:
-		return c.missClean(t2, core, addr, write, s, lat)
+	case s.Dirty:
+		return c.missDirty(t2, core, addr, write, next, op, s.dirtyPtr, lat)
+	case s.Shared:
+		return c.missClean(t2, core, addr, write, next, op, s.bestClean, lat)
 	}
 	// Capacity miss: off-chip.
 	c.stats.OffChipMisses++
 	lat += c.cfg.MemLatency
-	st := coherence.Exclusive
-	if write {
-		st = coherence.Modified
-	}
-	c.allocClosest(t2, core, addr, tagPayload{state: st, broughtBy: memsys.CapacityMiss})
+	c.allocClosest(t2, core, addr, tagPayload{state: next, broughtBy: memsys.CapacityMiss})
 	return memsys.Result{Latency: lat, Category: memsys.CapacityMiss, DGroup: -1}
 }
 
-// missClean handles a miss on a block with clean on-chip copies: a ROS
-// miss. Reads use controlled replication; writes take MESI ownership.
-func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool, s snoopState, lat memsys.Cycles) memsys.Result {
-	if write {
-		// BusRdX: sample the data from the nearest clean copy, then
-		// every other copy is invalidated and we allocate ours.
-		lat += c.dgAccess(t, core, s.bestClean.dgroup)
-		c.invalidateAllOthers(core, addr)
-		c.allocClosest(t, core, addr, tagPayload{state: coherence.Modified, broughtBy: memsys.ROSMiss})
-		return memsys.Result{Latency: lat, Category: memsys.ROSMiss, DGroup: -1}
-	}
-
-	// Read: all clean holders transition E→S / stay S (snoop side).
-	for o := 0; o < topo.NumCores; o++ {
-		if o == core {
-			continue
-		}
-		if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state == coherence.Exclusive {
-			ol.Data.state = coherence.Shared
-		}
-	}
-	if c.cfg.Replication == ReplicateFirstUse {
+// missClean handles a miss on a block with clean on-chip copies, the
+// nearest at q: a ROS miss. Reads use controlled replication; writes
+// take MESI ownership.
+func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool, next coherence.State, op coherence.BusOp, q ptr, lat memsys.Cycles) memsys.Result {
+	// The data is sampled from the nearest clean copy. BusRdX then
+	// invalidates every copy; BusRd moves an E holder to S.
+	lat += c.dgAccess(t, core, q.dgroup)
+	c.snoopOthers(core, addr, op, noPin)
+	pay := tagPayload{state: next, fwd: q, broughtBy: memsys.ROSMiss}
+	switch {
+	case write:
+		c.allocClosest(t, core, addr, pay)
+	case c.cfg.Replication == ReplicateFirstUse:
 		// Uncontrolled replication: copy immediately, like a private
 		// cache's cache-to-cache fill.
-		lat += c.dgAccess(t, core, s.bestClean.dgroup)
 		c.stats.BusTransactions.Inc(memsys.LabelFlush)
-		c.allocClosest(t, core, addr, tagPayload{state: coherence.Shared, broughtBy: memsys.ROSMiss})
-		return memsys.Result{Latency: lat, Category: memsys.ROSMiss, DGroup: -1}
+		c.allocClosest(t, core, addr, pay)
+	default:
+		// Controlled replication (§3.1): the holder returns its forward
+		// pointer on the bus's pointer wires; we keep a tag copy
+		// pointing at the existing data copy and access it directly
+		// through the crossbar. No data copy is made on first use.
+		c.stats.BusTransactions.Inc(memsys.LabelPtrRet)
+		c.stats.PointerReturns++
+		c.installTag(t, core, addr, pay)
 	}
-
-	// Controlled replication (§3.1): the holder returns its forward
-	// pointer on the bus's pointer wires; we keep a tag copy pointing
-	// at the existing data copy and access it directly through the
-	// crossbar. No data copy is made on first use.
-	c.stats.BusTransactions.Inc(memsys.LabelPtrRet)
-	c.stats.PointerReturns++
-	lat += c.dgAccess(t, core, s.bestClean.dgroup)
-	c.installTag(t, core, addr, tagPayload{
-		state: coherence.Shared, fwd: s.bestClean, broughtBy: memsys.ROSMiss,
-	})
 	return memsys.Result{Latency: lat, Category: memsys.ROSMiss, DGroup: -1}
 }
 
-// missDirty handles a miss on a block with a dirty on-chip copy: a RWS
-// miss. With ISC the requester joins the communication group; without
-// it the flows are plain MESI cache-to-cache transfers.
-func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool, s snoopState, lat memsys.Cycles) memsys.Result {
-	q := s.dirtyPtr
-	if !c.cfg.EnableISC {
-		return c.missDirtyMESI(t, core, addr, write, q, lat)
-	}
-
+// missDirty handles a miss on a block whose dirty on-chip copy is at
+// q: a RWS miss. With ISC the requester joins the communication group;
+// without it the flows are plain MESI cache-to-cache transfers.
+func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool, next coherence.State, op coherence.BusOp, q ptr, lat memsys.Cycles) memsys.Result {
 	lat += c.dgAccess(t, core, q.dgroup)
-	if write {
+	pay := tagPayload{state: next, fwd: q, broughtBy: memsys.RWSMiss}
+	switch {
+	case !c.cfg.EnableISC:
+		// The M holder flushes. BusRdX invalidates it and the flush
+		// reaches memory; we take our own copy in the closest d-group.
+		// BusRd drops it to S, keeping its copy; we pointer-share or
+		// copy per the replication policy.
+		c.stats.BusTransactions.Inc(memsys.LabelFlush)
+		c.snoopOthers(core, addr, op, noPin)
+		if write {
+			c.Writebacks++
+		}
+		if write || c.cfg.Replication == ReplicateFirstUse {
+			c.allocClosest(t, core, addr, pay)
+		} else {
+			c.installTag(t, core, addr, pay)
+		}
+
+	case write:
 		// Writer joins the communication group without copying: "the
 		// writer enters C pointing its tag entry to the already-
 		// existing data copy, and writes to the copy. Thus, the copy
 		// stays close to the reader." (§3.2)
-		for o := 0; o < topo.NumCores; o++ {
-			if o == core {
-				continue
-			}
-			if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state.Dirty() {
-				ol.Data.state = coherence.Communication
-				c.dropL1(o, addr) // BusRdX: stale L1 copies must go
-			}
-		}
-		c.installTag(t, core, addr, tagPayload{
-			state: coherence.Communication, fwd: q, broughtBy: memsys.RWSMiss,
-		})
-		return memsys.Result{Latency: lat, Category: memsys.RWSMiss, DGroup: -1}
-	}
+		c.snoopOthers(core, addr, op, q)
+		c.installTag(t, core, addr, pay)
 
-	// Reader: "the reader makes a new copy of the block in its closest
-	// d-group, and the previous data copy is invalidated. All the
-	// sharers enter (or remain in) C and their tag entries point to the
-	// new data copy." (§3.2)
-	c.pin(q)
-	v := c.tagVictim(core, addr)
-	freed := c.evictTagEntry(t, core, v)
-	cl := c.closest(core)
-	nf := c.freeFrameIn(t, core, cl, freed)
-	np := ptr{cl, nf}
-	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
-	for o := 0; o < topo.NumCores; o++ {
-		if o == core {
-			continue
+	default:
+		// Reader: "the reader makes a new copy of the block in its
+		// closest d-group, and the previous data copy is invalidated.
+		// All the sharers enter (or remain in) C and their tag entries
+		// point to the new data copy." (§3.2)
+		c.pin(q)
+		v := c.tagVictim(core, addr)
+		freed := c.evictTagEntry(t, core, v)
+		cl := c.closest(core)
+		nf := c.freeFrameIn(t, core, cl, freed)
+		pay.fwd = ptr{cl, nf}
+		*c.frameAt(pay.fwd) = frameInfo{valid: true, addr: addr, revCore: core}
+		c.snoopOthers(core, addr, op, q)
+		for o := 0; o < topo.NumCores; o++ { // every other holder is now in C
+			if ol := c.tags[o].Probe(addr); ol != nil {
+				ol.Data.fwd = pay.fwd
+			}
 		}
-		if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state.Dirty() {
-			ol.Data.state = coherence.Communication
-			ol.Data.fwd = np
-		}
-	}
-	c.unpin()
-	c.releaseFrame(q)
-	c.tags[core].Install(v, addr, tagPayload{
-		state: coherence.Communication, fwd: np, broughtBy: memsys.RWSMiss,
-	})
-	lat += c.dgAccess(t.Add(lat), core, cl)
-	return memsys.Result{Latency: lat, Category: memsys.RWSMiss, DGroup: -1}
-}
-
-// missDirtyMESI is the RWS-miss flow with ISC disabled: plain MESI.
-func (c *Cache) missDirtyMESI(t memsys.Cycle, core int, addr memsys.Addr, write bool, q ptr, lat memsys.Cycles) memsys.Result {
-	lat += c.dgAccess(t, core, q.dgroup)
-	c.stats.BusTransactions.Inc(memsys.LabelFlush)
-	if write {
-		// BusRdX: the M holder flushes and invalidates; we take our own
-		// copy in the closest d-group.
-		c.invalidateAllOthers(core, addr)
-		c.Writebacks++ // flush reaches memory in MESI write-miss
-		c.allocClosest(t, core, addr, tagPayload{state: coherence.Modified, broughtBy: memsys.RWSMiss})
-		return memsys.Result{Latency: lat, Category: memsys.RWSMiss, DGroup: -1}
-	}
-	// BusRd: the M holder flushes and drops to S, keeping its copy; we
-	// pointer-share or copy per the replication policy.
-	holderCore, holderLine := c.ownerLine(q)
-	_ = holderCore
-	holderLine.Data.state = coherence.Shared
-	if c.cfg.Replication == ReplicateFirstUse {
-		c.allocClosest(t, core, addr, tagPayload{state: coherence.Shared, broughtBy: memsys.RWSMiss})
-	} else {
-		c.installTag(t, core, addr, tagPayload{
-			state: coherence.Shared, fwd: q, broughtBy: memsys.RWSMiss,
-		})
+		c.unpin()
+		c.releaseFrame(q)
+		c.tags[core].Install(v, addr, pay)
+		lat += c.dgAccess(t.Add(lat), core, cl)
 	}
 	return memsys.Result{Latency: lat, Category: memsys.RWSMiss, DGroup: -1}
-}
-
-// invalidateAllOthers kills every other core's tag entry for addr,
-// freeing any data copies those entries own.
-func (c *Cache) invalidateAllOthers(core int, addr memsys.Addr) {
-	for o := 0; o < topo.NumCores; o++ {
-		if o == core {
-			continue
-		}
-		ol := c.tags[o].Probe(addr)
-		if ol == nil {
-			continue
-		}
-		op := ol.Data.fwd
-		owns := c.frameAt(op).valid && c.frameAt(op).addr == addr && c.frameAt(op).revCore == o
-		c.killTag(o, ol)
-		if owns {
-			c.releaseFrame(op)
-		}
-	}
 }

@@ -367,16 +367,16 @@ func (c *Cache) dgAccess(now memsys.Cycle, core, dg int) memsys.Cycles {
 
 // transact issues a bus transaction and returns the cycles it adds to
 // the requester's critical path.
-func (c *Cache) transact(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
-	vis := c.bus.Transact(now, kind)
+func (c *Cache) transact(now memsys.Cycle, op coherence.BusOp) memsys.Cycles {
+	vis := c.bus.Transact(now, op)
 	return vis.Sub(now)
 }
 
 // post issues a bus transaction that does not stall the requester
 // beyond arbitration (used for the posted write-through invalidations
 // of C-state writes).
-func (c *Cache) post(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
-	vis := c.bus.Transact(now, kind)
+func (c *Cache) post(now memsys.Cycle, op coherence.BusOp) memsys.Cycles {
+	vis := c.bus.Transact(now, op)
 	wait := vis.Sub(now) - c.bus.Latency()
 	if wait < 0 {
 		wait = 0

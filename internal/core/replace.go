@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/topo"
@@ -58,7 +57,7 @@ func (c *Cache) frameAt(p ptr) *frameInfo { return &c.dgroups[p.dgroup].frames[p
 // ownerLine returns the tag entry owning frame p (the reverse-pointer
 // target). Panics if the reverse pointer dangles — an invariant
 // violation, not a runtime condition.
-func (c *Cache) ownerLine(p ptr) (int, *tagLine) {
+func (c *Cache) ownerLine(p ptr) *tagLine {
 	fr := c.frameAt(p)
 	if !fr.valid {
 		panic("core: ownerLine of invalid frame")
@@ -68,7 +67,7 @@ func (c *Cache) ownerLine(p ptr) (int, *tagLine) {
 		panic(fmt.Sprintf("core: dangling reverse pointer at %v (addr %#x, rev core %d)",
 			p, fr.addr, fr.revCore))
 	}
-	return fr.revCore, l
+	return l
 }
 
 // pointsAt reports whether core o's tag entry for addr points at p.
@@ -111,7 +110,7 @@ func (c *Cache) evictFrame(now memsys.Cycle, p ptr) {
 	if shared {
 		// Replacements proceed in parallel with the miss that triggered
 		// them; BusRepl costs bus bandwidth but not requester latency.
-		c.post(now, bus.BusRepl)
+		c.post(now, coherence.BusRepl)
 	}
 	// killTag only touches core o's own tag, so re-probing per core
 	// sees exactly the holder set the scans above saw.
@@ -177,7 +176,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
 	}
 	vi := c.pickVictimFrame(g)
 	p := ptr{g, vi}
-	_, owner := c.ownerLine(p)
+	owner := c.ownerLine(p)
 	next, hasNext := topo.NextSlower(core, g)
 	// Shared victims are evicted, never demoted (§3.3.2: demoting a
 	// shared block would leave a dangling reverse pointer after a CR
@@ -197,7 +196,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
 // frame's reverse pointer.
 func (c *Cache) moveFrame(src, dst ptr) {
 	fr := *c.frameAt(src)
-	_, owner := c.ownerLine(src)
+	owner := c.ownerLine(src)
 	if !owner.Data.state.PrivateBlock() {
 		panic("core: moveFrame on a shared block")
 	}
@@ -283,7 +282,7 @@ func (c *Cache) evictFrameSharedRemainder(now memsys.Cycle, addr memsys.Addr, p 
 	if c.anyDirtyTag(addr, p) {
 		c.Writebacks++
 	}
-	c.post(now, bus.BusRepl)
+	c.post(now, coherence.BusRepl)
 	for o := 0; o < topo.NumCores; o++ {
 		if l := c.pointsAt(o, addr, p); l != nil {
 			c.killTag(o, l)
@@ -352,7 +351,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	if vp == src {
 		return
 	}
-	_, victimOwner := c.ownerLine(vp)
+	victimOwner := c.ownerLine(vp)
 	if victimOwner.Data.state.PrivateBlock() {
 		// Swap: move victim out to a scratch ptr first. Using the
 		// source frame directly keeps this a two-assignment swap.

@@ -27,17 +27,23 @@ func mediumEval(t *testing.T) *Eval {
 	if testing.Short() {
 		t.Skip("medium-scale evaluation skipped in -short mode")
 	}
-	mediumOnce.Do(func() {
-		mediumShared = NewEval(RunConfig{WarmupInstr: 2_500_000, Instructions: 1_000_000, Seed: 42})
-	})
-	return mediumShared
+	return medium.get(t)
 }
 
 var (
-	quickOnce    sync.Once
-	quickShared  *Eval
-	mediumOnce   sync.Once
-	mediumShared *Eval
+	quickOnce   sync.Once
+	quickShared *Eval
+	// medium holds the cells mediumEval's tests read: OLTP on the
+	// uniform-shared cache (Figure 5), and the commercial workloads on
+	// the private caches and the CR-only and ISC-only designs (Figures
+	// 5, 8 and 9).
+	medium = &sharedEval{
+		rc: RunConfig{WarmupInstr: 2_500_000, Instructions: 1_000_000, Seed: 42},
+		cells: func(e *Eval) []Cell {
+			return append(e.cells([]input{e.mtInput(e.profiles[0])}, design(UniformShared)),
+				e.cells(e.inputs(commercialRows), designs(Private, NuRAPIDCR, NuRAPIDISC)...)...)
+		},
+	}
 )
 
 func TestTable1Renders(t *testing.T) {

@@ -179,20 +179,20 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 	start := p.ports[core].Acquire(now, p.hitLatency)
 	lat := start.Sub(now) + p.hitLatency
 	t := now.Add(lat)
+	op := coherence.PrRd
+	if write {
+		op = coherence.PrWr
+	}
 
 	if l := arr.Probe(addr); l != nil {
 		arr.Touch(l)
 		l.Data.reuses++
-		op := coherence.PrRd
-		if write {
-			op = coherence.PrWr
-		}
 		next, busOp := coherence.MESIProc(l.Data.state, op, coherence.Signals{})
 		if busOp != coherence.BusNone {
 			// S→M upgrade: the bus transaction is on the critical path.
-			vis := p.bus.Transact(t, bus.BusUpg)
+			vis := p.bus.Transact(t, busOp)
 			lat += vis.Sub(t)
-			p.snoopOthers(core, addr, coherence.BusUpg)
+			p.snoopOthers(core, addr, busOp)
 		}
 		l.Data.state = next
 		res := memsys.Result{Latency: lat, Category: memsys.Hit, DGroup: -1}
@@ -210,19 +210,12 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		category = memsys.ROSMiss
 	}
 
-	op := coherence.PrRd
-	busKind := bus.BusRd
-	mesiOp := coherence.BusRd
-	if write {
-		op = coherence.PrWr
-		busKind = bus.BusRdX
-		mesiOp = coherence.BusRdX
-	}
-	vis := p.bus.Transact(t, busKind)
+	newState, busOp := coherence.MESIProc(coherence.Invalid, op, sig)
+	vis := p.bus.Transact(t, busOp)
 	lat += vis.Sub(t)
 	t2 := now.Add(lat)
 
-	supplier := p.snoopOthers(core, addr, mesiOp)
+	supplier := p.snoopOthers(core, addr, busOp)
 	if supplier >= 0 {
 		// Cache-to-cache transfer: the supplier's access time.
 		remStart := p.ports[supplier].Acquire(t2, p.hitLatency)
@@ -232,7 +225,6 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		lat += p.memLatency
 	}
 
-	newState, _ := coherence.MESIProc(coherence.Invalid, op, sig)
 	v := arr.Victim(addr)
 	if v.Valid {
 		p.kill(core, v)

@@ -5,6 +5,7 @@ import (
 
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/cache"
+	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/topo"
 )
@@ -195,7 +196,7 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 			if n > 0 {
 				// The update goes through the bus on every write —
 				// the overhead the paper charges this protocol with.
-				vis := p.bus.Transact(t, bus.BusUpg)
+				vis := p.bus.Transact(t, coherence.BusUpg)
 				lat += vis.Sub(t)
 				p.update(core, addr)
 			}
@@ -215,7 +216,7 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 	} else if n > 0 {
 		category = memsys.ROSMiss
 	}
-	vis := p.bus.Transact(t, bus.BusRd)
+	vis := p.bus.Transact(t, coherence.BusRd)
 	lat += vis.Sub(t)
 	t2 := now.Add(lat)
 	if n > 0 {

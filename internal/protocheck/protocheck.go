@@ -1,7 +1,10 @@
 // Package protocheck is an explicit-state model checker for the
 // coherence protocols in internal/coherence. It drives the *actual*
 // transition functions — MESIProc/MESISnoop and MESICProc/MESICSnoop,
-// not a re-encoding of them — through three layers of checking:
+// not a re-encoding of them — the same functions the simulated caches
+// run: internal/l2's private caches drive MESI, and CMP-NuRAPID in
+// internal/core drives MESIC (MESI with in-situ communication off).
+// It checks them in three layers:
 //
 //  1. Totality: enumerate the complete single-cache input space
 //     (State × ProcOp × Signals for the processor side, State × BusOp

@@ -6,7 +6,7 @@
 //
 // Format (little-endian):
 //
-//	magic "CNRT" | version u16 | cores u16
+//	magic "CNRT" | version u16 | cores u16 (always topo.NumCores)
 //	then one record per op:
 //	  core u8 | flags u8 | compute u16 | addr u64
 //	flags: bit0 write, bit1 instr, bit2 nomem
@@ -25,6 +25,7 @@ import (
 
 	"cmpnurapid/internal/cmpsim"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/topo"
 )
 
 // Magic identifies trace streams.
@@ -42,32 +43,29 @@ const (
 // Writer streams ops into a trace.
 type Writer struct {
 	w     *bufio.Writer
-	cores int
 	count uint64
 }
 
-// NewWriter writes a trace header for the given core count.
-func NewWriter(w io.Writer, cores int) (*Writer, error) {
-	if cores <= 0 || cores > 255 {
-		return nil, fmt.Errorf("trace: core count %d out of range", cores)
-	}
+// NewWriter writes a trace header for the machine's topo.NumCores
+// cores.
+func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(Magic[:]); err != nil {
 		return nil, err
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], Version)
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(cores))
+	binary.LittleEndian.PutUint16(hdr[2:4], topo.NumCores)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, cores: cores}, nil
+	return &Writer{w: bw}, nil
 }
 
 // Write appends one op for core.
 func (t *Writer) Write(core int, op cmpsim.Op) error {
-	if core < 0 || core >= t.cores {
-		return fmt.Errorf("trace: core %d out of range [0, %d)", core, t.cores)
+	if core < 0 || core >= topo.NumCores {
+		return fmt.Errorf("trace: core %d out of range [0, %d)", core, topo.NumCores)
 	}
 	if op.Compute < 0 || op.Compute > 0xffff {
 		return fmt.Errorf("trace: compute %d does not fit in 16 bits", op.Compute)
@@ -100,14 +98,14 @@ func (t *Writer) Count() uint64 { return t.count }
 // Flush drains buffered records to the underlying writer.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
-// Record captures n ops per core from w into out.
-func Record(out io.Writer, w cmpsim.Workload, cores, opsPerCore int) error {
-	tw, err := NewWriter(out, cores)
+// Record captures opsPerCore ops of every core from w into out.
+func Record(out io.Writer, w cmpsim.Workload, opsPerCore int) error {
+	tw, err := NewWriter(out)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < opsPerCore; i++ {
-		for c := 0; c < cores; c++ {
+		for c := 0; c < topo.NumCores; c++ {
 			if err := tw.Write(c, w.Next(c)); err != nil {
 				return err
 			}
@@ -118,11 +116,12 @@ func Record(out io.Writer, w cmpsim.Workload, cores, opsPerCore int) error {
 
 // Reader decodes a trace.
 type Reader struct {
-	r     *bufio.Reader
-	cores int
+	r *bufio.Reader
 }
 
-// NewReader validates the header and returns a reader.
+// NewReader validates the header and returns a reader. A trace must
+// hold the machine's topo.NumCores cores: the simulator has no other
+// shape to replay it on.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -139,15 +138,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != Version {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
-	cores := int(binary.LittleEndian.Uint16(hdr[2:4]))
-	if cores <= 0 || cores > 255 {
-		return nil, fmt.Errorf("trace: core count %d out of range", cores)
+	if n := binary.LittleEndian.Uint16(hdr[2:4]); n != topo.NumCores {
+		return nil, fmt.Errorf("trace: %d-core trace, but the machine has %d cores", n, topo.NumCores)
 	}
-	return &Reader{r: br, cores: cores}, nil
+	return &Reader{r: br}, nil
 }
-
-// Cores returns the trace's core count.
-func (t *Reader) Cores() int { return t.cores }
 
 // Next returns the next record, or io.EOF at the end of the trace.
 func (t *Reader) Next() (core int, op cmpsim.Op, err error) {
@@ -159,8 +154,8 @@ func (t *Reader) Next() (core int, op cmpsim.Op, err error) {
 		return 0, cmpsim.Op{}, err
 	}
 	core = int(rec[0])
-	if core >= t.cores {
-		return 0, cmpsim.Op{}, fmt.Errorf("trace: record for core %d in a %d-core trace", core, t.cores)
+	if core >= topo.NumCores {
+		return 0, cmpsim.Op{}, fmt.Errorf("trace: record for core %d in a %d-core trace", core, topo.NumCores)
 	}
 	flags := rec[1]
 	op = cmpsim.Op{
@@ -191,8 +186,8 @@ func Load(r io.Reader, name string) (*Replayer, error) {
 	}
 	rp := &Replayer{
 		name: name,
-		ops:  make([][]cmpsim.Op, tr.Cores()),
-		pos:  make([]int, tr.Cores()),
+		ops:  make([][]cmpsim.Op, topo.NumCores),
+		pos:  make([]int, topo.NumCores),
 	}
 	for {
 		core, op, err := tr.Next()

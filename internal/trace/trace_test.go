@@ -2,19 +2,22 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"cmpnurapid/internal/cmpsim"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/topo"
 	"cmpnurapid/internal/workload"
 )
 
 func TestRoundTripSingleOp(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 4)
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +31,6 @@ func TestRoundTripSingleOp(t *testing.T) {
 	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Cores() != 4 {
-		t.Errorf("Cores = %d, want 4", r.Cores())
 	}
 	core, got, err := r.Next()
 	if err != nil {
@@ -47,12 +47,12 @@ func TestRoundTripSingleOp(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(core uint8, compute uint16, addr uint64, write, instr, nomem bool) bool {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, 256-1)
+		w, _ := NewWriter(&buf)
 		op := cmpsim.Op{
 			Compute: int(compute), Addr: memsys.Addr(addr),
 			Write: write, Instr: instr, NoMem: nomem,
 		}
-		c := int(core) % 255
+		c := int(core) % topo.NumCores
 		if err := w.Write(c, op); err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestBadMagic(t *testing.T) {
 
 func TestTruncatedRecord(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 1)
+	w, _ := NewWriter(&buf)
 	w.Write(0, cmpsim.Op{Addr: 0x40})
 	w.Flush()
 	data := buf.Bytes()[:buf.Len()-3]
@@ -92,12 +92,11 @@ func TestTruncatedRecord(t *testing.T) {
 
 func TestWriterValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, 0); err == nil {
-		t.Error("0-core writer accepted")
-	}
-	w, _ := NewWriter(&buf, 2)
-	if err := w.Write(5, cmpsim.Op{}); err == nil {
-		t.Error("out-of-range core accepted")
+	w, _ := NewWriter(&buf)
+	for _, core := range []int{-1, topo.NumCores} {
+		if err := w.Write(core, cmpsim.Op{}); err == nil {
+			t.Errorf("out-of-range core %d accepted", core)
+		}
 	}
 	if err := w.Write(0, cmpsim.Op{Compute: 1 << 16}); err == nil {
 		t.Error("oversized compute accepted")
@@ -108,7 +107,7 @@ func TestRecordAndReplayMatchesGenerator(t *testing.T) {
 	// A replayed trace must feed the simulator exactly the ops a fresh
 	// generator with the same seed would have.
 	var buf bytes.Buffer
-	if err := Record(&buf, workload.New(workload.SPECjbb(9)), 4, 500); err != nil {
+	if err := Record(&buf, workload.New(workload.SPECjbb(9)), 500); err != nil {
 		t.Fatal(err)
 	}
 	rp, err := Load(bytes.NewReader(buf.Bytes()), "jbb")
@@ -135,7 +134,7 @@ func TestRecordAndReplayMatchesGenerator(t *testing.T) {
 
 func TestReplayerExhaustionAndRewind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Record(&buf, workload.New(workload.Barnes(3)), 4, 10); err != nil {
+	if err := Record(&buf, workload.New(workload.Barnes(3)), 10); err != nil {
 		t.Fatal(err)
 	}
 	rp, err := Load(bytes.NewReader(buf.Bytes()), "b")
@@ -153,5 +152,31 @@ func TestReplayerExhaustionAndRewind(t *testing.T) {
 	rp.Rewind()
 	if got := rp.Next(1); got != first {
 		t.Errorf("after Rewind: %+v, want %+v", got, first)
+	}
+}
+
+// header returns a version-1 trace header claiming cores cores.
+func header(cores uint16) []byte {
+	h := append([]byte{}, Magic[:]...)
+	h = binary.LittleEndian.AppendUint16(h, Version)
+	return binary.LittleEndian.AppendUint16(h, cores)
+}
+
+// TestOtherCoreCountsRejected: the machine always has topo.NumCores
+// cores, so a trace with fewer (whose replay would index a missing
+// core) or more (whose extra streams would be dropped) is an error at
+// load time, not a panic or a silent truncation during replay.
+func TestOtherCoreCountsRejected(t *testing.T) {
+	for _, cores := range []uint16{2, 5} {
+		data := append(header(cores), 0, 0, 1, 0, 0x40, 0, 0, 0, 0, 0, 0, 0) // one op for core 0
+		if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Errorf("%d-core header: NewReader error %v, want a trace: error", cores, err)
+		}
+		if _, err := Load(bytes.NewReader(data), "x"); err == nil {
+			t.Errorf("%d-core trace loaded", cores)
+		}
+	}
+	if _, err := NewReader(bytes.NewReader(header(topo.NumCores))); err != nil {
+		t.Errorf("%d-core header rejected: %v", topo.NumCores, err)
 	}
 }

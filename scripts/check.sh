@@ -2,7 +2,7 @@
 # Repository health check: formatting, vet, the full test suite (every
 # gate is a test: self-lint, protocol model checker, goldens and the
 # -parallel cross-diffs, graceful degradation), the race gate, the
-# mutant kill ratio, perfbench's own tests, and a single-iteration pass
+# mutant kill ratio, perfbench's vet and tests, and a single-iteration pass
 # over every benchmark (so the whole evaluation pipeline is exercised).
 # Used before publishing results.
 set -eu
@@ -30,10 +30,11 @@ go test -race -short ./...
 echo "== generated-mutant kill ratio vs MUTATION_quick.json (docs/ANALYSIS.md) =="
 go run ./cmd/mutcheck -quiet -diff MUTATION_quick.json
 
-# perfbench is its own module, so `go test ./...` skips it; this
-# catches an internal API change that breaks the benchmark.
-echo "== perfbench tests =="
-(cd perfbench && go test .)
+# perfbench is its own module, so `go vet ./...` and `go test ./...`
+# skip it; these catch an internal API change that breaks the
+# benchmark, and vet findings `go test`'s vet subset misses.
+echo "== perfbench vet and tests =="
+(cd perfbench && go vet . && go test .)
 
 echo "== benchmarks (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x ./...
