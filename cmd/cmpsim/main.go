@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		instr    = fs.Uint64("instr", 2_000_000, "measured instructions per core")
 		warmup   = fs.Int("warmup", 4_000_000, "warm-up instructions per core")
 		seed     = fs.Uint64("seed", 42, "workload seed")
-		baseline = fs.Bool("baseline", false, "also run uniform-shared and report speedup")
+		baseline = fs.Bool("baseline", false, "also run uniform-shared on the named workload and report speedup (not with -trace)")
 		traceIn  = fs.String("trace", "", "replay a recorded trace file instead of a named workload")
 		list     = fs.Bool("list", false, "list designs and workloads")
 	)
@@ -89,6 +89,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// exit 2, no goroutine dump from Validate's panic.
 	if f := experiments.CapturePanic("flags", func() { rc.Validate() }); f != nil {
 		fmt.Fprintln(stderr, "cmpsim:", strings.SplitN(f.Diagnostic, "\n", 2)[0])
+		return 2
+	}
+	// The baseline replays the named workload on uniform-shared; a
+	// trace has no generator to replay.
+	if *baseline && *traceIn != "" {
+		fmt.Fprintln(stderr, "cmpsim: -baseline needs a named -workload and cannot be combined with -trace")
 		return 2
 	}
 
@@ -142,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nCR/CS activity: %d pointer returns, %d replications, %d promotions, %d demotions\n",
 			s.PointerReturns, s.Replications, s.Promotions, s.Demotions)
 	}
-	if *baseline && *design != string(experiments.UniformShared) && *traceIn == "" {
+	if *baseline && *design != string(experiments.UniformShared) {
 		wb, _ := workloadByName(*wl, *seed)
 		base := experiments.Run(experiments.UniformShared, wb, rc)
 		fmt.Fprintf(stdout, "\nweighted speedup over uniform-shared: %.3fx\n", cmpsim.Speedup(res, base))

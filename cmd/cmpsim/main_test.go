@@ -30,6 +30,7 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown design", []string{"-design", "foo"}, `unknown design "foo"`},
 		{"unknown workload", []string{"-workload", "MIX9"}, `unknown workload "MIX9"`},
 		{"zero instr", []string{"-instr", "0"}, "zero measured instructions"},
+		{"baseline with trace", []string{"-trace", "run.trace", "-baseline"}, "cannot be combined with -trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,8 +16,8 @@
 // target tests with -short; CI runs it and diffs the committed
 // MUTATION_quick.json — the kill ratio may rise but never fall. -full
 // enumerates every site for local audits. Surviving mutants are
-// printed with file:line, operator, and the exact before => after
-// diff; a survivor not allowlisted in MUTATION_allow (with a
+// printed with their ID (file:func:op:index), file:line:col, and the
+// exact before => after diff; a survivor not allowlisted in MUTATION_allow (with a
 // mandatory `mutcheck:survives <reason>`) fails the run.
 //
 // Exit status: 0 clean, 1 reason-less survivor or baseline
@@ -150,8 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	code := 0
 	for _, s := range rep.Unallowlisted() {
-		fmt.Fprintf(stdout, "SURVIVED %s [%s]\n  - %s\n  + %s\n  (add a killing test, or allowlist in %s with `%s mutcheck:survives <reason>`)\n",
-			s.ID, s.Op, s.Before, s.After, *allowF, s.ID)
+		fmt.Fprintf(stdout, "SURVIVED %s at %s:%d:%d\n  - %s\n  + %s\n  (add a killing test, or allowlist in %s with `%s mutcheck:survives <reason>`)\n",
+			s.ID, s.File, s.Line, s.Col, s.Before, s.After, *allowF, s.ID)
 		code = 1
 	}
 

@@ -677,6 +677,7 @@ func TestValidateRejectsUnbuildable(t *testing.T) {
 // field Validate bounds still builds.
 func TestValidateAcceptsBoundaries(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
+		"DGroupFrames=1":        func(c *Config) { c.DGroupFrames = 1 },
 		"TagLatency=0":          func(c *Config) { c.TagLatency = 0 },
 		"MemLatency=0":          func(c *Config) { c.MemLatency = 0 },
 		"DGroupOccupancy=0":     func(c *Config) { c.DGroupOccupancy = 0 },

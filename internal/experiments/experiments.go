@@ -31,9 +31,9 @@ type RunConfig struct {
 }
 
 // Validate panics unless the configuration can produce a meaningful
-// measurement window. Binaries building a RunConfig from flags call
-// this before starting a run (the simlint configvalidate rule enforces
-// it); library paths use the checked Default/Quick constructors.
+// measurement window. simulate, the one run path, calls it before
+// every cell; binaries building a RunConfig from flags call it first
+// too, so a bad flag is a usage error rather than a failed cell.
 func (rc RunConfig) Validate() {
 	if rc.WarmupInstr < 0 {
 		panic("experiments: negative warm-up instruction count")
@@ -115,6 +115,7 @@ func NewDesign(d DesignName) memsys.L2 {
 // The caller keeps l2, so reports that read live structural state
 // (bus counters, occupancy) read it after simulate returns.
 func simulate(l2 memsys.L2, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
+	rc.Validate()
 	cfg := cmpsim.DefaultConfig()
 	cfg.MaxCycles = rc.MaxCycles
 	sys := cmpsim.New(cfg, l2, w)

@@ -46,6 +46,26 @@ var (
 	}
 )
 
+// TestRunValidatesConfig: the library run path rejects a scale that
+// cannot measure anything with an "experiments: " panic, as the
+// binaries reject the same flags, instead of reporting an IPC of 0.
+func TestRunValidatesConfig(t *testing.T) {
+	for _, rc := range []RunConfig{
+		{WarmupInstr: 100, Instructions: 0, Seed: 42},
+		{WarmupInstr: -1, Instructions: 100, Seed: 42},
+	} {
+		w := workload.New(workload.Multithreaded(rc.Seed)[0])
+		f := CapturePanic("run", func() { Run(UniformShared, w, rc) })
+		if f == nil {
+			t.Errorf("Run(%+v) did not panic", rc)
+			continue
+		}
+		if !strings.HasPrefix(f.Diagnostic, "experiments: ") {
+			t.Errorf("Run(%+v) panicked with %q, want an experiments: message", rc, f.Diagnostic)
+		}
+	}
+}
+
 func TestTable1Renders(t *testing.T) {
 	s := Table1().String()
 	for _, want := range []string{"26", "33", "59", "10", "6,20,20,33", "32"} {

@@ -33,6 +33,7 @@ import (
 //     bounce the block back and forth.
 type DNUCA struct {
 	banks      []*cache.Array[sharedPayload]
+	il         interleave // one bankset per select value
 	ports      []bus.Port
 	lat        [topo.NumCores][topo.NumDGroups]memsys.Cycles
 	memLatency memsys.Cycles
@@ -53,6 +54,7 @@ func NewDNUCA() *DNUCA {
 // NewDNUCAWith builds a DNUCA with explicit geometry and timing.
 func NewDNUCAWith(bankBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, dist [topo.NumCores][topo.NumDGroups]memsys.Cycles, netOverhead, memLatency memsys.Cycles) *DNUCA {
 	d := &DNUCA{
+		il:         newInterleave(blockBytes, len(dnucaBanksets)),
 		ports:      make([]bus.Port, topo.NumDGroups),
 		memLatency: memLatency,
 		stats:      memsys.NewL2Stats(),
@@ -78,42 +80,33 @@ func (d *DNUCA) Stats() *memsys.L2Stats { return d.stats }
 // SetL1Invalidate implements memsys.L1Invalidator.
 func (d *DNUCA) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { d.l1inv = fn }
 
-func (d *DNUCA) blockBytes() memsys.Bytes { return d.banks[0].Geometry().BlockBytes }
+// dnucaBanksets are the banks each bankset spans: with four banks
+// there are two banksets — diagonal pairs {a,d} and {b,c} — so every
+// core has one bankset whose nearest member is its closest bank and
+// one whose members are both a middle-distance hop away. A bank holds
+// only its bankset's blocks, so it indexes with the bankset bit folded
+// out of the address (interleave.inner), like a SNUCA bank.
+var dnucaBanksets = [2][2]int{{0, 3}, {1, 2}}
+
+// dnucaBanksetOf inverts dnucaBanksets: the bankset of each bank.
+var dnucaBanksetOf = [topo.NumDGroups]int{0, 1, 1, 0}
 
 // bankset returns the banks addr may live in, ordered by the
-// requester's preference. With four banks there are two banksets —
-// diagonal pairs {a,d} and {b,c} — so every core has one bankset whose
-// nearest member is its closest bank and one whose members are both a
-// middle-distance hop away.
+// requester's preference.
 func (d *DNUCA) bankset(core int, addr memsys.Addr) [2]int {
-	bit := int(uint64(addr)>>uint(log2i(int(d.blockBytes())))) & 1
-	var set [2]int
-	if bit == 0 {
-		set = [2]int{0, 3} // a, d
-	} else {
-		set = [2]int{1, 2} // b, c
-	}
+	set := dnucaBanksets[d.il.sel(addr)]
 	if d.lat[core][set[1]] < d.lat[core][set[0]] {
 		set[0], set[1] = set[1], set[0]
 	}
 	return set
 }
 
-func log2i(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // BankOf returns the bank currently holding addr, or -1 (exposed for
 // tests and the migration analysis).
 func (d *DNUCA) BankOf(addr memsys.Addr) int {
-	addr = addr.BlockAddr(d.blockBytes())
-	for b, arr := range d.banks {
-		if arr.Probe(addr) != nil {
+	inner := d.il.inner(addr)
+	for _, b := range dnucaBanksets[d.il.sel(addr)] {
+		if d.banks[b].Probe(inner) != nil {
 			return b
 		}
 	}
@@ -135,17 +128,17 @@ func (d *DNUCA) LineState(core int, addr memsys.Addr) string {
 //
 // hotpath:root
 func (d *DNUCA) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Result {
-	addr = addr.BlockAddr(d.blockBytes())
 	set := d.bankset(core, addr)
+	inner := d.il.inner(addr)
 	var lat memsys.Cycles
 	for i, b := range set {
-		if l := d.banks[b].Probe(addr); l != nil {
+		if l := d.banks[b].Probe(inner); l != nil {
 			d.banks[b].Touch(l)
 			start := d.ports[b].Acquire(now.Add(lat), snucaSlotCycles)
 			lat += start.Sub(now.Add(lat)) + d.lat[core][b]
 			closest := b == topo.Closest(core)
 			if i > 0 {
-				d.migrate(addr, b, set[0])
+				d.migrate(inner, b, set[0])
 			}
 			res := memsys.Result{Latency: lat, Category: memsys.Hit, DGroup: b,
 				ClosestDGroup: closest}
@@ -160,59 +153,63 @@ func (d *DNUCA) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool)
 	// Miss: place in the bankset's bank nearest the requester.
 	d.stats.OffChipMisses++
 	lat += d.memLatency
-	d.install(addr, set[0])
+	d.install(inner, set[0])
 	res := memsys.Result{Latency: lat, Category: memsys.CapacityMiss, DGroup: -1}
 	d.stats.RecordAccess(res)
 	_ = write
 	return res
 }
 
-// migrate moves addr from bank `from` to bank `to` within its bankset,
-// swapping with a victim when the target is full.
-func (d *DNUCA) migrate(addr memsys.Addr, from, to int) {
+// migrate moves the block at in-bank address inner from bank `from` to
+// bank `to` within its bankset, swapping with a victim when the target
+// is full. Both banks belong to one bankset, so every in-bank address
+// here means the same block in either bank.
+func (d *DNUCA) migrate(inner memsys.Addr, from, to int) {
 	if to == from {
 		return
 	}
-	src := d.banks[from].Probe(addr)
+	src := d.banks[from].Probe(inner)
 	if src == nil {
 		return
 	}
 	d.banks[from].Invalidate(src)
 	// Displaced victim (if any) moves to the vacated slot in `from` —
 	// the swap that keeps occupancy constant.
-	v := d.banks[to].Victim(addr)
+	v := d.banks[to].Victim(inner)
 	if v.Valid {
 		displaced := d.banks[to].AddrOf(v)
 		d.banks[to].Invalidate(v)
 		fv := d.banks[from].Victim(displaced)
 		if fv.Valid {
 			// Conflict in the vacated set: evict outright (inclusion).
-			d.evict(d.banks[from].AddrOf(fv))
+			d.evict(from, fv)
 			d.banks[from].Invalidate(fv)
 		}
 		d.banks[from].Install(fv, displaced, sharedPayload{})
 	}
-	nv := d.banks[to].Victim(addr)
+	nv := d.banks[to].Victim(inner)
 	if nv.Valid {
-		d.evict(d.banks[to].AddrOf(nv))
+		d.evict(to, nv)
 		d.banks[to].Invalidate(nv)
 	}
-	d.banks[to].Install(nv, addr, sharedPayload{})
+	d.banks[to].Install(nv, inner, sharedPayload{})
 	d.Migrations++
 }
 
-// install places addr into bank b, evicting as needed.
-func (d *DNUCA) install(addr memsys.Addr, b int) {
-	v := d.banks[b].Victim(addr)
+// install places the block at in-bank address inner into bank b,
+// evicting as needed.
+func (d *DNUCA) install(inner memsys.Addr, b int) {
+	v := d.banks[b].Victim(inner)
 	if v.Valid {
-		d.evict(d.banks[b].AddrOf(v))
+		d.evict(b, v)
 	}
-	d.banks[b].Install(v, addr, sharedPayload{})
+	d.banks[b].Install(v, inner, sharedPayload{})
 }
 
-// evict preserves inclusion for a dying block.
-func (d *DNUCA) evict(addr memsys.Addr) {
+// evict preserves inclusion for the block dying in line l of bank b.
+func (d *DNUCA) evict(b int, l *cache.Line[sharedPayload]) {
 	if d.l1inv != nil {
+		addr := d.il.outer(d.banks[b].AddrOf(l), dnucaBanksetOf[b])
 		for c := 0; c < topo.NumCores; c++ {
 			d.l1inv(c, addr)
 		}
@@ -225,7 +222,7 @@ func (d *DNUCA) CheckInvariants() {
 	seen := map[memsys.Addr]int{}
 	for b, arr := range d.banks {
 		arr.ForEach(func(_ int, l *cache.Line[sharedPayload]) {
-			a := arr.AddrOf(l)
+			a := d.il.outer(arr.AddrOf(l), dnucaBanksetOf[b])
 			if prev, dup := seen[a]; dup {
 				panic(fmt.Sprintf("l2: DNUCA block %#x duplicated in banks %d and %d", a, prev, b))
 			}

@@ -3,6 +3,7 @@ package l2
 import (
 	"testing"
 
+	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
 	"cmpnurapid/internal/topo"
@@ -76,14 +77,44 @@ func TestDNUCASingleCopy(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		d.Access(memsys.Cycle(c*100), c, a, false)
 	}
+	// A bank holds only its bankset's blocks, indexed by the in-bank
+	// address; the block must sit in exactly one of them.
 	copies := 0
-	for b := 0; b < topo.NumDGroups; b++ {
-		if d.banks[b].Probe(a) != nil {
+	for _, b := range d.bankset(0, a) {
+		if d.banks[b].Probe(d.il.inner(a)) != nil {
 			copies++
 		}
 	}
+	if b := d.BankOf(a); b < 0 {
+		t.Error("BankOf does not find the block")
+	}
 	if copies != 1 {
 		t.Errorf("%d copies, want 1 (DNUCA does not replicate)", copies)
+	}
+	d.CheckInvariants()
+}
+
+// TestDNUCABankFoldingUsesFullSets: every bank holds one bankset's
+// blocks, so the bankset bit must be folded out of the address the
+// bank indexes with, as SNUCA folds its bank bits. Otherwise every
+// block in a bank has the same low set-index bit and half of each
+// bank's sets go unused.
+func TestDNUCABankFoldingUsesFullSets(t *testing.T) {
+	d := smallDNUCA() // 16 sets × 4 ways per bank
+	now := memsys.Cycle(0)
+	for i := 0; i < 64; i++ { // 32 blocks per bankset, all from core 0
+		d.Access(now, 0, memsys.Addr(i*64), false)
+		now += 100
+	}
+	sets := map[int]bool{}
+	d.banks[topo.Closest(0)].ForEach(func(set int, _ *cache.Line[sharedPayload]) { sets[set] = true })
+	if want := d.banks[0].Geometry().Sets; len(sets) != want {
+		t.Errorf("core 0's bank uses %d of its %d sets; the bankset bit aliases into the index", len(sets), want)
+	}
+	for _, raw := range []memsys.Addr{0, 64, 0x1040, 0xffc0} {
+		if got := d.il.outer(d.il.inner(raw), d.il.sel(raw)); got != raw {
+			t.Errorf("round trip of %#x = %#x", raw, got)
+		}
 	}
 	d.CheckInvariants()
 }

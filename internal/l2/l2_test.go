@@ -1,6 +1,7 @@
 package l2
 
 import (
+	"fmt"
 	"testing"
 
 	"cmpnurapid/internal/bus"
@@ -89,13 +90,13 @@ func TestSNUCABankMapping(t *testing.T) {
 	// Consecutive blocks interleave across the 4 banks.
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		seen[s.bankOf(memsys.Addr(i*64))] = true
+		seen[s.il.sel(memsys.Addr(i*64))] = true
 	}
 	if len(seen) != 4 {
 		t.Errorf("4 consecutive blocks mapped to %d banks, want 4", len(seen))
 	}
 	// Same block always maps to the same bank.
-	if s.bankOf(0x1040) != s.bankOf(0x1040) {
+	if s.il.sel(0x1040) != s.il.sel(0x1040) {
 		t.Error("bank mapping not deterministic")
 	}
 }
@@ -135,7 +136,7 @@ func TestSNUCANoReplication(t *testing.T) {
 	// address.
 	copies := 0
 	for _, b := range s.banks {
-		if b.Probe(s.innerAddr(a)) != nil {
+		if b.Probe(s.il.inner(a)) != nil {
 			copies++
 		}
 	}
@@ -144,11 +145,37 @@ func TestSNUCANoReplication(t *testing.T) {
 	}
 }
 
+// TestSharedDesignsLineState: the stall diagnostics of the three
+// shared designs report residency, and SNUCA and DNUCA name the bank.
+func TestSharedDesignsLineState(t *testing.T) {
+	in, out := memsys.Addr(0x1040), memsys.Addr(0x2040)
+	sh, s, d := smallShared(), smallSNUCA(), smallDNUCA()
+	for _, l2 := range []memsys.L2{sh, s, d} {
+		l2.Access(0, 0, in, false)
+	}
+	for _, tc := range []struct {
+		name string
+		got  string
+		want string
+	}{
+		{"shared resident", sh.LineState(1, in), "resident"},
+		{"shared absent", sh.LineState(1, out), "absent"},
+		{"SNUCA resident", s.LineState(1, in), fmt.Sprintf("resident(bank%d)", s.il.sel(in))},
+		{"SNUCA absent", s.LineState(1, out), fmt.Sprintf("absent(bank%d)", s.il.sel(out))},
+		{"DNUCA resident", d.LineState(1, in), fmt.Sprintf("resident(bank%d)", d.BankOf(in))},
+		{"DNUCA absent", d.LineState(1, out), "absent"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: LineState = %q, want %q", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
 func TestSNUCAInnerOuterRoundTrip(t *testing.T) {
 	s := smallSNUCA()
 	for _, raw := range []memsys.Addr{0, 64, 128, 0x1040, 0xffc0, 0x12345 &^ 63} {
-		b := s.bankOf(raw)
-		if got := s.outerAddr(s.innerAddr(raw), b); got != raw.BlockAddr(64) {
+		b := s.il.sel(raw)
+		if got := s.il.outer(s.il.inner(raw), b); got != raw.BlockAddr(64) {
 			t.Errorf("round trip of %#x via bank %d = %#x", raw, b, got)
 		}
 	}
@@ -163,10 +190,10 @@ func TestSNUCABankFoldingUsesFullSets(t *testing.T) {
 	sets := map[int]bool{}
 	for i := 0; i < 64; i++ {
 		a := memsys.Addr(i * 64)
-		if s.bankOf(a) != 0 {
+		if s.il.sel(a) != 0 {
 			continue
 		}
-		sets[bank.SetIndex(s.innerAddr(a))] = true
+		sets[bank.SetIndex(s.il.inner(a))] = true
 	}
 	if len(sets) < 8 {
 		t.Errorf("bank 0 blocks cover only %d sets; bank bits alias into the index", len(sets))

@@ -2,6 +2,7 @@ package l2
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/cache"
@@ -25,6 +26,7 @@ import (
 // well short of ideal (Figure 6).
 type SNUCA struct {
 	banks      []*cache.Array[sharedPayload]
+	il         interleave // one bank per select value
 	ports      []bus.Port
 	lat        [topo.NumCores][topo.NumDGroups]memsys.Cycles
 	memLatency memsys.Cycles
@@ -52,6 +54,7 @@ func NewSNUCA() *SNUCA {
 // NewSNUCAWith builds a SNUCA with explicit geometry and timing.
 func NewSNUCAWith(bankBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, dist [topo.NumCores][topo.NumDGroups]memsys.Cycles, netOverhead, memLatency memsys.Cycles) *SNUCA {
 	s := &SNUCA{
+		il:         newInterleave(blockBytes, topo.NumDGroups),
 		ports:      make([]bus.Port, topo.NumDGroups),
 		memLatency: memLatency,
 		stats:      memsys.NewL2Stats(),
@@ -77,45 +80,44 @@ func (s *SNUCA) Stats() *memsys.L2Stats { return s.stats }
 // SetL1Invalidate implements memsys.L1Invalidator.
 func (s *SNUCA) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { s.l1inv = fn }
 
-// blockBits returns log2 of the block size.
-func (s *SNUCA) blockBits() uint {
-	b := uint(0)
-	for bs := int(s.banks[0].Geometry().BlockBytes); bs > 1; bs >>= 1 {
-		b++
-	}
-	return b
+// interleave statically spreads block addresses over n banks (SNUCA)
+// or banksets (DNUCA) by the low bits of the block number, and folds
+// those select bits out of the address a bank indexes with. Without
+// the fold every block in bank b would have a block number congruent
+// to b mod n, its set index would inherit that residue, and all but
+// 1/n of each bank's sets would go unused.
+type interleave struct {
+	blockBits uint
+	n         uint64
 }
 
-// bankOf statically interleaves block addresses across banks.
-func (s *SNUCA) bankOf(addr memsys.Addr) int {
-	return int((uint64(addr) >> s.blockBits()) % uint64(len(s.banks)))
+func newInterleave(blockBytes memsys.Bytes, n int) interleave {
+	return interleave{blockBits: uint(bits.TrailingZeros64(uint64(blockBytes))), n: uint64(n)}
 }
 
-// innerAddr folds the bank-select bits out of an address so the bank's
-// set index uses the full set range (without this, addresses in bank b
-// all share set indices congruent to b and three quarters of each bank
-// would go unused).
-func (s *SNUCA) innerAddr(addr memsys.Addr) memsys.Addr {
-	bb := s.blockBits()
-	block := uint64(addr) >> bb
-	return memsys.Addr((block / uint64(len(s.banks))) << bb)
+// sel returns the bank (or bankset) addr interleaves to.
+func (il interleave) sel(addr memsys.Addr) int {
+	return int((uint64(addr) >> il.blockBits) % il.n)
 }
 
-// outerAddr inverts innerAddr for the given bank (used to reconstruct
-// the original address of an evicted block for L1 invalidation).
-func (s *SNUCA) outerAddr(inner memsys.Addr, bank int) memsys.Addr {
-	bb := s.blockBits()
-	block := uint64(inner) >> bb
-	return memsys.Addr((block*uint64(len(s.banks)) + uint64(bank)) << bb)
+// inner folds the select bits out of addr: the block address the bank
+// stores and indexes with.
+func (il interleave) inner(addr memsys.Addr) memsys.Addr {
+	return memsys.Addr((uint64(addr) >> il.blockBits) / il.n << il.blockBits)
+}
+
+// outer inverts inner for select value sel, reconstructing the block
+// address (for L1 invalidation of an evicted block).
+func (il interleave) outer(inner memsys.Addr, sel int) memsys.Addr {
+	return memsys.Addr(((uint64(inner)>>il.blockBits)*il.n + uint64(sel)) << il.blockBits)
 }
 
 // LineState implements memsys.LineStateProber for stall diagnostics:
 // a shared design has no per-core coherence state, so it reports
 // residency in the owning bank.
 func (s *SNUCA) LineState(core int, addr memsys.Addr) string {
-	addr = addr.BlockAddr(s.banks[0].Geometry().BlockBytes)
-	b := s.bankOf(addr)
-	if s.banks[b].Probe(s.innerAddr(addr)) != nil {
+	b := s.il.sel(addr)
+	if s.banks[b].Probe(s.il.inner(addr)) != nil {
 		return fmt.Sprintf("resident(bank%d)", b)
 	}
 	return fmt.Sprintf("absent(bank%d)", b)
@@ -132,7 +134,7 @@ func (s *SNUCA) CheckInvariants() {
 		bank.ForEach(func(_ int, l *cache.Line[sharedPayload]) {
 			a := bank.AddrOf(l)
 			if seen[a] {
-				panic(fmt.Sprintf("l2: SNUCA bank %d holds block %#x twice", b, a))
+				panic(fmt.Sprintf("l2: SNUCA bank %d holds block %#x twice", b, s.il.outer(a, b)))
 			}
 			seen[a] = true
 		})
@@ -143,14 +145,13 @@ func (s *SNUCA) CheckInvariants() {
 //
 // hotpath:root
 func (s *SNUCA) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Result {
-	addr = addr.BlockAddr(s.banks[0].Geometry().BlockBytes)
-	b := s.bankOf(addr)
+	b := s.il.sel(addr)
 	lat := s.lat[core][b]
 	start := s.ports[b].Acquire(now, snucaSlotCycles)
 	lat += start.Sub(now)
 
 	bank := s.banks[b]
-	inner := s.innerAddr(addr)
+	inner := s.il.inner(addr)
 	if l := bank.Probe(inner); l != nil {
 		bank.Touch(l)
 		res := memsys.Result{Latency: lat, Category: memsys.Hit, DGroup: b,
@@ -161,7 +162,7 @@ func (s *SNUCA) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool)
 	s.stats.OffChipMisses++
 	v := bank.Victim(inner)
 	if v.Valid && s.l1inv != nil {
-		evicted := s.outerAddr(bank.AddrOf(v), b)
+		evicted := s.il.outer(bank.AddrOf(v), b)
 		for c := 0; c < topo.NumCores; c++ {
 			s.l1inv(c, evicted)
 		}

@@ -16,9 +16,11 @@
 //
 // Everything is deterministic: site enumeration follows lexical file
 // and syntax order, quick-tier sampling orders sites by an FNV-1a hash
-// of the site identity (file, position, operator) — no wall clock, no
-// global rand — and the JSON report carries no timings, so two
-// consecutive runs over the same tree are byte-identical.
+// of the site identity (file, enclosing declaration, operator,
+// ordinal) — no wall clock, no global rand, no line numbers — and the
+// JSON report carries no timings, so two consecutive runs over the
+// same tree are byte-identical, and an edit outside a function cannot
+// redraw that function's sites.
 package mutcheck
 
 import (
@@ -28,38 +30,51 @@ import (
 )
 
 // A Site is one potential mutation: the Index-th candidate that
-// operator Op finds in File when the file's syntax tree is walked in
-// lexical order. Sites are located by (File, Op, Index) rather than by
-// node pointer so that enumeration and application can parse the file
-// independently and still agree.
+// operator Op finds inside the top-level declaration Func of File when
+// the file's syntax tree is walked in lexical order. Sites are located
+// by (File, Func, Op, Index) rather than by node pointer or position,
+// so enumeration and application can parse the file independently and
+// still agree, and an edit elsewhere in the file — a blank line, a new
+// function — leaves the site's identity alone.
 type Site struct {
 	// File is the module-relative, slash-separated path.
 	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	// Line and Col locate the site for people; they are not part of
+	// its identity.
+	Line int `json:"line"`
+	Col  int `json:"col"`
+	// Func names the enclosing top-level declaration: F, Recv.Method,
+	// or the first name of a package-level var/const/type spec.
+	Func string `json:"func"`
 	// Op names the mutation operator (see Operators).
 	Op string `json:"op"`
-	// Index is the per-(file, operator) candidate ordinal.
-	Index int `json:"-"`
+	// Index is the per-(file, Func, operator) candidate ordinal.
+	Index int `json:"index"`
 	// Before and After are compact renderings of the mutated
 	// construct — the "exact diff" a survivor report shows.
 	Before string `json:"before"`
 	After  string `json:"after"`
 }
 
-// ID is the stable identity used by the allowlist and the report:
-// file:line:col:op. Positions shift when the file is edited, which is
-// intended — a survivor allowlist entry must be re-justified when the
-// code around it changes.
+// ID is the stable identity used by the allowlist, the report and
+// quick-tier sampling: file:func:op:index. An edit inside the function
+// can renumber its sites, which is intended — an allowlist entry must
+// be re-justified when the code around it changes — but an edit
+// anywhere else cannot.
 func (s Site) ID() string {
-	return fmt.Sprintf("%s:%d:%d:%s", s.File, s.Line, s.Col, s.Op)
+	return fmt.Sprintf("%s:%s:%s:%d", s.File, s.Func, s.Op, s.Index)
+}
+
+// Pos is the human-readable file:line:col of the site.
+func (s Site) Pos() string {
+	return fmt.Sprintf("%s:%d:%d", s.File, s.Line, s.Col)
 }
 
 // hash is the deterministic sampling key for quick-tier selection:
 // FNV-1a over the site identity. No wall clock, no process state.
 func (s Site) hash() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s:%d:%d:%s", s.File, s.Line, s.Col, s.Op)
+	h.Write([]byte(s.ID()))
 	return h.Sum64()
 }
 

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -125,21 +126,88 @@ func TestEnumerationDeterministic(t *testing.T) {
 	}
 }
 
+// TestSelectionSurvivesUnrelatedEdit: a blank line above a function
+// shifts every site below it, but the quick-tier sample and its
+// allowlist keys stay the same.
+func TestSelectionSurvivesUnrelatedEdit(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(minimod, "lib.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(src), "\nfunc Clamp(", "\n\nfunc Clamp(", 1)
+	if edited == string(src) {
+		t.Fatal("fixture has no func Clamp to shift")
+	}
+	selection := func(lib string) []string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "lib.go"), []byte(lib), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sites, err := EnumeratePackage(dir, ".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, s := range SelectSites(sites, 5) {
+			ids = append(ids, s.ID()+" "+s.Before+" => "+s.After)
+		}
+		return ids
+	}
+	before, after := selection(string(src)), selection(edited)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("a blank line redrew the sample:\n%s\nvs\n%s",
+			strings.Join(before, "\n"), strings.Join(after, "\n"))
+	}
+}
+
+// TestEnumerationMatchesToolchainFileFilter: mutants are drawn from
+// exactly the files `go build` compiles. A release tag (go1.21) is
+// satisfied by any current toolchain, and a GOOS file-name suffix
+// other than the host's excludes the file.
+func TestEnumerationMatchesToolchainFileFilter(t *testing.T) {
+	otherOS := "windows"
+	if runtime.GOOS == otherOS {
+		otherOS = "plan9"
+	}
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"lib.go":               "package m\n\nfunc A(a, b int) bool { return a < b }\n",
+		"release.go":           "//go:build go1.21\n\npackage m\n\nfunc B(a, b int) bool { return a < b }\n",
+		"x_" + otherOS + ".go": "package m\n\nfunc C(a, b int) bool { return a < b }\n",
+		"lib_test.go":          "package m\n\nfunc D(a, b int) bool { return a < b }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sites, err := EnumeratePackage(dir, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]bool{}
+	for _, s := range sites {
+		files[s.File] = true
+	}
+	if want := map[string]bool{"lib.go": true, "release.go": true}; !reflect.DeepEqual(files, want) {
+		t.Errorf("sites drawn from %v, want %v", files, want)
+	}
+}
+
 func TestAllowlistReasonsEnforced(t *testing.T) {
-	good := "# comment\n\nlib.go:9:5:relswap mutcheck:survives clamp boundary is value-equivalent\n"
+	good := "# comment\n\nlib.go:Clamp:relswap:0 mutcheck:survives clamp boundary is value-equivalent\n"
 	al, err := ParseAllowlist(strings.NewReader(good))
 	if err != nil {
 		t.Fatalf("ParseAllowlist: %v", err)
 	}
-	if al["lib.go:9:5:relswap"] != "clamp boundary is value-equivalent" {
+	if al["lib.go:Clamp:relswap:0"] != "clamp boundary is value-equivalent" {
 		t.Fatalf("parsed allowlist = %v", al)
 	}
 	for _, bad := range []string{
-		"lib.go:9:5:relswap mutcheck:survives",                // reason-less
-		"lib.go:9:5:relswap mutcheck:survives   ",             // whitespace reason
-		"lib.go:9:5:relswap because I said so",                // missing marker
-		"lib.go:9:5:relswap",                                  // bare ID
-		good + "lib.go:9:5:relswap mutcheck:survives twice\n", // duplicate
+		"lib.go:Clamp:relswap:0 mutcheck:survives",                // reason-less
+		"lib.go:Clamp:relswap:0 mutcheck:survives   ",             // whitespace reason
+		"lib.go:Clamp:relswap:0 because I said so",                // missing marker
+		"lib.go:Clamp:relswap:0",                                  // bare ID
+		good + "lib.go:Clamp:relswap:0 mutcheck:survives twice\n", // duplicate
 	} {
 		if _, err := ParseAllowlist(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseAllowlist(%q) accepted an invalid entry", bad)
@@ -160,7 +228,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		Packages: []PackageReport{{
 			Package: "internal/cache", Sites: 42, Selected: 8, Killed: 7, Survived: 1,
 			Survivors: []Survivor{{
-				ID: "internal/cache/cache.go:10:2:relswap", File: "internal/cache/cache.go",
+				ID: "internal/cache/cache.go:Array.Probe:relswap:0", File: "internal/cache/cache.go",
 				Line: 10, Col: 2, Op: "relswap", Before: "a < b", After: "a <= b",
 				Allowlisted: true, Reason: "boundary equivalent",
 			}},
@@ -249,10 +317,9 @@ func TestFixtureCampaign(t *testing.T) {
 		t.Errorf("%d stillborn mutants in fixture (all fixture mutants should compile)", total.Stillborn)
 	}
 	// Untested is uncovered: every one of its mutants must survive.
-	// Its sites all sit on lines 44-48 of lib.go.
 	var untestedSurvivors int
 	for _, s := range rep.Packages[0].Survivors {
-		if s.Line >= 44 && s.Line <= 48 {
+		if strings.HasPrefix(s.ID, "lib.go:Untested:") {
 			untestedSurvivors++
 		}
 		if s.Allowlisted {

@@ -135,7 +135,7 @@ func runPackage(cfg Config, shadow, pkg string, targets []string) (*PackageRepor
 			return nil, err
 		}
 		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "%-9s %s  %s => %s\n", outcome, site.ID(), site.Before, site.After)
+			fmt.Fprintf(cfg.Progress, "%-9s %s (%s)  %s => %s\n", outcome, site.ID(), site.Pos(), site.Before, site.After)
 		}
 		switch outcome {
 		case Killed:

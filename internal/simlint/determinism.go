@@ -81,15 +81,15 @@ func checkDeterminismFile(pkg *Package, file *ast.File, report Reporter) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if usesPackage(pkg, file, n, "time") && bannedTimeFuncs[n.Sel.Name] {
+			if usesPackage(pkg, n, "time") && bannedTimeFuncs[n.Sel.Name] {
 				report(n.Pos(), "time.%s reads the wall clock; simulator state must depend only on the seed", n.Sel.Name)
 			}
-			if usesPackage(pkg, file, n, "os") && bannedOSFuncs[n.Sel.Name] {
+			if usesPackage(pkg, n, "os") && bannedOSFuncs[n.Sel.Name] {
 				report(n.Pos(), "os.%s makes model behaviour depend on the process environment", n.Sel.Name)
 			}
 		case *ast.RangeStmt:
 			if isMapType(pkg, n.X) {
-				if pos, name, found := findEmit(pkg, file, n.Body); found {
+				if pos, name, found := findEmit(pkg, n.Body); found {
 					report(pos, "%s emits output inside a map iteration; map order is randomized — sort the keys first (stats.SortedKeys)", name)
 				}
 			}
@@ -99,20 +99,13 @@ func checkDeterminismFile(pkg *Package, file *ast.File, report Reporter) {
 }
 
 func isMapType(pkg *Package, expr ast.Expr) bool {
-	if pkg.Info == nil {
-		return false
-	}
-	tv, ok := pkg.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
+	_, isMap := pkg.Info.TypeOf(expr).Underlying().(*types.Map)
 	return isMap
 }
 
 // findEmit returns the first order-observable output call in body: a
 // fmt print function or a writer/table method.
-func findEmit(pkg *Package, file *ast.File, body *ast.BlockStmt) (pos token.Pos, name string, found bool) {
+func findEmit(pkg *Package, body *ast.BlockStmt) (pos token.Pos, name string, found bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
@@ -125,7 +118,7 @@ func findEmit(pkg *Package, file *ast.File, body *ast.BlockStmt) (pos token.Pos,
 		if !ok {
 			return true
 		}
-		if usesPackage(pkg, file, sel, "fmt") && emitFuncs[sel.Sel.Name] {
+		if usesPackage(pkg, sel, "fmt") && emitFuncs[sel.Sel.Name] {
 			pos, name, found = call.Pos(), "fmt."+sel.Sel.Name, true
 			return false
 		}
@@ -143,11 +136,6 @@ func isPackageSelector(pkg *Package, sel *ast.SelectorExpr) bool {
 	if !ok {
 		return false
 	}
-	if pkg.Info != nil {
-		if obj, ok := pkg.Info.Uses[id]; ok {
-			_, isPkg := obj.(*types.PkgName)
-			return isPkg
-		}
-	}
-	return false
+	_, isPkg := pkg.Info.Uses[id].(*types.PkgName)
+	return isPkg
 }

@@ -36,9 +36,6 @@ func NewEnumSwitch() *Analyzer {
 				return
 			}
 			for _, pkg := range prog.Packages {
-				if pkg.Info == nil {
-					continue
-				}
 				for _, file := range pkg.Files {
 					checkEnumSwitchFile(pkg, file, enums, report)
 				}
@@ -51,7 +48,7 @@ func NewEnumSwitch() *Analyzer {
 func collectEnums(prog *Program) map[*types.Named]*enumInfo {
 	enums := map[*types.Named]*enumInfo{}
 	for _, pkg := range prog.Packages {
-		if pkg.Types == nil || !pkg.UnderRel("internal") {
+		if !pkg.UnderRel("internal") {
 			continue
 		}
 		scope := pkg.Types.Scope()

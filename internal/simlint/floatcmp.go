@@ -37,9 +37,6 @@ func NewFloatCompare(paths []string) *Analyzer {
 }
 
 func checkFloatFile(pkg *Package, file *ast.File, report Reporter) {
-	if pkg.Info == nil {
-		return
-	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {

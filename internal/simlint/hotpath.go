@@ -165,7 +165,7 @@ func (hc *hotChecker) checkCall(hf *moduleFunc, via string, call *ast.CallExpr, 
 		hc.flag(hf, via, call.Pos(), "append may grow its backing array; pre-size the buffer")
 		return
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && usesPackage(hf.pkg, hf.file, sel, "fmt") {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && usesPackage(hf.pkg, sel, "fmt") {
 		hc.flag(hf, via, call.Pos(), "fmt."+sel.Sel.Name+" formats and allocates; format off the hot path")
 		// Boxing into fmt's ...any parameters is implied; one
 		// diagnostic per call is enough.
@@ -224,11 +224,8 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	if !ok || id.Name != name {
 		return false
 	}
-	if obj, ok := info.Uses[id]; ok {
-		_, builtin := obj.(*types.Builtin)
-		return builtin
-	}
-	return true // unresolved: trust the name (degraded, syntax-only)
+	_, builtin := info.Uses[id].(*types.Builtin)
+	return builtin
 }
 
 func exprType(info *types.Info, e ast.Expr) types.Type {

@@ -48,9 +48,8 @@ func NewPanicMsg() *Analyzer {
 }
 
 // diagnosticTypes collects every named type in the module whose
-// declaration doc contains the panicmsg:diagnostic marker, keyed both
-// by qualified path ("pkg/path.Type", for type-informed matching) and
-// bare name (the syntactic fallback when type info is unavailable).
+// declaration doc contains the panicmsg:diagnostic marker, keyed by
+// qualified path ("pkg/path.Type").
 func diagnosticTypes(prog *Program) map[string]bool {
 	marked := map[string]bool{}
 	for _, pkg := range prog.Packages {
@@ -90,75 +89,53 @@ func checkPanicFile(pkg *Package, file *ast.File, prefix string, marked map[stri
 		if !ok || fn.Name != "panic" || len(call.Args) != 1 {
 			return true
 		}
-		if pkg.Info != nil {
-			// Don't misfire on a local function shadowing the builtin.
-			if obj, found := pkg.Info.Uses[fn]; found && obj.Pkg() != nil {
-				return true
-			}
+		// Don't misfire on a local function shadowing the builtin.
+		if _, builtin := pkg.Info.Uses[fn].(*types.Builtin); !builtin {
+			return true
 		}
 		if isDiagnosticArg(pkg, call.Args[0], marked) {
 			return true
 		}
-		if msg, ok := panicMessage(pkg, file, call.Args[0]); !ok || !strings.HasPrefix(msg, prefix) {
+		if msg, ok := panicMessage(pkg, call.Args[0]); !ok || !strings.HasPrefix(msg, prefix) {
 			report(call.Pos(), "panic message must be a constant string starting with %q (got %s)",
-				prefix, describePanicArg(pkg, file, call.Args[0]))
+				prefix, describePanicArg(pkg, call.Args[0]))
 		}
 		return true
 	})
 }
 
-// isDiagnosticArg reports whether the panic argument's type is a
-// marked diagnostic: by type information when available, else
-// syntactically for the panic(&T{...}) / panic(&pkg.T{...}) shapes.
+// isDiagnosticArg reports whether the panic argument's type (or the
+// type it points to) is a marked diagnostic.
 func isDiagnosticArg(pkg *Package, arg ast.Expr, marked map[string]bool) bool {
-	if pkg.Info != nil {
-		if tv, ok := pkg.Info.Types[arg]; ok && tv.Type != nil {
-			t := tv.Type
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if n, ok := t.(*types.Named); ok {
-				obj := n.Obj()
-				if obj.Pkg() != nil {
-					return marked[obj.Pkg().Path()+"."+obj.Name()]
-				}
-			}
-			return false
-		}
+	t := pkg.Info.TypeOf(arg)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	e := arg
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = u.X
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
 	}
-	if cl, ok := e.(*ast.CompositeLit); ok {
-		switch t := cl.Type.(type) {
-		case *ast.Ident:
-			return marked[t.Name]
-		case *ast.SelectorExpr:
-			return marked[t.Sel.Name]
-		}
-	}
-	return false
+	return marked[n.Obj().Pkg().Path()+"."+n.Obj().Name()]
 }
 
 // panicMessage extracts the constant head of the panic argument: a
 // string constant (or concatenation with a constant head), or the
 // format string of a fmt.Sprintf-family call.
-func panicMessage(pkg *Package, file *ast.File, arg ast.Expr) (string, bool) {
+func panicMessage(pkg *Package, arg ast.Expr) (string, bool) {
 	if s, ok := constString(pkg, arg); ok {
 		return s, true
 	}
 	if call, ok := arg.(*ast.CallExpr); ok && len(call.Args) > 0 {
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
-			usesPackage(pkg, file, sel, "fmt") && sprintfFuncs[sel.Sel.Name] {
+			usesPackage(pkg, sel, "fmt") && sprintfFuncs[sel.Sel.Name] {
 			return constString(pkg, call.Args[0])
 		}
 	}
 	return "", false
 }
 
-func describePanicArg(pkg *Package, file *ast.File, arg ast.Expr) string {
-	if msg, ok := panicMessage(pkg, file, arg); ok {
+func describePanicArg(pkg *Package, arg ast.Expr) string {
+	if msg, ok := panicMessage(pkg, arg); ok {
 		return "\"" + msg + "\""
 	}
 	return "a non-constant message"

@@ -2,6 +2,7 @@ package simlint
 
 import (
 	"go/ast"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -65,11 +66,9 @@ func checkRecoverFile(pkg *Package, file *ast.File, allowedFns map[string]bool, 
 			if !ok || fn.Name != "recover" || len(call.Args) != 0 {
 				return true
 			}
-			if pkg.Info != nil {
-				// Don't misfire on a local function shadowing the builtin.
-				if obj, found := pkg.Info.Uses[fn]; found && obj.Pkg() != nil {
-					return true
-				}
+			// Don't misfire on a local function shadowing the builtin.
+			if _, builtin := pkg.Info.Uses[fn].(*types.Builtin); !builtin {
+				return true
 			}
 			report(call.Pos(), "recover() outside the designated recovery helpers (allowed here: %s)",
 				describeAllowed(allowedFns))

@@ -12,13 +12,15 @@
 // zero-dependency go.mod. Each rule is an independent Analyzer with
 // its own file and table-driven tests on synthetic source fixtures;
 // TestSelfLint runs the whole suite over this repository on every
-// `go test ./...`. See docs/ANALYSIS.md for the rule catalogue.
+// `go test ./...`. Load rejects a tree that does not type-check, so
+// every rule asks the type checker and nothing else. See
+// docs/ANALYSIS.md for the rule catalogue.
 package simlint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -26,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,8 +45,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Rule, d.Message)
 }
 
-// Package is one loaded, parsed and (best-effort) type-checked package
-// of the module under analysis.
+// Package is one loaded, parsed and type-checked package of the module
+// under analysis.
 type Package struct {
 	Path string // import path, e.g. "cmpnurapid/internal/core"
 	Rel  string // slash path relative to the module root; "" for the root package
@@ -55,9 +56,8 @@ type Package struct {
 	Files     []*ast.File // non-test sources, type-checked
 	TestFiles []*ast.File // _test.go sources, parsed but not type-checked
 
-	Types      *types.Package
-	Info       *types.Info
-	TypeErrors []error // non-fatal: rules degrade to syntax-only checks
+	Types *types.Package
+	Info  *types.Info
 }
 
 // UnderRel reports whether the package sits at or below any of the
@@ -107,9 +107,8 @@ var (
 )
 
 // Load parses and type-checks every package under root, which must be
-// a module root (contain go.mod). Type errors are collected per
-// package rather than failing the load, so analysis degrades
-// gracefully on broken trees.
+// a module root (contain go.mod). The first type error fails the load:
+// the rules check what the compiler accepts, not what it rejects.
 func Load(root string) (*Program, error) {
 	loadMu.Lock()
 	defer loadMu.Unlock()
@@ -150,7 +149,9 @@ func Load(root string) (*Program, error) {
 	if stdlibImport == nil {
 		stdlibImport = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
 	}
-	checkAll(prog)
+	if err := checkAll(prog); err != nil {
+		return nil, err
+	}
 	return prog, nil
 }
 
@@ -190,7 +191,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewPanicMsg(),
 		NewFloatCompare(DefaultFloatComparePaths),
 		NewInvariantCoverage(DefaultCoverageTargets),
-		NewConfigValidate(),
 		NewEnumSwitch(),
 		NewUnitCheck(),
 		NewRecoverCheck(DefaultRecoverAllowed),
@@ -265,12 +265,19 @@ func parseDir(prog *Program, dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
+		// The toolchain's own filter: build constraints, GOOS/GOARCH
+		// file-name suffixes and release tags, as `go build` sees them.
+		// A file gated behind a custom tag (a seeded mutant switched on
+		// by its own tag) would otherwise be type-checked alongside the
+		// declaration it replaces.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
 		file, err := parser.ParseFile(prog.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
-		}
-		if !inDefaultBuild(file) {
-			continue
 		}
 		if strings.HasSuffix(e.Name(), "_test.go") {
 			pkg.TestFiles = append(pkg.TestFiles, file)
@@ -287,39 +294,6 @@ func parseDir(prog *Program, dir string) (*Package, error) {
 		pkg.Name = strings.TrimSuffix(pkg.TestFiles[0].Name.Name, "_test")
 	}
 	return pkg, nil
-}
-
-// inDefaultBuild reports whether file's build constraint (if any) is
-// satisfied by the default build configuration — host GOOS/GOARCH, the
-// gc toolchain, and no custom tags. Files gated behind custom tags
-// (e.g. a seeded mutant switched on by its own build tag) are
-// excluded from the default `go build ./...` and must be excluded here
-// too, or the loader would type-check two declarations of the same
-// symbol at once. Only `//go:build` lines are recognized; the module
-// predates the legacy `// +build` form.
-func inDefaultBuild(file *ast.File) bool {
-	for _, cg := range file.Comments {
-		// Build constraints must precede the package clause.
-		if cg.Pos() >= file.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				// Malformed constraint: keep the file and let the
-				// type-checker surface whatever is wrong.
-				return true
-			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH ||
-					tag == "gc" || tag == "unix"
-			})
-		}
-	}
-	return true
 }
 
 // progImporter resolves module-local imports from the in-progress load
@@ -347,9 +321,9 @@ func (i *progImporter) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 	return i.stdlib.ImportFrom(path, dir, mode)
 }
 
-// checkAll type-checks every package in local-dependency order. The
-// caller (Load) holds loadMu.
-func checkAll(prog *Program) {
+// checkAll type-checks every package in local-dependency order and
+// returns the first type error. The caller (Load) holds loadMu.
+func checkAll(prog *Program) error {
 	imp := &progImporter{prog: prog, stdlib: stdlibImport, checked: map[string]*types.Package{}}
 
 	deps := map[string][]string{}
@@ -370,93 +344,73 @@ func checkAll(prog *Program) {
 	}
 
 	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(path string)
-	visit = func(path string) {
+	var visit func(path string) error
+	visit = func(path string) error {
 		if state[path] != 0 {
-			return
+			return nil
 		}
 		state[path] = 1
 		for _, dep := range deps[path] {
-			if state[dep] == 0 {
-				visit(dep)
+			if err := visit(dep); err != nil {
+				return err
 			}
 		}
 		state[path] = 2
-		checkPackage(prog, imp, byPath[path])
+		pkg := byPath[path]
+		if pkg == nil {
+			return nil // an import of a module path with no package; the importer reports it
+		}
+		return checkPackage(prog, imp, pkg)
 	}
 	for _, pkg := range prog.Packages {
-		visit(pkg.Path)
+		if err := visit(pkg.Path); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-func checkPackage(prog *Program, imp *progImporter, pkg *Package) {
-	if pkg == nil || len(pkg.Files) == 0 {
-		return
-	}
+// checkPackage type-checks pkg's non-test files. A package made only of
+// tests checks as empty, so every loaded package has Types and Info.
+func checkPackage(prog *Program, imp *progImporter, pkg *Package) error {
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(pkg.Path, prog.Fset, pkg.Files, pkg.Info)
+	if err != nil {
+		return fmt.Errorf("simlint: %w", err)
 	}
-	tpkg, _ := conf.Check(pkg.Path, prog.Fset, pkg.Files, pkg.Info)
 	pkg.Types = tpkg
 	imp.checked[pkg.Path] = tpkg
+	return nil
 }
 
 // --- shared helpers for rules ---
 
 // usesPackage reports whether sel is a selection on the named import
-// path (e.g. time.Now with pkgPath "time"), using type information
-// when present and falling back to the file's import table.
-func usesPackage(pkg *Package, file *ast.File, sel *ast.SelectorExpr, pkgPath string) bool {
+// path (e.g. time.Now with pkgPath "time").
+func usesPackage(pkg *Package, sel *ast.SelectorExpr, pkgPath string) bool {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return false
 	}
-	if pkg.Info != nil {
-		if obj, ok := pkg.Info.Uses[id]; ok {
-			pn, ok := obj.(*types.PkgName)
-			return ok && pn.Imported().Path() == pkgPath
-		}
-	}
-	return id.Name == localImportName(file, pkgPath)
+	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == pkgPath
 }
 
-// localImportName returns the name pkgPath is imported under in file,
-// or "" if it is not imported.
-func localImportName(file *ast.File, pkgPath string) string {
-	for _, spec := range file.Imports {
-		p, err := strconv.Unquote(spec.Path.Value)
-		if err != nil || p != pkgPath {
-			continue
-		}
-		if spec.Name != nil {
-			return spec.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
-// constString resolves expr to a compile-time string constant when
-// possible: a literal, a concatenation with a literal head, or (with
-// type information) any string-typed constant expression.
+// constString resolves expr to the constant head of a string: any
+// string-typed constant expression, or a concatenation whose left
+// operand is one ("core: " + s).
 func constString(pkg *Package, expr ast.Expr) (string, bool) {
-	if pkg.Info != nil {
-		if tv, ok := pkg.Info.Types[expr]; ok && tv.Value != nil {
-			if s, err := strconv.Unquote(tv.Value.ExactString()); err == nil {
-				return s, true
-			}
-			return tv.Value.ExactString(), true
+	if tv := pkg.Info.Types[expr]; tv.Value != nil {
+		if s, err := strconv.Unquote(tv.Value.ExactString()); err == nil {
+			return s, true
 		}
+		return tv.Value.ExactString(), true
 	}
 	switch e := expr.(type) {
 	case *ast.ParenExpr:
@@ -464,12 +418,6 @@ func constString(pkg *Package, expr ast.Expr) (string, bool) {
 	case *ast.BinaryExpr:
 		if e.Op == token.ADD {
 			return constString(pkg, e.X)
-		}
-	case *ast.BasicLit:
-		if e.Kind == token.STRING {
-			if s, err := strconv.Unquote(e.Value); err == nil {
-				return s, true
-			}
 		}
 	}
 	return "", false
@@ -527,9 +475,6 @@ type auditLines struct {
 func collectAuditLines(prog *Program, marker string, report Reporter) auditLines {
 	a := auditLines{marker: marker, fset: prog.Fset, lines: map[string]map[int]bool{}}
 	for _, pkg := range prog.Packages {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
@@ -569,7 +514,6 @@ func (a auditLines) covers(doc *ast.CommentGroup, pos token.Pos) bool {
 type moduleFunc struct {
 	obj  *types.Func // origin object: the call-graph node
 	pkg  *Package
-	file *ast.File
 	decl *ast.FuncDecl
 }
 
@@ -583,9 +527,6 @@ type funcIndex struct {
 func indexFuncs(prog *Program) funcIndex {
 	ix := funcIndex{byObj: map[*types.Func]*moduleFunc{}}
 	for _, pkg := range prog.Packages {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -596,7 +537,7 @@ func indexFuncs(prog *Program) funcIndex {
 				if !ok {
 					continue
 				}
-				fn := &moduleFunc{obj: obj.Origin(), pkg: pkg, file: file, decl: fd}
+				fn := &moduleFunc{obj: obj.Origin(), pkg: pkg, decl: fd}
 				ix.list = append(ix.list, fn)
 				ix.byObj[fn.obj] = fn
 			}

@@ -3,7 +3,9 @@ package simlint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -86,9 +88,6 @@ func TestLoadBasics(t *testing.T) {
 	if len(core.Files) != 1 || len(core.TestFiles) != 1 {
 		t.Errorf("core has %d files / %d test files, want 1/1", len(core.Files), len(core.TestFiles))
 	}
-	if len(core.TypeErrors) != 0 {
-		t.Errorf("unexpected type errors: %v", core.TypeErrors)
-	}
 	if !core.UnderRel("internal") || core.UnderRel("cmd") {
 		t.Error("UnderRel misclassifies internal/core")
 	}
@@ -98,7 +97,7 @@ func TestLoadBasics(t *testing.T) {
 // tag (the seeded-mutant pattern: a tag-switched constant) is
 // excluded from the default build and must be excluded from the load
 // too — otherwise the loader type-checks both declarations of the
-// tag-switched symbol and reports a phantom redeclaration.
+// tag-switched symbol and fails on a phantom redeclaration.
 func TestLoadHonorsBuildConstraints(t *testing.T) {
 	prog, err := Load(writeFixture(t, map[string]string{
 		"internal/x/x.go":        "package x\n\nfunc X() bool { return mutant }\n",
@@ -115,11 +114,35 @@ func TestLoadHonorsBuildConstraints(t *testing.T) {
 	if pkg == nil {
 		t.Fatal("package not loaded")
 	}
-	if len(pkg.TypeErrors) != 0 {
-		t.Errorf("tag-excluded files still type-checked: %v", pkg.TypeErrors)
-	}
 	if len(pkg.Files) != 4 {
 		t.Errorf("loaded %d files, want 4 (mutant.go and otheros.go excluded)", len(pkg.Files))
+	}
+}
+
+// TestLoadMatchesToolchainFileFilter: the loader keeps exactly the
+// files `go build` compiles. A release tag (go1.21) is satisfied by
+// any current toolchain, and a GOOS file-name suffix other than the
+// host's excludes the file even without a //go:build line.
+func TestLoadMatchesToolchainFileFilter(t *testing.T) {
+	otherOS := "windows"
+	if runtime.GOOS == otherOS {
+		otherOS = "plan9"
+	}
+	prog, err := Load(writeFixture(t, map[string]string{
+		"internal/x/a.go":                 "package x\n\nfunc A() int { return B }\n",
+		"internal/x/release.go":           "//go:build go1.21\n\npackage x\n\nconst B = 1\n",
+		"internal/x/x_" + otherOS + ".go": "package x\n\nconst A = 2\n",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range prog.ByRel("internal/x").Files {
+		names = append(names, filepath.Base(prog.Fset.Position(f.Package).Filename))
+	}
+	sort.Strings(names)
+	if want := []string{"a.go", "release.go"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("loaded %v, want %v", names, want)
 	}
 }
 
@@ -156,26 +179,42 @@ func TestLoadParallel(t *testing.T) {
 			if len(prog.Packages) != wantPkgs[which] {
 				t.Errorf("parallel Load(%s) got %d packages, want %d", dirs[which], len(prog.Packages), wantPkgs[which])
 			}
-			for _, pkg := range prog.Packages {
-				if len(pkg.TypeErrors) != 0 {
-					t.Errorf("parallel Load(%s) type errors: %v", dirs[which], pkg.TypeErrors)
-				}
-			}
 		}()
 	}
 	wg.Wait()
 }
 
-func TestLoadCollectsTypeErrorsWithoutFailing(t *testing.T) {
-	prog, err := Load(writeFixture(t, map[string]string{
-		"internal/x/x.go": "package x\n\nfunc X() int { return undefinedName }\n",
-	}))
-	if err != nil {
-		t.Fatalf("Load should tolerate type errors, got %v", err)
-	}
-	pkg := prog.ByRel("internal/x")
-	if pkg == nil || len(pkg.TypeErrors) == 0 {
-		t.Fatal("expected recorded type errors for broken package")
+// TestLoadRejectsTypeErrors: a tree the compiler rejects fails the
+// load with the first type error, so no rule ever sees untyped syntax.
+// The mixed-unit cases are the arithmetic unitcheck leaves to the
+// compiler: a Span plus a Picos, and a Span plus a raw int64.
+func TestLoadRejectsTypeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string
+	}{
+		{"undefined name", map[string]string{
+			"internal/x/x.go": "package x\n\nfunc X() int { return undefinedName }\n",
+		}, "undefined: undefinedName"},
+		{"cross-unit arithmetic", map[string]string{
+			"units/units.go":      unitsFixture,
+			"internal/sim/sim.go": "package sim\n\nimport \"fix.example/m/units\"\n\nfunc mix(a units.Span, b units.Picos) {\n\t_ = a + b\n}\n",
+		}, "mismatched types units.Span and units.Picos"},
+		{"unit with raw value", map[string]string{
+			"units/units.go":      unitsFixture,
+			"internal/sim/sim.go": "package sim\n\nimport \"fix.example/m/units\"\n\nfunc pad(a units.Span, n int64) {\n\t_ = a + n\n}\n",
+		}, "mismatched types units.Span and int64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Load(writeFixture(t, tc.files))
+			if err == nil {
+				t.Fatalf("Load accepted an ill-typed tree (%d packages)", len(prog.Packages))
+			}
+			if !strings.HasPrefix(err.Error(), "simlint: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Load error = %q, want the simlint: prefix and %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -197,7 +236,7 @@ func TestRunSortsDiagnosticsByPosition(t *testing.T) {
 func TestDefaultAnalyzersComplete(t *testing.T) {
 	want := map[string]bool{
 		"determinism": true, "panicmsg": true, "floatcmp": true,
-		"invariantcov": true, "configvalidate": true, "enumswitch": true,
+		"invariantcov": true, "enumswitch": true,
 		"unitcheck": true, "recovercheck": true, "hotpath": true,
 	}
 	for _, a := range DefaultAnalyzers() {

@@ -24,8 +24,8 @@ const (
 // unitRegistry is the set of unit types discovered from
 // `unitcheck:unit <kind>` markers in type doc comments, plus the
 // packages that declare them. A declaring package is the one place raw
-// conversions and cross-unit arithmetic are legitimate — that is where
-// the named constructors live — so it is exempt from every rule.
+// conversions are legitimate — that is where the named constructors
+// live — so it is exempt from every rule.
 type unitRegistry struct {
 	kinds map[*types.TypeName]unitKind
 	pkgs  map[string]bool // package paths declaring at least one unit
@@ -41,33 +41,32 @@ var unitWords = map[string]bool{
 }
 
 // NewUnitCheck builds the dimensional-safety rule group. The Go type
-// system already rejects most unit mix-ups once quantities are named
-// types; unitcheck closes the four holes it leaves open:
+// system already rejects unit mix-ups once quantities are named types
+// (a Span plus a Picos, or a Span plus a raw int64, does not compile);
+// unitcheck closes the three holes it leaves open:
 //
-//  1. arithmetic mixing two distinct unit types, or a unit type with a
-//     non-constant raw numeric (constants are dimensionless scalars);
-//  2. same-type arithmetic that is dimensionally meaningless —
+//  1. same-type arithmetic that is dimensionally meaningless —
 //     timestamp±timestamp (use Add/Sub with a duration) and
 //     duration×duration;
-//  3. raw conversions T(x) into a unit type outside the package that
+//  2. raw conversions T(x) into a unit type outside the package that
 //     declares T — values must enter a unit through its named
 //     constructors (cacti.ToCycles, memsys.CyclesOf, ...), which
 //     fix the rounding direction in one place;
-//  4. raw-typed declarations whose names claim a unit (latency,
+//  3. raw-typed declarations whose names claim a unit (latency,
 //     cycles, ps, mm, bytes, now, when, ...).
 func NewUnitCheck() *Analyzer {
 	return &Analyzer{
 		Name: "unitcheck",
-		Doc: "simulator quantities flow through unit types: no cross-unit " +
-			"arithmetic, no timestamp+timestamp or duration*duration, raw " +
-			"conversions and unit-named raw declarations only in unit packages",
+		Doc: "simulator quantities flow through unit types: no " +
+			"timestamp+timestamp or duration*duration, raw conversions and " +
+			"unit-named raw declarations only in unit packages",
 		Run: func(prog *Program, report Reporter) {
 			reg := collectUnits(prog)
 			if len(reg.kinds) == 0 {
 				return
 			}
 			for _, pkg := range prog.Packages {
-				if pkg.Info == nil || reg.pkgs[pkg.Path] {
+				if reg.pkgs[pkg.Path] {
 					continue
 				}
 				for _, file := range pkg.Files {
@@ -83,9 +82,6 @@ func NewUnitCheck() *Analyzer {
 func collectUnits(prog *Program) *unitRegistry {
 	reg := &unitRegistry{kinds: map[*types.TypeName]unitKind{}, pkgs: map[string]bool{}}
 	for _, pkg := range prog.Packages {
-		if pkg.Types == nil {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				gd, ok := decl.(*ast.GenDecl)
@@ -196,39 +192,25 @@ func checkUnitFile(pkg *Package, file *ast.File, reg *unitRegistry, report Repor
 	})
 }
 
-// checkUnitArith enforces rules 1 and 2 on one arithmetic operation.
-// Constant operands are dimensionless scalars and exempt the whole
-// expression: `lat * 2` scales a duration, `now + 32` advances a
-// timestamp by a literal span — both fine.
+// checkUnitArith enforces rule 1 on one arithmetic operation. The
+// compiler has already made both operands one type; a constant operand
+// is a dimensionless scalar and exempts the whole expression: `lat * 2`
+// scales a duration, `now + 32` advances a timestamp by a literal span.
 func checkUnitArith(pkg *Package, reg *unitRegistry, op token.Token, x, y ast.Expr, pos token.Pos, report Reporter) {
 	xt, xConst := operandType(pkg, x)
-	yt, yConst := operandType(pkg, y)
-	if xConst || yConst || xt == nil || yt == nil {
+	_, yConst := operandType(pkg, y)
+	if xConst || yConst {
 		return
 	}
-	xu, xk, xok := reg.unitOf(xt)
-	yu, _, yok := reg.unitOf(yt)
+	u, kind, ok := reg.unitOf(xt)
 	switch {
-	case xok && yok && xu != yu:
-		report(pos, "arithmetic mixes %s and %s; convert through a named constructor in the unit's package",
-			unitName(xu), unitName(yu))
-	case xok && yok: // same unit type on both sides
-		if xk == kindTimestamp {
-			report(pos, "direct %s arithmetic on two %s timestamps; use Add with a duration or Sub to get one",
-				op, unitName(xu))
-		} else if op == token.MUL || op == token.REM {
-			report(pos, "%s %s %s has no dimensional meaning; scale with a dimensionless count instead",
-				unitName(xu), op, unitName(yu))
-		}
-	case xok != yok:
-		raw, u := yt, xu
-		if yok {
-			raw, u = xt, yu
-		}
-		if basic, ok := raw.Underlying().(*types.Basic); ok && basic.Info()&types.IsNumeric != 0 {
-			report(pos, "arithmetic mixes %s with a raw %s value; type the value or use the unit's named methods",
-				unitName(u), raw)
-		}
+	case !ok:
+	case kind == kindTimestamp:
+		report(pos, "direct %s arithmetic on two %s timestamps; use Add with a duration or Sub to get one",
+			op, unitName(u))
+	case op == token.MUL || op == token.REM:
+		report(pos, "%s %s %s has no dimensional meaning; scale with a dimensionless count instead",
+			unitName(u), op, unitName(u))
 	}
 }
 
@@ -242,7 +224,7 @@ func operandType(pkg *Package, e ast.Expr) (types.Type, bool) {
 	return tv.Type, tv.Value != nil
 }
 
-// checkUnitConversion enforces rule 3: T(x) where T is a unit type is
+// checkUnitConversion enforces rule 2: T(x) where T is a unit type is
 // only legal in T's declaring package, on a constant (typing a
 // literal), or when x already has type T.
 func checkUnitConversion(pkg *Package, reg *unitRegistry, call *ast.CallExpr, report Reporter) {
@@ -275,7 +257,7 @@ func typeLabel(t types.Type) string {
 	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }
 
-// checkUnitNames enforces rule 4 on one field list entry: a raw
+// checkUnitNames enforces rule 3 on one field list entry: a raw
 // numeric declaration must not carry a name that claims a unit.
 func checkUnitNames(pkg *Package, reg *unitRegistry, role string, field *ast.Field, report Reporter) {
 	tv, ok := pkg.Info.Types[field.Type]
