@@ -39,8 +39,8 @@ func (g Geometry) Validate() {
 		panic("cache: ways must be positive")
 	}
 	if g.Ways > 64 {
-		// LRUOrder tracks visited ways in a uint64 bitmask so the LRU
-		// scan stays allocation-free on the per-access path.
+		// Probe and the victim scan walk a whole set per access; no
+		// design here needs more ways than this.
 		panic(fmt.Sprintf("cache: ways (%d) must be <= 64", g.Ways))
 	}
 }
@@ -115,51 +115,23 @@ func (a *Array[T]) Touch(l *Line[T]) {
 	l.lastUse = a.clock
 }
 
-// Set returns the lines of one set (for policy code that needs to scan
-// candidates, e.g. CMP-NuRAPID's invalid→private→shared victim order).
+// Set returns the lines of one set.
 func (a *Array[T]) Set(set int) []Line[T] {
 	base := set * a.geo.Ways
 	return a.lines[base : base+a.geo.Ways]
 }
 
-// LRUOrder calls f for the lines of a set from least to most recently
-// used, skipping invalid lines. Returning false stops the scan.
-func (a *Array[T]) LRUOrder(set int, f func(*Line[T]) bool) {
-	lines := a.Set(set)
-	// Selection-style scan: sets are small (<= 32 ways), so O(ways^2)
-	// is cheaper and simpler than maintaining a list. Visited ways live
-	// in a bitmask — Validate caps ways at 64 — so the scan is
-	// allocation-free on the per-access path.
-	const done = ^uint64(0)
-	var visited uint64
-	for {
-		best := -1
-		var bestUse uint64 = done
-		for i := range lines {
-			if visited&(1<<uint(i)) != 0 || !lines[i].Valid {
-				continue
-			}
-			if lines[i].lastUse < bestUse {
-				bestUse = lines[i].lastUse
-				best = i
-			}
-		}
-		if best == -1 {
-			return
-		}
-		visited |= 1 << uint(best)
-		if !f(&lines[best]) {
-			return
-		}
-	}
-}
-
 // Victim returns the line to replace in addr's set: an invalid line if
 // any, else the least recently used valid line.
-func (a *Array[T]) Victim(addr memsys.Addr) *Line[T] {
-	set := a.SetIndex(addr)
-	lines := a.Set(set)
-	var lru *Line[T]
+func (a *Array[T]) Victim(addr memsys.Addr) *Line[T] { return a.VictimPreferring(addr, nil) }
+
+// VictimPreferring returns the line to replace in addr's set: the first
+// invalid line if any, else the least recently used line whose payload
+// prefer accepts, else the least recently used line overall. A nil
+// prefer accepts none, which makes it Victim. One pass over the set.
+func (a *Array[T]) VictimPreferring(addr memsys.Addr, prefer func(*T) bool) *Line[T] {
+	lines := a.Set(a.SetIndex(addr))
+	var lru, lruPref *Line[T]
 	for i := range lines {
 		l := &lines[i]
 		if !l.Valid {
@@ -168,6 +140,12 @@ func (a *Array[T]) Victim(addr memsys.Addr) *Line[T] {
 		if lru == nil || l.lastUse < lru.lastUse {
 			lru = l
 		}
+		if prefer != nil && prefer(&l.Data) && (lruPref == nil || l.lastUse < lruPref.lastUse) {
+			lruPref = l
+		}
+	}
+	if lruPref != nil {
+		return lruPref
 	}
 	return lru
 }

@@ -123,31 +123,31 @@ func TestAddrOfRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLRUOrder(t *testing.T) {
-	a := smallArray()
-	a0, a1 := memsys.Addr(0), memsys.Addr(64*4)
+// TestVictimPreferring: an invalid way wins outright; among valid
+// lines the LRU line prefer accepts beats a less recently used line it
+// rejects; when prefer accepts none, the LRU line overall is the
+// victim.
+func TestVictimPreferring(t *testing.T) {
+	a := NewArray[int](Geometry{Sets: 1, Ways: 3, BlockBytes: 64})
+	odd := func(v *int) bool { return *v%2 == 1 }
+	a0, a1, a2 := memsys.Addr(0), memsys.Addr(64), memsys.Addr(128)
 	a.Install(a.Victim(a0), a0, 0)
 	a.Install(a.Victim(a1), a1, 1)
-	a.Touch(a.Probe(a0)) // a1 now LRU
-	var order []memsys.Addr
-	a.LRUOrder(a.SetIndex(a0), func(l *Line[int]) bool {
-		order = append(order, a.AddrOf(l))
-		return true
-	})
-	if len(order) != 2 || order[0] != a1 || order[1] != a0 {
-		t.Errorf("LRUOrder = %v, want [%#x %#x]", order, a1, a0)
+	if v := a.VictimPreferring(a2, odd); v.Valid {
+		t.Fatalf("victim is valid block %#x, want the invalid way", a.AddrOf(v))
 	}
-}
-
-func TestLRUOrderEarlyStop(t *testing.T) {
-	a := smallArray()
-	a0, a1 := memsys.Addr(0), memsys.Addr(64*4)
-	a.Install(a.Victim(a0), a0, 0)
-	a.Install(a.Victim(a1), a1, 1)
-	n := 0
-	a.LRUOrder(0, func(*Line[int]) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early-stopped scan visited %d lines, want 1", n)
+	a.Install(a.Victim(a2), a2, 3) // LRU order: a0 (even), a1 (odd), a2 (odd)
+	if v := a.VictimPreferring(a0, odd); a.AddrOf(v) != a1 {
+		t.Errorf("victim = %#x, want the LRU odd line %#x", a.AddrOf(v), a1)
+	}
+	a.Touch(a.Probe(a1)) // LRU order: a0 (even), a2 (odd), a1 (odd)
+	a.Probe(a2).Data = 2 // now only a1 is odd, and it is MRU
+	if v := a.VictimPreferring(a0, odd); a.AddrOf(v) != a1 {
+		t.Errorf("victim = %#x, want the only odd line %#x though it is MRU", a.AddrOf(v), a1)
+	}
+	never := func(*int) bool { return false }
+	if v := a.VictimPreferring(a0, never); a.AddrOf(v) != a0 {
+		t.Errorf("victim = %#x, want the overall LRU line %#x when prefer accepts none", a.AddrOf(v), a0)
 	}
 }
 

@@ -357,8 +357,11 @@ func (s *System) step(core int) (retired uint64) {
 // before its measurement window). Core clocks are not rewound —
 // resource reservations hold absolute cycle numbers — but per-core
 // baselines and the L2 statistics are reset so results cover only the
-// measurement window.
+// measurement window. A negative count panics before any step.
 func (s *System) Warmup(instrPerCore int) {
+	if instrPerCore < 0 {
+		panic("cmpsim: negative warm-up instruction count")
+	}
 	s.runUntil(uint64(instrPerCore), warmupPhase, func(core int) bool {
 		return s.cores[core].instructions >= uint64(instrPerCore)
 	})

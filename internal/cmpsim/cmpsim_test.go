@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"strings"
 	"testing"
 
 	"cmpnurapid/internal/bus"
@@ -314,6 +315,25 @@ func TestWarmupResetsStats(t *testing.T) {
 	if r.Cycles == 0 || r.Instructions == 0 {
 		t.Error("post-warmup run recorded nothing")
 	}
+}
+
+// TestWarmupRejectsNegativeCount: a negative count must panic with the
+// package's prefix before any core steps, not wrap to 2^64-1
+// instructions and run into the cycle ceiling.
+func TestWarmupRejectsNegativeCount(t *testing.T) {
+	s := New(smallCfg(), sharedL2(), lockstepWorkload{})
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.HasPrefix(msg, "cmpsim: ") {
+			t.Fatalf("Warmup(-1) panicked with %v, want a \"cmpsim: \" message", r)
+		}
+		for c, cs := range s.cores {
+			if cs.cycles != 0 || cs.instructions != 0 {
+				t.Errorf("core %d ran to cycle %d (%d instructions) before the panic", c, cs.cycles, cs.instructions)
+			}
+		}
+	}()
+	s.Warmup(-1)
 }
 
 func TestSpeedup(t *testing.T) {

@@ -117,22 +117,11 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 // are repointed to the new copy and the old frame is freed.
 func (c *Cache) replicate(core int, addr memsys.Addr, line *tagLine) {
 	src := line.Data.fwd
-	owns := c.frameAt(src).revCore == core
-	c.pin(src)
-	cl := c.closest(core)
-	nf := c.freeFrameIn(0, core, cl, -1)
-	c.unpin()
-	np := ptr{cl, nf}
-	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
+	// Cycle 0 is a known BusRepl timing bug the recorded outputs still carry.
+	np := c.placeClosest(0, core, addr, -1, src)
 	line.Data.fwd = np
-	if owns {
-		// Safe to repoint mid-scan: core's own tag already moved to np
-		// above, so only other cores' tags still match src.
-		for o := 0; o < topo.NumCores; o++ {
-			if ol := c.pointsAt(o, addr, src); ol != nil {
-				ol.Data.fwd = np
-			}
-		}
+	if c.frameAt(src).revCore == core {
+		c.repoint(addr, src, np)
 		c.releaseFrame(src)
 	}
 	c.stats.Replications++
@@ -144,17 +133,8 @@ func (c *Cache) replicate(core int, addr memsys.Addr, line *tagLine) {
 // the ISC read-miss flow, triggered from a hit).
 func (c *Cache) migrateC(core int, addr memsys.Addr, line *tagLine) {
 	q := line.Data.fwd
-	c.pin(q)
-	cl := c.closest(core)
-	nf := c.freeFrameIn(0, core, cl, -1)
-	c.unpin()
-	np := ptr{cl, nf}
-	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
-	for o := 0; o < topo.NumCores; o++ {
-		if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state == coherence.Communication {
-			ol.Data.fwd = np
-		}
-	}
+	// Cycle 0 is a known BusRepl timing bug the recorded outputs still carry.
+	c.repoint(addr, q, c.placeClosest(0, core, addr, -1, q))
 	c.releaseFrame(q)
 	c.CMigrations++
 }
@@ -268,7 +248,7 @@ func (c *Cache) miss(t memsys.Cycle, core int, addr memsys.Addr, write bool) mem
 	// Capacity miss: off-chip.
 	c.stats.OffChipMisses++
 	lat += c.cfg.MemLatency
-	c.allocClosest(t2, core, addr, tagPayload{state: next, broughtBy: memsys.CapacityMiss})
+	c.allocClosest(t2, core, addr, tagPayload{state: next, broughtBy: memsys.CapacityMiss}, noPin)
 	return memsys.Result{Latency: lat, Category: memsys.CapacityMiss, DGroup: -1}
 }
 
@@ -283,12 +263,12 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	pay := tagPayload{state: next, fwd: q, broughtBy: memsys.ROSMiss}
 	switch {
 	case write:
-		c.allocClosest(t, core, addr, pay)
+		c.allocClosest(t, core, addr, pay, noPin)
 	case c.cfg.Replication == ReplicateFirstUse:
 		// Uncontrolled replication: copy immediately, like a private
 		// cache's cache-to-cache fill.
 		c.stats.BusTransactions.Inc(memsys.LabelFlush)
-		c.allocClosest(t, core, addr, pay)
+		c.allocClosest(t, core, addr, pay, noPin)
 	default:
 		// Controlled replication (§3.1): the holder returns its forward
 		// pointer on the bus's pointer wires; we keep a tag copy
@@ -315,11 +295,8 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 		// copy per the replication policy.
 		c.stats.BusTransactions.Inc(memsys.LabelFlush)
 		c.snoopOthers(core, addr, op, noPin)
-		if write {
-			c.Writebacks++
-		}
 		if write || c.cfg.Replication == ReplicateFirstUse {
-			c.allocClosest(t, core, addr, pay)
+			c.allocClosest(t, core, addr, pay, noPin)
 		} else {
 			c.installTag(t, core, addr, pay)
 		}
@@ -337,23 +314,13 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 		// closest d-group, and the previous data copy is invalidated.
 		// All the sharers enter (or remain in) C and their tag entries
 		// point to the new data copy." (§3.2)
-		c.pin(q)
-		v := c.tagVictim(core, addr)
-		freed := c.evictTagEntry(t, core, v)
-		cl := c.closest(core)
-		nf := c.freeFrameIn(t, core, cl, freed)
-		pay.fwd = ptr{cl, nf}
-		*c.frameAt(pay.fwd) = frameInfo{valid: true, addr: addr, revCore: core}
+		// Our tag goes in before the snoop: snoopOthers skips us, and a
+		// BusRd on a dirty block kills no tag.
+		l := c.allocClosest(t, core, addr, pay, q)
 		c.snoopOthers(core, addr, op, q)
-		for o := 0; o < topo.NumCores; o++ { // every other holder is now in C
-			if ol := c.tags[o].Probe(addr); ol != nil {
-				ol.Data.fwd = pay.fwd
-			}
-		}
-		c.unpin()
+		c.repoint(addr, q, l.Data.fwd) // every other holder is now in C
 		c.releaseFrame(q)
-		c.tags[core].Install(v, addr, pay)
-		lat += c.dgAccess(t.Add(lat), core, cl)
+		lat += c.dgAccess(t.Add(lat), core, l.Data.fwd.dgroup)
 	}
 	return memsys.Result{Latency: lat, Category: memsys.RWSMiss, DGroup: -1}
 }

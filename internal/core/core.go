@@ -19,11 +19,12 @@
 //     pressure, letting cores with large working sets steal unused
 //     frames from cores with small ones.
 //
-// The timing-issue countermeasures of §3.1 (busy-marked reads and
-// queue-ordered invalidation application) guard against races between
-// a replacement invalidation and an in-flight farther-d-group read;
-// in this simulator every access completes atomically, so the races
-// cannot occur and the mechanisms are documented rather than modelled.
+// Of the timing-issue countermeasures of §3.1, the busy-marked read is
+// modelled: the frame a new copy is read from is the demotion chain's
+// avoid argument (replace.go). Queue-ordered invalidation application
+// guards a race between a replacement invalidation and an in-flight
+// farther-d-group read; every access here completes atomically, so
+// that race cannot occur and the mechanism is documented, not modelled.
 package core
 
 import (
@@ -84,7 +85,7 @@ type Config struct {
 	// unpipelined port busy: the bank's intrinsic access time. The
 	// remote-access latencies in DGroupLat additionally include wire
 	// transit, which pipelines on the crossbar and does not hold the
-	// bank.
+	// bank. Must be positive.
 	DGroupOccupancy memsys.Cycles
 	MemLatency      memsys.Cycles
 
@@ -217,11 +218,6 @@ type Cache struct {
 	// l1Invalidate preserves multi-level inclusion: called whenever a
 	// core's L1 must drop its copy of addr.
 	l1Invalidate func(core int, addr memsys.Addr)
-	// pinnedFrame is the busy-marked frame a replication or ISC data
-	// move is reading from (see replace.go).
-	pinnedFrame ptr
-	// Writebacks counts dirty blocks written back to memory.
-	Writebacks uint64
 	// CMigrations counts stuck-C-copy migrations (the future-work
 	// extension; zero under the paper's published design).
 	CMigrations uint64
@@ -229,9 +225,10 @@ type Cache struct {
 
 // Validate panics unless New can build the configuration: tag arrays
 // cache.NewArray accepts that cover at least one d-group, a valid bus,
-// non-negative latencies and thresholds, and policies that exist. New
-// runs it on every construction, so any hand-built Config fails fast
-// instead of producing a silently misshapen cache.
+// non-negative latencies and thresholds, a positive d-group occupancy,
+// and policies that exist. New runs it on every construction, so any
+// hand-built Config fails fast instead of producing a silently
+// misshapen cache.
 func (cfg Config) Validate() {
 	cfg.tagGeometry().Validate()
 	if cfg.DGroupFrames <= 0 {
@@ -241,8 +238,11 @@ func (cfg Config) Validate() {
 		panic("core: tag arrays must cover at least one d-group of frames")
 	}
 	cfg.Bus.Validate()
-	if cfg.TagLatency < 0 || cfg.MemLatency < 0 || cfg.DGroupOccupancy < 0 {
-		panic("core: negative tag, memory or d-group occupancy latency")
+	if cfg.TagLatency < 0 || cfg.MemLatency < 0 {
+		panic("core: negative tag or memory latency")
+	}
+	if cfg.DGroupOccupancy <= 0 {
+		panic("core: d-group occupancy must be positive")
 	}
 	for _, row := range cfg.DGroupLat {
 		for _, l := range row {
@@ -272,12 +272,11 @@ func New(cfg Config) *Cache {
 	cfg.Validate()
 	st := memsys.NewL2Stats()
 	c := &Cache{
-		cfg:         cfg,
-		tagPort:     make([]bus.Port, topo.NumCores),
-		bus:         bus.New(cfg.Bus, st),
-		rand:        rng.New(cfg.Seed),
-		stats:       st,
-		pinnedFrame: ptr{dgroup: -1, frame: -1},
+		cfg:     cfg,
+		tagPort: make([]bus.Port, topo.NumCores),
+		bus:     bus.New(cfg.Bus, st),
+		rand:    rng.New(cfg.Seed),
+		stats:   st,
 	}
 	for i := 0; i < topo.NumCores; i++ {
 		c.tags = append(c.tags, cache.NewArray[tagPayload](cfg.tagGeometry()))
@@ -357,11 +356,7 @@ func (c *Cache) latTo(core, dg int) memsys.Cycles { return c.cfg.DGroupLat[core]
 // dgAccess reserves dg's single port at cycle now for one access from
 // core and returns the latency including any port contention.
 func (c *Cache) dgAccess(now memsys.Cycle, core, dg int) memsys.Cycles {
-	occ := c.cfg.DGroupOccupancy
-	if occ <= 0 {
-		occ = c.latTo(dg, dg) // the adjacent-core access time
-	}
-	start := c.dgroups[dg].port.Acquire(now, occ)
+	start := c.dgroups[dg].port.Acquire(now, c.cfg.DGroupOccupancy)
 	return start.Sub(now) + c.latTo(core, dg)
 }
 

@@ -20,11 +20,13 @@ func tinyConfig() Config {
 		DGroupFrames: 16,
 		TagLatency:   1,
 		MemLatency:   50,
-		Bus:          bus.Config{Latency: 8, SlotCycles: 2},
-		Replication:  ReplicateSecondUse,
-		EnableISC:    true,
-		Promotion:    Fastest,
-		Seed:         3,
+		// The adjacent core's access time, DGroupLat[g][g] below.
+		DGroupOccupancy: 2,
+		Bus:             bus.Config{Latency: 8, SlotCycles: 2},
+		Replication:     ReplicateSecondUse,
+		EnableISC:       true,
+		Promotion:       Fastest,
+		Seed:            3,
 	}
 	for c := 0; c < topo.NumCores; c++ {
 		for g := 0; g < topo.NumDGroups; g++ {
@@ -653,6 +655,7 @@ func TestValidateRejectsUnbuildable(t *testing.T) {
 		"TagLatency=-1":          func(c *Config) { c.TagLatency = -1 },
 		"MemLatency=-1":          func(c *Config) { c.MemLatency = -1 },
 		"DGroupOccupancy=-1":     func(c *Config) { c.DGroupOccupancy = -1 },
+		"DGroupOccupancy=0":      func(c *Config) { c.DGroupOccupancy = 0 },
 		"DGroupLat[3][0]=-1":     func(c *Config) { c.DGroupLat[3][0] = -1 },
 		"Promotion=7":            func(c *Config) { c.Promotion = 7 },
 		"Promotion=-1":           func(c *Config) { c.Promotion = -1 },
@@ -680,7 +683,7 @@ func TestValidateAcceptsBoundaries(t *testing.T) {
 		"DGroupFrames=1":        func(c *Config) { c.DGroupFrames = 1 },
 		"TagLatency=0":          func(c *Config) { c.TagLatency = 0 },
 		"MemLatency=0":          func(c *Config) { c.MemLatency = 0 },
-		"DGroupOccupancy=0":     func(c *Config) { c.DGroupOccupancy = 0 },
+		"DGroupOccupancy=1":     func(c *Config) { c.DGroupOccupancy = 1 },
 		"DGroupLat[0][0]=0":     func(c *Config) { c.DGroupLat[0][0] = 0 },
 		"Promotion=NoPromotion": func(c *Config) { c.Promotion = NoPromotion },
 		"Replication=Never":     func(c *Config) { c.Replication = ReplicateNever },

@@ -122,10 +122,6 @@ func (c *Cache) CheckInvariants() {
 			panic(fmt.Sprintf("core: block %#x dirty with %d data copies", addr, len(bt.frames)))
 		}
 	}
-
-	if c.pinnedFrame != noPin {
-		panic("core: a frame is still pinned outside an operation")
-	}
 }
 
 // Occupancy returns the number of valid frames per d-group, for

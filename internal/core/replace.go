@@ -14,20 +14,8 @@ import (
 // then shared victims) and distance replacement (demoting blocks to
 // farther d-groups to create space close to a core).
 
-// noPin marks no frame pinned.
+// noPin is the avoid argument that protects no frame.
 var noPin = ptr{dgroup: -1, frame: -1}
-
-// pinned guards the frame a CR replication or ISC move is copying out
-// of, so the demotion chain clearing space for the new copy cannot
-// evict the source mid-operation. This realizes §3.1's busy-bit: "the
-// tag for the block being read from a farther d-group [is] marked
-// busy ... replacement invalidations will be inhibited until the read
-// has completed."
-func (c *Cache) pin(p ptr) { c.pinnedFrame = p }
-func (c *Cache) unpin()    { c.pinnedFrame = noPin }
-func (c *Cache) pinned(p ptr) bool {
-	return c.pinnedFrame == p
-}
 
 // takeFrame pops a free frame from dg.
 func (c *Cache) takeFrame(g int) int {
@@ -81,26 +69,12 @@ func (c *Cache) pointsAt(o int, addr memsys.Addr, p ptr) *tagLine {
 	return nil
 }
 
-// anyDirtyTag reports whether any tag pointing at p holds it dirty.
-func (c *Cache) anyDirtyTag(addr memsys.Addr, p ptr) bool {
-	for o := 0; o < topo.NumCores; o++ {
-		if l := c.pointsAt(o, addr, p); l != nil && l.Data.state.Dirty() {
-			return true
-		}
-	}
-	return false
-}
-
-// evictFrame kills the data copy at p entirely: writes it back if
-// dirty, broadcasts BusRepl when the dying block is shared (so sharers
-// with tag entries pointing at the frame invalidate them, §3.1), and
-// frees the frame.
+// evictFrame kills the data copy at p entirely: broadcasts BusRepl
+// when the dying block is shared (so sharers with tag entries pointing
+// at the frame invalidate them, §3.1), kills every tag pointing at it,
+// and frees the frame.
 func (c *Cache) evictFrame(now memsys.Cycle, p ptr) {
-	fr := c.frameAt(p)
-	addr := fr.addr
-	if c.anyDirtyTag(addr, p) {
-		c.Writebacks++
-	}
+	addr := c.frameAt(p).addr
 	shared := false
 	for o := 0; o < topo.NumCores; o++ {
 		if l := c.pointsAt(o, addr, p); l != nil && !l.Data.state.PrivateBlock() {
@@ -122,22 +96,26 @@ func (c *Cache) evictFrame(now memsys.Cycle, p ptr) {
 	c.releaseFrame(p)
 }
 
-// pickVictimFrame returns a random valid, unpinned frame index in
-// d-group g. §3.3.2: the in-d-group choice is random because "LRU
-// requires O(n^2) hardware to track n frames".
-func (c *Cache) pickVictimFrame(g int) int {
+// pickVictimFrame returns a random valid frame index in d-group g other
+// than avoid. §3.3.2: the in-d-group choice is random because "LRU
+// requires O(n^2) hardware to track n frames". avoid is §3.1's busy
+// bit: "the tag for the block being read from a farther d-group [is]
+// marked busy ... replacement invalidations will be inhibited until the
+// read has completed", so a demotion chain clearing space for a CR or
+// ISC copy cannot evict the copy's source.
+func (c *Cache) pickVictimFrame(g int, avoid ptr) int {
 	dg := c.dgroups[g]
 	n := len(dg.frames)
 	for try := 0; try < 8; try++ {
 		vi := c.rand.Intn(n)
-		if dg.frames[vi].valid && !c.pinned(ptr{g, vi}) {
+		if dg.frames[vi].valid && (ptr{g, vi}) != avoid {
 			return vi
 		}
 	}
 	start := c.rand.Intn(n)
 	for i := 0; i < n; i++ {
 		vi := (start + i) % n
-		if dg.frames[vi].valid && !c.pinned(ptr{g, vi}) {
+		if dg.frames[vi].valid && (ptr{g, vi}) != avoid {
 			return vi
 		}
 	}
@@ -154,8 +132,9 @@ func (c *Cache) pickVictimFrame(g int) int {
 // this cycle by choosing a d-group at random to stop the demotions" —
 // the cycle being broken is the demotion loop around the farther
 // d-groups, so the originating d-group itself is excluded; stopping
-// there would evict locally even while neighbours sit empty).
-func (c *Cache) freeFrameIn(now memsys.Cycle, core, g, stop int) int {
+// there would evict locally even while neighbours sit empty). No
+// victim in the chain is the frame avoid.
+func (c *Cache) freeFrameIn(now memsys.Cycle, core, g, stop int, avoid ptr) int {
 	if stop < 0 {
 		if r := topo.Rank(core, g); r < topo.NumDGroups-1 {
 			stop = topo.Preference[core][r+1+c.rand.Intn(topo.NumDGroups-1-r)]
@@ -163,10 +142,10 @@ func (c *Cache) freeFrameIn(now memsys.Cycle, core, g, stop int) int {
 			stop = g // already farthest: evict here
 		}
 	}
-	return c.freeFrameRec(now, core, g, stop, 0)
+	return c.freeFrameRec(now, core, g, stop, avoid, 0)
 }
 
-func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
+func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop int, avoid ptr, depth int) int {
 	if depth > topo.NumDGroups {
 		panic("core: demotion chain did not terminate")
 	}
@@ -174,7 +153,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
 	if len(dg.free) > 0 {
 		return c.takeFrame(g)
 	}
-	vi := c.pickVictimFrame(g)
+	vi := c.pickVictimFrame(g, avoid)
 	p := ptr{g, vi}
 	owner := c.ownerLine(p)
 	next, hasNext := topo.NextSlower(core, g)
@@ -185,7 +164,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
 		c.evictFrame(now, p)
 		return c.takeFrame(g)
 	}
-	nf := c.freeFrameRec(now, core, next, stop, depth+1)
+	nf := c.freeFrameRec(now, core, next, stop, avoid, depth+1)
 	c.moveFrame(p, ptr{next, nf})
 	c.stats.Demotions++
 	return c.takeFrame(g)
@@ -209,30 +188,7 @@ func (c *Cache) moveFrame(src, dst ptr) {
 // in the paper's order: invalid first, then private (E/M), then shared
 // (S/C), LRU within each category (§3.3.2).
 func (c *Cache) tagVictim(core int, addr memsys.Addr) *tagLine {
-	ta := c.tags[core]
-	set := ta.SetIndex(addr)
-	for i := range ta.Set(set) {
-		l := &ta.Set(set)[i]
-		if !l.Valid {
-			return l
-		}
-	}
-	var privLRU, sharedLRU *tagLine
-	// hotpath:alloc non-escaping callback: LRUOrder only calls f, so the closure and its captures stay on the stack (TestStepDoesNotAllocate holds this to zero)
-	ta.LRUOrder(set, func(l *tagLine) bool {
-		if l.Data.state.PrivateBlock() {
-			if privLRU == nil {
-				privLRU = l
-			}
-		} else if sharedLRU == nil {
-			sharedLRU = l
-		}
-		return privLRU == nil || sharedLRU == nil
-	})
-	if privLRU != nil {
-		return privLRU
-	}
-	return sharedLRU
+	return c.tags[core].VictimPreferring(addr, func(p *tagPayload) bool { return p.state.PrivateBlock() })
 }
 
 // evictTagEntry removes core's tag entry l from the cache, handling
@@ -252,9 +208,6 @@ func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
 	if st.PrivateBlock() {
 		// Private block: the data is evicted; its frame frees space in
 		// some d-group, which becomes the demotion chain's target.
-		if st == coherence.Modified {
-			c.Writebacks++
-		}
 		c.killTag(core, l)
 		c.releaseFrame(p)
 		return p.dgroup
@@ -263,8 +216,7 @@ func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
 	if owns {
 		// Shared block whose data copy we placed: evict the copy and
 		// BusRepl-invalidate every other tag pointing at it.
-		c.killTag(core, l)
-		c.evictFrameSharedRemainder(now, addr, p)
+		c.evictFrame(now, p)
 		return p.dgroup
 	}
 
@@ -273,22 +225,6 @@ func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
 	// sharers" (§3.3.2).
 	c.killTag(core, l)
 	return -1
-}
-
-// evictFrameSharedRemainder evicts frame p after its owning tag has
-// already been killed: BusRepl, remaining-pointer invalidation,
-// write-back if a dirty (C) tag still points here.
-func (c *Cache) evictFrameSharedRemainder(now memsys.Cycle, addr memsys.Addr, p ptr) {
-	if c.anyDirtyTag(addr, p) {
-		c.Writebacks++
-	}
-	c.post(now, coherence.BusRepl)
-	for o := 0; o < topo.NumCores; o++ {
-		if l := c.pointsAt(o, addr, p); l != nil {
-			c.killTag(o, l)
-		}
-	}
-	c.releaseFrame(p)
 }
 
 // installTag places a new tag entry for addr in core's array with the
@@ -302,19 +238,38 @@ func (c *Cache) installTag(now memsys.Cycle, core int, addr memsys.Addr, pay tag
 	return c.tags[core].Install(v, addr, pay)
 }
 
-// allocClosest evicts a tag victim and allocates a data frame in
-// core's closest d-group for addr, returning the installed tag line.
-// This is the common "bring a block into the cache near me" path used
-// by placement (§3.3.1: "CMP-NuRAPID initially places all private
-// blocks in the data d-group closest to the initiating core").
-func (c *Cache) allocClosest(now memsys.Cycle, core int, addr memsys.Addr, pay tagPayload) *tagLine {
+// allocClosest evicts a tag victim and places core's copy of addr in
+// its closest d-group, using the d-group the eviction freed as the
+// demotion target, and returns the installed tag line. This is the
+// common "bring a block into the cache near me" path (§3.3.1:
+// "CMP-NuRAPID initially places all private blocks in the data d-group
+// closest to the initiating core"). The demotion chain spares avoid.
+func (c *Cache) allocClosest(now memsys.Cycle, core int, addr memsys.Addr, pay tagPayload, avoid ptr) *tagLine {
 	v := c.tagVictim(core, addr)
 	freed := c.evictTagEntry(now, core, v)
-	cl := c.closest(core)
-	nf := c.freeFrameIn(now, core, cl, freed)
-	pay.fwd = ptr{cl, nf}
-	*c.frameAt(pay.fwd) = frameInfo{valid: true, addr: addr, revCore: core}
+	pay.fwd = c.placeClosest(now, core, addr, freed, avoid)
 	return c.tags[core].Install(v, addr, pay)
+}
+
+// placeClosest takes a frame in core's closest d-group, running the
+// demotion chain toward stop (random when < 0) without evicting avoid,
+// and records core's copy of addr in it. Every new data copy goes
+// through here: fills, CR's second-use copy, ISC's reader move and the
+// stuck-C migration.
+func (c *Cache) placeClosest(now memsys.Cycle, core int, addr memsys.Addr, stop int, avoid ptr) ptr {
+	cl := c.closest(core)
+	p := ptr{cl, c.freeFrameIn(now, core, cl, stop, avoid)}
+	*c.frameAt(p) = frameInfo{valid: true, addr: addr, revCore: core}
+	return p
+}
+
+// repoint moves every tag of addr that points at from to point at to.
+func (c *Cache) repoint(addr memsys.Addr, from, to ptr) {
+	for o := 0; o < topo.NumCores; o++ {
+		if l := c.pointsAt(o, addr, from); l != nil {
+			l.Data.fwd = to
+		}
+	}
 }
 
 // promote applies the CS promotion policy to core's private block l
@@ -346,7 +301,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	// No free frame: swap with a random victim. A private victim
 	// demotes into the promoted block's old frame; a shared victim is
 	// evicted (shared blocks never move, §3.3.1/§3.3.2).
-	vi := c.pickVictimFrame(target)
+	vi := c.pickVictimFrame(target, noPin)
 	vp := ptr{target, vi}
 	if vp == src {
 		return

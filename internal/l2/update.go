@@ -36,8 +36,6 @@ type PrivateUpdate struct {
 	l1inv      func(core int, addr memsys.Addr)
 	// Updates counts write-triggered bus update broadcasts.
 	Updates uint64
-	// Writebacks counts dirty evictions reaching memory.
-	Writebacks uint64
 }
 
 // updPayload: valid copies are shared or exclusive; dirty marks the
@@ -147,11 +145,6 @@ func (p *PrivateUpdate) copies(core int, addr memsys.Addr) (n, first int, dirty 
 func (p *PrivateUpdate) kill(core int, l *cache.Line[updPayload]) {
 	addr := p.caches[core].AddrOf(l)
 	p.stats.RecordLifetime(l.Data.broughtBy, l.Data.reuses)
-	if l.Data.dirty {
-		// The owner's eviction hands write-back duty to memory; any
-		// remaining sharers keep clean copies.
-		p.Writebacks++
-	}
 	p.caches[core].Invalidate(l)
 	if p.l1inv != nil {
 		p.l1inv(core, addr)

@@ -160,6 +160,41 @@ func TestSelectionSurvivesUnrelatedEdit(t *testing.T) {
 	}
 }
 
+// TestOrderSwapShortCircuitNeedsGuard: an && / || operand swap is a
+// site only when its left operand is a nil or len guard that protects
+// the right one; a swap of two independent tests is equivalent and is
+// not drawn.
+func TestOrderSwapShortCircuitNeedsGuard(t *testing.T) {
+	dir := t.TempDir()
+	lib := `package p
+
+type T struct{ x int }
+
+func NilGuard(p *T) bool { return p != nil && p.x > 0 }
+
+func LenGuard(s []int, i int) bool { return i < len(s) && s[i] == 0 }
+
+func NoGuard(a, b int) bool { return a < 0 || b < 0 }
+`
+	if err := os.WriteFile(filepath.Join(dir, "lib.go"), []byte(lib), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sites, err := EnumeratePackage(dir, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps := map[string]int{}
+	for _, s := range sites {
+		if s.Op == "orderswap" && (strings.Contains(s.Before, "&&") || strings.Contains(s.Before, "||")) {
+			swaps[s.Func]++
+		}
+	}
+	want := map[string]int{"NilGuard": 1, "LenGuard": 1}
+	if !reflect.DeepEqual(swaps, want) {
+		t.Errorf("short-circuit swap sites per func = %v, want %v", swaps, want)
+	}
+}
+
 // TestEnumerationMatchesToolchainFileFilter: mutants are drawn from
 // exactly the files `go build` compiles. A release tag (go1.21) is
 // satisfied by any current toolchain, and a GOOS file-name suffix

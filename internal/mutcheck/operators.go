@@ -63,8 +63,8 @@ var opRelSwap = &Operator{
 	},
 }
 
-// comparisonOps are the operators that make an enclosing BinaryExpr a
-// comparison for the purposes of off-by-one context.
+// comparisonOps are the operators that make a BinaryExpr a comparison:
+// the off-by-one context, and orderswap's short-circuit guards.
 var comparisonOps = map[token.Token]bool{
 	token.LSS: true, token.LEQ: true, token.GTR: true,
 	token.GEQ: true, token.EQL: true, token.NEQ: true,
@@ -211,22 +211,52 @@ var opConstRet = &Operator{
 	},
 }
 
-// orderswap covers tie-break and evaluation-order faults: swapping the
-// operands of && / || changes short-circuit order, and swapping the
-// operands of an ordered comparison reverses a stable tie-break —
-// the fault class PR 7's scheduler work showed matters most here.
-// ==/!= operand swaps are excluded as (almost always) equivalent.
+// orderswap covers tie-break and evaluation-order faults. Swapping the
+// operands of an ordered comparison reverses a stable tie-break, the
+// fault class the scheduler's lowest-core-first order depends on.
+// Swapping the operands of && / || changes behaviour only when the left
+// operand guards the right one, so it is a site only behind a nil or
+// len guard (p != nil && p.x > 0, i < len(s) && s[i] == 0); a swap of
+// two side-effect-free tests is equivalent and would only spend the
+// sample. ==/!= operand swaps are excluded as (almost always)
+// equivalent.
 var orderSwapOps = map[token.Token]bool{
 	token.LAND: true, token.LOR: true,
 	token.LSS: true, token.LEQ: true, token.GTR: true, token.GEQ: true,
 }
 
+// isGuard reports whether e compares something with nil or with a
+// len(...) call: the left operand of a short circuit that protects the
+// right one.
+func isGuard(e ast.Expr) bool {
+	b, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || !comparisonOps[b.Op] {
+		return false
+	}
+	for _, x := range []ast.Expr{b.X, b.Y} {
+		switch v := ast.Unparen(x).(type) {
+		case *ast.Ident:
+			if v.Name == "nil" {
+				return true
+			}
+		case *ast.CallExpr:
+			if fn, ok := v.Fun.(*ast.Ident); ok && fn.Name == "len" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 var opOrderSwap = &Operator{
 	Name: "orderswap",
-	Doc:  "swap the operands of && / || or of an ordered comparison (tie-break reversal)",
+	Doc:  "swap the operands of an ordered comparison (tie-break reversal), or of && / || behind a nil or len guard",
 	Match: func(path []ast.Node, n ast.Node) bool {
 		b, ok := n.(*ast.BinaryExpr)
-		return ok && orderSwapOps[b.Op]
+		if !ok || !orderSwapOps[b.Op] {
+			return false
+		}
+		return (b.Op != token.LAND && b.Op != token.LOR) || isGuard(b.X)
 	},
 	Apply: func(n ast.Node) func() {
 		b := n.(*ast.BinaryExpr)

@@ -2,8 +2,9 @@
 # Repository health check: formatting, vet, the full test suite (every
 # gate is a test: self-lint, protocol model checker, goldens and the
 # -parallel cross-diffs, graceful degradation), the race gate, the
-# mutant kill ratio, perfbench's vet and tests, and a single-iteration pass
-# over every benchmark (so the whole evaluation pipeline is exercised).
+# mutant kill ratio, perfbench's vet, tests and cell fingerprints, and a
+# single-iteration pass over every benchmark (so the whole evaluation
+# pipeline is exercised).
 # Used before publishing results.
 set -eu
 cd "$(dirname "$0")/.."
@@ -35,6 +36,13 @@ go run ./cmd/mutcheck -quiet -diff MUTATION_quick.json
 # benchmark, and vet findings `go test`'s vet subset misses.
 echo "== perfbench vet and tests =="
 (cd perfbench && go vet . && go test .)
+
+# Every simulated statistic perfbench fingerprints must match the
+# recorded reference byte for byte (about 11 s on a 2-vCPU VM).
+echo "== perfbench cell fingerprints vs reference.txt =="
+tmp=$(mktemp -d)
+(cd perfbench && go run . -write-reference "$tmp/reference.txt" && diff -u reference.txt "$tmp/reference.txt")
+rm -rf "$tmp"
 
 echo "== benchmarks (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x ./...
