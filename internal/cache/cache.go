@@ -7,16 +7,22 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"cmpnurapid/internal/memsys"
 )
 
 // Line is one tag-array entry with a caller-defined payload (coherence
-// state, forward pointer, reuse counters, ...).
+// state, forward pointer, reuse counters, ...). The header is 13 bytes
+// in a 16-byte slot: a payload with 1-byte alignment packs into the
+// last 3, so an L1 line is 16 bytes in all.
 type Line[T any] struct {
+	Tag uint64
+	// lastUse is the Array clock at the line's last Touch. Only its
+	// order within a set matters, which is what lets the clock wrap
+	// (see renormalize).
+	lastUse uint32
 	Valid   bool
-	Tag     uint64
-	lastUse uint64
 	Data    T
 }
 
@@ -27,9 +33,8 @@ type Geometry struct {
 	BlockBytes memsys.Bytes
 }
 
-// Validate panics unless all fields are positive powers of two (sets
-// and blocks must be for indexing; ways only needs positivity but
-// real designs use powers of two and requiring it catches typos).
+// Validate panics unless sets and block size are powers of two (for
+// indexing) and ways is positive.
 func (g Geometry) Validate() {
 	if !pow2(g.Sets) || !pow2(int(g.BlockBytes)) {
 		panic(fmt.Sprintf("cache: sets (%d) and block size (%d) must be powers of two",
@@ -37,11 +42,6 @@ func (g Geometry) Validate() {
 	}
 	if g.Ways <= 0 {
 		panic("cache: ways must be positive")
-	}
-	if g.Ways > 64 {
-		// Probe and the victim scan walk a whole set per access; no
-		// design here needs more ways than this.
-		panic(fmt.Sprintf("cache: ways (%d) must be <= 64", g.Ways))
 	}
 }
 
@@ -64,7 +64,7 @@ type Array[T any] struct {
 	blockBits uint
 	setMask   uint64
 	lines     []Line[T] // sets*ways, row-major by set
-	clock     uint64
+	clock     uint32
 }
 
 // NewArray allocates an array with the given geometry.
@@ -111,8 +111,42 @@ func (a *Array[T]) Probe(addr memsys.Addr) *Line[T] {
 
 // Touch marks a line most-recently-used.
 func (a *Array[T]) Touch(l *Line[T]) {
+	if a.clock == math.MaxUint32 {
+		a.renormalize()
+	}
 	a.clock++
 	l.lastUse = a.clock
+}
+
+// renormalize runs when the clock is about to wrap. It rewrites every
+// valid line's stamp to its rank among the set's valid lines (1 for
+// the least recently used) and restarts the clock above every rank, so
+// each set keeps its LRU order and every later victim choice is the
+// one an unbounded clock would make. The valid stamps of a set are
+// distinct (Touch draws each from the increasing clock, and the ranks
+// sit below every later stamp), so the ranks are too.
+func (a *Array[T]) renormalize() {
+	// hotpath:alloc one scratch slice per 2^32 touches of an array
+	rank := make([]uint32, a.geo.Ways)
+	for set := 0; set < a.geo.Sets; set++ {
+		lines := a.Set(set)
+		for i := range lines {
+			rank[i] = 0
+			if !lines[i].Valid {
+				continue
+			}
+			rank[i] = 1
+			for j := range lines {
+				if lines[j].Valid && lines[j].lastUse < lines[i].lastUse {
+					rank[i]++
+				}
+			}
+		}
+		for i := range lines {
+			lines[i].lastUse = rank[i]
+		}
+	}
+	a.clock = uint32(a.geo.Ways)
 }
 
 // Set returns the lines of one set.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -224,5 +225,109 @@ func TestVictimPrefersStaleInvalidatedLine(t *testing.T) {
 	a.Invalidate(a.Probe(a1))
 	if v := a.Victim(memsys.Addr(64 * 8)); v.Valid {
 		t.Errorf("victim is valid block %#x, want the invalidated way", a.AddrOf(v))
+	}
+}
+
+// TestManyWaysSet: nothing bounds associativity but memory. A 128-way
+// set builds, finds each of its 128 blocks, and evicts the least
+// recently used one.
+func TestManyWaysSet(t *testing.T) {
+	const ways = 128
+	a := NewArray[int](Geometry{Sets: 1, Ways: ways, BlockBytes: 64})
+	for i := 0; i < ways; i++ {
+		ad := memsys.Addr(i * 64)
+		a.Install(a.Victim(ad), ad, i)
+	}
+	for i := 0; i < ways; i++ {
+		if l := a.Probe(memsys.Addr(i * 64)); l == nil || l.Data != i {
+			t.Fatalf("probe of way %d's block missed or read the wrong payload", i)
+		}
+	}
+	// Touch every block but block 70, oldest first: 70 becomes LRU.
+	for i := 0; i < ways; i++ {
+		if i != 70 {
+			a.Touch(a.Probe(memsys.Addr(i * 64)))
+		}
+	}
+	if v := a.Victim(memsys.Addr(ways * 64)); !v.Valid || a.AddrOf(v) != 70*64 {
+		t.Errorf("victim = %#x, want the LRU block %#x", a.AddrOf(v), 70*64)
+	}
+}
+
+// TestClockWrapKeepsVictimOrder runs one install/touch/invalidate
+// sequence on two arrays. Once both sets hold several lines, the
+// second array's clock is driven to 2^32-2, so it wraps two touches
+// later. After every step both must pick the same Victim and
+// VictimPreferring line in every set.
+func TestClockWrapKeepsVictimOrder(t *testing.T) {
+	geo := Geometry{Sets: 2, Ways: 4, BlockBytes: 64}
+	ref, wrap := NewArray[int](geo), NewArray[int](geo)
+	odd := func(v *int) bool { return *v%2 == 1 }
+	// blk(set, i) is the i-th distinct block of set.
+	blk := func(set, i int) memsys.Addr { return memsys.Addr((2*i + set) * 64) }
+	type op struct {
+		set, i int
+		kind   byte // 'i' install or touch, 'x' invalidate
+	}
+	ops := []op{
+		{0, 0, 'i'}, {0, 1, 'i'}, {1, 0, 'i'}, {0, 2, 'i'}, {0, 3, 'i'},
+		{1, 1, 'i'}, {0, 1, 'i'}, {0, 4, 'i'}, {1, 2, 'i'}, {0, 0, 'i'},
+		{0, 2, 'x'}, {1, 0, 'i'}, {0, 5, 'i'}, {0, 3, 'i'}, {1, 3, 'i'},
+		{1, 4, 'i'}, {0, 1, 'i'}, {0, 6, 'i'},
+	}
+	for step, o := range ops {
+		if step == 6 { // set 0 is full, set 1 holds two lines
+			wrap.clock = math.MaxUint32 - 1
+		}
+		for _, a := range []*Array[int]{ref, wrap} {
+			ad := blk(o.set, o.i)
+			l := a.Probe(ad)
+			switch {
+			case o.kind == 'x':
+				if l != nil {
+					a.Invalidate(l)
+				}
+			case l != nil:
+				a.Touch(l)
+			default:
+				a.Install(a.Victim(ad), ad, o.i)
+			}
+		}
+		for set := 0; set < geo.Sets; set++ {
+			probe := blk(set, 50)
+			if r, w := ref.AddrOf(ref.Victim(probe)), wrap.AddrOf(wrap.Victim(probe)); r != w {
+				t.Fatalf("step %d set %d: Victim %#x after the wrap, %#x without", step, set, w, r)
+			}
+			r := ref.AddrOf(ref.VictimPreferring(probe, odd))
+			if w := wrap.AddrOf(wrap.VictimPreferring(probe, odd)); r != w {
+				t.Fatalf("step %d set %d: VictimPreferring %#x after the wrap, %#x without", step, set, w, r)
+			}
+		}
+	}
+	if wrap.clock >= math.MaxUint32-1 {
+		t.Fatalf("clock = %d: the sequence never wrapped it", wrap.clock)
+	}
+}
+
+// TestProbeTellsApartHighTagBits: two blocks in one set that differ
+// only in address bit 45 are two blocks, so the tag keeps every bit
+// above the block offset.
+func TestProbeTellsApartHighTagBits(t *testing.T) {
+	a := smallArray()
+	lo := memsys.Addr(0x1000)
+	hi := lo | 1<<45
+	if a.SetIndex(lo) != a.SetIndex(hi) {
+		t.Fatal("the two blocks should share a set")
+	}
+	a.Install(a.Victim(lo), lo, 1)
+	if a.Probe(hi) != nil {
+		t.Fatal("probe of the bit-45 twin hit the other block")
+	}
+	a.Install(a.Victim(hi), hi, 2)
+	if l := a.Probe(lo); l == nil || l.Data != 1 {
+		t.Error("low block lost or overwritten")
+	}
+	if l := a.Probe(hi); l == nil || l.Data != 2 || a.AddrOf(l) != hi {
+		t.Error("high block missing or reconstructed without bit 45")
 	}
 }

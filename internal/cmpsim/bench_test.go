@@ -3,7 +3,9 @@ package cmpsim
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/topo"
@@ -138,5 +140,16 @@ func TestRunQuantumAllocs(t *testing.T) {
 	_, f := warmOp(runQuantumOp)
 	if allocs, bytes := perRun(500, f); allocs != 3 || bytes != 448 {
 		t.Fatalf("a quantum allocates %d times (%d B), want 3 (448 B)", allocs, bytes)
+	}
+}
+
+// TestL1LineSize pins an L1 line at 16 bytes on 64-bit hosts: the
+// cache.Line header with the dirty bit packed into its padding.
+func TestL1LineSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(cache.Line[l1Line]{}); got != 16 {
+		t.Errorf("L1 line is %d B, want 16", got)
 	}
 }

@@ -32,20 +32,20 @@ func (c *Cache) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool)
 // hit serves a tag-array hit.
 func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, write bool) memsys.Result {
 	c.tags[core].Touch(line)
-	line.Data.reuses++
+	line.Data.reuses.Inc()
 	var lat memsys.Cycles
 	// The d-group that serves this access; captured before promotion or
 	// replication moves the pointer, since Figure 9 classifies the
 	// access by where the data was when it was read.
-	servedDG := line.Data.fwd.dgroup
+	servedDG := line.Data.fwd.dgroup()
 	st := line.Data.state
 	next, op := c.onProc(st, write, coherence.Signals{})
 	line.Data.state = next
 
 	switch st {
 	case coherence.Exclusive, coherence.Modified:
-		lat += c.dgAccess(t, core, line.Data.fwd.dgroup)
-		if line.Data.fwd.dgroup != c.closest(core) {
+		lat += c.dgAccess(t, core, line.Data.fwd.dgroup())
+		if line.Data.fwd.dgroup() != c.closest(core) {
 			// Capacity stealing: promote reused private blocks
 			// (§3.3.1). The promotion itself is off the critical path.
 			c.promote(t, core, line)
@@ -58,12 +58,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 			// our pointer targets.
 			lat += c.transact(t, op)
 			c.snoopOthers(core, addr, op, line.Data.fwd)
-			c.frameAt(line.Data.fwd).revCore = core
+			c.frameAt(line.Data.fwd).revCore = int8(core)
 			lat += c.dgAccess(t.Add(lat), core, servedDG)
 		} else {
 			p := line.Data.fwd
-			lat += c.dgAccess(t, core, p.dgroup)
-			if c.cfg.Replication == ReplicateSecondUse && p.dgroup != c.closest(core) {
+			lat += c.dgAccess(t, core, p.dgroup())
+			if c.cfg.Replication == ReplicateSecondUse && p.dgroup() != c.closest(core) {
 				// Controlled replication's second-use copy (§3.1):
 				// "P1 makes a copy of X in its closest d-group and
 				// updates the forward pointer in its tag entry."
@@ -76,12 +76,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 		// single data copy wherever it lives — possibly a farther
 		// d-group — without any coherence miss (§3.2).
 		p := line.Data.fwd
-		lat += c.dgAccess(t, core, p.dgroup)
-		if !write && c.cfg.CMigrationThreshold > 0 && p.dgroup != c.closest(core) {
+		lat += c.dgAccess(t, core, p.dgroup())
+		if !write && c.cfg.CMigrationThreshold > 0 && p.dgroup() != c.closest(core) {
 			// Future-work extension: a copy stuck far from its only
 			// active reader migrates after repeated remote reads.
 			line.Data.farReads++
-			if line.Data.farReads >= c.cfg.CMigrationThreshold {
+			if int(line.Data.farReads) >= c.cfg.CMigrationThreshold {
 				c.migrateC(core, addr, line)
 				line.Data.farReads = 0
 			}
@@ -117,10 +117,10 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 // are repointed to the new copy and the old frame is freed.
 func (c *Cache) replicate(core int, addr memsys.Addr, line *tagLine) {
 	src := line.Data.fwd
-	// Cycle 0 is a known BusRepl timing bug the recorded outputs still carry.
+	// unitcheck:timestamp cycle 0 is the known BusRepl bug the recorded outputs carry; ROADMAP 3(b) passes the access cycle
 	np := c.placeClosest(0, core, addr, -1, src)
 	line.Data.fwd = np
-	if c.frameAt(src).revCore == core {
+	if c.frameAt(src).owner() == core {
 		c.repoint(addr, src, np)
 		c.releaseFrame(src)
 	}
@@ -133,7 +133,7 @@ func (c *Cache) replicate(core int, addr memsys.Addr, line *tagLine) {
 // the ISC read-miss flow, triggered from a hit).
 func (c *Cache) migrateC(core int, addr memsys.Addr, line *tagLine) {
 	q := line.Data.fwd
-	// Cycle 0 is a known BusRepl timing bug the recorded outputs still carry.
+	// unitcheck:timestamp cycle 0 is the known BusRepl bug the recorded outputs carry; ROADMAP 3(b) passes the access cycle
 	c.repoint(addr, q, c.placeClosest(0, core, addr, -1, q))
 	c.releaseFrame(q)
 	c.CMigrations++
@@ -189,7 +189,7 @@ func (c *Cache) snoopOthers(core int, addr memsys.Addr, op coherence.BusOp, keep
 		}
 		p := ol.Data.fwd
 		fr := c.frameAt(p)
-		owns := p != keep && fr.valid && fr.addr == addr && fr.revCore == o
+		owns := p != keep && fr.valid && fr.addr == addr && fr.owner() == o
 		c.killTag(o, ol)
 		if owns {
 			c.releaseFrame(p)
@@ -222,7 +222,7 @@ func (c *Cache) snoop(core int, addr memsys.Addr) snoopState {
 			s.dirtyPtr = ol.Data.fwd
 		} else {
 			s.Shared = true
-			if l := c.latTo(core, ol.Data.fwd.dgroup); l < s.bestLat {
+			if l := c.latTo(core, ol.Data.fwd.dgroup()); l < s.bestLat {
 				s.bestLat = l
 				s.bestClean = ol.Data.fwd
 			}
@@ -258,7 +258,7 @@ func (c *Cache) miss(t memsys.Cycle, core int, addr memsys.Addr, write bool) mem
 func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool, next coherence.State, op coherence.BusOp, q ptr, lat memsys.Cycles) memsys.Result {
 	// The data is sampled from the nearest clean copy. BusRdX then
 	// invalidates every copy; BusRd moves an E holder to S.
-	lat += c.dgAccess(t, core, q.dgroup)
+	lat += c.dgAccess(t, core, q.dgroup())
 	c.snoopOthers(core, addr, op, noPin)
 	pay := tagPayload{state: next, fwd: q, broughtBy: memsys.ROSMiss}
 	switch {
@@ -285,7 +285,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 // q: a RWS miss. With ISC the requester joins the communication group;
 // without it the flows are plain MESI cache-to-cache transfers.
 func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool, next coherence.State, op coherence.BusOp, q ptr, lat memsys.Cycles) memsys.Result {
-	lat += c.dgAccess(t, core, q.dgroup)
+	lat += c.dgAccess(t, core, q.dgroup())
 	pay := tagPayload{state: next, fwd: q, broughtBy: memsys.RWSMiss}
 	switch {
 	case !c.cfg.EnableISC:
@@ -320,7 +320,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 		c.snoopOthers(core, addr, op, q)
 		c.repoint(addr, q, l.Data.fwd) // every other holder is now in C
 		c.releaseFrame(q)
-		lat += c.dgAccess(t.Add(lat), core, l.Data.fwd.dgroup)
+		lat += c.dgAccess(t.Add(lat), core, l.Data.fwd.dgroup())
 	}
 	return memsys.Result{Latency: lat, Category: memsys.RWSMiss, DGroup: -1}
 }

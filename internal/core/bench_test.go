@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
@@ -105,6 +107,61 @@ func TestAccessBenchesDoNotAllocate(t *testing.T) {
 		i := 0
 		if avg := testing.AllocsPerRun(10_000, func() { op(i); i++ }); avg != 0 {
 			t.Errorf("%s allocates %.0f times per access, want 0", bench.name, avg)
+		}
+	}
+}
+
+// newSink keeps each benchmarked cache reachable until the next.
+var newSink *Cache
+
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newSink = New(DefaultConfig())
+	}
+}
+
+// TestNewBytes pins the heap bytes one New(DefaultConfig()) allocates,
+// the state every CMP-NuRAPID cell carries: four 32,768-line tag
+// arrays at 32 B a line (4 MiB), four 16,384-frame d-groups at 16 B a
+// frame (1 MiB) and their int32 free lists (256 KiB). Each run is one
+// call, and the fewest bytes of three runs counts, so a runtime
+// background allocation during one run cannot fail the pin. Any other
+// figure is a change to the per-cell footprint, an improvement
+// included; update the pin in the commit that explains it.
+func TestNewBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const want = 5_507_608
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		newSink = New(DefaultConfig())
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	newSink = nil
+	if best != want {
+		t.Errorf("New(DefaultConfig()) allocates %d B, want %d", best, want)
+	}
+}
+
+// TestLayoutSizes pins the per-line and per-frame sizes New's bytes
+// are made of, on 64-bit hosts. The bound behind each narrowed field
+// is on its declaration.
+func TestLayoutSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"tagLine", unsafe.Sizeof(tagLine{}), 32},
+		{"frameInfo", unsafe.Sizeof(frameInfo{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -29,12 +29,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
+	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/topo"
 )
 
@@ -162,27 +164,37 @@ func DefaultConfig() Config {
 	}
 }
 
-// ptr is a forward pointer: a frame in a d-group.
+// ptr is a forward pointer: a frame in a d-group. It is 8 bytes:
+// Validate bounds DGroupFrames by the int32 frame index, and there are
+// topo.NumDGroups d-groups.
 type ptr struct {
-	dgroup int
-	frame  int
+	g int8
+	f int32
 }
 
-func (p ptr) String() string { return fmt.Sprintf("%s/%d", topo.DGroupNames[p.dgroup], p.frame) }
+// at is the pointer to frame f of d-group g.
+func at(g, f int) ptr { return ptr{int8(g), int32(f)} }
+
+func (p ptr) dgroup() int { return int(p.g) }
+func (p ptr) frame() int  { return int(p.f) }
+
+func (p ptr) String() string { return fmt.Sprintf("%s/%d", topo.DGroupNames[p.g], p.f) }
 
 // tagPayload is the per-tag-entry payload: coherence state, forward
-// pointer, and the block-lifetime bookkeeping behind Figure 7.
+// pointer, and the block-lifetime bookkeeping behind Figure 7. It is
+// 12 bytes, so a tag line is 32.
 type tagPayload struct {
-	state coherence.State
 	fwd   ptr
+	state coherence.State
 	// broughtBy records the miss category that installed this entry;
-	// reuses counts subsequent hits. Recorded into the reuse
-	// histograms when the entry dies.
+	// reuses counts subsequent hits (saturating). Recorded into the
+	// reuse histograms when the entry dies.
 	broughtBy memsys.Category
-	reuses    int
+	reuses    stats.Reuses
 	// farReads counts consecutive farther-d-group reads of a C block,
-	// for the optional stuck-copy migration extension.
-	farReads int
+	// for the optional stuck-copy migration extension. It resets on
+	// reaching CMigrationThreshold, which Validate caps at 255.
+	farReads uint8
 }
 
 // tagLine is one private tag array entry.
@@ -194,15 +206,18 @@ type tagLine = cache.Line[tagPayload]
 // to a d-group replaces frames from it, and BusRepl invalidates any
 // other tags pointing here when the frame dies (§3.1).
 type frameInfo struct {
-	valid   bool
 	addr    memsys.Addr
-	revCore int
+	revCore int8
+	valid   bool
 }
+
+// owner is the frame's reverse pointer as a core index.
+func (f *frameInfo) owner() int { return int(f.revCore) }
 
 // dgroup is one distance group of the shared data array.
 type dgroup struct {
 	frames []frameInfo
-	free   []int
+	free   []int32
 	port   bus.Port
 }
 
@@ -234,6 +249,9 @@ func (cfg Config) Validate() {
 	if cfg.DGroupFrames <= 0 {
 		panic("core: d-group frames must be positive")
 	}
+	if cfg.DGroupFrames > math.MaxInt32 {
+		panic(fmt.Sprintf("core: d-group frames (%d) exceed the int32 frame pointer", cfg.DGroupFrames))
+	}
 	if cfg.TagSets*cfg.TagWays < cfg.DGroupFrames {
 		panic("core: tag arrays must cover at least one d-group of frames")
 	}
@@ -260,6 +278,10 @@ func (cfg Config) Validate() {
 	if cfg.CMigrationThreshold < 0 {
 		panic("core: negative CMigrationThreshold (0 disables migration)")
 	}
+	if cfg.CMigrationThreshold > math.MaxUint8 {
+		panic(fmt.Sprintf("core: CMigrationThreshold (%d) exceeds 255, the far-read counter's range",
+			cfg.CMigrationThreshold))
+	}
 }
 
 // tagGeometry is the shape of each core's private tag array.
@@ -283,9 +305,9 @@ func New(cfg Config) *Cache {
 	}
 	for g := 0; g < topo.NumDGroups; g++ {
 		dg := &dgroup{frames: make([]frameInfo, cfg.DGroupFrames)}
-		dg.free = make([]int, cfg.DGroupFrames)
+		dg.free = make([]int32, cfg.DGroupFrames)
 		for i := range dg.free {
-			dg.free[i] = cfg.DGroupFrames - 1 - i
+			dg.free[i] = int32(cfg.DGroupFrames - 1 - i)
 		}
 		c.dgroups = append(c.dgroups, dg)
 	}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
+	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/topo"
 )
 
@@ -499,6 +502,30 @@ func TestReuseHistograms(t *testing.T) {
 	c.CheckInvariants()
 }
 
+// TestReuseCountSaturates: a tag's reuse counter is one byte that
+// saturates, so a block hit 256, 257 or 300 times still records in
+// ">5", where a wrapping counter would put the first two in "0" and
+// "1".
+func TestReuseCountSaturates(t *testing.T) {
+	for _, hits := range []int{256, 257, 300} {
+		c := New(tinyConfig())
+		X := memsys.Addr(0x2000)
+		read(c, 0, 0, X)  // P0 E
+		read(c, 10, 1, X) // P1 ROS miss
+		now := memsys.Cycle(20)
+		for i := 0; i < hits; i++ {
+			read(c, now, 1, X)
+			now += 10
+		}
+		write(c, now, 0, X) // kills P1's entry
+		h := c.Stats().ReuseROS
+		if h.Total() != 1 || h.Count(stats.ReuseOver5) != 1 {
+			t.Errorf("%d hits: ReuseROS = %v over %d lifetimes, want one lifetime in >5",
+				hits, h.Fracs(), h.Total())
+		}
+	}
+}
+
 // TestRandomWorkloadInvariants fuzzes the full design and each
 // ablation with a mixed shared/private random workload, checking
 // invariants throughout.
@@ -648,7 +675,6 @@ func TestValidateRejectsUnbuildable(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"TagSets=3":              func(c *Config) { c.TagSets = 3 },
 		"TagSets=5":              func(c *Config) { c.TagSets = 5 }, // 20 tags cover 16 frames
-		"TagWays=65":             func(c *Config) { c.TagWays = 65 },
 		"BlockBytes=96":          func(c *Config) { c.BlockBytes = 96 },
 		"Bus.Latency=0":          func(c *Config) { c.Bus.Latency = 0 },
 		"Bus.SlotCycles=0":       func(c *Config) { c.Bus.SlotCycles = 0 },
@@ -676,19 +702,56 @@ func TestValidateRejectsUnbuildable(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNarrowedFieldOverflow: a value too wide for the
+// one-byte far-read counter or the int32 frame index is refused by
+// Validate with a core: message before New allocates anything. The
+// config keeps tinyConfig's 32 tags, so even without the frame check
+// New would panic on tag coverage, not build 2^31 frames.
+func TestValidateRejectsNarrowedFieldOverflow(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"CMigrationThreshold=256", func(c *Config) { c.CMigrationThreshold = 256 },
+			"core: CMigrationThreshold (256) exceeds 255"},
+		{"DGroupFrames=2^31", func(c *Config) { c.DGroupFrames = 1 << 31 },
+			"core: d-group frames (2147483648) exceed the int32 frame pointer"},
+	} {
+		cfg := tinyConfig()
+		c.mutate(&cfg)
+		var msg string
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		func() {
+			defer func() { msg, _ = recover().(string) }()
+			New(cfg)
+		}()
+		runtime.ReadMemStats(&after)
+		if !strings.HasPrefix(msg, c.want) {
+			t.Errorf("%s: New panicked with %q, want prefix %q", c.name, msg, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: New allocated %d B before refusing the config", c.name, grew)
+		}
+	}
+}
+
 // TestValidateAcceptsBoundaries: the smallest legal value of each
 // field Validate bounds still builds.
 func TestValidateAcceptsBoundaries(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"DGroupFrames=1":        func(c *Config) { c.DGroupFrames = 1 },
-		"TagLatency=0":          func(c *Config) { c.TagLatency = 0 },
-		"MemLatency=0":          func(c *Config) { c.MemLatency = 0 },
-		"DGroupOccupancy=1":     func(c *Config) { c.DGroupOccupancy = 1 },
-		"DGroupLat[0][0]=0":     func(c *Config) { c.DGroupLat[0][0] = 0 },
-		"Promotion=NoPromotion": func(c *Config) { c.Promotion = NoPromotion },
-		"Replication=Never":     func(c *Config) { c.Replication = ReplicateNever },
-		"CMigrationThreshold=0": func(c *Config) { c.CMigrationThreshold = 0 },
-		"Bus.SlotCycles=1":      func(c *Config) { c.Bus.SlotCycles = 1 },
+		"DGroupFrames=1":          func(c *Config) { c.DGroupFrames = 1 },
+		"TagLatency=0":            func(c *Config) { c.TagLatency = 0 },
+		"MemLatency=0":            func(c *Config) { c.MemLatency = 0 },
+		"DGroupOccupancy=1":       func(c *Config) { c.DGroupOccupancy = 1 },
+		"DGroupLat[0][0]=0":       func(c *Config) { c.DGroupLat[0][0] = 0 },
+		"Promotion=NoPromotion":   func(c *Config) { c.Promotion = NoPromotion },
+		"Replication=Never":       func(c *Config) { c.Replication = ReplicateNever },
+		"CMigrationThreshold=0":   func(c *Config) { c.CMigrationThreshold = 0 },
+		"CMigrationThreshold=255": func(c *Config) { c.CMigrationThreshold = 255 },
+		"TagWays=128":             func(c *Config) { c.TagWays = 128 },
+		"Bus.SlotCycles=1":        func(c *Config) { c.Bus.SlotCycles = 1 },
 	} {
 		cfg := tinyConfig()
 		mutate(&cfg)

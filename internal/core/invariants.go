@@ -39,8 +39,8 @@ func (c *Cache) CheckInvariants() {
 				panic(fmt.Sprintf("core: core %d valid tag for %#x with invalid coherence state", coreID, addr))
 			}
 			p := l.Data.fwd
-			if p.dgroup < 0 || p.dgroup >= len(c.dgroups) ||
-				p.frame < 0 || p.frame >= len(c.dgroups[p.dgroup].frames) {
+			if p.dgroup() < 0 || p.dgroup() >= len(c.dgroups) ||
+				p.frame() < 0 || p.frame() >= len(c.dgroups[p.dgroup()].frames) {
 				panic(fmt.Sprintf("core: core %d tag for %#x has out-of-range pointer %v", coreID, addr, p))
 			}
 			fr := c.frameAt(p)
@@ -76,7 +76,7 @@ func (c *Cache) CheckInvariants() {
 	totalValidFrames := 0
 	for gi, dg := range c.dgroups {
 		valid := 0
-		freeSet := map[int]bool{}
+		freeSet := map[int32]bool{}
 		for _, f := range dg.free {
 			if freeSet[f] {
 				panic(fmt.Sprintf("core: d-group %d frame %d on free list twice", gi, f))
@@ -85,16 +85,16 @@ func (c *Cache) CheckInvariants() {
 		}
 		for fi := range dg.frames {
 			fr := &dg.frames[fi]
-			if fr.valid == freeSet[fi] {
+			if fr.valid == freeSet[int32(fi)] {
 				panic(fmt.Sprintf("core: d-group %d frame %d valid=%v but on-free-list=%v",
-					gi, fi, fr.valid, freeSet[fi]))
+					gi, fi, fr.valid, freeSet[int32(fi)]))
 			}
 			if !fr.valid {
 				continue
 			}
 			valid++
-			p := ptr{gi, fi}
-			owner := c.tags[fr.revCore].Probe(fr.addr)
+			p := at(gi, fi)
+			owner := c.tags[fr.owner()].Probe(fr.addr)
 			if owner == nil || owner.Data.fwd != p {
 				panic(fmt.Sprintf("core: d-group %d frame %d (addr %#x) has dangling reverse pointer to core %d",
 					gi, fi, fr.addr, fr.revCore))
@@ -147,7 +147,7 @@ func (c *Cache) OwnershipByDGroup() (own, stolen [4]int) {
 			if !f.valid {
 				continue
 			}
-			if c.closest(f.revCore) == gi {
+			if c.closest(f.owner()) == gi {
 				own[f.revCore]++
 			} else {
 				stolen[f.revCore]++
@@ -174,5 +174,5 @@ func (c *Cache) StateOf(core int, addr memsys.Addr) (coherence.State, int) {
 	if l == nil {
 		return coherence.Invalid, -1
 	}
-	return l.Data.state, l.Data.fwd.dgroup
+	return l.Data.state, l.Data.fwd.dgroup()
 }

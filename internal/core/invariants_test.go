@@ -45,7 +45,7 @@ func TestInvariantsDetectDanglingForwardPointer(t *testing.T) {
 		t.Fatal("no tag installed by read")
 	}
 	// Redirect the tag at a frame still on the free list.
-	l.Data.fwd.frame++
+	l.Data.fwd.f++
 	expectInvariantPanic(t, c, "dangling forward pointer")
 }
 
@@ -65,7 +65,7 @@ func TestInvariantsDetectFreeListCorruption(t *testing.T) {
 		// free list while its tag still points at it.
 		for fi := range dg.frames {
 			if dg.frames[fi].valid {
-				dg.free = append(dg.free, fi)
+				dg.free = append(dg.free, int32(fi))
 			}
 		}
 		expectInvariantPanic(t, c, "on-free-list")

@@ -15,7 +15,7 @@ import (
 // farther d-groups to create space close to a core).
 
 // noPin is the avoid argument that protects no frame.
-var noPin = ptr{dgroup: -1, frame: -1}
+var noPin = ptr{g: -1, f: -1}
 
 // takeFrame pops a free frame from dg.
 func (c *Cache) takeFrame(g int) int {
@@ -25,22 +25,22 @@ func (c *Cache) takeFrame(g int) int {
 	}
 	f := dg.free[len(dg.free)-1]
 	dg.free = dg.free[:len(dg.free)-1]
-	return f
+	return int(f)
 }
 
 // releaseFrame invalidates p and returns it to the free list.
 func (c *Cache) releaseFrame(p ptr) {
-	dg := c.dgroups[p.dgroup]
-	if !dg.frames[p.frame].valid {
+	dg := c.dgroups[p.dgroup()]
+	if !dg.frames[p.frame()].valid {
 		panic("core: releasing an already-free frame")
 	}
-	dg.frames[p.frame] = frameInfo{}
+	dg.frames[p.frame()] = frameInfo{}
 	// hotpath:alloc free list is pre-sized to the d-group's frame count and never grows past it
-	dg.free = append(dg.free, p.frame)
+	dg.free = append(dg.free, p.f)
 }
 
 // frameAt returns the frame record at p.
-func (c *Cache) frameAt(p ptr) *frameInfo { return &c.dgroups[p.dgroup].frames[p.frame] }
+func (c *Cache) frameAt(p ptr) *frameInfo { return &c.dgroups[p.dgroup()].frames[p.frame()] }
 
 // ownerLine returns the tag entry owning frame p (the reverse-pointer
 // target). Panics if the reverse pointer dangles — an invariant
@@ -50,7 +50,7 @@ func (c *Cache) ownerLine(p ptr) *tagLine {
 	if !fr.valid {
 		panic("core: ownerLine of invalid frame")
 	}
-	l := c.tags[fr.revCore].Probe(fr.addr)
+	l := c.tags[fr.owner()].Probe(fr.addr)
 	if l == nil || !l.Data.state.Valid() || l.Data.fwd != p {
 		panic(fmt.Sprintf("core: dangling reverse pointer at %v (addr %#x, rev core %d)",
 			p, fr.addr, fr.revCore))
@@ -108,14 +108,14 @@ func (c *Cache) pickVictimFrame(g int, avoid ptr) int {
 	n := len(dg.frames)
 	for try := 0; try < 8; try++ {
 		vi := c.rand.Intn(n)
-		if dg.frames[vi].valid && (ptr{g, vi}) != avoid {
+		if dg.frames[vi].valid && at(g, vi) != avoid {
 			return vi
 		}
 	}
 	start := c.rand.Intn(n)
 	for i := 0; i < n; i++ {
 		vi := (start + i) % n
-		if dg.frames[vi].valid && (ptr{g, vi}) != avoid {
+		if dg.frames[vi].valid && at(g, vi) != avoid {
 			return vi
 		}
 	}
@@ -154,7 +154,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop int, avoid ptr, dep
 		return c.takeFrame(g)
 	}
 	vi := c.pickVictimFrame(g, avoid)
-	p := ptr{g, vi}
+	p := at(g, vi)
 	owner := c.ownerLine(p)
 	next, hasNext := topo.NextSlower(core, g)
 	// Shared victims are evicted, never demoted (§3.3.2: demoting a
@@ -165,7 +165,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop int, avoid ptr, dep
 		return c.takeFrame(g)
 	}
 	nf := c.freeFrameRec(now, core, next, stop, avoid, depth+1)
-	c.moveFrame(p, ptr{next, nf})
+	c.moveFrame(p, at(next, nf))
 	c.stats.Demotions++
 	return c.takeFrame(g)
 }
@@ -180,7 +180,7 @@ func (c *Cache) moveFrame(src, dst ptr) {
 		panic("core: moveFrame on a shared block")
 	}
 	c.releaseFrame(src)
-	*c.frameAt(dst) = frameInfo{valid: true, addr: fr.addr, revCore: fr.revCore}
+	*c.frameAt(dst) = fr
 	owner.Data.fwd = dst
 }
 
@@ -203,21 +203,21 @@ func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
 	p := l.Data.fwd
 	st := l.Data.state
 	fr := c.frameAt(p)
-	owns := fr.valid && fr.addr == addr && fr.revCore == core
+	owns := fr.valid && fr.addr == addr && fr.owner() == core
 
 	if st.PrivateBlock() {
 		// Private block: the data is evicted; its frame frees space in
 		// some d-group, which becomes the demotion chain's target.
 		c.killTag(core, l)
 		c.releaseFrame(p)
-		return p.dgroup
+		return p.dgroup()
 	}
 
 	if owns {
 		// Shared block whose data copy we placed: evict the copy and
 		// BusRepl-invalidate every other tag pointing at it.
 		c.evictFrame(now, p)
-		return p.dgroup
+		return p.dgroup()
 	}
 
 	// Shared block reached through someone else's copy: drop only the
@@ -258,8 +258,8 @@ func (c *Cache) allocClosest(now memsys.Cycle, core int, addr memsys.Addr, pay t
 // stuck-C migration.
 func (c *Cache) placeClosest(now memsys.Cycle, core int, addr memsys.Addr, stop int, avoid ptr) ptr {
 	cl := c.closest(core)
-	p := ptr{cl, c.freeFrameIn(now, core, cl, stop, avoid)}
-	*c.frameAt(p) = frameInfo{valid: true, addr: addr, revCore: core}
+	p := at(cl, c.freeFrameIn(now, core, cl, stop, avoid))
+	*c.frameAt(p) = frameInfo{addr: addr, revCore: int8(core), valid: true}
 	return p
 }
 
@@ -278,7 +278,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	if c.cfg.Promotion == NoPromotion {
 		return
 	}
-	cur := l.Data.fwd.dgroup
+	cur := l.Data.fwd.dgroup()
 	target := c.closest(core)
 	if c.cfg.Promotion == NextFastest {
 		var ok bool
@@ -294,7 +294,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	dg := c.dgroups[target]
 	if len(dg.free) > 0 {
 		nf := c.takeFrame(target)
-		c.moveFrame(src, ptr{target, nf})
+		c.moveFrame(src, at(target, nf))
 		c.stats.Promotions++
 		return
 	}
@@ -302,7 +302,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	// demotes into the promoted block's old frame; a shared victim is
 	// evicted (shared blocks never move, §3.3.1/§3.3.2).
 	vi := c.pickVictimFrame(target, noPin)
-	vp := ptr{target, vi}
+	vp := at(target, vi)
 	if vp == src {
 		return
 	}
@@ -312,8 +312,8 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 		// source frame directly keeps this a two-assignment swap.
 		vfr := *c.frameAt(vp)
 		sfr := *c.frameAt(src)
-		*c.frameAt(vp) = frameInfo{valid: true, addr: sfr.addr, revCore: sfr.revCore}
-		*c.frameAt(src) = frameInfo{valid: true, addr: vfr.addr, revCore: vfr.revCore}
+		*c.frameAt(vp) = sfr
+		*c.frameAt(src) = vfr
 		l.Data.fwd = vp
 		victimOwner.Data.fwd = src
 		c.stats.Promotions++
@@ -322,6 +322,6 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	}
 	c.evictFrame(now, vp)
 	nf := c.takeFrame(target)
-	c.moveFrame(src, ptr{target, nf})
+	c.moveFrame(src, at(target, nf))
 	c.stats.Promotions++
 }

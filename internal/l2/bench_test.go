@@ -2,7 +2,9 @@ package l2
 
 import (
 	"testing"
+	"unsafe"
 
+	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
 )
@@ -72,6 +74,27 @@ func TestAccessBenchesDoNotAllocate(t *testing.T) {
 		i := 0
 		if avg := testing.AllocsPerRun(10_000, func() { op(i); i++ }); avg != 0 {
 			t.Errorf("%s allocates %.0f times per access, want 0", bench.name, avg)
+		}
+	}
+}
+
+// TestLineSizes pins the line sizes of the baseline designs' arrays on
+// 64-bit hosts: the 16-byte cache.Line header, which a payload of at
+// most 3 one-byte fields shares.
+func TestLineSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"shared", unsafe.Sizeof(cache.Line[sharedPayload]{}), 16},
+		{"private", unsafe.Sizeof(cache.Line[privPayload]{}), 16},
+		{"private-update", unsafe.Sizeof(cache.Line[updPayload]{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s line is %d B, want %d", c.name, c.got, c.want)
 		}
 	}
 }

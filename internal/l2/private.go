@@ -7,6 +7,7 @@ import (
 	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/topo"
 )
 
@@ -15,7 +16,7 @@ import (
 type privPayload struct {
 	state     coherence.State
 	broughtBy memsys.Category
-	reuses    int
+	reuses    stats.Reuses
 }
 
 // Private models the per-core private cache baseline: four 2 MB 8-way
@@ -186,7 +187,7 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 
 	if l := arr.Probe(addr); l != nil {
 		arr.Touch(l)
-		l.Data.reuses++
+		l.Data.reuses.Inc()
 		next, busOp := coherence.MESIProc(l.Data.state, op, coherence.Signals{})
 		if busOp != coherence.BusNone {
 			// S→M upgrade: the bus transaction is on the critical path.

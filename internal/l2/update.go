@@ -7,6 +7,7 @@ import (
 	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/topo"
 )
 
@@ -44,7 +45,7 @@ type updPayload struct {
 	exclusive bool
 	dirty     bool
 	broughtBy memsys.Category
-	reuses    int
+	reuses    stats.Reuses
 }
 
 // NewPrivateUpdate builds the update-protocol baseline at the paper's
@@ -183,7 +184,7 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 
 	if l := arr.Probe(addr); l != nil {
 		arr.Touch(l)
-		l.Data.reuses++
+		l.Data.reuses.Inc()
 		if write {
 			n, _, _ := p.copies(core, addr)
 			if n > 0 {

@@ -28,8 +28,9 @@ type Access struct {
 }
 
 // Category classifies an L2 access outcome the way the paper's
-// Figures 5, 8, and 11 do.
-type Category int
+// Figures 5, 8, and 11 do. It is an int8 so a tag payload stores it in
+// one byte.
+type Category int8
 
 const (
 	// Hit: the L2 supplied the block without an off-chip access or a
@@ -45,7 +46,6 @@ const (
 	// CapacityMiss: no other on-chip copy; the block comes from memory.
 	// Cold misses are folded in, as the paper measures after warm-up.
 	CapacityMiss
-	numCategories
 )
 
 func (c Category) String() string {
@@ -234,12 +234,13 @@ func (s *L2Stats) RecordAccess(r Result) {
 // RecordLifetime folds a dying L2 entry, and the reuses it saw, into
 // the Figure 7 histograms: ReuseROS if an ROS miss brought it in,
 // ReuseRWS if an RWS miss did. Other entries are not in Figure 7.
-func (s *L2Stats) RecordLifetime(broughtBy Category, reuses int) {
+func (s *L2Stats) RecordLifetime(broughtBy Category, reuses stats.Reuses) {
 	switch broughtBy {
 	case ROSMiss:
-		s.ReuseROS.Record(reuses)
+		s.ReuseROS.Record(int(reuses))
 	case RWSMiss:
-		s.ReuseRWS.Record(reuses)
+		s.ReuseRWS.Record(int(reuses))
+	case Hit, CapacityMiss: // not in Figure 7
 	}
 }
 

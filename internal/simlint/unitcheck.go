@@ -53,29 +53,39 @@ var unitWords = map[string]bool{
 //     constructors (cacti.ToCycles, memsys.CyclesOf, ...), which
 //     fix the rounding direction in one place;
 //  3. raw-typed declarations whose names claim a unit (latency,
-//     cycles, ps, mm, bytes, now, when, ...).
+//     cycles, ps, mm, bytes, now, when, ...);
+//  4. an untyped constant passed as a timestamp argument. A timestamp
+//     is a point on some clock, so a literal one (`f(0, ...)`) is a
+//     clock that was never read; the call must pass a real clock or
+//     carry a `unitcheck:timestamp <reason>` audit marker.
 func NewUnitCheck() *Analyzer {
 	return &Analyzer{
 		Name: "unitcheck",
 		Doc: "simulator quantities flow through unit types: no " +
-			"timestamp+timestamp or duration*duration, raw conversions and " +
-			"unit-named raw declarations only in unit packages",
+			"timestamp+timestamp or duration*duration, no literal timestamp " +
+			"arguments, raw conversions and unit-named raw declarations " +
+			"only in unit packages",
 		Run: func(prog *Program, report Reporter) {
 			reg := collectUnits(prog)
 			if len(reg.kinds) == 0 {
 				return
 			}
+			audits := collectAuditLines(prog, timestampMarker, report)
 			for _, pkg := range prog.Packages {
 				if reg.pkgs[pkg.Path] {
 					continue
 				}
 				for _, file := range pkg.Files {
-					checkUnitFile(pkg, file, reg, report)
+					checkUnitFile(pkg, file, reg, audits, report)
 				}
 			}
 		},
 	}
 }
+
+// timestampMarker audits a literal timestamp argument (sub-rule 4) on
+// its own line or the line above.
+const timestampMarker = "unitcheck:timestamp"
 
 // collectUnits scans every type declaration for a unitcheck:unit
 // marker and resolves the marked names to their type objects.
@@ -159,7 +169,7 @@ var arithOf = map[token.Token]token.Token{
 	token.REM_ASSIGN: token.REM,
 }
 
-func checkUnitFile(pkg *Package, file *ast.File, reg *unitRegistry, report Reporter) {
+func checkUnitFile(pkg *Package, file *ast.File, reg *unitRegistry, audits auditLines, report Reporter) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.BinaryExpr:
@@ -172,6 +182,7 @@ func checkUnitFile(pkg *Package, file *ast.File, reg *unitRegistry, report Repor
 			}
 		case *ast.CallExpr:
 			checkUnitConversion(pkg, reg, e, report)
+			checkTimestampArgs(pkg, reg, e, audits, report)
 		case *ast.StructType:
 			for _, field := range e.Fields.List {
 				checkUnitNames(pkg, reg, "field", field, report)
@@ -248,6 +259,61 @@ func checkUnitConversion(pkg *Package, reg *unitRegistry, call *ast.CallExpr, re
 	}
 	report(call.Pos(), "raw conversion of %s into %s outside its declaring package; use a named constructor so the unit boundary stays auditable",
 		typeLabel(argType), unitName(u))
+}
+
+// checkTimestampArgs enforces rule 4: no argument bound to a
+// timestamp parameter is an untyped constant, unless audited.
+func checkTimestampArgs(pkg *Package, reg *unitRegistry, call *ast.CallExpr, audits auditLines, report Reporter) {
+	tv, ok := pkg.Info.Types[call.Fun]
+	if !ok || tv.IsType() || tv.Type == nil {
+		return
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	// A variadic parameter's type is a slice, never a unit, and no
+	// function here takes a variadic timestamp.
+	params := sig.Params()
+	for i, arg := range call.Args {
+		if i >= params.Len() {
+			break
+		}
+		u, kind, isUnit := reg.unitOf(params.At(i).Type())
+		if !isUnit || kind != kindTimestamp || !untypedConst(pkg, arg) || audits.covers(nil, arg.Pos()) {
+			continue
+		}
+		report(arg.Pos(), "untyped constant passed as a %s timestamp; pass a real clock value or audit it with %s <reason>",
+			unitName(u), timestampMarker)
+	}
+}
+
+// untypedConst reports whether e is built only from literals and
+// untyped constants. A typed constant or a conversion names its unit
+// and is not flagged.
+func untypedConst(pkg *Package, e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.ParenExpr:
+		return untypedConst(pkg, e.X)
+	case *ast.BinaryExpr:
+		return untypedConst(pkg, e.X) && untypedConst(pkg, e.Y)
+	case *ast.Ident:
+		return untypedConstObj(pkg.Info.Uses[e])
+	case *ast.SelectorExpr:
+		return untypedConstObj(pkg.Info.Uses[e.Sel])
+	}
+	return false
+}
+
+func untypedConstObj(obj types.Object) bool {
+	c, ok := obj.(*types.Const)
+	if !ok {
+		return false
+	}
+	b, ok := c.Type().(*types.Basic)
+	return ok && b.Info()&types.IsUntyped != 0
 }
 
 func typeLabel(t types.Type) string {

@@ -137,6 +137,58 @@ func step(now uint64, busCycles int) (latency int) { return busCycles }
 	)
 }
 
+// timestampCallees are the functions the literal-timestamp fixtures
+// call: one with a timestamp parameter, one with a duration.
+const timestampCallees = `
+func send(now units.Stamp, n int) {}
+
+func wait(d units.Span) {}
+`
+
+func TestUnitCheckLiteralTimestampFails(t *testing.T) {
+	diags := lintUnits(t, `package sim
+
+import "fix.example/m/units"
+`+timestampCallees+`
+const start = 0
+
+func bad() {
+	send(0, 1)
+	send(start+1, 1)
+	send((2 * 3), 1)
+	// unitcheck:timestamp
+	send(0, 2)
+}
+`)
+	expectDiags(t, diags,
+		"untyped constant passed as a units.Stamp timestamp",
+		"untyped constant passed as a units.Stamp timestamp",
+		"untyped constant passed as a units.Stamp timestamp",
+		"unitcheck:timestamp marker is missing a reason",
+		"untyped constant passed as a units.Stamp timestamp")
+}
+
+func TestUnitCheckLiteralTimestampPasses(t *testing.T) {
+	diags := lintUnits(t, `package sim
+
+import "fix.example/m/units"
+`+timestampCallees+`
+const origin units.Stamp = 0
+
+func good(now units.Stamp, d units.Span) {
+	send(now, 0)            // a literal count is not a timestamp
+	send(now.Add(d), 1)     // a real clock
+	send(units.Stamp(0), 1) // the conversion names the unit
+	send(origin, 1)         // so does a typed constant
+	wait(3)                 // a literal duration is a span
+	// unitcheck:timestamp a replayed trace starts at cycle 0
+	send(0, 1)
+	send(0, 2) // unitcheck:timestamp same-line audit
+}
+`)
+	expectDiags(t, diags)
+}
+
 func TestUnitCheckNoUnitsNoDiagnostics(t *testing.T) {
 	// A module with no marked unit types (every other analyzer fixture)
 	// must pass untouched, whatever its names look like.

@@ -7,6 +7,7 @@ package stats
 import (
 	"encoding/csv"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -139,6 +140,19 @@ func BucketOf(reuses int) ReuseBucket {
 		return Reuse2to5
 	default:
 		return ReuseOver5
+	}
+}
+
+// Reuses is a cache line's reuse counter for the Figure 7 histograms.
+// It saturates at 255 instead of wrapping: BucketOf puts every count
+// above 5 in ReuseOver5, so a saturated count records exactly as the
+// true count would.
+type Reuses uint8
+
+// Inc counts one more reuse.
+func (r *Reuses) Inc() {
+	if *r < math.MaxUint8 {
+		*r++
 	}
 }
 

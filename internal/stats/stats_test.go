@@ -228,3 +228,18 @@ func TestSortedKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestReusesSaturates: the counter stops at 255 instead of wrapping,
+// and every count from 6 up lands in the same bucket.
+func TestReusesSaturates(t *testing.T) {
+	var r Reuses
+	for i := 0; i < 300; i++ {
+		r.Inc()
+		if want := min(i+1, 255); int(r) != want {
+			t.Fatalf("after %d increments r = %d, want %d", i+1, r, want)
+		}
+	}
+	if BucketOf(int(r)) != BucketOf(300) {
+		t.Errorf("saturated count buckets as %v, 300 as %v", BucketOf(int(r)), BucketOf(300))
+	}
+}
