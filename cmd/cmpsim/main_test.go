@@ -84,3 +84,32 @@ func TestTraceOfOtherCoreCount(t *testing.T) {
 		t.Errorf("stderr is not one cmpsim: trace: line: %q", stderr)
 	}
 }
+
+// TestOptInGolden pins the full stdout of the two opt-in designs, the
+// update-protocol private caches and CMP-DNUCA, on a commercial and a
+// multiprogrammed workload: per-core cycles, miss categories and bus
+// traffic, byte for byte. docs/golden/tiny_optin.golden only carries
+// their speedups to three decimals.
+func TestOptInGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six simulations; skipped under -short (race gate)")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "golden", "tiny_cmpsim_optin.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, design := range []string{"private-update", "non-uniform-shared-dynamic"} {
+		for _, w := range []string{"oltp", "apache", "MIX1"} {
+			stdout, stderr, code := runCLI(t, "-design", design, "-workload", w,
+				"-warmup", "300000", "-instr", "300000")
+			if code != 0 {
+				t.Fatalf("%s on %s exited %d\nstderr: %s", design, w, code, stderr)
+			}
+			got.WriteString(stdout)
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("opt-in designs' output differs from docs/golden/tiny_cmpsim_optin.golden:\n%s", got.String())
+	}
+}

@@ -8,6 +8,8 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 
 	"cmpnurapid/internal/memsys"
 )
@@ -33,15 +35,31 @@ type Geometry struct {
 	BlockBytes memsys.Bytes
 }
 
-// Validate panics unless sets and block size are powers of two (for
-// indexing) and ways is positive.
-func (g Geometry) Validate() {
-	if !pow2(g.Sets) || !pow2(int(g.BlockBytes)) {
+// maxArrayBytes is the largest slice make accepts: 2^48 bytes on
+// 64-bit hosts, and never more than an int can count.
+const maxArrayBytes = min(1<<48, math.MaxInt)
+
+// ValidateArray panics unless NewArray[T] can build geo: sets and
+// block size are powers of two (for indexing), ways is positive, and
+// the sets × ways lines fit an int and, at Line[T]'s size, one
+// allocation. The last bound depends on the payload, which is why the
+// check is per array type, not per geometry.
+func ValidateArray[T any](geo Geometry) {
+	if !pow2(geo.Sets) || !pow2(int(geo.BlockBytes)) {
 		panic(fmt.Sprintf("cache: sets (%d) and block size (%d) must be powers of two",
-			g.Sets, g.BlockBytes))
+			geo.Sets, geo.BlockBytes))
 	}
-	if g.Ways <= 0 {
+	if geo.Ways <= 0 {
 		panic("cache: ways must be positive")
+	}
+	hi, lines := bits.Mul64(uint64(geo.Sets), uint64(geo.Ways))
+	if hi != 0 || lines > math.MaxInt {
+		panic(fmt.Sprintf("cache: %d sets × %d ways overflow an int line count", geo.Sets, geo.Ways))
+	}
+	lineBytes := uint64(unsafe.Sizeof(Line[T]{}))
+	if limit := uint64(maxArrayBytes) / lineBytes; lines > limit {
+		panic(fmt.Sprintf("cache: %d sets × %d ways of %d-byte lines exceed the %d lines an array can allocate",
+			geo.Sets, geo.Ways, lineBytes, limit))
 	}
 }
 
@@ -69,7 +87,7 @@ type Array[T any] struct {
 
 // NewArray allocates an array with the given geometry.
 func NewArray[T any](geo Geometry) *Array[T] {
-	geo.Validate()
+	ValidateArray[T](geo)
 	return &Array[T]{
 		geo:       geo,
 		blockBits: uint(log2(int(geo.BlockBytes))),

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cmpnurapid/internal/memsys"
 )
@@ -29,6 +31,38 @@ func TestGeometryValidatePanics(t *testing.T) {
 		}
 	}()
 	NewArray[int](Geometry{Sets: 3, Ways: 2, BlockBytes: 64})
+}
+
+// TestValidateArrayRejectsUnallocatable: a line count that
+// overflows int, or that no make could allocate at the payload's line
+// size, is refused with a message naming that cause, not a runtime
+// makeslice panic or an array whose wrapped count is 0.
+func TestValidateArrayRejectsUnallocatable(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the allocation limit and line sizes are those of 64-bit hosts")
+	}
+	for _, c := range []struct {
+		geo  Geometry
+		want string
+	}{
+		{Geometry{Sets: 1 << 40, Ways: 1 << 20, BlockBytes: 64}, "of 24-byte lines exceed the 11728124029610 lines an array can allocate"},
+		{Geometry{Sets: 1 << 40, Ways: 16, BlockBytes: 64}, "of 24-byte lines exceed the 11728124029610 lines an array can allocate"},
+		{Geometry{Sets: 1 << 40, Ways: 1 << 30, BlockBytes: 64}, "overflow an int line count"},
+		{Geometry{Sets: 1 << 62, Ways: 4, BlockBytes: 64}, "overflow an int line count"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "cache: ") || !strings.Contains(msg, c.want) {
+					t.Errorf("%d sets × %d ways: NewArray panicked with %q, want %q", c.geo.Sets, c.geo.Ways, msg, c.want)
+				}
+			}()
+			NewArray[int](c.geo)
+		}()
+	}
+	// The bound follows the line size: 2^44 lines of 16 bytes are
+	// exactly the 2^48 bytes make accepts.
+	ValidateArray[uint8](Geometry{Sets: 1 << 40, Ways: 16, BlockBytes: 64})
 }
 
 func TestProbeMissThenHit(t *testing.T) {

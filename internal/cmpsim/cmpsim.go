@@ -164,7 +164,7 @@ func (cfg Config) Validate() {
 	if cfg.L1Bytes <= 0 || cfg.L1Ways <= 0 || cfg.L1Block <= 0 || cfg.L1Latency <= 0 {
 		panic("cmpsim: L1 geometry and latency must be positive")
 	}
-	cfg.l1Geometry().Validate()
+	cache.ValidateArray[l1Line](cfg.l1Geometry())
 	if cfg.MaxCycles < 0 {
 		panic("cmpsim: negative MaxCycles (0 derives a ceiling from the instruction budget)")
 	}

@@ -103,7 +103,7 @@ func (w *diffWorkload) Next(core int) Op {
 func TestSeqVsHeapEquivalence(t *testing.T) {
 	designs := map[string]func() memsys.L2{
 		"shared":      sharedL2,
-		"private":     func() memsys.L2 { return l2.NewPrivate() },
+		"private":     func() memsys.L2 { return l2.NewPrivate(l2.MESI) },
 		"cmp-nurapid": func() memsys.L2 { return core.New(core.DefaultConfig()) },
 	}
 	for name, mk := range designs {

@@ -117,7 +117,7 @@ func TestNoStaleL1CopiesCMPNuRAPIDWithMigration(t *testing.T) {
 }
 
 func TestNoStaleL1CopiesPrivate(t *testing.T) {
-	runStaleDetector(t, func() memsys.L2 { return l2.NewPrivate() }, 40000, 128)
+	runStaleDetector(t, func() memsys.L2 { return l2.NewPrivate(l2.MESI) }, 40000, 128)
 }
 
 func TestNoStaleL1CopiesShared(t *testing.T) {
@@ -128,7 +128,7 @@ func TestNoStaleL1CopiesShared(t *testing.T) {
 
 func TestNoStaleL1CopiesPrivateUpdate(t *testing.T) {
 	runStaleDetector(t, func() memsys.L2 {
-		return l2.NewPrivateUpdateWith(4<<10, 4, 64, 10,
+		return l2.NewPrivateWith(l2.Update, 4<<10, 4, 64, 10,
 			bus.Config{Latency: 32, SlotCycles: 4}, 300)
 	}, 40000, 64)
 }

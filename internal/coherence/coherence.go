@@ -1,14 +1,16 @@
 // Package coherence defines the cache-coherence state machines used by
 // the simulator: the invalidation-based 4-state MESI protocol [21] that
-// the private-cache baseline snoops with, and the paper's 5-state
-// MESIC extension (Figure 4) whose communication state C lets multiple
-// processors share a dirty block for in-situ communication.
+// the private-cache baseline snoops with, the paper's 5-state MESIC
+// extension (Figure 4) whose communication state C lets multiple
+// processors share a dirty block for in-situ communication, and the
+// Dragon-style write-update protocol §3.2 argues against.
 //
 // The transitions are pure functions over (state, event, bus signals),
 // tested against the paper's diagram, model-checked by internal/protocheck
-// and written nowhere else: the private caches in internal/l2 drive MESI,
-// and CMP-NuRAPID in internal/core drives MESIC (MESI with in-situ
-// communication off) for every state change around its data movement.
+// and written nowhere else: the private caches in internal/l2 drive MESI
+// or the update protocol, and CMP-NuRAPID in internal/core drives MESIC
+// (MESI with in-situ communication off) for every state change around
+// its data movement.
 package coherence
 
 import "fmt"
@@ -30,6 +32,10 @@ const (
 	// multiple tag copies pointing at a single data copy. Writers write
 	// it and readers read it without coherence misses (§3.2).
 	Communication
+	// Owned: the update protocol's shared-dirty owner (Dragon's Sm,
+	// MOESI's O) — the last writer of a block other caches also hold,
+	// responsible for writing it back.
+	Owned
 )
 
 func (s State) String() string {
@@ -44,13 +50,16 @@ func (s State) String() string {
 		return "M"
 	case Communication:
 		return "C"
+	case Owned:
+		return "O"
 	}
 	return fmt.Sprintf("State(%d)", int8(s))
 }
 
 // Dirty reports whether the state holds a dirty block. The paper's
-// dirty bus signal is asserted by tag arrays holding M or C copies.
-func (s State) Dirty() bool { return s == Modified || s == Communication }
+// dirty bus signal is asserted by tag arrays holding M or C copies (and,
+// under the update protocol, by the O owner).
+func (s State) Dirty() bool { return s == Modified || s == Communication || s == Owned }
 
 // Valid reports whether the state holds any copy.
 func (s State) Valid() bool { return s != Invalid }
@@ -58,7 +67,7 @@ func (s State) Valid() bool { return s != Invalid }
 // PrivateBlock reports whether the block is unshared from the
 // replacement policy's perspective (the paper's replacement order is
 // invalid, private, shared; §3.3.2). M is dirty-private, E is
-// clean-private; S and C are shared.
+// clean-private; S, C and O are shared.
 func (s State) PrivateBlock() bool { return s == Exclusive || s == Modified }
 
 // ProcOp is a processor-side request.
@@ -126,7 +135,9 @@ const (
 	// optimization where a clean owner responds instead of memory).
 	FlushClean
 	// InvalidateL1: CMP-NuRAPID C-state sharers observing a write must
-	// drop stale L1 copies while keeping their L2 tag copy (§3.2).
+	// drop stale L1 copies while keeping their L2 tag copy (§3.2); an
+	// update-protocol sharer takes the write into its L2 copy the same
+	// way.
 	InvalidateL1
 )
 
@@ -314,3 +325,78 @@ func MESICSnoop(s State, op BusOp) (State, SnoopAction) {
 		panic("coherence: MESICSnoop on state " + s.String())
 	}
 }
+
+// --- Write-update (Dragon-style, §3.2) ---
+
+// UpdateProc returns the next state and bus transaction for the
+// write-update protocol §3.2 weighs against ISC: no write invalidates,
+// so readers never take coherence misses, but every write to a block
+// other caches hold goes over the bus. Unlike MESI it samples the bus
+// signals on write hits too:
+//
+//   - A read hit changes nothing; a read miss fetches with BusRd into E
+//     (no other copy) or S.
+//   - A write with other copies present, hit or miss, broadcasts a
+//     BusUpg that updates them and leaves the writer the dirty owner O.
+//   - A write with no other copy goes to M silently on a hit, and via
+//     BusRd on a miss (there is nothing to invalidate, so no BusRdX).
+//
+// hotpath:root
+func UpdateProc(s State, op ProcOp, sig Signals) (State, BusOp) {
+	switch s {
+	case Invalid, Shared, Exclusive, Modified, Owned:
+	default:
+		panic("coherence: UpdateProc on state " + s.String())
+	}
+	others := sig.Shared || sig.Dirty
+	switch {
+	case op == PrRd && s != Invalid:
+		return s, BusNone
+	case op == PrRd && others:
+		return Shared, BusRd
+	case op == PrRd:
+		return Exclusive, BusRd
+	case others:
+		return Owned, BusUpg
+	case s == Invalid:
+		return Modified, BusRd
+	}
+	return Modified, BusNone
+}
+
+// UpdateSnoop returns the next state and action when an update-protocol
+// cache holding state s observes a bus transaction:
+//
+//   - BusRd: E→S and M→O (the dirty holder keeps write-back duty); S
+//     and O stay. Memory is not updated and no copy flushes: the cache
+//     model moves the data cache-to-cache from a holder it picks.
+//   - BusUpg: every valid copy takes the written data and becomes a
+//     clean sharer S, dropping its stale L1 copy (InvalidateL1). The
+//     writer is now the only dirty copy.
+//
+// BusRdX is never issued under this protocol, and BusNone and BusRepl
+// are never snooped, so those inputs panic like MESI's unreachable
+// ones (internal/protocheck re-proves the claim on every run).
+//
+// hotpath:root
+func UpdateSnoop(s State, op BusOp) (State, SnoopAction) {
+	switch s {
+	case Invalid:
+		return Invalid, None
+	case Shared, Exclusive, Modified, Owned:
+		switch op {
+		case BusRd:
+			return afterBusRd[s], None
+		case BusUpg:
+			return Shared, InvalidateL1
+		default: // BusNone, BusRdX, BusRepl: protocheck-proven unreachable
+			panic("coherence: UpdateSnoop(" + s.String() + ", " + op.String() + "): unreachable snoop input")
+		}
+	default:
+		panic("coherence: UpdateSnoop on state " + s.String())
+	}
+}
+
+// afterBusRd is an update-protocol holder's state once another cache's
+// read miss has joined it.
+var afterBusRd = [...]State{Shared: Shared, Exclusive: Shared, Modified: Owned, Owned: Owned}

@@ -193,7 +193,7 @@ func TestMESICFallsBackToMESI(t *testing.T) {
 func TestDirtySignal(t *testing.T) {
 	for s, want := range map[State]bool{
 		Invalid: false, Shared: false, Exclusive: false,
-		Modified: true, Communication: true,
+		Modified: true, Communication: true, Owned: true,
 	} {
 		if got := s.Dirty(); got != want {
 			t.Errorf("%v.Dirty() = %v, want %v", s, got, want)
@@ -204,7 +204,7 @@ func TestDirtySignal(t *testing.T) {
 func TestPrivateBlock(t *testing.T) {
 	for s, want := range map[State]bool{
 		Invalid: false, Shared: false, Exclusive: true,
-		Modified: true, Communication: false,
+		Modified: true, Communication: false, Owned: false,
 	} {
 		if got := s.PrivateBlock(); got != want {
 			t.Errorf("%v.PrivateBlock() = %v, want %v", s, got, want)
@@ -215,7 +215,7 @@ func TestPrivateBlock(t *testing.T) {
 func TestStateStrings(t *testing.T) {
 	want := map[State]string{
 		Invalid: "I", Shared: "S", Exclusive: "E",
-		Modified: "M", Communication: "C",
+		Modified: "M", Communication: "C", Owned: "O",
 	}
 	for s, w := range want {
 		if s.String() != w {
@@ -340,5 +340,54 @@ func TestMESICInvariantDirtySharing(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUpdateWriteKeepsCopies walks §3.2's update protocol through a
+// read-write sharing pattern: the writer's BusUpg updates the reader's
+// copy in place instead of invalidating it, the last writer owns the
+// block, and a read joining an M copy makes it the owner O.
+func TestUpdateWriteKeepsCopies(t *testing.T) {
+	type step struct {
+		s      State
+		op     ProcOp
+		sig    Signals
+		next   State
+		bus    BusOp
+		snoops map[State]State // another holder's state before → after the bus op
+	}
+	for _, c := range []step{
+		{Invalid, PrRd, Signals{}, Exclusive, BusRd, nil},
+		{Invalid, PrRd, Signals{Shared: true}, Shared, BusRd, map[State]State{Exclusive: Shared, Shared: Shared}},
+		{Invalid, PrRd, Signals{Dirty: true}, Shared, BusRd, map[State]State{Modified: Owned, Owned: Owned}},
+		{Invalid, PrWr, Signals{}, Modified, BusRd, nil},
+		{Invalid, PrWr, Signals{Dirty: true}, Owned, BusUpg, map[State]State{Modified: Shared, Owned: Shared, Shared: Shared}},
+		{Shared, PrWr, Signals{Shared: true}, Owned, BusUpg, map[State]State{Shared: Shared}},
+		{Shared, PrWr, Signals{}, Modified, BusNone, nil},
+		{Owned, PrWr, Signals{}, Modified, BusNone, nil},
+		{Owned, PrRd, Signals{Shared: true}, Owned, BusNone, nil},
+	} {
+		next, bus := UpdateProc(c.s, c.op, c.sig)
+		if next != c.next || bus != c.bus {
+			t.Errorf("UpdateProc(%v, %v, %+v) = (%v, %v), want (%v, %v)", c.s, c.op, c.sig, next, bus, c.next, c.bus)
+		}
+		for before, after := range c.snoops {
+			got, act := UpdateSnoop(before, bus)
+			want := None
+			if bus == BusUpg {
+				want = InvalidateL1
+			}
+			if got != after || act != want {
+				t.Errorf("UpdateSnoop(%v, %v) = (%v, %v), want (%v, %v)", before, bus, got, act, after, want)
+			}
+		}
+	}
+	for _, s := range []State{Shared, Exclusive, Modified, Owned} {
+		if _, _, panicked := snoopOrPanic(UpdateSnoop, s, BusRdX); !panicked {
+			t.Errorf("UpdateSnoop(%v, BusRdX) returned; the protocol never issues BusRdX", s)
+		}
+	}
+	if _, _, panicked := snoopOrPanic(UpdateSnoop, Communication, BusRd); !panicked {
+		t.Error("UpdateSnoop accepted C, which the update protocol does not have")
 	}
 }

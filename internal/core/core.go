@@ -245,7 +245,7 @@ type Cache struct {
 // hand-built Config fails fast instead of producing a silently
 // misshapen cache.
 func (cfg Config) Validate() {
-	cfg.tagGeometry().Validate()
+	cache.ValidateArray[tagPayload](cfg.tagGeometry())
 	if cfg.DGroupFrames <= 0 {
 		panic("core: d-group frames must be positive")
 	}

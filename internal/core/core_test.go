@@ -703,10 +703,12 @@ func TestValidateRejectsUnbuildable(t *testing.T) {
 }
 
 // TestValidateRejectsNarrowedFieldOverflow: a value too wide for the
-// one-byte far-read counter or the int32 frame index is refused by
-// Validate with a core: message before New allocates anything. The
-// config keeps tinyConfig's 32 tags, so even without the frame check
-// New would panic on tag coverage, not build 2^31 frames.
+// one-byte far-read counter or the int32 frame index, or a tag line
+// count that overflows int or that no make could allocate at the tag
+// line's 32 bytes (2^44 lines would fit at 16), is refused by Validate
+// with a message naming that cause before New allocates anything. The
+// frame case keeps tinyConfig's 32 tags, so even without the frame
+// check New would panic on tag coverage, not build 2^31 frames.
 func TestValidateRejectsNarrowedFieldOverflow(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -717,6 +719,12 @@ func TestValidateRejectsNarrowedFieldOverflow(t *testing.T) {
 			"core: CMigrationThreshold (256) exceeds 255"},
 		{"DGroupFrames=2^31", func(c *Config) { c.DGroupFrames = 1 << 31 },
 			"core: d-group frames (2147483648) exceed the int32 frame pointer"},
+		{"TagSets=2^40,TagWays=2^20", func(c *Config) { c.TagSets, c.TagWays = 1<<40, 1<<20 },
+			"cache: 1099511627776 sets × 1048576 ways of 32-byte lines exceed the 8796093022208 lines an array can allocate"},
+		{"TagSets=2^40,TagWays=16", func(c *Config) { c.TagSets, c.TagWays = 1<<40, 16 },
+			"cache: 1099511627776 sets × 16 ways of 32-byte lines exceed the 8796093022208 lines an array can allocate"},
+		{"TagSets=2^40,TagWays=2^30", func(c *Config) { c.TagSets, c.TagWays = 1<<40, 1<<30 },
+			"cache: 1099511627776 sets × 1073741824 ways overflow an int line count"},
 	} {
 		cfg := tinyConfig()
 		c.mutate(&cfg)

@@ -86,9 +86,9 @@ func NewDesign(d DesignName) memsys.L2 {
 	case UniformShared:
 		return l2.NewUniformShared()
 	case NonUniform:
-		return l2.NewSNUCA()
+		return l2.NewSNUCA(l2.Static)
 	case Private:
-		return l2.NewPrivate()
+		return l2.NewPrivate(l2.MESI)
 	case Ideal:
 		return l2.NewIdeal()
 	case NuRAPID:
@@ -102,9 +102,9 @@ func NewDesign(d DesignName) memsys.L2 {
 		cfg.Replication = core.ReplicateFirstUse
 		return core.New(cfg)
 	case PrivateUpdate:
-		return l2.NewPrivateUpdate()
+		return l2.NewPrivate(l2.Update)
 	case DNUCA:
-		return l2.NewDNUCA()
+		return l2.NewSNUCA(l2.Migrate)
 	}
 	panic(fmt.Sprintf("experiments: unknown design %q", d))
 }

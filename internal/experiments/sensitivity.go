@@ -37,7 +37,7 @@ func sizedL2(d DesignName, totalBytes memsys.Bytes) memsys.L2 {
 		return l2.NewShared("uniform-shared", totalBytes, topo.SharedAssoc,
 			topo.BlockBytes, lat.SharedTotal, 300)
 	case Private:
-		return l2.NewPrivateWith(dgroupBytes, topo.PrivateAssoc, topo.BlockBytes,
+		return l2.NewPrivateWith(l2.MESI, dgroupBytes, topo.PrivateAssoc, topo.BlockBytes,
 			lat.PrivateTotal, bus.Config{Latency: lat.Bus, SlotCycles: 4}, 300)
 	case NuRAPID:
 		cfg := core.DefaultConfig()

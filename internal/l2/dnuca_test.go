@@ -9,14 +9,8 @@ import (
 	"cmpnurapid/internal/topo"
 )
 
-func smallDNUCA() *DNUCA {
-	var dist [topo.NumCores][topo.NumDGroups]memsys.Cycles
-	for c := 0; c < topo.NumCores; c++ {
-		for g := 0; g < topo.NumDGroups; g++ {
-			dist[c][g] = memsys.CyclesOf(2 + 7*topo.Distance(c, g))
-		}
-	}
-	return NewDNUCAWith(4<<10, 4, 64, dist, 10, 300)
+func smallDNUCA() *SNUCA {
+	return NewSNUCAWith(Migrate, 4<<10, 4, 64, smallDist(), 10, 300)
 }
 
 func TestDNUCAMissPlacesInBanksetNearestBank(t *testing.T) {

@@ -2,6 +2,7 @@ package l2
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cmpnurapid/internal/bus"
@@ -18,17 +19,22 @@ func smallShared() *Shared {
 }
 
 func smallPrivate() *Private {
-	return NewPrivateWith(4<<10, 4, 64, 10, bus.Config{Latency: 32, SlotCycles: 4}, 300)
+	return newPrivate(MESI, 4<<10, 4, 64, 10, bus.Config{Latency: 32, SlotCycles: 4}, 300)
 }
 
-func smallSNUCA() *SNUCA {
+// smallDist is a bank-distance table: 2 cycles plus 7 per hop.
+func smallDist() [topo.NumCores][topo.NumDGroups]memsys.Cycles {
 	var dist [topo.NumCores][topo.NumDGroups]memsys.Cycles
 	for c := 0; c < topo.NumCores; c++ {
 		for g := 0; g < topo.NumDGroups; g++ {
 			dist[c][g] = memsys.CyclesOf(2 + 7*topo.Distance(c, g))
 		}
 	}
-	return NewSNUCAWith(4<<10, 4, 64, dist, 24, 300)
+	return dist
+}
+
+func smallSNUCA() *SNUCA {
+	return NewSNUCAWith(Static, 4<<10, 4, 64, smallDist(), 24, 300)
 }
 
 func TestSharedHitAndCapacityOnly(t *testing.T) {
@@ -171,6 +177,34 @@ func TestSharedDesignsLineState(t *testing.T) {
 	}
 }
 
+// TestSNUCAEvictionInvalidatesAllL1s: a block evicted from a bank may
+// sit in any core's L1 (inclusion), under both policies, and the L1s
+// are told its full address, not the bank's folded one.
+func TestSNUCAEvictionInvalidatesAllL1s(t *testing.T) {
+	for _, s := range []*SNUCA{smallSNUCA(), smallDNUCA()} {
+		victim := memsys.Addr(0x40) // bank 1 under Static, bankset {1,2} under Migrate
+		dropped := map[int]bool{}
+		s.SetL1Invalidate(func(core int, addr memsys.Addr) {
+			if addr == victim {
+				dropped[core] = true
+			}
+		})
+		// Five blocks of victim's bankset in one set of the 16-set,
+		// 4-way bank nearest core 1: the fifth evicts victim, the least
+		// recently used.
+		stride := memsys.Addr(16 * 64 << s.il.selBits)
+		for i := 0; i < 5; i++ {
+			s.Access(memsys.Cycle(100*i), 1, victim+memsys.Addr(i)*stride, false)
+		}
+		for c := 0; c < topo.NumCores; c++ {
+			if !dropped[c] {
+				t.Errorf("%s: core %d's L1 not invalidated on eviction of %#x", s.Name(), c, victim)
+			}
+		}
+		s.CheckInvariants()
+	}
+}
+
 func TestSNUCAInnerOuterRoundTrip(t *testing.T) {
 	s := smallSNUCA()
 	for _, raw := range []memsys.Addr{0, 64, 128, 0x1040, 0xffc0, 0x12345 &^ 63} {
@@ -209,16 +243,8 @@ func TestPrivateHitLatency(t *testing.T) {
 	}
 }
 
-// privateDesign is what the tests below need of the two private-cache
-// designs, which classify misses and keep L1 inclusion alike.
-type privateDesign interface {
-	memsys.L2
-	SetL1Invalidate(fn func(core int, addr memsys.Addr))
-	CheckInvariants()
-}
-
 func TestPrivateMissClassification(t *testing.T) {
-	for _, p := range []privateDesign{smallPrivate(), smallUpdate()} {
+	for _, p := range []*Private{smallPrivate(), smallUpdate()} {
 		A, B := memsys.Addr(0x1000), memsys.Addr(0x2000)
 		if r := p.Access(0, 0, A, false); r.Category != memsys.CapacityMiss {
 			t.Errorf("%s cold: %v", p.Name(), r.Category)
@@ -235,9 +261,9 @@ func TestPrivateMissClassification(t *testing.T) {
 }
 
 // TestPrivateEvictionInvalidatesL1: a core's L2 eviction drops that
-// core's L1 copy of the victim (inclusion), in both private designs.
+// core's L1 copy of the victim (inclusion), under both protocols.
 func TestPrivateEvictionInvalidatesL1(t *testing.T) {
-	for _, p := range []privateDesign{smallPrivate(), smallUpdate()} {
+	for _, p := range []*Private{smallPrivate(), smallUpdate()} {
 		var dropped []memsys.Addr
 		p.SetL1Invalidate(func(core int, addr memsys.Addr) {
 			if core == 0 {
@@ -358,33 +384,71 @@ func TestPrivateInvalidationRecordsRWSReuse(t *testing.T) {
 }
 
 func TestPrivateRandomWorkloadInvariants(t *testing.T) {
-	p := smallPrivate()
-	r := rng.New(55)
-	now := memsys.Cycle(0)
-	for i := 0; i < 30000; i++ {
-		coreID := r.Intn(4)
-		var addr memsys.Addr
-		if r.Bool(0.5) {
-			addr = memsys.Addr(0x10000*(coreID+1) + r.Intn(32)*64)
-		} else {
-			addr = memsys.Addr(0x80000 + r.Intn(16)*64)
+	for _, p := range []*Private{smallPrivate(), smallUpdate()} {
+		r := rng.New(55)
+		now := memsys.Cycle(0)
+		for i := 0; i < 30000; i++ {
+			coreID := r.Intn(4)
+			var addr memsys.Addr
+			if r.Bool(0.5) {
+				addr = memsys.Addr(0x10000*(coreID+1) + r.Intn(32)*64)
+			} else {
+				addr = memsys.Addr(0x80000 + r.Intn(16)*64)
+			}
+			p.Access(now, coreID, addr, r.Bool(0.3))
+			now += memsys.Cycle(r.Intn(20) + 1)
+			if i%5000 == 0 {
+				p.CheckInvariants()
+			}
 		}
-		p.Access(now, coreID, addr, r.Bool(0.3))
-		now += memsys.Cycle(r.Intn(20) + 1)
-		if i%5000 == 0 {
-			p.CheckInvariants()
+		p.CheckInvariants()
+		if p.Stats().Accesses.Total() != 30000 {
+			t.Errorf("%s: access count mismatch", p.Name())
 		}
 	}
-	p.CheckInvariants()
-	if p.Stats().Accesses.Total() != 30000 {
-		t.Error("access count mismatch")
+}
+
+// TestPrivateInvariantsDetectBrokenOwnership: CheckInvariants refuses
+// every ownership rule it states, under the protocol whose states the
+// block holds.
+func TestPrivateInvariantsDetectBrokenOwnership(t *testing.T) {
+	a := memsys.Addr(0x1000)
+	for _, c := range []struct {
+		name   string
+		p      *Private
+		states [2]coherence.State
+		want   string
+	}{
+		{"two M", smallUpdate(), [2]coherence.State{coherence.Modified, coherence.Modified}, "multiple exclusive owners"},
+		{"E with S", smallPrivate(), [2]coherence.State{coherence.Exclusive, coherence.Shared}, "coexists with sharers"},
+		{"two O", smallUpdate(), [2]coherence.State{coherence.Owned, coherence.Owned}, "2 dirty owners"},
+		{"O under MESI", smallPrivate(), [2]coherence.State{coherence.Owned, coherence.Shared}, "O copy under MESI"},
+	} {
+		for core, st := range c.states {
+			arr := c.p.caches[core]
+			arr.Install(arr.Victim(a), a, privPayload{state: st})
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "l2: ") || !strings.Contains(msg, c.want) {
+					t.Errorf("%s: CheckInvariants panicked with %q, want %q", c.name, msg, c.want)
+				}
+			}()
+			c.p.CheckInvariants()
+		}()
 	}
 }
 
 func TestL2InterfaceCompliance(t *testing.T) {
-	// All five designs satisfy memsys.L2 and the L1-invalidator hook.
-	var designs = []memsys.L2{smallShared(), smallSNUCA(), smallPrivate()}
-	for _, d := range designs {
+	// Every baseline satisfies memsys.L2 and the L1-invalidator hook,
+	// under the design name experiments and cmpsim select it by.
+	var designs = []memsys.L2{smallShared(), smallSNUCA(), smallPrivate(), smallUpdate(), smallDNUCA()}
+	names := []string{"uniform-shared", "non-uniform-shared", "private", "private-update", "non-uniform-shared-dynamic"}
+	for i, d := range designs {
+		if d.Name() != names[i] {
+			t.Errorf("design %d is named %q, want %q", i, d.Name(), names[i])
+		}
 		if _, ok := d.(memsys.L1Invalidator); !ok {
 			t.Errorf("%s does not implement L1Invalidator", d.Name())
 		}

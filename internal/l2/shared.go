@@ -3,7 +3,10 @@
 // uniform-shared cache, the non-uniform-shared cache (CMP-SNUCA from
 // [6]), per-core private caches kept coherent with MESI, and the ideal
 // cache (shared capacity at private latency) that upper-bounds the
-// achievable improvement.
+// achievable improvement. Two opt-in baselines reuse those types: the
+// private caches under a write-update protocol (Private with Update)
+// and CMP-DNUCA (SNUCA with Migrate), the alternatives §3.2 and [6]
+// argue against.
 package l2
 
 import (

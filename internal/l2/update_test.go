@@ -8,9 +8,13 @@ import (
 	"cmpnurapid/internal/rng"
 )
 
-func smallUpdate() *PrivateUpdate {
-	return NewPrivateUpdateWith(4<<10, 4, 64, 10, bus.Config{Latency: 32, SlotCycles: 4}, 300)
+func smallUpdate() *Private {
+	return newPrivate(Update, 4<<10, 4, 64, 10, bus.Config{Latency: 32, SlotCycles: 4}, 300)
 }
+
+// updates counts the write-triggered bus updates: the BusUpg
+// transactions of write hits plus the BusUpg labels of write misses.
+func updates(p *Private) uint64 { return p.Stats().BusTransactions.Count(memsys.LabelBusUpg) }
 
 func TestUpdateNoInvalidationOnWrite(t *testing.T) {
 	p := smallUpdate()
@@ -35,10 +39,10 @@ func TestUpdateBroadcastCostsBus(t *testing.T) {
 	a := memsys.Addr(0x1000)
 	p.Access(0, 0, a, false)
 	p.Access(100, 1, a, false)
-	before := p.Updates
+	before := updates(p)
 	r := p.Access(200, 0, a, true)
-	if p.Updates != before+1 {
-		t.Fatalf("write to shared block sent %d updates, want 1", p.Updates-before)
+	if updates(p) != before+1 {
+		t.Fatalf("write to shared block sent %d updates, want 1", updates(p)-before)
 	}
 	// The update's full bus latency lands on the writer's critical path.
 	if r.Latency < 10+32 {
@@ -47,9 +51,9 @@ func TestUpdateBroadcastCostsBus(t *testing.T) {
 	// Writes to exclusive blocks are free of bus traffic.
 	b := memsys.Addr(0x2000)
 	p.Access(300, 2, b, true)
-	upd := p.Updates
+	upd := updates(p)
 	p.Access(400, 2, b, true)
-	if p.Updates != upd {
+	if updates(p) != upd {
 		t.Error("write to exclusive block broadcast an update")
 	}
 }
@@ -84,7 +88,18 @@ func TestUpdateKeepsMultipleCopies(t *testing.T) {
 }
 
 func TestUpdateIsCommunicationHook(t *testing.T) {
-	p := smallUpdate()
+	type prober interface {
+		memsys.L2
+		IsCommunication(core int, addr memsys.Addr) bool
+	}
+	busCfg := bus.Config{Latency: 32, SlotCycles: 4}
+	if _, ok := NewPrivateWith(MESI, 4<<10, 4, 64, 10, busCfg, 300).(prober); ok {
+		t.Error("MESI private caches carry the write-through probe; every store would pay it")
+	}
+	p, ok := NewPrivateWith(Update, 4<<10, 4, 64, 10, busCfg, 300).(prober)
+	if !ok {
+		t.Fatal("update-protocol private caches lack the write-through probe")
+	}
 	a := memsys.Addr(0x1000)
 	p.Access(0, 0, a, false)
 	if p.IsCommunication(0, a) {
@@ -118,7 +133,7 @@ func TestUpdateRandomInvariants(t *testing.T) {
 		}
 	}
 	p.CheckInvariants()
-	if p.Updates == 0 {
+	if updates(p) == 0 {
 		t.Error("no updates broadcast under shared writes")
 	}
 }
@@ -155,8 +170,10 @@ func TestUpdateEliminatesRWSMissesAtACost(t *testing.T) {
 
 // TestUpdateLineStateTracksExclusivity: a cold fill with no other
 // copies installs exclusive (E, or M when dirty), while a fill that
-// finds an existing copy installs shared. LineState is the
-// stall-diagnostics window into that flag, so it must be exact.
+// finds an existing copy installs shared, and demotes an exclusive
+// holder: E to S, M to the dirty owner O. A sharer's write makes it the
+// owner and the former owner a clean sharer. LineState is the
+// stall-diagnostics window into those states, so it must be exact.
 func TestUpdateLineStateTracksExclusivity(t *testing.T) {
 	p := smallUpdate()
 	a, b := memsys.Addr(0x4000), memsys.Addr(0x5000)
@@ -172,4 +189,23 @@ func TestUpdateLineStateTracksExclusivity(t *testing.T) {
 	if st := p.LineState(2, a); st != "S" {
 		t.Errorf("second sharer's fill state = %q, want S", st)
 	}
+	if st := p.LineState(0, a); st != "S" {
+		t.Errorf("first holder after a second read = %q, want S", st)
+	}
+	p.Access(300, 0, a, true)
+	if st := p.LineState(0, a); st != "O" {
+		t.Errorf("once-exclusive writer beside a sharer = %q, want O", st)
+	}
+	p.Access(400, 2, a, true)
+	if st := p.LineState(2, a); st != "O" {
+		t.Errorf("sharer after its write = %q, want O", st)
+	}
+	if st := p.LineState(0, a); st != "S" {
+		t.Errorf("former owner after another sharer's write = %q, want S", st)
+	}
+	p.Access(500, 3, b, false)
+	if st := p.LineState(1, b); st != "O" {
+		t.Errorf("dirty holder after another core's read = %q, want O", st)
+	}
+	p.CheckInvariants()
 }

@@ -20,7 +20,7 @@ func CheckAll(maxN int, protocols ...*Protocol) *Result {
 		panic("protocheck: CheckAll needs maxN >= 2")
 	}
 	if len(protocols) == 0 {
-		protocols = []*Protocol{MESI(), MESIC()}
+		protocols = []*Protocol{MESI(), MESIC(), Update()}
 	}
 	r := &Result{}
 	names := map[string]bool{}

@@ -40,8 +40,8 @@ type Exploration struct {
 
 // Explore BFSes the joint state space of n caches, all starting at I,
 // under every interleaving of per-cache PrRd/PrWr operations, checking
-// the safety invariants on each reached state, C-monotonicity on each
-// edge, and that no reachable input panics.
+// the safety invariants on each reached state, C-monotonicity and
+// write propagation on each edge, and that no reachable input panics.
 func (p *Protocol) Explore(n int) *Exploration {
 	if n < 2 {
 		panic("protocheck: Explore needs at least 2 caches")
@@ -95,6 +95,11 @@ func (e *Exploration) visit(st []coherence.State, provenance string) {
 // snoops, returning the successor state. ok is false when a transition
 // function panicked (recorded as a violation): the edge is dropped so
 // the BFS can keep exploring the rest of the space.
+//
+// A write must leave no stale copy behind: every other copy still
+// valid after it is either in C, sharing the writer's single data
+// copy, or snooped the write's transaction with InvalidateL1, taking
+// the written data (an update protocol's sharers).
 func (e *Exploration) step(st []coherence.State, i int, op coherence.ProcOp) (next []coherence.State, ok bool) {
 	sig := signalsFor(st, i)
 	nextI, busOp, panicMsg := callProc(e.Protocol.Proc, st[i], op, sig)
@@ -106,21 +111,25 @@ func (e *Exploration) step(st []coherence.State, i int, op coherence.ProcOp) (ne
 	next = make([]coherence.State, len(st))
 	copy(next, st)
 	next[i] = nextI
-	if busOp == coherence.BusNone {
-		return next, true
-	}
 	for j := range st {
 		if j == i {
 			continue
 		}
-		e.Reachable[SnoopPair{st[j], busOp}] = true
-		nextJ, _, panicMsg := callSnoop(e.Protocol.Snoop, st[j], busOp)
-		if panicMsg != "" {
-			e.violate("panic", "%s.Snoop(%v, %v) panicked on reachable input at %s (cache %d issued %v): %s",
-				e.Protocol.Name, st[j], busOp, fmtStates(st), i, op, panicMsg)
-			return nil, false
+		act := coherence.None
+		if busOp != coherence.BusNone {
+			e.Reachable[SnoopPair{st[j], busOp}] = true
+			nextJ, a, panicMsg := callSnoop(e.Protocol.Snoop, st[j], busOp)
+			if panicMsg != "" {
+				e.violate("panic", "%s.Snoop(%v, %v) panicked on reachable input at %s (cache %d issued %v): %s",
+					e.Protocol.Name, st[j], busOp, fmtStates(st), i, op, panicMsg)
+				return nil, false
+			}
+			next[j], act = nextJ, a
 		}
-		next[j] = nextJ
+		if op == coherence.PrWr && next[j].Valid() && next[j] != coherence.Communication && act != coherence.InvalidateL1 {
+			e.violate("stale", "cache %d keeps a %v copy cache %d's write did not update, at %s",
+				j, next[j], i, fmtStates(st))
+		}
 	}
 	return next, true
 }

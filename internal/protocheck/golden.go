@@ -6,7 +6,8 @@ import (
 	"cmpnurapid/internal/coherence"
 )
 
-// golden.go pins the paper's Figure 4 as data. Each transition
+// golden.go pins the paper's Figure 4, and the update protocol §3.2
+// argues against, as data. Each transition
 // function has an ordered rule list; the first rule whose state, op
 // and signal condition match a concrete input gives the expected
 // result ("panic" for inputs the function must reject). CheckGolden
@@ -57,6 +58,7 @@ var goldenMESIProc = []grule{
 	{"E", "PrWr", "*", "M", "-"}, // silent upgrade
 	{"M", "*", "*", "M", "-"},
 	{"C", "*", "*", "panic", ""}, // C is not a MESI state
+	{"O", "*", "*", "panic", ""}, // nor is O
 }
 
 // goldenMESISnoop encodes the dotted arcs of Figure 4a plus the
@@ -74,6 +76,7 @@ var goldenMESISnoop = []grule{
 	{"M", "BusRdX", "*", "I", "Flush"},
 	{"M", "*", "*", "panic", ""},
 	{"C", "*", "*", "panic", ""},
+	{"O", "*", "*", "panic", ""},
 }
 
 // goldenMESICProc encodes the solid arcs of Figure 4b: the dirty line
@@ -91,6 +94,7 @@ var goldenMESICProc = []grule{
 	{"M", "*", "*", "M", "-"},
 	{"C", "PrRd", "*", "C", "-"},      // in-situ read, no bus traffic
 	{"C", "PrWr", "*", "C", "BusUpg"}, // write-through + invalidating broadcast
+	{"O", "*", "*", "panic", ""},      // O is not a MESIC state
 }
 
 // goldenMESICSnoop encodes the dotted arcs of Figure 4b. The deleted
@@ -111,6 +115,40 @@ var goldenMESICSnoop = []grule{
 	{"C", "BusRdX", "*", "C", "InvL1"},
 	{"C", "BusUpg", "*", "C", "InvL1"},
 	{"C", "*", "*", "panic", ""},
+	{"O", "*", "*", "panic", ""},
+}
+
+// goldenUpdateProc encodes the write-update protocol's requester side:
+// writes with other copies present update them through a BusUpg and
+// leave the writer the dirty owner O; writes with none go to M.
+var goldenUpdateProc = []grule{
+	{"C", "*", "*", "panic", ""}, // C is not an update-protocol state
+	{"I", "PrRd", "s|d", "S", "BusRd"},
+	{"I", "PrRd", "*", "E", "BusRd"},
+	{"I", "PrWr", "s|d", "O", "BusUpg"}, // a write miss with sharers updates them
+	{"I", "PrWr", "*", "M", "BusRd"},    // nothing to invalidate: no BusRdX
+	{"S", "PrRd", "*", "S", "-"},
+	{"E", "PrRd", "*", "E", "-"},
+	{"M", "PrRd", "*", "M", "-"},
+	{"O", "PrRd", "*", "O", "-"},
+	{"*", "PrWr", "s|d", "O", "BusUpg"}, // the per-write bus update §3.2 charges
+	{"*", "PrWr", "*", "M", "-"},        // no other copy: silent
+}
+
+// goldenUpdateSnoop: a read joining a block keeps the dirty holder the
+// owner; a write's BusUpg turns every other copy into an updated clean
+// sharer. The protocol never issues BusRdX.
+var goldenUpdateSnoop = []grule{
+	{"I", "*", "*", "I", "-"},
+	{"C", "*", "*", "panic", ""},
+	{"*", "-", "*", "panic", ""}, // BusNone
+	{"*", "BusRdX", "*", "panic", ""},
+	{"*", "BusRepl", "*", "panic", ""},
+	{"E", "BusRd", "*", "S", "-"},
+	{"M", "BusRd", "*", "O", "-"},
+	{"S", "BusRd", "*", "S", "-"},
+	{"O", "BusRd", "*", "O", "-"},
+	{"*", "BusUpg", "*", "S", "InvL1"},
 }
 
 // goldenFor returns the rule lists for a protocol by name.
@@ -120,6 +158,8 @@ func goldenFor(name string) (proc, snoop []grule, ok bool) {
 		return goldenMESIProc, goldenMESISnoop, true
 	case "MESIC":
 		return goldenMESICProc, goldenMESICSnoop, true
+	case "Update":
+		return goldenUpdateProc, goldenUpdateSnoop, true
 	}
 	return nil, nil, false
 }
@@ -134,8 +174,8 @@ func lookupRule(rules []grule, s, op string, sig coherence.Signals) (grule, bool
 }
 
 // CheckGolden sweeps the complete input space of p's transition
-// functions and reports every divergence from the golden Figure 4
-// encoding. Protocols without a golden table (mutants) return nil.
+// functions and reports every divergence from its golden encoding.
+// Protocols without a golden table (mutants) return nil.
 func CheckGolden(p *Protocol) []Violation {
 	procRules, snoopRules, ok := goldenFor(p.Name)
 	if !ok {
@@ -160,7 +200,7 @@ func CheckGolden(p *Protocol) []Violation {
 				got := describeOutcome(next.String(), bus.String(), panicMsg)
 				want := describeOutcome(rule.next, rule.out, panicExpected(rule))
 				if got != want {
-					drift("%sProc(%v, %v, %+v) = %s, Figure 4 says %s", p.Name, s, op, sig, got, want)
+					drift("%sProc(%v, %v, %+v) = %s, the golden encoding says %s", p.Name, s, op, sig, got, want)
 				}
 			}
 		}
@@ -174,7 +214,7 @@ func CheckGolden(p *Protocol) []Violation {
 			got := describeOutcome(next.String(), act.String(), panicMsg)
 			want := describeOutcome(rule.next, rule.out, panicExpected(rule))
 			if got != want {
-				drift("%sSnoop(%v, %v) = %s, Figure 4 says %s", p.Name, s, op, got, want)
+				drift("%sSnoop(%v, %v) = %s, the golden encoding says %s", p.Name, s, op, got, want)
 			}
 		}
 	}

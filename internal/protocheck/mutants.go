@@ -7,9 +7,10 @@ import (
 	"cmpnurapid/internal/coherence"
 )
 
-// Mutants are deliberately broken variants of MESIC used to prove the
-// checker actually catches protocol bugs (TestMutantsAreCaught). Each
-// one re-introduces a plausible hand-coding mistake.
+// Mutants are deliberately broken variants of MESIC and the update
+// protocol used to prove the checker actually catches protocol bugs
+// (TestMutantsAreCaught). Each one re-introduces a plausible
+// hand-coding mistake.
 var mutants = map[string]func() *Protocol{
 	// restore-m-to-s puts back the MESI M→S arc the paper deletes: an
 	// M holder snooping a BusRd hands the reader a C copy while itself
@@ -48,6 +49,32 @@ var mutants = map[string]func() *Protocol{
 				panic("protocheck: seeded mutant panic")
 			}
 			return coherence.MESICSnoop(s, op)
+		}
+		return p
+	},
+	// keep-owner-on-busupg lets the old owner keep write-back duty when
+	// another sharer writes, so the block has two dirty owners.
+	"keep-owner-on-busupg": func() *Protocol {
+		p := Update()
+		p.Name = "Update(keep-owner-on-busupg)"
+		p.Snoop = func(s coherence.State, op coherence.BusOp) (coherence.State, coherence.SnoopAction) {
+			if s == coherence.Owned && op == coherence.BusUpg {
+				return coherence.Owned, coherence.InvalidateL1
+			}
+			return coherence.UpdateSnoop(s, op)
+		}
+		return p
+	},
+	// skip-update-on-busupg lets a clean sharer ignore a write's update
+	// and keep its old data.
+	"skip-update-on-busupg": func() *Protocol {
+		p := Update()
+		p.Name = "Update(skip-update-on-busupg)"
+		p.Snoop = func(s coherence.State, op coherence.BusOp) (coherence.State, coherence.SnoopAction) {
+			if s == coherence.Shared && op == coherence.BusUpg {
+				return coherence.Shared, coherence.None
+			}
+			return coherence.UpdateSnoop(s, op)
 		}
 		return p
 	},

@@ -1,8 +1,9 @@
 // Package protocheck is an explicit-state model checker for the
 // coherence protocols in internal/coherence. It drives the *actual*
-// transition functions — MESIProc/MESISnoop and MESICProc/MESICSnoop,
-// not a re-encoding of them — the same functions the simulated caches
-// run: internal/l2's private caches drive MESI, and CMP-NuRAPID in
+// transition functions — MESIProc/MESISnoop, MESICProc/MESICSnoop and
+// UpdateProc/UpdateSnoop, not a re-encoding of them — the same
+// functions the simulated caches run: internal/l2's private caches
+// drive MESI or the write-update protocol, and CMP-NuRAPID in
 // internal/core drives MESIC (MESI with in-situ communication off).
 // It checks them in three layers:
 //
@@ -13,10 +14,11 @@
 //  2. Reachability: BFS the joint state space of N caches sharing one
 //     line under all interleavings of processor operations, checking
 //     the paper's safety invariants on every reached state and edge —
-//     SWMR (at most one M/E holder, owning alone), S never coexisting
-//     with M, E or C, no transition out of C except replacement
-//     (which the protocol layer does not model), and no panic on any
-//     reachable input. The BFS also proves which snoop inputs are
+//     SWMR (at most one M/E holder, owning alone), at most one dirty
+//     owner O, S never coexisting with M, E or C, no copy left stale
+//     by a write, no transition out of C except replacement (which the
+//     protocol layer does not model), and no panic on any reachable
+//     input. The BFS also proves which snoop inputs are
 //     unreachable, justifying the panicking defaults in
 //     internal/coherence.
 //  3. Equivalence: a lockstep BFS of MESI and MESIC restricted to
@@ -25,8 +27,8 @@
 //     there — MESIC's divergence is confined to dirty sharing, the
 //     paper's §3.2 claim.
 //
-// A golden encoding of the paper's Figure 4 (golden.go) pins the
-// expected transition relation, so any drift in internal/coherence —
+// A golden encoding of the paper's Figure 4 and of the update protocol
+// (golden.go) pins the expected transition relation, so any drift in internal/coherence —
 // including re-introducing the deleted M→S arc — fails the check.
 // The package's own tests are the gate: TestRealProtocolsPassEverything
 // runs the whole battery and TestProtocolDoc keeps docs/PROTOCOL.md in
@@ -60,6 +62,20 @@ func MESI() *Protocol {
 	}
 }
 
+// Update returns the Dragon-style write-update protocol §3.2 argues
+// against: MESI's states plus the shared-dirty owner O.
+func Update() *Protocol {
+	return &Protocol{
+		Name: "Update",
+		States: []coherence.State{
+			coherence.Invalid, coherence.Shared, coherence.Exclusive,
+			coherence.Modified, coherence.Owned,
+		},
+		Proc:  coherence.UpdateProc,
+		Snoop: coherence.UpdateSnoop,
+	}
+}
+
 // MESIC returns the paper's 5-state protocol (Figure 4b).
 func MESIC() *Protocol {
 	return &Protocol{
@@ -73,11 +89,11 @@ func MESIC() *Protocol {
 	}
 }
 
-// allStates spans both protocols; the totality scan sweeps every state
+// allStates spans every protocol; the totality scan sweeps every state
 // even for MESI so the tables document the out-of-protocol panics.
 var allStates = []coherence.State{
 	coherence.Invalid, coherence.Shared, coherence.Exclusive,
-	coherence.Modified, coherence.Communication,
+	coherence.Modified, coherence.Communication, coherence.Owned,
 }
 
 var procOps = []coherence.ProcOp{coherence.PrRd, coherence.PrWr}
@@ -110,7 +126,7 @@ var allSignals = []coherence.Signals{
 // Violation is one check failure, with enough provenance to reproduce
 // it by hand.
 type Violation struct {
-	Kind    string // "safety", "c-exit", "panic", "totality", "unreachable", "golden", "differential"
+	Kind    string // "safety", "c-exit", "stale", "panic", "totality", "unreachable", "golden", "differential"
 	Message string
 }
 
@@ -152,10 +168,11 @@ func signalsFor(states []coherence.State, i int) coherence.Signals {
 //   - every cache is in a state the protocol defines;
 //   - at most one M and at most one E holder (single writer);
 //   - an M or E holder coexists with no other valid copy;
+//   - at most one O holder (one dirty owner of a shared block);
 //   - S never coexists with C (a block is either clean-shared or
 //     dirty-shared, never both).
 func checkSafety(p *Protocol, states []coherence.State) string {
-	var m, e, s, c, valid int
+	var m, e, s, c, o, valid int
 	for _, st := range states {
 		if !p.member(st) {
 			return fmt.Sprintf("state %v is not a %s state", st, p.Name)
@@ -172,6 +189,8 @@ func checkSafety(p *Protocol, states []coherence.State) string {
 			s++
 		case coherence.Communication:
 			c++
+		case coherence.Owned:
+			o++
 		case coherence.Invalid:
 		default:
 			return fmt.Sprintf("unknown state %v", st)
@@ -186,6 +205,8 @@ func checkSafety(p *Protocol, states []coherence.State) string {
 		return "M coexists with other valid copies"
 	case e == 1 && valid > 1:
 		return "E coexists with other valid copies"
+	case o > 1:
+		return fmt.Sprintf("%d O holders (more than one dirty owner)", o)
 	case s > 0 && c > 0:
 		return "S coexists with C (clean- and dirty-shared at once)"
 	}

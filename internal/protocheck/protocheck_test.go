@@ -8,7 +8,7 @@ import (
 )
 
 // TestRealProtocolsPassEverything is the headline acceptance check:
-// both shipping protocols survive the complete battery — golden,
+// the three shipping protocols survive the complete battery — golden,
 // totality, N=2..4 BFS, snoop-panic cross-check, differential — with
 // zero violations.
 func TestRealProtocolsPassEverything(t *testing.T) {
@@ -16,8 +16,13 @@ func TestRealProtocolsPassEverything(t *testing.T) {
 	for _, v := range r.Violations {
 		t.Errorf("%s", v)
 	}
-	if len(r.Explorations) != 6 { // 2 protocols × N=2,3,4
-		t.Errorf("got %d explorations, want 6", len(r.Explorations))
+	if len(r.Explorations) != 9 { // 3 protocols × N=2,3,4
+		t.Errorf("got %d explorations, want 9", len(r.Explorations))
+	}
+	for i, e := range r.Explorations {
+		if want := []string{"MESI", "MESIC", "Update"}[i/3]; e.Protocol.Name != want || e.N != 2+i%3 {
+			t.Errorf("exploration %d is %s at N=%d, want %s at N=%d", i, e.Protocol.Name, e.N, want, 2+i%3)
+		}
 	}
 }
 
@@ -35,6 +40,9 @@ func TestExplorationCounts(t *testing.T) {
 		{MESIC(), 2, 7},  // MESI's plus CC
 		{MESIC(), 3, 15}, // C groups of 2 and 3
 		{MESIC(), 4, 31},
+		{Update(), 2, 8}, // MESI's 6 plus O with an S or an O beside it
+		{Update(), 3, 20},
+		{Update(), 4, 48},
 	}
 	for _, c := range cases {
 		e := c.p.Explore(c.n)
@@ -49,13 +57,25 @@ func TestExplorationCounts(t *testing.T) {
 
 // TestUnreachableSnoopPairs pins the BFS proof the panicking defaults
 // in internal/coherence cite: with 3+ caches, exactly (E, BusUpg) and
-// (M, BusUpg) are unreachable in both protocols.
+// (M, BusUpg) are unreachable in MESI and MESIC, and exactly BusRdX,
+// which it never issues, in the update protocol.
 func TestUnreachableSnoopPairs(t *testing.T) {
-	want := []SnoopPair{
+	invalidating := []SnoopPair{
 		{coherence.Exclusive, coherence.BusUpg},
 		{coherence.Modified, coherence.BusUpg},
 	}
-	for _, p := range []*Protocol{MESI(), MESIC()} {
+	update := []SnoopPair{
+		{coherence.Invalid, coherence.BusRdX},
+		{coherence.Shared, coherence.BusRdX},
+		{coherence.Exclusive, coherence.BusRdX},
+		{coherence.Modified, coherence.BusRdX},
+		{coherence.Owned, coherence.BusRdX},
+	}
+	for _, p := range []*Protocol{MESI(), MESIC(), Update()} {
+		want := invalidating
+		if p.Name == "Update" {
+			want = update
+		}
 		for n := 3; n <= 4; n++ {
 			got := p.Explore(n).UnreachableSnoopPairs()
 			if len(got) != len(want) {
@@ -81,6 +101,8 @@ func TestMutantsAreCaught(t *testing.T) {
 		"restore-m-to-s":        {"safety", "S coexists with C"},
 		"exit-c-on-busrdx":      {"c-exit", "left C"},
 		"panic-on-shared-busrd": {"panic", "panicked on reachable input"},
+		"keep-owner-on-busupg":  {"safety", "more than one dirty owner"},
+		"skip-update-on-busupg": {"stale", "did not update"},
 	}
 	names := MutantNames()
 	if len(names) != len(want) {
@@ -141,7 +163,7 @@ func TestGoldenCatchesDrift(t *testing.T) {
 }
 
 func TestGoldenCleanOnRealProtocols(t *testing.T) {
-	for _, p := range []*Protocol{MESI(), MESIC()} {
+	for _, p := range []*Protocol{MESI(), MESIC(), Update()} {
 		if v := CheckGolden(p); len(v) != 0 {
 			t.Errorf("%s drifts from Figure 4: %v", p.Name, v)
 		}
@@ -232,6 +254,21 @@ func TestCheckSafetyDirectly(t *testing.T) {
 	// C is a violation under MESI even though MESIC allows it.
 	if msg := checkSafety(MESI(), []coherence.State{coherence.Communication}); !strings.Contains(msg, "not a MESI state") {
 		t.Errorf("MESI safety accepted C: %q", msg)
+	}
+	// The update protocol's owner shares with clean copies, alone.
+	update := Update()
+	for _, c := range []struct {
+		states []coherence.State
+		bad    bool
+	}{
+		{[]coherence.State{coherence.Owned, coherence.Shared, coherence.Shared}, false},
+		{[]coherence.State{coherence.Owned, coherence.Owned}, true},
+		{[]coherence.State{coherence.Owned, coherence.Modified}, true},
+		{[]coherence.State{coherence.Owned, coherence.Exclusive}, true},
+	} {
+		if msg := checkSafety(update, c.states); (msg != "") != c.bad {
+			t.Errorf("Update checkSafety(%s) = %q, want violation=%v", fmtStates(c.states), msg, c.bad)
+		}
 	}
 }
 

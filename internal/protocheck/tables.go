@@ -218,10 +218,10 @@ const (
 )
 
 // DocExplorations runs the canonical exploration set the published
-// tables are generated from — both protocols at N=2..4.
+// tables are generated from — every protocol at N=2..4.
 func DocExplorations() []*Exploration {
 	var es []*Exploration
-	for _, p := range []*Protocol{MESI(), MESIC()} {
+	for _, p := range []*Protocol{MESI(), MESIC(), Update()} {
 		for n := 2; n <= 4; n++ {
 			es = append(es, p.Explore(n))
 		}
@@ -229,7 +229,7 @@ func DocExplorations() []*Exploration {
 	return es
 }
 
-// GenerateDoc renders the generated docs/PROTOCOL.md block: the four
+// GenerateDoc renders the generated docs/PROTOCOL.md block: the six
 // transition tables straight from the code, the invariants the checker
 // enforces, and the per-N exploration statistics.
 func GenerateDoc(explorations []*Exploration) string {
@@ -239,7 +239,7 @@ func GenerateDoc(explorations []*Exploration) string {
 	b.WriteString("`go generate ./internal/protocheck` from the *actual* transition functions\n")
 	b.WriteString("in `internal/coherence` — do not edit by hand. `go test ./internal/protocheck`\n")
 	b.WriteString("fails if this section drifts from the code or the code drifts from the\n")
-	b.WriteString("golden Figure 4 encoding (`internal/protocheck/golden.go`).\n\n")
+	b.WriteString("golden encodings (`internal/protocheck/golden.go`).\n\n")
 
 	byProto := map[string][]*Exploration{}
 	var order []string
@@ -278,10 +278,12 @@ func GenerateDoc(explorations []*Exploration) string {
 	b.WriteString("1. Every cache is in a state its protocol defines.\n")
 	b.WriteString("2. At most one M and at most one E holder (single writer).\n")
 	b.WriteString("3. An M or E holder coexists with no other valid copy.\n")
-	b.WriteString("4. S never coexists with C (clean-shared xor dirty-shared).\n")
-	b.WriteString("5. No transition out of C on any edge (only replacement, which the\n   protocol layer does not model, may leave C).\n")
-	b.WriteString("6. No transition function panics on a reachable input.\n")
-	b.WriteString("7. MESI and MESIC are trace-identical on every interleaving where no\n   requester samples an asserted dirty line (§3.2 containment).\n")
+	b.WriteString("4. At most one O holder (one dirty owner of a shared block).\n")
+	b.WriteString("5. S never coexists with C (clean-shared xor dirty-shared).\n")
+	b.WriteString("6. No transition out of C on any edge (only replacement, which the\n   protocol layer does not model, may leave C).\n")
+	b.WriteString("7. No write leaves a stale copy: every other copy still valid after\n   it is in C or snooped the write with InvL1 (took the update).\n")
+	b.WriteString("8. No transition function panics on a reachable input.\n")
+	b.WriteString("9. MESI and MESIC are trace-identical on every interleaving where no\n   requester samples an asserted dirty line (§3.2 containment).\n")
 	return b.String()
 }
 

@@ -35,11 +35,11 @@ func chaosDesigns(inj simguard.Injector) []memsys.L2 {
 	nur := core.DefaultConfig()
 	nur.Bus.GrantJitter = inj.Bus
 	return []memsys.L2{
-		l2.NewPrivateWith(topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
+		l2.NewPrivateWith(l2.MESI, topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
 			lat.PrivateTotal, busCfg, 300),
-		l2.NewPrivateUpdateWith(topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
+		l2.NewPrivateWith(l2.Update, topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
 			lat.PrivateTotal, busCfg, 300),
-		l2.NewSNUCA(),
+		l2.NewSNUCA(l2.Static),
 		core.New(nur),
 	}
 }
@@ -128,7 +128,7 @@ func TestWatchdogCatchesLivelockMutant(t *testing.T) {
 	mut := &workload.LivelockMutant{Inner: workload.New(workload.Hammer(7)), After: 200}
 	cfg := cmpsim.DefaultConfig()
 	cfg.StallWindow = memsys.CyclesOf(window)
-	sys := cmpsim.New(cfg, l2.NewPrivate(), mut)
+	sys := cmpsim.New(cfg, l2.NewPrivate(l2.MESI), mut)
 	defer func() {
 		stall, ok := recover().(*simguard.ProgressStall)
 		if !ok {
@@ -169,7 +169,7 @@ func TestWatchdogCatchesLivelockMutant(t *testing.T) {
 func TestCycleCeilingAborts(t *testing.T) {
 	cfg := cmpsim.DefaultConfig()
 	cfg.MaxCycles = memsys.CyclesOf(1000)
-	sys := cmpsim.New(cfg, l2.NewPrivate(), workload.New(workload.Hammer(3)))
+	sys := cmpsim.New(cfg, l2.NewPrivate(l2.MESI), workload.New(workload.Hammer(3)))
 	defer func() {
 		lim, ok := recover().(*simguard.CycleLimitExceeded)
 		if !ok {

@@ -19,8 +19,6 @@ type CoverageTarget struct {
 var DefaultCoverageTargets = []CoverageTarget{
 	{Rel: "internal/core", Type: "Cache"},
 	{Rel: "internal/l2", Type: "Private"},
-	{Rel: "internal/l2", Type: "PrivateUpdate"},
-	{Rel: "internal/l2", Type: "DNUCA"},
 	{Rel: "internal/l2", Type: "SNUCA"},
 }
 
