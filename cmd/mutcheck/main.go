@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		capN    = fs.Int("cap", 8, "quick-tier mutants per package (ignored with -full)")
 		pkgs    = fs.String("pkgs", "", "comma-separated package dirs to mutate (default: all hot packages)")
 		write   = fs.String("write", "", "write the JSON report to this file")
-		diff    = fs.String("diff", "", "diff the run against this committed baseline (kill ratio may rise, never fall)")
+		diff    = fs.String("diff", "", "diff the run against this committed baseline (kill ratio may rise, never fall; tier, cap and site counts must match)")
 		allowF  = fs.String("allow", "MUTATION_allow", "allowlist file of equivalent mutants (mutcheck:survives <reason>); a relative path is taken from the module root")
 		shadow  = fs.String("shadow", "", "shadow copy directory (default: under the system temp dir; reuse keeps builds cached)")
 		timeout = fs.Duration("timeout", 60*time.Second, "go test -timeout per mutant (runaway mutants self-kill)")
@@ -58,6 +58,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *write != "" && *diff != "" {
 		fmt.Fprintln(stderr, "mutcheck: -write and -diff are mutually exclusive")
+		return 2
+	}
+	if *pkgs != "" && *diff != "" {
+		fmt.Fprintln(stderr, "mutcheck: -pkgs and -diff are mutually exclusive: a baseline records every hot package, so a subset cannot match it")
 		return 2
 	}
 	if !*full && *capN <= 0 {

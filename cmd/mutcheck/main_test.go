@@ -13,7 +13,7 @@ func TestListPrintsOperatorsAndPackages(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"relswap", "offbyone", "boolnegate", "branchdel", "constret", "orderswap",
+	for _, want := range []string{"relswap", "offbyone", "boolnegate", "branchdel", "orderswap",
 		"internal/cache", "internal/cmpsim", "./internal/l2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-list output missing %q:\n%s", want, out)
@@ -34,6 +34,19 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
+	}
+}
+
+// TestPkgsWithDiffIsRefused: the committed baseline covers every hot
+// package, so a -pkgs run would report the rest as missing; the
+// combination is a usage error before any file is read.
+func TestPkgsWithDiffIsRefused(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-pkgs", "internal/cache", "-diff", "no_such_file.json"}, &stdout, &stderr); code != 2 {
+		t.Errorf("exit = %d, want 2 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-pkgs and -diff are mutually exclusive") {
+		t.Errorf("stderr does not name the refused combination: %s", stderr.String())
 	}
 }
 

@@ -201,6 +201,10 @@ func TestSNUCAEvictionInvalidatesAllL1s(t *testing.T) {
 				t.Errorf("%s: core %d's L1 not invalidated on eviction of %#x", s.Name(), c, victim)
 			}
 		}
+		if len(dropped) != topo.NumCores {
+			t.Errorf("%s: eviction of %#x invalidated the L1s of cores %v, want exactly the %d cores",
+				s.Name(), victim, dropped, topo.NumCores)
+		}
 		s.CheckInvariants()
 	}
 }

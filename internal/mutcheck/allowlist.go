@@ -16,7 +16,7 @@ import (
 //
 // e.g.
 //
-//	internal/cache/cache.go:Array.Probe:orderswap:0 mutcheck:survives operands are pure locals, swap is observation-equivalent
+//	internal/bus/bus.go:Port.Acquire:relswap:0 mutcheck:survives nextFree==start makes the branch assign start its own value
 //
 // The reason is not decoration: a survivor without an allowlist entry
 // fails the run, and an entry without a reason fails parsing. This

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 const minimod = "testdata/minimod"
@@ -317,52 +318,115 @@ func TestCompareRatioMayRiseNeverFall(t *testing.T) {
 	if n := Compare(base, fresh, &buf); n == 0 {
 		t.Error("missing baseline package not detected")
 	}
+
+	// A ratio is comparable only at the baseline's tier, cap and site
+	// population, whichever way the ratio moved.
+	for name, c := range map[string]struct {
+		edit func(*Report)
+		want string
+	}{
+		"tier":  {func(r *Report) { r.Tier = "full" }, "FAIL tier: full in this run, quick in the baseline"},
+		"cap":   {func(r *Report) { r.Cap = 16 }, "FAIL cap per package: 16 in this run, 8 in the baseline"},
+		"sites": {func(r *Report) { r.Packages[0].Sites = 62 }, "FAIL internal/cache sites: 62 in this run, 55 in the baseline"},
+	} {
+		base, fresh := mk(7, 1), mk(8, 0)
+		base.Packages[0].Sites, fresh.Packages[0].Sites = 55, 55
+		c.edit(fresh)
+		buf.Reset()
+		if n := Compare(base, fresh, &buf); n != 1 {
+			t.Errorf("%s mismatch: %d failures, want 1\n%s", name, n, buf.String())
+		}
+		if !strings.Contains(buf.String(), c.want) || !strings.Contains(buf.String(), "-write") {
+			t.Errorf("%s mismatch: output %q does not contain %q and the -write hint", name, buf.String(), c.want)
+		}
+	}
 }
 
-// The full campaign against the fixture: killed and surviving mutants
-// land where the fixture's tests say they must, the allowlist turns
-// survivors into accounted-for survivors, and two consecutive runs
-// produce byte-identical reports.
-func TestFixtureCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go test once per fixture mutant")
+// recordedSurvivors are the surviving mutants of one real go test
+// campaign over both fixture packages; every other mutant was killed
+// and none was stillborn. TestFixtureCampaign re-runs go test for
+// package campaign's share of them.
+var recordedSurvivors = map[string]bool{
+	"lib.go:Clamp:relswap:0":                     true,
+	"lib.go:Clamp:relswap:1":                     true,
+	"lib.go:FirstPositive:relswap:1":             true,
+	"campaign/campaign.go:Untested:relswap:0":    true,
+	"campaign/campaign.go:Untested:offbyone:0":   true,
+	"campaign/campaign.go:Untested:boolnegate:0": true,
+	"campaign/campaign.go:Untested:branchdel:0":  true,
+}
+
+var fixturePackages = map[string][]string{".": {"."}, "campaign": {"./campaign"}}
+
+// replayRecorded makes runTests answer from recordedSurvivors for the
+// rest of the test: it finds the fixture file that differs from the
+// original in the shadow copy, and the site whose mutant it holds.
+func replayRecorded(t *testing.T) {
+	t.Helper()
+	type mutant struct{ file, src string }
+	outcome := map[mutant]Outcome{}
+	orig := map[string]string{}
+	for pkg := range fixturePackages {
+		sites, err := EnumeratePackage(minimod, pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sites {
+			src, err := os.ReadFile(filepath.Join(minimod, s.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig[s.File] = string(src)
+			mutated, err := Mutate(src, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := Killed
+			if recordedSurvivors[s.ID()] {
+				o = Survived
+			}
+			outcome[mutant{s.File, string(mutated)}] = o
+		}
 	}
-	shadow := filepath.Join(t.TempDir(), "shadow")
+	saved := runTests
+	t.Cleanup(func() { runTests = saved })
+	runTests = func(_ Config, dir string, _ []string, _ time.Duration) (Outcome, string, error) {
+		for file, src := range orig {
+			got, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				return "", "", err
+			}
+			if string(got) != src {
+				o, ok := outcome[mutant{file, string(got)}]
+				if !ok {
+					t.Fatalf("shadow %s holds no enumerated mutant", file)
+				}
+				return o, "", nil
+			}
+		}
+		return Survived, "", nil // the preflight: nothing mutated
+	}
+}
+
+// TestCampaignAccounting replays the recorded campaign: the allowlist
+// turns survivors into accounted-for survivors, and two consecutive
+// runs produce byte-identical reports.
+func TestCampaignAccounting(t *testing.T) {
+	replayRecorded(t)
 	cfg := Config{
 		Root:     minimod,
-		Packages: map[string][]string{".": {"."}},
-		Shadow:   shadow,
+		Packages: fixturePackages,
+		Shadow:   filepath.Join(t.TempDir(), "shadow"),
 		Short:    true,
 	}
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep.Tier != "full" {
-		t.Errorf("tier = %q, want full", rep.Tier)
-	}
 	total := rep.Total
-	if total.Killed == 0 {
-		t.Fatal("no mutants killed — fixture tests are not running")
-	}
-	if total.Survived == 0 {
-		t.Fatal("no mutants survived — Untested should leak survivors")
-	}
-	if total.Stillborn > 0 {
-		t.Errorf("%d stillborn mutants in fixture (all fixture mutants should compile)", total.Stillborn)
-	}
-	// Untested is uncovered: every one of its mutants must survive.
-	var untestedSurvivors int
-	for _, s := range rep.Packages[0].Survivors {
-		if strings.HasPrefix(s.ID, "lib.go:Untested:") {
-			untestedSurvivors++
-		}
-		if s.Allowlisted {
-			t.Errorf("survivor %s allowlisted with empty allowlist", s.ID)
-		}
-	}
-	if untestedSurvivors < 4 {
-		t.Errorf("only %d survivors in Untested (want its boolnegate, branchdel, relswap, constret, ... mutants)", untestedSurvivors)
+	if total.Survived != len(recordedSurvivors) || total.Killed == 0 || total.Stillborn != 0 {
+		t.Fatalf("replayed campaign: killed %d survived %d stillborn %d, want survived %d",
+			total.Killed, total.Survived, total.Stillborn, len(recordedSurvivors))
 	}
 	if got := len(rep.Unallowlisted()); got != total.Survived {
 		t.Errorf("Unallowlisted() = %d, want all %d survivors", got, total.Survived)
@@ -374,7 +438,7 @@ func TestFixtureCampaign(t *testing.T) {
 	// run's, which is the determinism contract the committed
 	// MUTATION_quick.json baseline depends on.
 	allow := Allowlist{}
-	for _, s := range rep.Packages[0].Survivors {
+	for _, s := range rep.Unallowlisted() {
 		allow[s.ID] = "fixture: deliberately uncovered"
 	}
 	cfg.Allow = allow
@@ -408,5 +472,55 @@ func TestFixtureCampaign(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("two identical campaigns differ beyond allowlist fields:\n%s\nvs\n%s", b1, b2)
+	}
+}
+
+// TestFixtureCampaign runs go test once per mutant of package campaign:
+// the kills and survivors land where the fixture's tests say they
+// must, and match what the replayed campaign assumes.
+func TestFixtureCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go test once per fixture mutant")
+	}
+	rep, err := Run(Config{
+		Root:     minimod,
+		Packages: map[string][]string{"campaign": {"./campaign"}},
+		Shadow:   filepath.Join(t.TempDir(), "shadow"),
+		Short:    true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Tier != "full" {
+		t.Errorf("tier = %q, want full", rep.Tier)
+	}
+	total := rep.Total
+	if total.Killed == 0 {
+		t.Fatal("no mutants killed — fixture tests are not running")
+	}
+	if total.Survived == 0 {
+		t.Fatal("no mutants survived — Untested should leak survivors")
+	}
+	if total.Stillborn > 0 {
+		t.Errorf("%d stillborn mutants in fixture (all fixture mutants should compile)", total.Stillborn)
+	}
+	// Untested is uncovered: every one of its mutants must survive.
+	var untestedSurvivors int
+	for _, s := range rep.Packages[0].Survivors {
+		if strings.HasPrefix(s.ID, "campaign/campaign.go:Untested:") {
+			untestedSurvivors++
+		}
+		if s.Allowlisted {
+			t.Errorf("survivor %s allowlisted with empty allowlist", s.ID)
+		}
+		if !recordedSurvivors[s.ID] {
+			t.Errorf("survivor %s is recorded as killed", s.ID)
+		}
+	}
+	if untestedSurvivors < 4 {
+		t.Errorf("only %d survivors in Untested (want its relswap, offbyone, boolnegate and branchdel mutants)", untestedSurvivors)
+	}
+	if untestedSurvivors != total.Survived {
+		t.Errorf("%d survivors, %d of them recorded", total.Survived, untestedSurvivors)
 	}
 }

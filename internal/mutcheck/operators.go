@@ -22,15 +22,14 @@ type Operator struct {
 	Apply func(n ast.Node) (undo func())
 }
 
-// Operators is the fixed operator suite, in enumeration order. The
-// order is part of the deterministic site identity contract — append
-// only.
+// Operators is the fixed operator suite, in enumeration order. A
+// site's identity names its operator, so adding or removing one leaves
+// the other operators' sites alone.
 var Operators = []*Operator{
 	opRelSwap,
 	opOffByOne,
 	opBoolNegate,
 	opBranchDel,
-	opConstRet,
 	opOrderSwap,
 }
 
@@ -166,48 +165,6 @@ var opBranchDel = &Operator{
 		old := s.Body.List
 		s.Body.List = nil
 		return func() { s.Body.List = old }
-	},
-}
-
-var opConstRet = &Operator{
-	Name: "constret",
-	Doc:  "perturb a returned constant (integer literal +1, true <-> false)",
-	Match: func(path []ast.Node, n ast.Node) bool {
-		if len(path) == 0 {
-			return false
-		}
-		if _, ok := path[len(path)-1].(*ast.ReturnStmt); !ok {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.BasicLit:
-			if v.Kind != token.INT {
-				return false
-			}
-			_, err := strconv.ParseInt(v.Value, 0, 32)
-			return err == nil
-		case *ast.Ident:
-			return v.Name == "true" || v.Name == "false"
-		}
-		return false
-	},
-	Apply: func(n ast.Node) func() {
-		switch v := n.(type) {
-		case *ast.BasicLit:
-			old := v.Value
-			i, _ := strconv.ParseInt(old, 0, 64)
-			v.Value = strconv.FormatInt(i+1, 10)
-			return func() { v.Value = old }
-		case *ast.Ident:
-			old := v.Name
-			if old == "true" {
-				v.Name = "false"
-			} else {
-				v.Name = "true"
-			}
-			return func() { v.Name = old }
-		}
-		panic("mutcheck: constret applied to non-literal node")
 	},
 }
 

@@ -126,10 +126,22 @@ func UnmarshalReport(data []byte) (*Report, error) {
 
 // Compare diffs a fresh report against the committed baseline: the
 // kill ratio may rise but never fall, per package and in total, and
-// no baseline package may disappear. Returns the number of failures,
-// writing one line per failure (and per informational note) to out.
+// no baseline package may disappear. A ratio compares only like with
+// like, so the tier, the cap and each package's site count must match
+// the baseline's too. Returns the number of failures, writing one line
+// per failure (and per informational note) to out.
 func Compare(base, fresh *Report, out io.Writer) int {
 	failures := 0
+	mismatch := func(what string, got, want any) {
+		fmt.Fprintf(out, "FAIL %s: %v in this run, %v in the baseline (re-record it with -write)\n", what, got, want)
+		failures++
+	}
+	if fresh.Tier != base.Tier {
+		mismatch("tier", fresh.Tier, base.Tier)
+	}
+	if fresh.Cap != base.Cap {
+		mismatch("cap per package", fresh.Cap, base.Cap)
+	}
 	byName := make(map[string]*PackageReport, len(fresh.Packages))
 	for i := range fresh.Packages {
 		byName[fresh.Packages[i].Package] = &fresh.Packages[i]
@@ -142,6 +154,9 @@ func Compare(base, fresh *Report, out io.Writer) int {
 			continue
 		}
 		delete(byName, b.Package)
+		if got.Sites != b.Sites {
+			mismatch(b.Package+" sites", got.Sites, b.Sites)
+		}
 		if got.KillRatio < b.KillRatio {
 			fmt.Fprintf(out, "FAIL %s: kill ratio %.3f fell below baseline %.3f (%d/%d killed vs %d/%d)\n",
 				b.Package, got.KillRatio, b.KillRatio,

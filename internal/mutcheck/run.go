@@ -178,7 +178,7 @@ func preflight(cfg Config, shadow string) error {
 	if cfg.Progress != nil {
 		fmt.Fprintf(cfg.Progress, "preflight: go test %s\n", strings.Join(union, " "))
 	}
-	outcome, out, err := goTest(cfg, shadow, union, 10*cfg.testTimeout())
+	outcome, out, err := runTests(cfg, shadow, union, 10*cfg.testTimeout())
 	if err != nil {
 		return err
 	}
@@ -210,7 +210,7 @@ func runMutant(cfg Config, shadow string, site Site, targets []string) (Outcome,
 	// mutated package's own tests), so most kills never pay for the
 	// heavier downstream test binaries.
 	for _, target := range targets {
-		outcome, _, err := goTest(cfg, shadow, []string{target}, cfg.testTimeout())
+		outcome, _, err := runTests(cfg, shadow, []string{target}, cfg.testTimeout())
 		if err != nil {
 			return "", err
 		}
@@ -220,6 +220,11 @@ func runMutant(cfg Config, shadow string, site Site, targets []string) (Outcome,
 	}
 	return Survived, nil
 }
+
+// runTests is the campaign's one test runner: the preflight and every
+// mutant verdict go through it. It is a variable only so the package's
+// tests can replay a recorded campaign in milliseconds.
+var runTests = goTest
 
 // goTest runs one `go test` invocation in dir and classifies the
 // result: Survived (all pass), Stillborn (build/vet failure), or

@@ -4,8 +4,7 @@ import "testing"
 
 // The tests hit every boundary the operators perturb: exact threshold
 // values (kills relswap/offbyone), both sides of each branch (kills
-// boolnegate/branchdel/constret), and sign/limit asymmetries (kills
-// orderswap).
+// boolnegate/branchdel), and sign/limit asymmetries (kills orderswap).
 func TestClamp(t *testing.T) {
 	cases := []struct{ v, lo, hi, want int }{
 		{-5, 0, 10, 0},
@@ -18,12 +17,6 @@ func TestClamp(t *testing.T) {
 		if got := Clamp(c.v, c.lo, c.hi); got != c.want {
 			t.Errorf("Clamp(%d,%d,%d) = %d, want %d", c.v, c.lo, c.hi, got, c.want)
 		}
-	}
-}
-
-func TestLast(t *testing.T) {
-	if got := Last([]int{7, 9}); got != 9 {
-		t.Errorf("Last = %d, want 9", got)
 	}
 }
 

@@ -198,89 +198,3 @@ func callSnoop(fn func(coherence.State, coherence.BusOp) (coherence.State, coher
 	next, act = fn(s, op)
 	return next, act, ""
 }
-
-// DiffExplore runs MESI and MESIC in lockstep over every interleaving
-// in which no requester ever samples an asserted dirty line (in either
-// protocol), and verifies the two executions are indistinguishable:
-// identical joint states, identical bus transactions, identical snoop
-// results. This is §3.2's containment claim — MESIC changes protocol
-// behaviour only for dirty sharing — verified over the full pruned
-// state space rather than sampled traces.
-func DiffExplore(n int) (states int, violations []Violation) {
-	mesi, mesic := MESI(), MESIC()
-	type pair struct{ a, b []coherence.State }
-	start := pair{make([]coherence.State, n), make([]coherence.State, n)}
-	seen := map[string]bool{key(start.a) + "|" + key(start.b): true}
-	queue := []pair{start}
-	states = 1
-	addViolation := func(format string, args ...any) {
-		if len(violations) < maxViolations {
-			violations = append(violations, Violation{Kind: "differential", Message: fmt.Sprintf(format, args...)})
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for i := 0; i < n; i++ {
-			sigA, sigB := signalsFor(cur.a, i), signalsFor(cur.b, i)
-			if sigA.Dirty || sigB.Dirty {
-				continue // dirty sharing: the protocols are allowed to diverge
-			}
-			if sigA != sigB {
-				addViolation("signal divergence at %s vs %s: cache %d samples %+v under MESI, %+v under MESIC",
-					fmtStates(cur.a), fmtStates(cur.b), i, sigA, sigB)
-				continue
-			}
-			for _, op := range procOps {
-				nextA, busA, panicA := stepLockstep(mesi, cur.a, i, op, sigA)
-				nextB, busB, panicB := stepLockstep(mesic, cur.b, i, op, sigB)
-				if panicA != "" || panicB != "" {
-					addViolation("panic on dirty-free input (%v by cache %d at %s): MESI=%q MESIC=%q",
-						op, i, fmtStates(cur.a), panicA, panicB)
-					continue
-				}
-				if busA != busB {
-					addViolation("bus divergence: cache %d %v at %s emits %v under MESI but %v under MESIC",
-						i, op, fmtStates(cur.a), busA, busB)
-				}
-				if key(nextA) != key(nextB) {
-					addViolation("state divergence after cache %d %v at %s: MESI → %s, MESIC → %s",
-						i, op, fmtStates(cur.a), fmtStates(nextA), fmtStates(nextB))
-				}
-				k := key(nextA) + "|" + key(nextB)
-				if !seen[k] {
-					seen[k] = true
-					states++
-					queue = append(queue, pair{nextA, nextB})
-				}
-			}
-		}
-	}
-	return states, violations
-}
-
-// stepLockstep is Exploration.step without the reachability recording,
-// for the differential BFS.
-func stepLockstep(p *Protocol, st []coherence.State, i int, op coherence.ProcOp, sig coherence.Signals) (next []coherence.State, bus coherence.BusOp, panicMsg string) {
-	nextI, busOp, pmsg := callProc(p.Proc, st[i], op, sig)
-	if pmsg != "" {
-		return nil, coherence.BusNone, pmsg
-	}
-	next = make([]coherence.State, len(st))
-	copy(next, st)
-	next[i] = nextI
-	if busOp == coherence.BusNone {
-		return next, busOp, ""
-	}
-	for j := range st {
-		if j == i {
-			continue
-		}
-		nextJ, _, pmsg := callSnoop(p.Snoop, st[j], busOp)
-		if pmsg != "" {
-			return nil, busOp, pmsg
-		}
-		next[j] = nextJ
-	}
-	return next, busOp, ""
-}

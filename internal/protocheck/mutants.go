@@ -52,6 +52,21 @@ var mutants = map[string]func() *Protocol{
 		}
 		return p
 	},
+	// panic-on-lone-c-write rejects a write by a C copy that sees no
+	// dirty signal: the input of a lone C copy whose partners were
+	// replaced, which the BFS (it does not model replacement) never
+	// produces, so only the totality scan sees it.
+	"panic-on-lone-c-write": func() *Protocol {
+		p := MESIC()
+		p.Name = "MESIC(panic-on-lone-c-write)"
+		p.Proc = func(s coherence.State, op coherence.ProcOp, sig coherence.Signals) (coherence.State, coherence.BusOp) {
+			if s == coherence.Communication && op == coherence.PrWr && !sig.Dirty {
+				panic("protocheck: seeded mutant panic")
+			}
+			return coherence.MESICProc(s, op, sig)
+		}
+		return p
+	},
 	// keep-owner-on-busupg lets the old owner keep write-back duty when
 	// another sharer writes, so the block has two dirty owners.
 	"keep-owner-on-busupg": func() *Protocol {

@@ -5,7 +5,7 @@
 // functions the simulated caches run: internal/l2's private caches
 // drive MESI or the write-update protocol, and CMP-NuRAPID in
 // internal/core drives MESIC (MESI with in-situ communication off).
-// It checks them in three layers:
+// It checks them in two layers:
 //
 //  1. Totality: enumerate the complete single-cache input space
 //     (State × ProcOp × Signals for the processor side, State × BusOp
@@ -21,18 +21,12 @@
 //     input. The BFS also proves which snoop inputs are
 //     unreachable, justifying the panicking defaults in
 //     internal/coherence.
-//  3. Equivalence: a lockstep BFS of MESI and MESIC restricted to
-//     interleavings in which no requester ever samples an asserted
-//     dirty line, verifying the two protocols are trace-identical
-//     there — MESIC's divergence is confined to dirty sharing, the
-//     paper's §3.2 claim.
 //
-// A golden encoding of the paper's Figure 4 and of the update protocol
-// (golden.go) pins the expected transition relation, so any drift in internal/coherence —
-// including re-introducing the deleted M→S arc — fails the check.
 // The package's own tests are the gate: TestRealProtocolsPassEverything
-// runs the whole battery and TestProtocolDoc keeps docs/PROTOCOL.md in
-// sync (`go generate ./internal/protocheck` refreshes it).
+// runs the whole battery, and TestProtocolDoc holds the code to the
+// transition tables committed in docs/PROTOCOL.md, so any change to a
+// transition (such as re-introducing the deleted M→S arc) fails until
+// `go generate ./internal/protocheck` re-records them.
 package protocheck
 
 import (
@@ -126,7 +120,7 @@ var allSignals = []coherence.Signals{
 // Violation is one check failure, with enough provenance to reproduce
 // it by hand.
 type Violation struct {
-	Kind    string // "safety", "c-exit", "stale", "panic", "totality", "unreachable", "golden", "differential"
+	Kind    string // "safety", "c-exit", "stale", "panic", "totality"
 	Message string
 }
 

@@ -8,9 +8,8 @@ import (
 )
 
 // TestRealProtocolsPassEverything is the headline acceptance check:
-// the three shipping protocols survive the complete battery — golden,
-// totality, N=2..4 BFS, snoop-panic cross-check, differential — with
-// zero violations.
+// the three shipping protocols survive the complete battery — totality
+// and the N=2..4 BFS — with zero violations.
 func TestRealProtocolsPassEverything(t *testing.T) {
 	r := CheckAll(4)
 	for _, v := range r.Violations {
@@ -103,6 +102,7 @@ func TestMutantsAreCaught(t *testing.T) {
 		"panic-on-shared-busrd": {"panic", "panicked on reachable input"},
 		"keep-owner-on-busupg":  {"safety", "more than one dirty owner"},
 		"skip-update-on-busupg": {"stale", "did not update"},
+		"panic-on-lone-c-write": {"totality", "panics on an in-protocol input"},
 	}
 	names := MutantNames()
 	if len(names) != len(want) {
@@ -142,34 +142,6 @@ func TestMutantUnknownName(t *testing.T) {
 	}
 }
 
-// TestGoldenCatchesDrift gives CheckGolden a protocol that claims to
-// be MESIC but has the deleted arc restored: the Figure 4 encoding
-// must flag the exact transition.
-func TestGoldenCatchesDrift(t *testing.T) {
-	p := MESIC()
-	p.Snoop = func(s coherence.State, op coherence.BusOp) (coherence.State, coherence.SnoopAction) {
-		if s == coherence.Modified && op == coherence.BusRd {
-			return coherence.Shared, coherence.Flush // MESI behaviour
-		}
-		return coherence.MESICSnoop(s, op)
-	}
-	violations := CheckGolden(p)
-	if len(violations) != 1 {
-		t.Fatalf("got %d golden violations, want 1: %v", len(violations), violations)
-	}
-	if !strings.Contains(violations[0].Message, "MESICSnoop(M, BusRd)") {
-		t.Errorf("violation does not name the drifted transition: %s", violations[0])
-	}
-}
-
-func TestGoldenCleanOnRealProtocols(t *testing.T) {
-	for _, p := range []*Protocol{MESI(), MESIC(), Update()} {
-		if v := CheckGolden(p); len(v) != 0 {
-			t.Errorf("%s drifts from Figure 4: %v", p.Name, v)
-		}
-	}
-}
-
 // TestTotalityCatchesPartialProc covers the totality layer with a
 // processor function that panics on an in-protocol input.
 func TestTotalityCatchesPartialProc(t *testing.T) {
@@ -189,43 +161,6 @@ func TestTotalityCatchesPartialProc(t *testing.T) {
 		if v.Kind != "totality" || !strings.Contains(v.Message, "(S, PrWr") {
 			t.Errorf("unexpected totality violation: %s", v)
 		}
-	}
-}
-
-// TestDifferentialEquivalence re-runs the lockstep BFS directly and
-// also checks it has real coverage: the dirty-free space still
-// exercises E, S and M.
-func TestDifferentialEquivalence(t *testing.T) {
-	states, violations := DiffExplore(4)
-	if len(violations) != 0 {
-		t.Errorf("MESI/MESIC diverge on dirty-free interleavings: %v", violations)
-	}
-	if states < 10 {
-		t.Errorf("differential explored only %d state pairs; pruning is too aggressive", states)
-	}
-}
-
-// TestDifferentialCatchesCleanPathDivergence seeds a divergence on a
-// clean-sharing path (E + BusRd flushes to I instead of S) and checks
-// the lockstep BFS — not just the invariants — would see it. Because
-// DiffExplore is fixed to the shipping protocols, this drives the
-// internals via stepLockstep.
-func TestDifferentialCatchesCleanPathDivergence(t *testing.T) {
-	mutant := MESIC()
-	mutant.Snoop = func(s coherence.State, op coherence.BusOp) (coherence.State, coherence.SnoopAction) {
-		if s == coherence.Exclusive && op == coherence.BusRd {
-			return coherence.Invalid, coherence.FlushClean
-		}
-		return coherence.MESICSnoop(s, op)
-	}
-	// E holder at cache 0, cache 1 reads: MESI keeps S+S, the mutant
-	// drops to I+S.
-	st := []coherence.State{coherence.Exclusive, coherence.Invalid}
-	sig := signalsFor(st, 1)
-	nextA, _, _ := stepLockstep(MESI(), st, 1, coherence.PrRd, sig)
-	nextB, _, _ := stepLockstep(mutant, st, 1, coherence.PrRd, sig)
-	if key(nextA) == key(nextB) {
-		t.Fatal("seeded clean-path divergence not visible to the lockstep step")
 	}
 }
 

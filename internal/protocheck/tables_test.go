@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"cmpnurapid/internal/coherence"
 )
 
 func TestProcTableContent(t *testing.T) {
@@ -81,5 +83,34 @@ func TestProtocolDoc(t *testing.T) {
 	}
 	if !DocInSync(doc, GenerateDoc(DocExplorations())) {
 		t.Error("docs/PROTOCOL.md generated block is stale; run `go generate ./internal/protocheck`")
+	}
+}
+
+// TestGoldenCatchesDrift: the committed tables are the golden record
+// of every transition. A MESIC that restores the M→S arc Figure 4b
+// deletes renders a snoop table the committed doc does not hold, at
+// the row of the drifted transition.
+func TestGoldenCatchesDrift(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := MESIC()
+	if table := real.SnoopTable(real.Explore(4)); !strings.Contains(string(doc), table) {
+		t.Fatalf("docs/PROTOCOL.md does not hold the MESIC snoop table:\n%s", table)
+	}
+	drifted := MESIC()
+	drifted.Snoop = func(s coherence.State, op coherence.BusOp) (coherence.State, coherence.SnoopAction) {
+		if s == coherence.Modified && op == coherence.BusRd {
+			return coherence.Shared, coherence.Flush // MESI behaviour
+		}
+		return coherence.MESICSnoop(s, op)
+	}
+	table := drifted.SnoopTable(drifted.Explore(4))
+	if strings.Contains(string(doc), table) {
+		t.Error("the committed doc holds the drifted MESIC snoop table")
+	}
+	if !strings.Contains(table, "| M | BusRd | **S** | Flush |") {
+		t.Errorf("drifted table does not show the restored arc:\n%s", table)
 	}
 }

@@ -66,26 +66,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p, i.e. the number of failures before the first success
-// (support 0, 1, 2, ...). For p >= 1 it returns 0.
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	n := 0
-	for !s.Bool(p) {
-		n++
-		if n >= 1<<20 { // safety bound; astronomically unlikely for sane p
-			break
-		}
-	}
-	return n
-}
-
 // Split returns a new Source whose seed is derived from this source's
 // stream. Independent subsystems each take a Split so that adding a
 // consumer does not perturb the draws seen by others.

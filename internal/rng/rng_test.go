@@ -88,33 +88,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(13)
-	const p, draws = 0.25, 50000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += s.Geometric(p)
-	}
-	mean := float64(sum) / draws
-	want := (1 - p) / p // mean of geometric counting failures
-	if math.Abs(mean-want)/want > 0.05 {
-		t.Errorf("Geometric(%v) mean = %.3f, want ~%.3f", p, mean, want)
-	}
-}
-
-func TestGeometricEdge(t *testing.T) {
-	s := New(17)
-	if got := s.Geometric(1); got != 0 {
-		t.Errorf("Geometric(1) = %d, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	s.Geometric(0)
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(5)
 	a := parent.Split()

@@ -64,9 +64,6 @@ func TestDefaultListsNamePackages(t *testing.T) {
 	for _, dir := range DefaultRestrictedPaths {
 		add("DefaultRestrictedPaths", dir)
 	}
-	for _, dir := range DefaultFloatComparePaths {
-		add("DefaultFloatComparePaths", dir)
-	}
 	for _, tgt := range DefaultCoverageTargets {
 		add("DefaultCoverageTargets", tgt.Rel)
 	}

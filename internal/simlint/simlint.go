@@ -189,7 +189,6 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewDeterminism(DefaultRestrictedPaths),
 		NewPanicMsg(),
-		NewFloatCompare(DefaultFloatComparePaths),
 		NewInvariantCoverage(DefaultCoverageTargets),
 		NewEnumSwitch(),
 		NewUnitCheck(),

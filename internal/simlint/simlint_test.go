@@ -235,7 +235,7 @@ func TestRunSortsDiagnosticsByPosition(t *testing.T) {
 
 func TestDefaultAnalyzersComplete(t *testing.T) {
 	want := map[string]bool{
-		"determinism": true, "panicmsg": true, "floatcmp": true,
+		"determinism": true, "panicmsg": true,
 		"invariantcov": true, "enumswitch": true,
 		"unitcheck": true, "recovercheck": true, "hotpath": true,
 	}

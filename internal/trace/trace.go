@@ -218,10 +218,3 @@ func (rp *Replayer) Next(core int) cmpsim.Op {
 	}
 	return cmpsim.Op{Compute: 1, NoMem: true}
 }
-
-// Rewind restarts replay from the beginning.
-func (rp *Replayer) Rewind() {
-	for i := range rp.pos {
-		rp.pos[i] = 0
-	}
-}

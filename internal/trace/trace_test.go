@@ -132,7 +132,7 @@ func TestRecordAndReplayMatchesGenerator(t *testing.T) {
 	}
 }
 
-func TestReplayerExhaustionAndRewind(t *testing.T) {
+func TestReplayerExhaustion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Record(&buf, workload.New(workload.Barnes(3)), 10); err != nil {
 		t.Fatal(err)
@@ -141,17 +141,12 @@ func TestReplayerExhaustionAndRewind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := rp.Next(1)
-	for i := 1; i < 10; i++ {
+	for i := 0; i < 10; i++ {
 		rp.Next(1)
 	}
 	// Exhausted: spins on compute ops.
 	if op := rp.Next(1); !op.NoMem {
 		t.Errorf("exhausted replayer returned %+v, want compute spin", op)
-	}
-	rp.Rewind()
-	if got := rp.Next(1); got != first {
-		t.Errorf("after Rewind: %+v, want %+v", got, first)
 	}
 }
 
