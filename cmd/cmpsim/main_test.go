@@ -85,6 +85,26 @@ func TestTraceOfOtherCoreCount(t *testing.T) {
 	}
 }
 
+// TestTraceWithZeroWorkOp: a trace record the simulator could not
+// execute (nomem with compute 0) is refused with one "cmpsim: trace: "
+// line and exit 1, before any simulation runs.
+func TestTraceWithZeroWorkOp(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint16(append([]byte{}, trace.Magic[:]...), trace.Version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 4)
+	rec := []byte{0, 1 << 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // core 0, nomem, compute 0
+	path := filepath.Join(t.TempDir(), "zero.trace")
+	if err := os.WriteFile(path, append(hdr, rec...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runCLI(t, "-trace", path, "-warmup", "100", "-instr", "100")
+	if code != 1 || stdout != "" {
+		t.Fatalf("exit %d, stdout %q; want exit 1 and no output", code, stdout)
+	}
+	if !strings.HasPrefix(stderr, "cmpsim: trace: ") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("stderr is not one cmpsim: trace: line: %q", stderr)
+	}
+}
+
 // TestOptInGolden pins the full stdout of the two opt-in designs, the
 // update-protocol private caches and CMP-DNUCA, on a commercial and a
 // multiprogrammed workload: per-core cycles, miss categories and bus

@@ -10,7 +10,7 @@
 // stdout; per-cell progress and timing go to stderr, so stdout is
 // byte-identical at any -parallel level (see docs/PARALLEL.md).
 //
-// A failing simulation (watchdog abort, cycle-ceiling abort, invariant
+// A failing simulation (cycle-ceiling abort, zero-work op, invariant
 // violation) does not take down the run: the failed cells' experiments
 // render as ERR lines, a failure report follows the tables, and the
 // process exits 1. -failfast restores abort-on-first-failure; the

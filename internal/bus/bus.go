@@ -91,7 +91,7 @@ func (b *Bus) Transact(now memsys.Cycle, op coherence.BusOp) (visibleAt memsys.C
 
 // Backlog reports how far the arbitration queue extends past now: the
 // delay a transaction issued at now would wait for a slot. It is a
-// diagnostic probe (forward-progress stall reports include it) and
+// diagnostic probe (cycle-limit reports include it) and
 // does not reserve anything.
 func (b *Bus) Backlog(now memsys.Cycle) memsys.Cycles {
 	if b.nextFree <= now {

@@ -67,15 +67,9 @@ type Config struct {
 	// ceiling derived from their instruction budget instead: a warmup
 	// has no user-meaningful cycle quota, and the derived ceiling
 	// already guarantees it cannot hang. 0 (the default) applies the
-	// derived per-phase ceiling to Run phases too, so even a watchdog
-	// bug cannot hang a run — see docs/ROBUSTNESS.md.
+	// derived per-phase ceiling to Run phases too, so no phase can run
+	// unbounded — see docs/ROBUSTNESS.md.
 	MaxCycles memsys.Cycles
-
-	// StallWindow is the forward-progress watchdog window: if no core
-	// retires an instruction for this many cycles (or scheduler steps),
-	// the run aborts with a *simguard.ProgressStall. 0 selects
-	// simguard.DefaultStallWindow.
-	StallWindow memsys.Cycles
 
 	// ExtraLatency, when non-nil, adds cycles to every L2 access the
 	// cores observe. It is simguard's latency fault-injection hook
@@ -123,7 +117,7 @@ type coreState struct {
 
 	// last* record the core's most recent memory reference. With one
 	// outstanding miss per core this is the reference a stalled core is
-	// stuck behind; stall diagnostics report it.
+	// stuck behind; the cycle-limit diagnostic reports it.
 	lastAddr     memsys.Addr
 	lastWrite    bool
 	lastInstr    bool
@@ -167,9 +161,6 @@ func (cfg Config) Validate() {
 	cache.ValidateArray[l1Line](cfg.l1Geometry())
 	if cfg.MaxCycles < 0 {
 		panic("cmpsim: negative MaxCycles (0 derives a ceiling from the instruction budget)")
-	}
-	if cfg.StallWindow < 0 {
-		panic("cmpsim: negative StallWindow (0 selects the default window)")
 	}
 }
 
@@ -332,24 +323,28 @@ func (s *System) access(core int, addr memsys.Addr, write, instr bool) memsys.Cy
 	return lat + res.Latency
 }
 
-// step executes one op on core and returns how many instructions it
-// retired (the forward-progress watchdog's observable).
-func (s *System) step(core int) (retired uint64) {
+// step executes one op on core. Every op must do work: a memory op
+// costs at least L1Latency cycles and a NoMem op its Compute cycles,
+// so a NoMem op with no compute — which would retire nothing and leave
+// the clock where it is — panics. Every step therefore advances the
+// core's clock, and the cycle ceiling alone bounds every phase.
+func (s *System) step(core int) {
 	op := s.stream.Next(core)
 	cs := s.cores[core]
 	if op.Compute > 0 {
 		cs.cycles = cs.cycles.Add(memsys.CyclesOf(op.Compute)) // CPI 1 for non-memory work
 		cs.instructions += uint64(op.Compute)
-		retired += uint64(op.Compute)
 	}
 	if op.NoMem {
-		return retired
+		if op.Compute <= 0 {
+			panic("cmpsim: zero-work op (NoMem with no compute) would stop the core's clock")
+		}
+		return
 	}
 	cs.lastAddr, cs.lastWrite, cs.lastInstr, cs.lastMemValid = op.Addr, op.Write, op.Instr, true
 	lat := s.access(core, op.Addr, op.Write, op.Instr)
 	cs.cycles = cs.cycles.Add(lat)
 	cs.instructions++
-	return retired + 1
 }
 
 // Warmup executes at least instrPerCore instructions per core without
@@ -433,20 +428,18 @@ const derivedCeilingSlack memsys.Cycles = 1 << 22
 // sweep over every core would have observed the crossing
 // (sched_ref_test.go keeps that sweep as the differential reference).
 //
-// Two simguard aborts bound the phase (docs/ROBUSTNESS.md): the
-// forward-progress watchdog panics with a *simguard.ProgressStall when
-// a full window passes without any core retiring an instruction, and
-// the cycle ceiling — Config.MaxCycles, or a generous budget derived
-// from instrPerCore when unset, both anchored at the phase's starting
-// clock — panics with a *simguard.CycleLimitExceeded even if the
-// watchdog itself is broken. Both checks observe the picked core's
-// pre-step clock (TestWatchdogTripIdenticalUnderHeap pins the
-// diagnostics against the reference loop).
+// Every step advances the picked core's clock (step refuses zero-work
+// ops), so the phase ends by completion or by crossing the cycle
+// ceiling (docs/ROBUSTNESS.md): Config.MaxCycles, or a generous budget
+// derived from instrPerCore when unset, both anchored at the phase's
+// starting clock. The check observes the picked core's pre-step clock
+// and panics with a *simguard.CycleLimitExceeded
+// (TestCeilingTripIdenticalUnderHeap pins the diagnostic against the
+// reference loop).
 //
 // hotpath:root
 func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(core int) bool) {
 	limit, derived := s.cycleCeiling(instrPerCore, phase)
-	wd := simguard.NewWatchdog(s.cfg.StallWindow)
 	remaining := 0
 	for i := range s.cores {
 		s.phaseDone[i] = complete(i)
@@ -466,29 +459,16 @@ func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(co
 			panic(&simguard.CycleLimitExceeded{
 				Limit: limit, Derived: derived, Now: now,
 				Design: s.l2.Name(), Workload: s.stream.Name(),
-				Cores: s.snapshotCores(),
+				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
 			})
 		}
 		if s.onStep != nil {
 			s.onStep(pick)
 		}
-		retired := s.step(pick)
+		s.step(pick)
 		if !s.phaseDone[pick] && complete(pick) {
 			s.phaseDone[pick] = true
 			remaining--
-		}
-		if wd.Observe(now, retired) {
-			// hotpath:alloc terminal stall diagnostic, built once just before panicking
-			stall := &simguard.ProgressStall{
-				Window: wd.Window(), Steps: wd.StepsSinceRetire(), Now: now,
-				Design: s.l2.Name(), Workload: s.stream.Name(),
-				Cores:      s.snapshotCores(),
-				BusBacklog: memsys.CyclesOf(-1),
-			}
-			if br, ok := s.l2.(memsys.BusBacklogReporter); ok {
-				stall.BusBacklog = br.BusBacklog(now)
-			}
-			panic(stall)
 		}
 	}
 }
@@ -525,11 +505,11 @@ func (s *System) cycleCeiling(instrPerCore uint64, phase phaseKind) (limit memsy
 	return limit.Add(budget), true
 }
 
-// snapshotCores captures every core's architectural state for a stall
-// or ceiling diagnostic, including the L2's view of the line behind
+// snapshotCores captures every core's architectural state for a
+// ceiling diagnostic, including the L2's view of the line behind
 // each core's most recent reference when the design can report it.
-//
-// hotpath:alloc abort-only diagnostic; runs at most once per phase
+// It runs only inside a panic's argument, which the hotpath rule
+// exempts.
 func (s *System) snapshotCores() []simguard.CoreSnapshot {
 	prober, _ := s.l2.(memsys.LineStateProber)
 	snaps := make([]simguard.CoreSnapshot, 0, len(s.cores))
@@ -546,6 +526,15 @@ func (s *System) snapshotCores() []simguard.CoreSnapshot {
 		snaps = append(snaps, snap)
 	}
 	return snaps
+}
+
+// busBacklog is the design's bus arbitration backlog at now, or -1
+// when it has no bus.
+func (s *System) busBacklog(now memsys.Cycle) memsys.Cycles {
+	if br, ok := s.l2.(memsys.BusBacklogReporter); ok {
+		return br.BusBacklog(now)
+	}
+	return memsys.CyclesOf(-1)
 }
 
 // CoreResult is one core's outcome.

@@ -1,90 +1,95 @@
 package cmpsim
 
 import (
+	"strings"
 	"testing"
 
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/simguard"
 )
 
-// livelockStream is the minimal livelock: zero-work ops forever. No
-// instruction ever retires and no clock ever advances, so only the
-// watchdog's step counter can catch it.
-type livelockStream struct{}
-
-func (livelockStream) Next(core int) Op { return Op{NoMem: true} }
-func (livelockStream) Name() string     { return "livelock-stub" }
-
-func TestWatchdogTripsOnZeroWorkStream(t *testing.T) {
-	cfg := smallCfg()
-	cfg.StallWindow = memsys.CyclesOf(256)
-	sys := New(cfg, sharedL2(), livelockStream{})
-	defer func() {
-		stall, ok := recover().(*simguard.ProgressStall)
-		if !ok {
-			t.Fatal("zero-work stream did not trip the watchdog")
-		}
-		if stall.Steps == 0 || stall.Steps > 512 {
-			t.Errorf("tripped after %d steps, want within ~256", stall.Steps)
-		}
-		if stall.Workload != "livelock-stub" {
-			t.Errorf("stall names workload %q", stall.Workload)
-		}
-		for _, cs := range stall.Cores {
-			if cs.OutstandingMiss {
-				t.Errorf("core %d reports a memory reference it never made", cs.Core)
-			}
-		}
-	}()
-	sys.Run(10)
+// zeroWorkAfter serves script's ops until it has served healthy of
+// them in total, across all cores, then zero-work ops: NoMem with no
+// compute, which retire nothing and would leave the clock where it is.
+type zeroWorkAfter struct {
+	script  *scriptedWorkload
+	healthy int
+	served  int
 }
 
+func (z *zeroWorkAfter) Name() string { return "zero-work-after" }
+func (z *zeroWorkAfter) Next(core int) Op {
+	if z.served < z.healthy {
+		z.served++
+		return z.script.Next(core)
+	}
+	return Op{NoMem: true}
+}
+
+// TestZeroWorkOpPanics: step refuses the first op that does no work,
+// at once, with a cmpsim: message — so every step advances a clock
+// and the cycle ceiling bounds every phase.
+func TestZeroWorkOpPanics(t *testing.T) {
+	const healthy = 9
+	ops := make([][]Op, 4)
+	for c := range ops {
+		for i := 0; i < healthy; i++ {
+			ops[c] = append(ops[c], Op{Compute: i % 2, Addr: memsys.Addr(0x10000*(c+1) + i*64), Write: i%3 == 0})
+		}
+	}
+	sys := New(smallCfg(), sharedL2(), &zeroWorkAfter{script: newScripted(ops), healthy: healthy})
+	steps := 0
+	sys.onStep = func(int) { steps++ }
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "cmpsim: ") {
+			t.Fatalf("zero-work op panicked with %v, want a cmpsim: message", r)
+		}
+		if steps != healthy+1 {
+			t.Errorf("panicked on step %d, want the first zero-work op, step %d", steps, healthy+1)
+		}
+	}()
+	sys.Run(1_000_000)
+}
+
+// TestStallSnapshotRecordsLastReference: one real store on core 0,
+// then compute-only ops, under a small MaxCycles: the ceiling
+// diagnostic must pin core 0's state to that reference and report no
+// reference for the cores that never made one.
 func TestStallSnapshotRecordsLastReference(t *testing.T) {
-	// One real store on core 0, then livelock: the stall diagnostic
-	// must pin core 0's state to that reference.
 	ops := make([][]Op, 4)
 	ops[0] = []Op{{Addr: 0x2000, Write: true}}
-	w := &partialLivelock{script: newScripted(ops), healthy: 1}
 	cfg := smallCfg()
-	cfg.StallWindow = memsys.CyclesOf(256)
-	sys := New(cfg, sharedL2(), w)
+	cfg.MaxCycles = memsys.CyclesOf(100)
+	sys := New(cfg, sharedL2(), newScripted(ops))
 	defer func() {
-		stall, ok := recover().(*simguard.ProgressStall)
+		lim, ok := recover().(*simguard.CycleLimitExceeded)
 		if !ok {
-			t.Fatal("expected a ProgressStall")
+			t.Fatal("expected a CycleLimitExceeded")
 		}
-		c0 := stall.Cores[0]
+		if lim.Design != "uniform-shared" || lim.Workload != "scripted" {
+			t.Errorf("diagnostic names %s/%s", lim.Design, lim.Workload)
+		}
+		c0 := lim.Cores[0]
 		if !c0.OutstandingMiss || c0.Addr != 0x2000 || !c0.Write {
 			t.Errorf("core 0 snapshot %+v does not record the store to 0x2000", c0)
 		}
 		if c0.LineState != "resident" {
 			t.Errorf("core 0 line state %q, want resident (shared L2 probe)", c0.LineState)
 		}
+		for _, cs := range lim.Cores[1:] {
+			if cs.OutstandingMiss {
+				t.Errorf("core %d reports a memory reference it never made", cs.Core)
+			}
+		}
 	}()
-	sys.Run(10)
-}
-
-// partialLivelock serves a few scripted ops per core, then livelocks.
-type partialLivelock struct {
-	script  *scriptedWorkload
-	healthy int
-	served  [4]int
-}
-
-func (p *partialLivelock) Name() string { return "partial-livelock" }
-func (p *partialLivelock) Next(core int) Op {
-	if p.served[core] < p.healthy {
-		p.served[core]++
-		return p.script.Next(core)
-	}
-	return Op{NoMem: true}
+	sys.Run(1_000_000)
 }
 
 func TestDerivedCycleCeiling(t *testing.T) {
 	// A pathological latency injection makes every access cost tens of
 	// millions of cycles: the ceiling derived from the instruction
-	// budget must abort the run even though instructions keep retiring
-	// (so the watchdog never fires).
+	// budget must abort the run even though instructions keep retiring.
 	cfg := smallCfg()
 	cfg.ExtraLatency = func(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Cycles {
 		return memsys.CyclesOf(50_000_000)
@@ -140,21 +145,14 @@ func TestExtraLatencySlowsTheRun(t *testing.T) {
 }
 
 func TestValidateRejectsNegativeGuards(t *testing.T) {
-	for name, mutate := range map[string]func(*Config){
-		"MaxCycles":   func(c *Config) { c.MaxCycles = memsys.CyclesOf(-1) },
-		"StallWindow": func(c *Config) { c.StallWindow = memsys.CyclesOf(-1) },
-	} {
-		cfg := smallCfg()
-		mutate(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("negative %s accepted by Validate", name)
-				}
-			}()
-			cfg.Validate()
-		}()
-	}
+	cfg := smallCfg()
+	cfg.MaxCycles = memsys.CyclesOf(-1)
+	defer func() {
+		if recover() == nil {
+			t.Error("negative MaxCycles accepted by Validate")
+		}
+	}()
+	cfg.Validate()
 }
 
 // TestValidateL1Boundaries: each L1 geometry and latency field is

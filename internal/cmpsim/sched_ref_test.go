@@ -1,9 +1,6 @@
 package cmpsim
 
-import (
-	"cmpnurapid/internal/memsys"
-	"cmpnurapid/internal/simguard"
-)
+import "cmpnurapid/internal/simguard"
 
 // This file keeps the original scheduler loop alive as a test-only
 // reference implementation. runUntil must produce the exact step
@@ -21,7 +18,6 @@ import (
 // that sweeps every core per iteration.
 func (s *System) runUntilScan(instrPerCore uint64, phase phaseKind, done func() bool) {
 	limit, derived := s.cycleCeiling(instrPerCore, phase)
-	wd := simguard.NewWatchdog(s.cfg.StallWindow)
 	for !done() {
 		pick := 0
 		for c, cs := range s.cores {
@@ -34,25 +30,13 @@ func (s *System) runUntilScan(instrPerCore uint64, phase phaseKind, done func() 
 			panic(&simguard.CycleLimitExceeded{
 				Limit: limit, Derived: derived, Now: now,
 				Design: s.l2.Name(), Workload: s.stream.Name(),
-				Cores: s.snapshotCores(),
+				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
 			})
 		}
 		if s.onStep != nil {
 			s.onStep(pick)
 		}
-		retired := s.step(pick)
-		if wd.Observe(now, retired) {
-			stall := &simguard.ProgressStall{
-				Window: wd.Window(), Steps: wd.StepsSinceRetire(), Now: now,
-				Design: s.l2.Name(), Workload: s.stream.Name(),
-				Cores:      s.snapshotCores(),
-				BusBacklog: memsys.CyclesOf(-1),
-			}
-			if br, ok := s.l2.(memsys.BusBacklogReporter); ok {
-				stall.BusBacklog = br.BusBacklog(now)
-			}
-			panic(stall)
-		}
+		s.step(pick)
 	}
 }
 

@@ -341,7 +341,7 @@ func (c *Cache) SetL1Invalidate(fn func(core int, addr memsys.Addr)) {
 // inclusion invalidations).
 func (c *Cache) MaintainsL1Coherence() {}
 
-// LineState implements memsys.LineStateProber for stall diagnostics:
+// LineState implements memsys.LineStateProber for cycle-limit diagnostics:
 // core's MESIC tag state for addr, or "I" without a tag entry.
 func (c *Cache) LineState(core int, addr memsys.Addr) string {
 	l := c.tags[core].Probe(addr.BlockAddr(c.cfg.BlockBytes))

@@ -6,7 +6,7 @@ import (
 )
 
 // Graceful degradation (docs/ROBUSTNESS.md): a panicking cell — a
-// simguard watchdog abort, an invariant violation, any bug in one
+// simguard cycle-ceiling abort, an invariant violation, any bug in one
 // (design, workload) simulation — must not take down the dozens of
 // healthy cells sharing the run. CapturePanic converts the panic into
 // a CellFailure at the cell boundary; the scheduler collects failures
@@ -21,7 +21,8 @@ type CellFailure struct {
 	// Error() for errors (simguard diagnostics), %v otherwise.
 	Diagnostic string
 	// Value is the recovered panic value, preserved so tests can
-	// assert on structured diagnostics (*simguard.ProgressStall, ...).
+	// assert on structured diagnostics (*simguard.CycleLimitExceeded,
+	// ...).
 	Value any
 	// Stack is the goroutine stack captured where the panic was first
 	// recovered — the simulation's stack, not a later cache read's.

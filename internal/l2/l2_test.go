@@ -151,7 +151,7 @@ func TestSNUCANoReplication(t *testing.T) {
 	}
 }
 
-// TestSharedDesignsLineState: the stall diagnostics of the three
+// TestSharedDesignsLineState: the cycle-limit diagnostics of the three
 // shared designs report residency, and SNUCA and DNUCA name the bank.
 func TestSharedDesignsLineState(t *testing.T) {
 	in, out := memsys.Addr(0x1040), memsys.Addr(0x2040)

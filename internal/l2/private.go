@@ -139,7 +139,7 @@ func (p *Private) StateOf(core int, addr memsys.Addr) coherence.State {
 	return l.Data.state
 }
 
-// LineState implements memsys.LineStateProber for stall diagnostics.
+// LineState implements memsys.LineStateProber for cycle-limit diagnostics.
 func (p *Private) LineState(core int, addr memsys.Addr) string {
 	return p.StateOf(core, addr).String()
 }

@@ -71,7 +71,7 @@ func (s *Shared) Stats() *memsys.L2Stats { return s.stats }
 // SetL1Invalidate implements memsys.L1Invalidator.
 func (s *Shared) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { s.l1inv = fn }
 
-// LineState implements memsys.LineStateProber for stall diagnostics:
+// LineState implements memsys.LineStateProber for cycle-limit diagnostics:
 // a monolithic shared cache has no per-core coherence state, so it
 // reports whether the block is resident.
 func (s *Shared) LineState(core int, addr memsys.Addr) string {

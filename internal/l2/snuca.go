@@ -203,7 +203,7 @@ func (s *SNUCA) BankOf(addr memsys.Addr) int {
 	return -1
 }
 
-// LineState implements memsys.LineStateProber for stall diagnostics:
+// LineState implements memsys.LineStateProber for cycle-limit diagnostics:
 // a shared design has no per-core coherence state, so it reports
 // residency and the bank holding the block, or under Static the one
 // bank it would live in.

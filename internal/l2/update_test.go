@@ -168,12 +168,45 @@ func TestUpdateEliminatesRWSMissesAtACost(t *testing.T) {
 	}
 }
 
+// TestUpdateWriteMissWithSharer pins the update-protocol write miss
+// on a block another core holds: an ROS miss that fetches with one
+// BusRd and counts its update as one BusUpg label with no second bus
+// transaction (DESIGN.md, key design decision 15). The writer becomes
+// the dirty owner O and the former exclusive holder a clean sharer S.
+func TestUpdateWriteMissWithSharer(t *testing.T) {
+	p := smallUpdate()
+	a := memsys.Addr(0x6000)
+	p.Access(0, 0, a, false)
+	bt := p.Stats().BusTransactions
+	rd, rdx, upg := bt.Count(memsys.LabelBusRd), bt.Count(memsys.LabelBusRdX), updates(p)
+	if r := p.Access(100, 1, a, true); r.Category != memsys.ROSMiss {
+		t.Errorf("write miss beside a clean holder: %v, want ROS miss", r.Category)
+	}
+	if got := updates(p) - upg; got != 1 {
+		t.Errorf("write miss counted %d BusUpg, want 1", got)
+	}
+	if got := bt.Count(memsys.LabelBusRd) - rd; got != 1 {
+		t.Errorf("write miss issued %d BusRd, want 1 (the fetch)", got)
+	}
+	if got := bt.Count(memsys.LabelBusRdX) - rdx; got != 0 {
+		t.Errorf("write miss issued %d BusRdX, want 0", got)
+	}
+	if st := p.LineState(1, a); st != "O" {
+		t.Errorf("writer after its write miss = %q, want O", st)
+	}
+	if st := p.LineState(0, a); st != "S" {
+		t.Errorf("former holder after another core's write miss = %q, want S", st)
+	}
+	p.CheckInvariants()
+}
+
 // TestUpdateLineStateTracksExclusivity: a cold fill with no other
 // copies installs exclusive (E, or M when dirty), while a fill that
 // finds an existing copy installs shared, and demotes an exclusive
 // holder: E to S, M to the dirty owner O. A sharer's write makes it the
 // owner and the former owner a clean sharer. LineState is the
-// stall-diagnostics window into those states, so it must be exact.
+// cycle-limit diagnostic's window into those states, so it must be
+// exact.
 func TestUpdateLineStateTracksExclusivity(t *testing.T) {
 	p := smallUpdate()
 	a, b := memsys.Addr(0x4000), memsys.Addr(0x5000)

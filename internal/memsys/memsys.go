@@ -107,7 +107,7 @@ type L1Invalidator interface {
 // LineStateProber is optionally implemented by L2 designs that can
 // report a human-readable coherence/residency state for core's view of
 // the block containing addr (e.g. "M", "C", "resident"). The simulator
-// uses it to enrich forward-progress stall diagnostics; it must not
+// uses it to enrich cycle-limit diagnostics; it must not
 // mutate any state (no LRU touch, no stat count).
 type LineStateProber interface {
 	LineState(core int, addr Addr) string
@@ -115,9 +115,9 @@ type LineStateProber interface {
 
 // BusBacklogReporter is optionally implemented by L2 designs built
 // around a snoopy bus: it reports the arbitration backlog a request
-// issued at now would face. Stall diagnostics include it so a livelock
-// caused by bus saturation is distinguishable from one caused by a
-// protocol bug.
+// issued at now would face. The cycle-limit diagnostic includes it so
+// a runaway clock caused by bus saturation is distinguishable from one
+// caused by a protocol bug.
 type BusBacklogReporter interface {
 	BusBacklog(now Cycle) Cycles
 }

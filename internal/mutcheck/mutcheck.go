@@ -113,7 +113,7 @@ var DefaultPackages = map[string][]string{
 	"internal/cmpsim":    {"./internal/cmpsim", "."},
 	"internal/coherence": {"./internal/coherence", "./internal/core", "./internal/l2", "."},
 	"internal/core":      {"./internal/core", "./internal/cmpsim", "."},
-	"internal/l2":        {"./internal/l2", "."},
+	"internal/l2":        {"./internal/l2", "./internal/cmpsim", "."},
 	"internal/memsys":    {"./internal/memsys", "./internal/bus", "./internal/cache", "./internal/core", "./internal/l2", "./internal/cmpsim", "."},
 }
 

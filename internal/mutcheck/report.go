@@ -11,8 +11,9 @@ import (
 type Outcome string
 
 const (
-	// Killed: the target tests failed (or timed out — the watchdogs
-	// turn livelocks into failures) against the mutant.
+	// Killed: the target tests failed (or timed out — the cycle
+	// ceilings turn runaway simulations into failures) against the
+	// mutant.
 	Killed Outcome = "killed"
 	// Survived: every target test passed with the mutant in place.
 	Survived Outcome = "survived"

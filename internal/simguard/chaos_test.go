@@ -114,76 +114,60 @@ func TestControlInjectorIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWatchdogCatchesLivelockMutant feeds the seeded livelock mutant —
-// healthy ops, then zero-work ops forever — into a full system and
-// requires the forward-progress watchdog to abort with a structured
-// ProgressStall within the configured window. The bound on Steps below
-// doubles as the detection-window gate for the event-driven scheduler
-// loop: if skip-ahead ever widened the window, the trip would land
-// outside ~window steps and this test would fail (cmpsim's
-// TestWatchdogTripIdenticalUnderHeap additionally pins the trip point
-// to the pre-heap scan loop exactly).
-func TestWatchdogCatchesLivelockMutant(t *testing.T) {
-	const window = 4096
-	mut := &workload.LivelockMutant{Inner: workload.New(workload.Hammer(7)), After: 200}
-	cfg := cmpsim.DefaultConfig()
-	cfg.StallWindow = memsys.CyclesOf(window)
-	sys := cmpsim.New(cfg, l2.NewPrivate(l2.MESI), mut)
-	defer func() {
-		stall, ok := recover().(*simguard.ProgressStall)
-		if !ok {
-			t.Fatal("livelock mutant did not trigger a ProgressStall")
-		}
-		if stall.Window != window {
-			t.Errorf("stall window %d, want %d", stall.Window, window)
-		}
-		if stall.Steps == 0 || stall.Steps > 2*window {
-			t.Errorf("watchdog fired after %d steps, want within ~%d", stall.Steps, window)
-		}
-		if stall.Design != "private" {
-			t.Errorf("stall design %q", stall.Design)
-		}
-		if !strings.Contains(stall.Workload, "livelock-mutant") {
-			t.Errorf("stall workload %q does not name the mutant", stall.Workload)
-		}
-		if len(stall.Cores) != topo.NumCores {
-			t.Errorf("stall snapshot covers %d cores", len(stall.Cores))
-		}
-		for _, cs := range stall.Cores {
-			if cs.OutstandingMiss && cs.LineState == "?" {
-				t.Errorf("core %d: private design should report a line state, got %q", cs.Core, cs.LineState)
-			}
-		}
-		if stall.BusBacklog < 0 {
-			t.Error("private design has a bus; backlog should be reported")
-		}
-		if !strings.HasPrefix(stall.Error(), "simguard: ") {
-			t.Errorf("diagnostic prefix: %q", stall.Error())
-		}
-	}()
-	sys.Run(1_000_000)
-}
-
 // TestCycleCeilingAborts: the hard MaxCycles ceiling fires with a
-// structured CycleLimitExceeded even on a healthy (retiring) workload.
+// structured CycleLimitExceeded even on a healthy (retiring) workload,
+// and the diagnostic is fully populated: every core's state, the line
+// state behind each core's last reference on the private (bus) design,
+// and the bus backlog where the design has a bus (-1 otherwise).
 func TestCycleCeilingAborts(t *testing.T) {
-	cfg := cmpsim.DefaultConfig()
-	cfg.MaxCycles = memsys.CyclesOf(1000)
-	sys := cmpsim.New(cfg, l2.NewPrivate(l2.MESI), workload.New(workload.Hammer(3)))
-	defer func() {
-		lim, ok := recover().(*simguard.CycleLimitExceeded)
-		if !ok {
-			t.Fatal("run past MaxCycles did not abort with CycleLimitExceeded")
-		}
-		if lim.Derived {
-			t.Error("explicit MaxCycles reported as derived")
-		}
-		if uint64(lim.Limit) != 1000 {
-			t.Errorf("limit %d, want 1000", uint64(lim.Limit))
-		}
-		if lim.Now <= lim.Limit {
-			t.Errorf("abort at clock %d not past limit %d", uint64(lim.Now), uint64(lim.Limit))
-		}
-	}()
-	sys.Run(10_000_000)
+	for _, tc := range []struct {
+		design memsys.L2
+		hasBus bool
+	}{{l2.NewPrivate(l2.MESI), true}, {l2.NewSNUCA(l2.Static), false}} {
+		design, hasBus := tc.design, tc.hasBus
+		t.Run(design.Name(), func(t *testing.T) {
+			cfg := cmpsim.DefaultConfig()
+			cfg.MaxCycles = memsys.CyclesOf(1000)
+			sys := cmpsim.New(cfg, design, workload.New(workload.Hammer(3)))
+			defer func() {
+				lim, ok := recover().(*simguard.CycleLimitExceeded)
+				if !ok {
+					t.Fatal("run past MaxCycles did not abort with CycleLimitExceeded")
+				}
+				if lim.Derived {
+					t.Error("explicit MaxCycles reported as derived")
+				}
+				if uint64(lim.Limit) != 1000 {
+					t.Errorf("limit %d, want 1000", uint64(lim.Limit))
+				}
+				if lim.Now <= lim.Limit {
+					t.Errorf("abort at clock %d not past limit %d", uint64(lim.Now), uint64(lim.Limit))
+				}
+				if lim.Design != design.Name() || lim.Workload != "adv-hammer" {
+					t.Errorf("diagnostic names %s/%s", lim.Design, lim.Workload)
+				}
+				if len(lim.Cores) != topo.NumCores {
+					t.Errorf("snapshot covers %d cores", len(lim.Cores))
+				}
+				for _, cs := range lim.Cores {
+					if !cs.OutstandingMiss {
+						t.Errorf("core %d made no memory reference in a hammer run", cs.Core)
+					}
+					if hasBus && cs.LineState == "?" {
+						t.Errorf("core %d: %s should report a line state, got %q", cs.Core, design.Name(), cs.LineState)
+					}
+				}
+				if hasBus && lim.BusBacklog < 0 {
+					t.Errorf("%s has a bus; backlog %d should be reported", design.Name(), lim.BusBacklog)
+				}
+				if !hasBus && lim.BusBacklog != -1 {
+					t.Errorf("%s has no bus; backlog %d, want -1", design.Name(), lim.BusBacklog)
+				}
+				if !strings.HasPrefix(lim.Error(), "simguard: ") {
+					t.Errorf("diagnostic prefix: %q", lim.Error())
+				}
+			}()
+			sys.Run(10_000_000)
+		})
+	}
 }

@@ -7,12 +7,12 @@ import (
 	"cmpnurapid/internal/memsys"
 )
 
-// This file defines the structured diagnostics the simulator aborts
-// with. They are panic values (the simulator's public API returns
-// Results, and an abort must unwind through arbitrary depth), but
-// structured ones: the experiment scheduler recovers them into
-// CellFailures, and tests assert on their fields instead of matching
-// message strings. Both types carry the `panicmsg:diagnostic` marker —
+// This file defines the structured diagnostic the simulator aborts
+// with. It is a panic value (the simulator's public API returns
+// Results, and an abort must unwind through arbitrary depth), but a
+// structured one: the experiment scheduler recovers it into a
+// CellFailure, and tests assert on its fields instead of matching
+// message strings. The type carries the `panicmsg:diagnostic` marker —
 // the simlint panicmsg rule accepts panics whose argument is a marked
 // diagnostic type, and TestDiagnosticsCarryPackagePrefix locks the
 // "simguard: " prefix the rule would otherwise have enforced.
@@ -51,53 +51,11 @@ func (c CoreSnapshot) String() string {
 		c.Core, uint64(c.Cycles), c.Instructions, miss)
 }
 
-// ProgressStall is the watchdog's abort diagnostic: no core retired an
-// instruction for a full window. It is thrown as a panic value by
-// cmpsim.System and recovered into a CellFailure by the experiment
-// scheduler.
-//
-// panicmsg:diagnostic
-type ProgressStall struct {
-	// Window is the configured stall window; Steps the scheduler steps
-	// taken since the last retirement when the watchdog fired.
-	Window memsys.Cycles
-	Steps  uint64
-	// Now is the laggard core's clock at abort.
-	Now memsys.Cycle
-	// Design and Workload identify the simulation.
-	Design   string
-	Workload string
-	// Cores is the per-core architectural state.
-	Cores []CoreSnapshot
-	// BusBacklog is the bus arbitration queue depth (cycles a request
-	// issued at Now would wait), or -1 when the design has no bus.
-	BusBacklog memsys.Cycles
-}
-
-// Error implements error. The message carries the package prefix the
-// repository's panic convention requires.
-func (p *ProgressStall) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "simguard: forward-progress stall: no instruction retired for %d steps (window %d cycles) at cycle %d on %s/%s",
-		p.Steps, int64(p.Window), uint64(p.Now), p.Design, p.Workload)
-	for _, c := range p.Cores {
-		b.WriteString("\n  " + c.String())
-	}
-	if p.BusBacklog >= 0 {
-		fmt.Fprintf(&b, "\n  bus arbitration backlog: %d cycles", int64(p.BusBacklog))
-	} else {
-		b.WriteString("\n  bus arbitration backlog: n/a (design has no bus)")
-	}
-	return b.String()
-}
-
-func (p *ProgressStall) String() string { return p.Error() }
-
 // CycleLimitExceeded is the hard-ceiling abort diagnostic: the global
 // clock passed cmpsim.Config.MaxCycles (or the budget derived from the
-// instruction quantum). It exists so that even a watchdog bug cannot
-// hang a run — the ceiling check is a one-line comparison with no
-// state machine to get wrong.
+// instruction quantum). Every op advances its core's clock, so the
+// ceiling alone ends every phase that does not complete — the check
+// is a one-line comparison with no state machine to get wrong.
 //
 // panicmsg:diagnostic
 type CycleLimitExceeded struct {
@@ -113,9 +71,14 @@ type CycleLimitExceeded struct {
 	Workload string
 	// Cores is the per-core architectural state.
 	Cores []CoreSnapshot
+	// BusBacklog is the bus arbitration queue depth (cycles a request
+	// issued at Now would wait), or -1 when the design has no bus: a
+	// saturated bus is one way a clock runs away.
+	BusBacklog memsys.Cycles
 }
 
-// Error implements error.
+// Error implements error. The message carries the package prefix the
+// repository's panic convention requires.
 func (c *CycleLimitExceeded) Error() string {
 	src := "explicit MaxCycles"
 	if c.Derived {
@@ -126,6 +89,11 @@ func (c *CycleLimitExceeded) Error() string {
 		uint64(c.Now), uint64(c.Limit), src, c.Design, c.Workload)
 	for _, cs := range c.Cores {
 		b.WriteString("\n  " + cs.String())
+	}
+	if c.BusBacklog >= 0 {
+		fmt.Fprintf(&b, "\n  bus arbitration backlog: %d cycles", int64(c.BusBacklog))
+	} else {
+		b.WriteString("\n  bus arbitration backlog: n/a (design has no bus)")
 	}
 	return b.String()
 }

@@ -15,10 +15,9 @@ var sprintfFuncs = map[string]bool{
 
 // diagnosticMarker marks a named type as a structured panic
 // diagnostic in its declaration doc comment. Panics whose argument is
-// a marked type (simguard.ProgressStall, simguard.CycleLimitExceeded)
-// are exempt from the constant-message requirement: the type's Error()
-// carries the "pkg: " prefix instead, and the declaring package's
-// tests lock that prefix.
+// a marked type (simguard.CycleLimitExceeded) are exempt from the
+// constant-message requirement: the type's Error() carries the "pkg: "
+// prefix instead, and the declaring package's tests lock that prefix.
 const diagnosticMarker = "panicmsg:diagnostic"
 
 // NewPanicMsg builds the panic-message-convention rule: every panic in

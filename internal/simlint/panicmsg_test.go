@@ -51,14 +51,14 @@ func TestPanicMsgAcceptsMarkedDiagnosticTypes(t *testing.T) {
 	diags := lintFixture(t, map[string]string{
 		"internal/guard/diag.go": `package guard
 
-// ProgressStall is a structured abort diagnostic.
+// Overrun is a structured abort diagnostic.
 //
 // panicmsg:diagnostic
-type ProgressStall struct {
+type Overrun struct {
 	Now uint64
 }
 
-func (p *ProgressStall) Error() string { return "guard: stall" }
+func (p *Overrun) Error() string { return "guard: overrun" }
 
 // Plain is NOT marked: panicking with it stays a violation.
 type Plain struct{}
@@ -68,7 +68,7 @@ type Plain struct{}
 import "fix.example/m/internal/guard"
 
 func Abort(now uint64) {
-	panic(&guard.ProgressStall{Now: now})
+	panic(&guard.Overrun{Now: now})
 }
 `,
 		"internal/sim/bad.go": `package sim

@@ -11,6 +11,9 @@
 //	  core u8 | flags u8 | compute u16 | addr u64
 //	flags: bit0 write, bit1 instr, bit2 nomem
 //
+// A nomem record must carry compute >= 1: the simulator refuses an op
+// that does no work, so the format refuses it too, on write and read.
+//
 // Records appear in the interleaved order they were drawn, so replay
 // hands each core its ops in the original per-core order regardless of
 // how the consuming simulator interleaves cores.
@@ -39,6 +42,9 @@ const (
 	flagInstr
 	flagNoMem
 )
+
+// errZeroWork refuses a record the simulator could not execute.
+var errZeroWork = errors.New("trace: zero-work op (nomem record with compute 0)")
 
 // Writer streams ops into a trace.
 type Writer struct {
@@ -69,6 +75,9 @@ func (t *Writer) Write(core int, op cmpsim.Op) error {
 	}
 	if op.Compute < 0 || op.Compute > 0xffff {
 		return fmt.Errorf("trace: compute %d does not fit in 16 bits", op.Compute)
+	}
+	if op.NoMem && op.Compute == 0 {
+		return errZeroWork
 	}
 	var rec [12]byte
 	rec[0] = byte(core)
@@ -164,6 +173,9 @@ func (t *Reader) Next() (core int, op cmpsim.Op, err error) {
 		Write:   flags&flagWrite != 0,
 		Instr:   flags&flagInstr != 0,
 		NoMem:   flags&flagNoMem != 0,
+	}
+	if op.NoMem && op.Compute == 0 {
+		return 0, cmpsim.Op{}, errZeroWork
 	}
 	return core, op, nil
 }

@@ -44,6 +44,8 @@ func TestRoundTripSingleOp(t *testing.T) {
 	}
 }
 
+// TestRoundTripProperty: every op the format accepts round-trips, and
+// a zero-work op (nomem, compute 0) is refused on write and on read.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(core uint8, compute uint16, addr uint64, write, instr, nomem bool) bool {
 		var buf bytes.Buffer
@@ -53,6 +55,17 @@ func TestRoundTripProperty(t *testing.T) {
 			Write: write, Instr: instr, NoMem: nomem,
 		}
 		c := int(core) % topo.NumCores
+		if nomem && compute == 0 {
+			rec := append(header(topo.NumCores), byte(c), flagNoMem, 0, 0)
+			rec = binary.LittleEndian.AppendUint64(rec, addr)
+			r, err := NewReader(bytes.NewReader(rec))
+			if err != nil {
+				return false
+			}
+			_, _, rerr := r.Next()
+			werr := w.Write(c, op)
+			return refused(werr) && refused(rerr) && w.Count() == 0
+		}
 		if err := w.Write(c, op); err != nil {
 			return false
 		}
@@ -67,6 +80,17 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// Random draws almost never hit compute 0 with nomem set.
+	for core := uint8(0); core < topo.NumCores; core++ {
+		if !f(core, 0, 0x40*uint64(core), core%2 == 0, core >= 2, true) {
+			t.Errorf("zero-work op for core %d not refused on write and read", core)
+		}
+	}
+}
+
+// refused reports whether err is a trace: error.
+func refused(err error) bool {
+	return err != nil && strings.HasPrefix(err.Error(), "trace: ")
 }
 
 func TestBadMagic(t *testing.T) {

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"cmpnurapid/internal/cmpsim"
-	"cmpnurapid/internal/topo"
-)
+import "cmpnurapid/internal/cmpsim"
 
 // Adversarial workloads for simguard's chaos sweep (docs/ROBUSTNESS.md).
 // Unlike the calibrated Table 3 profiles, these are deliberately
@@ -65,8 +62,8 @@ func MaxThreads(seed uint64) Profile {
 // ZeroFootprint is a workload that touches no memory at all: every op
 // is pure compute. The memory system sees zero traffic while the cores
 // still retire instructions — the degenerate end of the footprint
-// axis. (Compute is 1, not 0: a zero-work op stream is the livelock
-// the watchdog exists to catch; see LivelockMutant.)
+// axis. (Compute is 1, not 0: cmpsim refuses an op that does no
+// work.)
 type ZeroFootprint struct{}
 
 // Name implements cmpsim.Workload.
@@ -94,37 +91,8 @@ func (s SingleThreaded) Next(core int) cmpsim.Op {
 	return cmpsim.Op{Compute: 1, NoMem: true}
 }
 
-// LivelockMutant is the seeded livelock used to prove the watchdog
-// fires (the unitmutants/protocheck-mutant pattern: a deliberately
-// broken artifact the guard must catch). Each core runs the inner
-// workload for After ops, then emits zero-work ops forever — no
-// instruction retires and no clock advances, the livelock shape only
-// the watchdog's step counter can see.
-type LivelockMutant struct {
-	Inner cmpsim.Workload
-	// After is the number of healthy ops per core before the stream
-	// livelocks.
-	After uint64
-
-	issued [topo.NumCores]uint64
-}
-
-// Name implements cmpsim.Workload.
-func (m *LivelockMutant) Name() string { return m.Inner.Name() + "-livelock-mutant" }
-
-// Next implements cmpsim.Workload.
-func (m *LivelockMutant) Next(core int) cmpsim.Op {
-	if m.issued[core] < m.After {
-		m.issued[core]++
-		return m.Inner.Next(core)
-	}
-	// Zero compute and NoMem: retires nothing, advances no clock.
-	return cmpsim.Op{NoMem: true}
-}
-
 // Adversarial returns the chaos sweep's workload catalog at the given
-// seed. LivelockMutant is deliberately absent: it is not a workload
-// that should pass, it is the mutant the watchdog test feeds in.
+// seed.
 func Adversarial(seed uint64) []cmpsim.Workload {
 	return []cmpsim.Workload{
 		New(Hammer(seed)),

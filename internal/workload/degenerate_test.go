@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 
 	"cmpnurapid/internal/cmpsim"
@@ -144,25 +143,5 @@ func TestSingleThreadedIdlesOtherCores(t *testing.T) {
 		if !op.NoMem || op.Compute != 1 {
 			t.Errorf("core %d op %+v, want idle compute", c, op)
 		}
-	}
-}
-
-func TestLivelockMutantGoesQuietAfterN(t *testing.T) {
-	m := &LivelockMutant{Inner: New(Hammer(8)), After: 5}
-	for c := 0; c < topo.NumCores; c++ {
-		for i := 0; i < 5; i++ {
-			if op := m.Next(c); op.NoMem && op.Compute == 0 {
-				t.Fatalf("core %d livelocked at op %d, healthy budget is 5", c, i)
-			}
-		}
-		for i := 0; i < 10; i++ {
-			op := m.Next(c)
-			if !op.NoMem || op.Compute != 0 {
-				t.Fatalf("core %d op %+v after budget, want zero-work op", c, op)
-			}
-		}
-	}
-	if !strings.Contains(m.Name(), "livelock-mutant") {
-		t.Errorf("mutant name %q", m.Name())
 	}
 }
