@@ -28,20 +28,6 @@ var designs = []experiments.DesignName{
 	experiments.PrivateUpdate, experiments.DNUCA,
 }
 
-func workloadByName(name string, seed uint64) (cmpsim.Workload, bool) {
-	for _, p := range workload.Multithreaded(seed) {
-		if p.Name == name {
-			return workload.New(p), true
-		}
-	}
-	for _, m := range workload.Mixes(seed) {
-		if m.Name() == name {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -114,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*wl = *traceIn
 	} else {
 		var ok bool
-		w, ok = workloadByName(*wl, *seed)
+		w, ok = workload.ByName(*wl, *seed)
 		if !ok {
 			fmt.Fprintf(stderr, "cmpsim: unknown workload %q (try -list)\n", *wl)
 			return 2
@@ -149,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			s.PointerReturns, s.Replications, s.Promotions, s.Demotions)
 	}
 	if *baseline && *design != string(experiments.UniformShared) {
-		wb, _ := workloadByName(*wl, *seed)
+		wb, _ := workload.ByName(*wl, *seed)
 		base := experiments.Run(experiments.UniformShared, wb, rc)
 		fmt.Fprintf(stdout, "\nweighted speedup over uniform-shared: %.3fx\n", cmpsim.Speedup(res, base))
 	}

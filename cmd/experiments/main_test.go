@@ -245,7 +245,7 @@ func TestCellFailureStillRendersOthers(t *testing.T) {
 		t.Error("failed fig7 rendered a table anyway")
 	}
 	if !strings.Contains(stdout, "FAILURE REPORT:") ||
-		!strings.Contains(stdout, "simguard: cycle limit exceeded") {
+		!strings.Contains(stdout, "cmpsim: cycle limit exceeded") {
 		t.Errorf("failure report missing or unstructured:\n%s", stdout)
 	}
 	if !strings.Contains(stdout, "explicit MaxCycles") {

@@ -18,7 +18,8 @@
 // enumerates every site for local audits. Surviving mutants are
 // printed with their ID (file:func:op:index), file:line:col, and the
 // exact before => after diff; a survivor not allowlisted in MUTATION_allow (with a
-// mandatory `mutcheck:survives <reason>`) fails the run.
+// mandatory `mutcheck:survives <reason>`) fails the run, and so does an
+// allowlist entry that names no site of a package the run covers.
 //
 // Exit status: 0 clean, 1 reason-less survivor or baseline
 // regression, 2 usage/load errors.
@@ -148,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rep, err := mutcheck.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "mutcheck:", err)
+		fmt.Fprintln(stderr, "mutcheck:", strings.TrimPrefix(err.Error(), "mutcheck: "))
 		return 2
 	}
 

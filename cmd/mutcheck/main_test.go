@@ -13,7 +13,7 @@ func TestListPrintsOperatorsAndPackages(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"relswap", "offbyone", "boolnegate", "branchdel", "orderswap",
+	for _, want := range []string{"relswap", "offbyone", "boolnegate", "branchdel",
 		"internal/cache", "internal/cmpsim", "./internal/l2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-list output missing %q:\n%s", want, out)

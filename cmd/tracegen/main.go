@@ -18,20 +18,6 @@ import (
 	"cmpnurapid/internal/workload"
 )
 
-func pick(name string, seed uint64) (cmpsim.Workload, bool) {
-	for _, p := range workload.Multithreaded(seed) {
-		if p.Name == name {
-			return workload.New(p), true
-		}
-	}
-	for _, m := range workload.Mixes(seed) {
-		if m.Name() == name {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -63,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ops <= 0 {
 		return usage("-ops must be positive, got %d", *ops)
 	}
-	src, ok := pick(*wl, *seed)
+	src, ok := workload.ByName(*wl, *seed)
 	if !ok {
 		return usage("unknown workload %q", *wl)
 	}

@@ -30,13 +30,6 @@ type Config struct {
 	// SlotCycles is the issue interval of the pipelined bus: a new
 	// transaction can start every SlotCycles.
 	SlotCycles memsys.Cycles
-	// GrantJitter, when non-nil, returns an extra arbitration delay
-	// applied to each transaction before its slot is granted. It is a
-	// fault-injection hook (internal/simguard): chaos runs perturb bus
-	// arbitration deterministically from a seeded source, and a nil
-	// hook (the default everywhere outside chaos tests) leaves timing
-	// bit-identical to a bus without the hook.
-	GrantJitter func(now memsys.Cycle) memsys.Cycles
 }
 
 // DefaultConfig matches the paper's Table 1 bus.
@@ -74,15 +67,7 @@ func New(cfg Config, stats *memsys.L2Stats) *Bus {
 //
 // hotpath:root
 func (b *Bus) Transact(now memsys.Cycle, op coherence.BusOp) (visibleAt memsys.Cycle) {
-	grant := now
-	if b.cfg.GrantJitter != nil {
-		if j := b.cfg.GrantJitter(now); j > 0 {
-			grant = grant.Add(j)
-		}
-	}
-	if b.nextFree > grant {
-		grant = b.nextFree
-	}
+	grant := max(now, b.nextFree)
 	b.nextFree = grant.Add(b.cfg.SlotCycles)
 	b.stats.BusTransactions.Inc(op.String())
 	b.stats.BusWait += grant.Sub(now)
@@ -94,10 +79,7 @@ func (b *Bus) Transact(now memsys.Cycle, op coherence.BusOp) (visibleAt memsys.C
 // diagnostic probe (cycle-limit reports include it) and
 // does not reserve anything.
 func (b *Bus) Backlog(now memsys.Cycle) memsys.Cycles {
-	if b.nextFree <= now {
-		return 0
-	}
-	return b.nextFree.Sub(now)
+	return max(b.nextFree, now).Sub(now)
 }
 
 // Latency returns the configured end-to-end latency.
@@ -114,10 +96,7 @@ type Port struct {
 // Acquire reserves the port at cycle now for dur cycles and returns the
 // cycle at which the access starts (>= now if the port was busy).
 func (p *Port) Acquire(now memsys.Cycle, dur memsys.Cycles) (start memsys.Cycle) {
-	start = now
-	if p.nextFree > start {
-		start = p.nextFree
-	}
+	start = max(now, p.nextFree)
 	p.nextFree = start.Add(dur)
 	return start
 }

@@ -147,37 +147,6 @@ func TestPortZeroValueUsable(t *testing.T) {
 	}
 }
 
-func TestGrantJitterDelaysGrant(t *testing.T) {
-	for _, j := range []memsys.Cycles{1, 10} {
-		b, s := newBus(Config{Latency: 32, SlotCycles: 4,
-			GrantJitter: func(now memsys.Cycle) memsys.Cycles { return j }})
-		if got, want := b.Transact(0, coherence.BusRd), memsys.Cycle(0).Add(j+32); got != want {
-			t.Errorf("jitter %d: transaction visible at %d, want %d (jitter + 32 latency)", j, got, want)
-		}
-		if s.BusWait != j {
-			t.Errorf("jitter %d: BusWait = %d (jitter counts as arbitration wait)", j, s.BusWait)
-		}
-	}
-}
-
-func TestGrantJitterNilIsBitIdentical(t *testing.T) {
-	// The hook's zero value must leave the bus exactly as before the
-	// hook existed: same grants, same waits, for the same schedule.
-	plain, ps := newBus(Config{Latency: 32, SlotCycles: 4})
-	hooked, hs := newBus(Config{Latency: 32, SlotCycles: 4,
-		GrantJitter: func(now memsys.Cycle) memsys.Cycles { return 0 }})
-	for i := 0; i < 50; i++ {
-		now := memsys.Cycle(0).Add(memsys.CyclesOf(i * 3))
-		op := coherence.BusRd + coherence.BusOp(i%4) // BusRd..BusRepl
-		if a, b := plain.Transact(now, op), hooked.Transact(now, op); a != b {
-			t.Fatalf("step %d: plain %d != zero-jitter %d", i, a, b)
-		}
-	}
-	if ps.BusWait != hs.BusWait {
-		t.Errorf("wait cycles diverge: %d vs %d", ps.BusWait, hs.BusWait)
-	}
-}
-
 func TestBacklog(t *testing.T) {
 	b, _ := newBus(Config{Latency: 32, SlotCycles: 4})
 	if got := b.Backlog(0); got != 0 {

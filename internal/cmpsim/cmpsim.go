@@ -17,7 +17,6 @@ import (
 	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/cacti"
 	"cmpnurapid/internal/memsys"
-	"cmpnurapid/internal/simguard"
 	"cmpnurapid/internal/topo"
 )
 
@@ -58,7 +57,7 @@ type Config struct {
 	// MaxCycles is a hard cycle budget for each measurement Run phase:
 	// a Run whose laggard core advances more than MaxCycles beyond the
 	// phase's starting clock aborts with a
-	// *simguard.CycleLimitExceeded. The budget is anchored at the
+	// *CycleLimitExceeded. The budget is anchored at the
 	// phase's start — the maximum core clock when the phase begins —
 	// not at absolute cycle 0, so a Warmup (which deliberately never
 	// rewinds clocks) does not silently spend the measurement run's
@@ -70,11 +69,6 @@ type Config struct {
 	// derived per-phase ceiling to Run phases too, so no phase can run
 	// unbounded — see docs/ROBUSTNESS.md.
 	MaxCycles memsys.Cycles
-
-	// ExtraLatency, when non-nil, adds cycles to every L2 access the
-	// cores observe. It is simguard's latency fault-injection hook
-	// (chaos runs only; nil leaves timing bit-identical).
-	ExtraLatency func(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Cycles
 }
 
 // DefaultConfig matches the paper: 64 KB 2-way split I/D, 64 B blocks,
@@ -146,7 +140,7 @@ type System struct {
 	// step executes. It is a test-only hook: the reference-scan
 	// differential and tie-break tests record step-order traces
 	// through it. Production runs leave it nil (one predictable
-	// branch on the hot path, same discipline as ExtraLatency).
+	// branch on the hot path).
 	onStep func(core int)
 }
 
@@ -230,11 +224,6 @@ func (s *System) invalidateL1(core int, addr memsys.Addr) {
 // copy will then be dropped).
 func (s *System) l2Access(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Result {
 	res := s.l2.Access(now, core, addr, write)
-	if s.cfg.ExtraLatency != nil {
-		if extra := s.cfg.ExtraLatency(now, core, addr, write); extra > 0 {
-			res.Latency += extra
-		}
-	}
 	if s.directory {
 		for o := 0; o < topo.NumCores; o++ {
 			if o == core {
@@ -433,7 +422,7 @@ const derivedCeilingSlack memsys.Cycles = 1 << 22
 // ceiling (docs/ROBUSTNESS.md): Config.MaxCycles, or a generous budget
 // derived from instrPerCore when unset, both anchored at the phase's
 // starting clock. The check observes the picked core's pre-step clock
-// and panics with a *simguard.CycleLimitExceeded
+// and panics with a *CycleLimitExceeded
 // (TestCeilingTripIdenticalUnderHeap pins the diagnostic against the
 // reference loop).
 //
@@ -456,7 +445,7 @@ func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(co
 		}
 		now := s.cores[pick].cycles
 		if now > limit {
-			panic(&simguard.CycleLimitExceeded{
+			panic(&CycleLimitExceeded{
 				Limit: limit, Derived: derived, Now: now,
 				Design: s.l2.Name(), Workload: s.stream.Name(),
 				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
@@ -510,11 +499,11 @@ func (s *System) cycleCeiling(instrPerCore uint64, phase phaseKind) (limit memsy
 // each core's most recent reference when the design can report it.
 // It runs only inside a panic's argument, which the hotpath rule
 // exempts.
-func (s *System) snapshotCores() []simguard.CoreSnapshot {
+func (s *System) snapshotCores() []CoreSnapshot {
 	prober, _ := s.l2.(memsys.LineStateProber)
-	snaps := make([]simguard.CoreSnapshot, 0, len(s.cores))
+	snaps := make([]CoreSnapshot, 0, len(s.cores))
 	for i, cs := range s.cores {
-		snap := simguard.CoreSnapshot{
+		snap := CoreSnapshot{
 			Core: i, Cycles: cs.cycles, Instructions: cs.instructions,
 			OutstandingMiss: cs.lastMemValid,
 			Addr:            cs.lastAddr, Write: cs.lastWrite, Instr: cs.lastInstr,

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
-	"cmpnurapid/internal/simguard"
 )
 
 // zeroWorkAfter serves script's ops until it has served healthy of
@@ -63,7 +63,7 @@ func TestStallSnapshotRecordsLastReference(t *testing.T) {
 	cfg.MaxCycles = memsys.CyclesOf(100)
 	sys := New(cfg, sharedL2(), newScripted(ops))
 	defer func() {
-		lim, ok := recover().(*simguard.CycleLimitExceeded)
+		lim, ok := recover().(*CycleLimitExceeded)
 		if !ok {
 			t.Fatal("expected a CycleLimitExceeded")
 		}
@@ -87,22 +87,19 @@ func TestStallSnapshotRecordsLastReference(t *testing.T) {
 }
 
 func TestDerivedCycleCeiling(t *testing.T) {
-	// A pathological latency injection makes every access cost tens of
+	// A pathologically slow memory makes every L2 miss cost tens of
 	// millions of cycles: the ceiling derived from the instruction
 	// budget must abort the run even though instructions keep retiring.
-	cfg := smallCfg()
-	cfg.ExtraLatency = func(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Cycles {
-		return memsys.CyclesOf(50_000_000)
-	}
+	slow := l2.NewShared("slow-memory", 16<<10, 4, 64, 59, 50_000_000)
 	ops := make([][]Op, 4)
 	for c := range ops {
 		for i := 0; i < 100; i++ {
 			ops[c] = append(ops[c], Op{Addr: memsys.Addr(0x10000*(c+1) + i*64)})
 		}
 	}
-	sys := New(cfg, sharedL2(), newScripted(ops))
+	sys := New(smallCfg(), slow, newScripted(ops))
 	defer func() {
-		lim, ok := recover().(*simguard.CycleLimitExceeded)
+		lim, ok := recover().(*CycleLimitExceeded)
 		if !ok {
 			t.Fatal("runaway clock did not hit the derived ceiling")
 		}
@@ -114,34 +111,6 @@ func TestDerivedCycleCeiling(t *testing.T) {
 		}
 	}()
 	sys.Run(100)
-}
-
-func TestExtraLatencySlowsTheRun(t *testing.T) {
-	run := func(extra func(memsys.Cycle, int, memsys.Addr, bool) memsys.Cycles) memsys.Cycles {
-		ops := make([][]Op, 4)
-		for c := range ops {
-			for i := 0; i < 32; i++ {
-				ops[c] = append(ops[c], Op{Addr: memsys.Addr(0x10000*(c+1) + i*4096)})
-			}
-		}
-		cfg := smallCfg()
-		cfg.ExtraLatency = extra
-		sys := New(cfg, sharedL2(), newScripted(ops))
-		return sys.Run(32).Cycles
-	}
-	plain := run(nil)
-	noisy := run(func(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Cycles {
-		return memsys.CyclesOf(100)
-	})
-	if noisy <= plain {
-		t.Errorf("extra latency did not slow the run: %d vs %d", noisy, plain)
-	}
-	zero := run(func(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Cycles {
-		return 0
-	})
-	if zero != plain {
-		t.Errorf("zero extra latency perturbs the run: %d vs %d", zero, plain)
-	}
 }
 
 func TestValidateRejectsNegativeGuards(t *testing.T) {

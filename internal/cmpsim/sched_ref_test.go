@@ -1,7 +1,5 @@
 package cmpsim
 
-import "cmpnurapid/internal/simguard"
-
 // This file keeps the original scheduler loop alive as a test-only
 // reference implementation. runUntil must produce the exact step
 // sequence this loop produces — same laggard on every iteration, ties
@@ -27,7 +25,7 @@ func (s *System) runUntilScan(instrPerCore uint64, phase phaseKind, done func() 
 		}
 		now := s.cores[pick].cycles
 		if now > limit {
-			panic(&simguard.CycleLimitExceeded{
+			panic(&CycleLimitExceeded{
 				Limit: limit, Derived: derived, Now: now,
 				Design: s.l2.Name(), Workload: s.stream.Name(),
 				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),

@@ -8,7 +8,6 @@ import (
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
-	"cmpnurapid/internal/simguard"
 )
 
 // lockstepWorkload keeps every core clock-equal forever: identical
@@ -183,7 +182,7 @@ func TestExplicitCeilingIsPhaseRelative(t *testing.T) {
 	sys.Warmup(10)
 	start := sys.maxCycle()
 	defer func() {
-		lim, ok := recover().(*simguard.CycleLimitExceeded)
+		lim, ok := recover().(*CycleLimitExceeded)
 		if !ok {
 			t.Fatal("oversized run under a tight ceiling did not abort")
 		}
@@ -212,13 +211,13 @@ func TestCeilingTripIdenticalUnderHeap(t *testing.T) {
 		}
 		return ops
 	}
-	trip := func(scan bool) (lim *simguard.CycleLimitExceeded) {
+	trip := func(scan bool) (lim *CycleLimitExceeded) {
 		cfg := smallCfg()
 		cfg.MaxCycles = memsys.CyclesOf(3000)
 		sys := New(cfg, l2.NewPrivate(l2.MESI), newScripted(mkOps()))
 		defer func() {
 			var ok bool
-			if lim, ok = recover().(*simguard.CycleLimitExceeded); !ok {
+			if lim, ok = recover().(*CycleLimitExceeded); !ok {
 				t.Fatal("overrun did not hit the ceiling")
 			}
 		}()

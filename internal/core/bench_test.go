@@ -131,7 +131,7 @@ func BenchmarkNew(b *testing.B) {
 // included; update the pin in the commit that explains it.
 func TestNewBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const want = 5_507_608
+	const want = 5_507_560
 	best := ^uint64(0)
 	var before, after runtime.MemStats
 	for i := 0; i < 3; i++ {

@@ -394,11 +394,7 @@ func (c *Cache) transact(now memsys.Cycle, op coherence.BusOp) memsys.Cycles {
 // of C-state writes).
 func (c *Cache) post(now memsys.Cycle, op coherence.BusOp) memsys.Cycles {
 	vis := c.bus.Transact(now, op)
-	wait := vis.Sub(now) - c.bus.Latency()
-	if wait < 0 {
-		wait = 0
-	}
-	return wait
+	return vis.Sub(now) - c.bus.Latency()
 }
 
 // killTag invalidates core's tag entry l (recording its lifetime) and

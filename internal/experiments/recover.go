@@ -6,7 +6,7 @@ import (
 )
 
 // Graceful degradation (docs/ROBUSTNESS.md): a panicking cell — a
-// simguard cycle-ceiling abort, an invariant violation, any bug in one
+// cmpsim cycle-ceiling abort, an invariant violation, any bug in one
 // (design, workload) simulation — must not take down the dozens of
 // healthy cells sharing the run. CapturePanic converts the panic into
 // a CellFailure at the cell boundary; the scheduler collects failures
@@ -18,10 +18,10 @@ type CellFailure struct {
 	// Key is the cell key (or experiment name) that failed.
 	Key string
 	// Diagnostic is the panic value rendered for the failure report:
-	// Error() for errors (simguard diagnostics), %v otherwise.
+	// Error() for errors (cmpsim diagnostics), %v otherwise.
 	Diagnostic string
 	// Value is the recovered panic value, preserved so tests can
-	// assert on structured diagnostics (*simguard.CycleLimitExceeded,
+	// assert on structured diagnostics (*cmpsim.CycleLimitExceeded,
 	// ...).
 	Value any
 	// Stack is the goroutine stack captured where the panic was first

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path"
+	"sort"
 	"strings"
 )
 
@@ -16,12 +18,15 @@ import (
 //
 // e.g.
 //
-//	internal/bus/bus.go:Port.Acquire:relswap:0 mutcheck:survives nextFree==start makes the branch assign start its own value
+//	internal/cache/cache.go:Array.VictimPreferring:relswap:1 mutcheck:survives no two valid lines of a set share a lastUse
 //
 // The reason is not decoration: a survivor without an allowlist entry
 // fails the run, and an entry without a reason fails parsing. This
 // mirrors the `hotpath:alloc <reason>` audit discipline — every
-// exemption carries its justification next to the exemption.
+// exemption carries its justification next to the exemption. An entry
+// that names no site of a package the run covers fails the run too,
+// so an edit that deletes or renumbers an excused site cannot leave
+// its excuse behind.
 const allowMarker = "mutcheck:survives"
 
 // Allowlist maps site ID -> reason.
@@ -74,4 +79,25 @@ func LoadAllowlist(path string) (Allowlist, error) {
 	}
 	defer f.Close()
 	return ParseAllowlist(f)
+}
+
+// stale returns, sorted, the entries that name a file in one of the
+// enumerated packages (sites is keyed by module-relative package dir)
+// but none of its sites.
+func (al Allowlist) stale(sites map[string][]Site) []string {
+	ids := map[string]bool{}
+	for _, ss := range sites {
+		for _, s := range ss {
+			ids[s.ID()] = true
+		}
+	}
+	var out []string
+	for id := range al {
+		file, _, _ := strings.Cut(id, ":")
+		if _, covered := sites[path.Dir(file)]; covered && !ids[id] {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -103,7 +103,7 @@ func SelectSites(sites []Site, cap int) []Site {
 // to the `go test` targets that are expected to kill a mutant in it:
 // the package's own tests, the unit tests of its closest dependents,
 // and the root facade tests (which run every design end-to-end).
-// Heavyweight suites (internal/experiments, internal/simguard) are
+// The heavyweight internal/experiments suite is
 // deliberately excluded to keep the quick tier inside its CI budget;
 // the full tier uses the same sets, so a kill here is a kill a
 // developer can reproduce with plain `go test`.

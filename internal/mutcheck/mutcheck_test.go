@@ -161,41 +161,6 @@ func TestSelectionSurvivesUnrelatedEdit(t *testing.T) {
 	}
 }
 
-// TestOrderSwapShortCircuitNeedsGuard: an && / || operand swap is a
-// site only when its left operand is a nil or len guard that protects
-// the right one; a swap of two independent tests is equivalent and is
-// not drawn.
-func TestOrderSwapShortCircuitNeedsGuard(t *testing.T) {
-	dir := t.TempDir()
-	lib := `package p
-
-type T struct{ x int }
-
-func NilGuard(p *T) bool { return p != nil && p.x > 0 }
-
-func LenGuard(s []int, i int) bool { return i < len(s) && s[i] == 0 }
-
-func NoGuard(a, b int) bool { return a < 0 || b < 0 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "lib.go"), []byte(lib), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sites, err := EnumeratePackage(dir, ".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	swaps := map[string]int{}
-	for _, s := range sites {
-		if s.Op == "orderswap" && (strings.Contains(s.Before, "&&") || strings.Contains(s.Before, "||")) {
-			swaps[s.Func]++
-		}
-	}
-	want := map[string]int{"NilGuard": 1, "LenGuard": 1}
-	if !reflect.DeepEqual(swaps, want) {
-		t.Errorf("short-circuit swap sites per func = %v, want %v", swaps, want)
-	}
-}
-
 // TestEnumerationMatchesToolchainFileFilter: mutants are drawn from
 // exactly the files `go build` compiles. A release tag (go1.21) is
 // satisfied by any current toolchain, and a GOOS file-name suffix
@@ -472,6 +437,36 @@ func TestCampaignAccounting(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("two identical campaigns differ beyond allowlist fields:\n%s\nvs\n%s", b1, b2)
+	}
+}
+
+// TestStaleAllowlistEntryFails: an allowlist entry naming no site of a
+// package the run covers fails the run, naming the entry; an entry for
+// a package outside the run and one naming a real site do not.
+func TestStaleAllowlistEntryFails(t *testing.T) {
+	replayRecorded(t)
+	const stale = "campaign/campaign.go:Untested:relswap:99"
+	cfg := Config{
+		Root:     minimod,
+		Packages: fixturePackages,
+		Shadow:   filepath.Join(t.TempDir(), "shadow"),
+		Short:    true,
+		Allow: Allowlist{
+			stale: "excuses a site that is gone",
+			"campaign/campaign.go:Untested:branchdel:0": "fixture: deliberately uncovered",
+			"internal/other/x.go:F:relswap:0":           "a package this run does not cover",
+		},
+	}
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), stale) {
+		t.Fatalf("Run with a stale entry = %v, want an error naming %s", err, stale)
+	}
+	if strings.Contains(err.Error(), "branchdel") || strings.Contains(err.Error(), "internal/other") {
+		t.Errorf("error names a live or uncovered entry: %v", err)
+	}
+	delete(cfg.Allow, stale)
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("Run without the stale entry: %v", err)
 	}
 }
 

@@ -30,7 +30,6 @@ var Operators = []*Operator{
 	opOffByOne,
 	opBoolNegate,
 	opBranchDel,
-	opOrderSwap,
 }
 
 // relswap: boundary-condition faults. < ↔ <=, > ↔ >=, == ↔ !=.
@@ -63,7 +62,7 @@ var opRelSwap = &Operator{
 }
 
 // comparisonOps are the operators that make a BinaryExpr a comparison:
-// the off-by-one context, and orderswap's short-circuit guards.
+// the off-by-one context.
 var comparisonOps = map[token.Token]bool{
 	token.LSS: true, token.LEQ: true, token.GTR: true,
 	token.GEQ: true, token.EQL: true, token.NEQ: true,
@@ -165,60 +164,6 @@ var opBranchDel = &Operator{
 		old := s.Body.List
 		s.Body.List = nil
 		return func() { s.Body.List = old }
-	},
-}
-
-// orderswap covers tie-break and evaluation-order faults. Swapping the
-// operands of an ordered comparison reverses a stable tie-break, the
-// fault class the scheduler's lowest-core-first order depends on.
-// Swapping the operands of && / || changes behaviour only when the left
-// operand guards the right one, so it is a site only behind a nil or
-// len guard (p != nil && p.x > 0, i < len(s) && s[i] == 0); a swap of
-// two side-effect-free tests is equivalent and would only spend the
-// sample. ==/!= operand swaps are excluded as (almost always)
-// equivalent.
-var orderSwapOps = map[token.Token]bool{
-	token.LAND: true, token.LOR: true,
-	token.LSS: true, token.LEQ: true, token.GTR: true, token.GEQ: true,
-}
-
-// isGuard reports whether e compares something with nil or with a
-// len(...) call: the left operand of a short circuit that protects the
-// right one.
-func isGuard(e ast.Expr) bool {
-	b, ok := ast.Unparen(e).(*ast.BinaryExpr)
-	if !ok || !comparisonOps[b.Op] {
-		return false
-	}
-	for _, x := range []ast.Expr{b.X, b.Y} {
-		switch v := ast.Unparen(x).(type) {
-		case *ast.Ident:
-			if v.Name == "nil" {
-				return true
-			}
-		case *ast.CallExpr:
-			if fn, ok := v.Fun.(*ast.Ident); ok && fn.Name == "len" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-var opOrderSwap = &Operator{
-	Name: "orderswap",
-	Doc:  "swap the operands of an ordered comparison (tie-break reversal), or of && / || behind a nil or len guard",
-	Match: func(path []ast.Node, n ast.Node) bool {
-		b, ok := n.(*ast.BinaryExpr)
-		if !ok || !orderSwapOps[b.Op] {
-			return false
-		}
-		return (b.Op != token.LAND && b.Op != token.LOR) || isGuard(b.X)
-	},
-	Apply: func(n ast.Node) func() {
-		b := n.(*ast.BinaryExpr)
-		b.X, b.Y = b.Y, b.X
-		return func() { b.X, b.Y = b.Y, b.X }
 	},
 }
 

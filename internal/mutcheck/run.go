@@ -93,6 +93,26 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	pkgs := make([]string, 0, len(cfg.packages()))
+	for pkg := range cfg.packages() {
+		pkgs = append(pkgs, pkg)
+	}
+	// Sorted for deterministic execution and report order.
+	sort.Strings(pkgs)
+	sites := make(map[string][]Site, len(pkgs))
+	for _, pkg := range pkgs {
+		ss, err := EnumeratePackage(cfg.Root, pkg)
+		if err != nil {
+			return nil, err
+		}
+		sites[pkg] = ss
+	}
+	// A stale entry fails before any mutant runs: it would otherwise
+	// excuse nothing, silently.
+	if stale := cfg.Allow.stale(sites); len(stale) > 0 {
+		return nil, fmt.Errorf("mutcheck: allowlist entries name no enumerated site (delete them, or re-key them to the site's new ordinal): %s",
+			strings.Join(stale, ", "))
+	}
 	shadow := cfg.shadowDir()
 	if err := refreshShadow(cfg.Root, shadow); err != nil {
 		return nil, err
@@ -105,14 +125,8 @@ func Run(cfg Config) (*Report, error) {
 		tier = "quick"
 	}
 	rep := &Report{Format: 1, Tier: tier, Cap: cfg.Cap}
-	pkgs := make([]string, 0, len(cfg.packages()))
-	for pkg := range cfg.packages() {
-		pkgs = append(pkgs, pkg)
-	}
-	// Sorted for deterministic execution and report order.
-	sort.Strings(pkgs)
 	for _, pkg := range pkgs {
-		pr, err := runPackage(cfg, shadow, pkg, cfg.packages()[pkg])
+		pr, err := runPackage(cfg, shadow, pkg, sites[pkg], cfg.packages()[pkg])
 		if err != nil {
 			return nil, err
 		}
@@ -122,11 +136,7 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func runPackage(cfg Config, shadow, pkg string, targets []string) (*PackageReport, error) {
-	sites, err := EnumeratePackage(cfg.Root, pkg)
-	if err != nil {
-		return nil, err
-	}
+func runPackage(cfg Config, shadow, pkg string, sites []Site, targets []string) (*PackageReport, error) {
 	selected := SelectSites(sites, cfg.Cap)
 	pr := &PackageReport{Package: pkg, Sites: len(sites), Selected: len(selected)}
 	for _, site := range selected {

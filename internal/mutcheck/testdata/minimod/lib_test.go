@@ -3,8 +3,8 @@ package minimod
 import "testing"
 
 // The tests hit every boundary the operators perturb: exact threshold
-// values (kills relswap/offbyone), both sides of each branch (kills
-// boolnegate/branchdel), and sign/limit asymmetries (kills orderswap).
+// values (kills relswap/offbyone) and both sides of each branch (kills
+// boolnegate/branchdel).
 func TestClamp(t *testing.T) {
 	cases := []struct{ v, lo, hi, want int }{
 		{-5, 0, 10, 0},

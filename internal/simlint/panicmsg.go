@@ -15,7 +15,7 @@ var sprintfFuncs = map[string]bool{
 
 // diagnosticMarker marks a named type as a structured panic
 // diagnostic in its declaration doc comment. Panics whose argument is
-// a marked type (simguard.CycleLimitExceeded) are exempt from the
+// a marked type (cmpsim.CycleLimitExceeded) are exempt from the
 // constant-message requirement: the type's Error() carries the "pkg: "
 // prefix instead, and the declaring package's tests lock that prefix.
 const diagnosticMarker = "panicmsg:diagnostic"

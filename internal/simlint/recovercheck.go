@@ -24,7 +24,7 @@ var DefaultRecoverAllowed = map[string][]string{
 // NewRecoverCheck builds the recovery-containment rule: recover() may
 // appear only inside the allowlisted functions. Everywhere else a
 // recover() would silently swallow the structured diagnostics the
-// simulator aborts with (simguard.CycleLimitExceeded, invariant
+// simulator aborts with (cmpsim.CycleLimitExceeded, invariant
 // panics), turning a runaway clock or coherence violation into a wrong
 // number in a table. Test files are exempt — tests legitimately assert
 // that code panics.

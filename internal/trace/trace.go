@@ -9,7 +9,7 @@
 //	magic "CNRT" | version u16 | cores u16 (always topo.NumCores)
 //	then one record per op:
 //	  core u8 | flags u8 | compute u16 | addr u64
-//	flags: bit0 write, bit1 instr, bit2 nomem
+//	flags: bit0 write, bit1 instr, bit2 nomem; bits 3-7 must be zero
 //
 // A nomem record must carry compute >= 1: the simulator refuses an op
 // that does no work, so the format refuses it too, on write and read.
@@ -41,6 +41,7 @@ const (
 	flagWrite = 1 << iota
 	flagInstr
 	flagNoMem
+	flagsKnown = flagWrite | flagInstr | flagNoMem
 )
 
 // errZeroWork refuses a record the simulator could not execute.
@@ -167,6 +168,9 @@ func (t *Reader) Next() (core int, op cmpsim.Op, err error) {
 		return 0, cmpsim.Op{}, fmt.Errorf("trace: record for core %d in a %d-core trace", core, topo.NumCores)
 	}
 	flags := rec[1]
+	if flags&^flagsKnown != 0 {
+		return 0, cmpsim.Op{}, fmt.Errorf("trace: record flags %#x set bits outside write, instr and nomem", flags)
+	}
 	op = cmpsim.Op{
 		Compute: int(binary.LittleEndian.Uint16(rec[2:4])),
 		Addr:    memsys.Addr(binary.LittleEndian.Uint64(rec[4:12])),

@@ -93,6 +93,23 @@ func refused(err error) bool {
 	return err != nil && strings.HasPrefix(err.Error(), "trace: ")
 }
 
+// TestUnknownFlagBitsRefused: a record whose flags set any bit outside
+// write, instr and nomem is refused, not read as the op its known bits
+// spell (0xF9 would otherwise load as a write).
+func TestUnknownFlagBitsRefused(t *testing.T) {
+	for _, flags := range []byte{0xF9, 1 << 3, 1 << 4, 1 << 5, 1 << 6, 1 << 7} {
+		rec := append(header(topo.NumCores), 0, flags, 1, 0)
+		rec = binary.LittleEndian.AppendUint64(rec, 0x40)
+		r, err := NewReader(bytes.NewReader(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, op, err := r.Next(); !refused(err) {
+			t.Errorf("flags %#x: read %+v, err %v; want a trace: error", flags, op, err)
+		}
+	}
+}
+
 func TestBadMagic(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("NOPE0000"))); err == nil {
 		t.Error("bad magic accepted")

@@ -2,7 +2,7 @@ package workload
 
 import "cmpnurapid/internal/cmpsim"
 
-// Adversarial workloads for simguard's chaos sweep (docs/ROBUSTNESS.md).
+// Adversarial workloads for cmpsim's adversarial sweep (docs/ROBUSTNESS.md).
 // Unlike the calibrated Table 3 profiles, these are deliberately
 // pathological streams: they push a single resource (one block, one
 // bus, one region) to its limit, which is where livelocks, invariant
@@ -91,8 +91,8 @@ func (s SingleThreaded) Next(core int) cmpsim.Op {
 	return cmpsim.Op{Compute: 1, NoMem: true}
 }
 
-// Adversarial returns the chaos sweep's workload catalog at the given
-// seed.
+// Adversarial returns the adversarial sweep's workload catalog at the
+// given seed.
 func Adversarial(seed uint64) []cmpsim.Workload {
 	return []cmpsim.Workload{
 		New(Hammer(seed)),

@@ -138,3 +138,19 @@ func Mixes(seed uint64) []*Multiprogrammed {
 		NewMix("MIX4", apps["MIX4"], seed+3),
 	}
 }
+
+// ByName returns the multithreaded profile or Table 2 mix called name,
+// built at seed, and false when no workload has that name.
+func ByName(name string, seed uint64) (cmpsim.Workload, bool) {
+	for _, p := range Multithreaded(seed) {
+		if p.Name == name {
+			return New(p), true
+		}
+	}
+	for _, m := range Mixes(seed) {
+		if m.Name() == name {
+			return m, true
+		}
+	}
+	return nil, false
+}

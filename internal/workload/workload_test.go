@@ -301,3 +301,38 @@ func TestGeneratorImplementsWorkload(t *testing.T) {
 	var _ cmpsim.Workload = New(OLTP(1))
 	var _ cmpsim.Workload = Mixes(1)[0]
 }
+
+// TestByName: every multithreaded profile and Table 2 mix is found by
+// its name and yields the same stream as building it directly at the
+// same seed; any other name, adversarial ones included, is not found.
+func TestByName(t *testing.T) {
+	const seed = 7
+	var want []cmpsim.Workload
+	for _, p := range Multithreaded(seed) {
+		want = append(want, New(p))
+	}
+	for _, m := range Mixes(seed) {
+		want = append(want, m)
+	}
+	for _, w := range want {
+		got, ok := ByName(w.Name(), seed)
+		if !ok {
+			t.Errorf("ByName(%q) not found", w.Name())
+			continue
+		}
+		if got.Name() != w.Name() {
+			t.Errorf("ByName(%q) returned %q", w.Name(), got.Name())
+		}
+		for i := 0; i < 100; i++ {
+			c := i % topo.NumCores
+			if a, b := got.Next(c), w.Next(c); a != b {
+				t.Fatalf("ByName(%q) op %d on core %d = %+v, want %+v", w.Name(), i, c, a, b)
+			}
+		}
+	}
+	for _, name := range []string{"", "nosuch", "mix1", "adv-hammer"} {
+		if w, ok := ByName(name, seed); ok || w != nil {
+			t.Errorf("ByName(%q) = %v, %v; want nil, false", name, w, ok)
+		}
+	}
+}
