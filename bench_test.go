@@ -11,6 +11,7 @@ package cmpnurapid_test
 // full-scale numbers produced by cmd/experiments.
 
 import (
+	"strings"
 	"testing"
 
 	"cmpnurapid"
@@ -20,6 +21,9 @@ import (
 	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/workload"
 )
+
+// noRows reports whether t has no row beyond its header.
+func noRows(t *stats.Table) bool { return strings.Count(t.CSV(), "\n") <= 1 }
 
 // benchRC is the per-iteration simulation scale: small enough that a
 // benchmark iteration is seconds, large enough that the reported
@@ -32,7 +36,7 @@ func BenchmarkTable1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := experiments.Table1()
-		if t.NumRows() == 0 {
+		if noRows(t) {
 			b.Fatal("empty table")
 		}
 	}
@@ -60,7 +64,7 @@ func figureBench(b *testing.B, gen func(e *experiments.Eval) *stats.Table, metri
 	var last *experiments.Eval
 	for i := 0; i < b.N; i++ {
 		e := experiments.NewEval(benchRC())
-		if t := gen(e); t.NumRows() == 0 {
+		if t := gen(e); noRows(t) {
 			b.Fatal("empty figure")
 		}
 		last = e
@@ -145,7 +149,7 @@ func evaluationBench(b *testing.B, workers int) {
 		e := experiments.NewEval(benchRC())
 		cells := experiments.Plan(sel, e)
 		experiments.ExecuteCells(cells, workers, false, nil)
-		if e.Figure10().NumRows() == 0 {
+		if noRows(e.Figure10()) {
 			b.Fatal("empty figure")
 		}
 	}
@@ -196,7 +200,7 @@ func BenchmarkAblationTagCapacity(b *testing.B) {
 	rc := ablationBenchRC()
 	var s [3]float64
 	for i := 0; i < b.N; i++ {
-		base := experiments.RunProfile(experiments.UniformShared, workload.OLTP(rc.Seed), rc)
+		base := experiments.Run(experiments.UniformShared, workload.New(workload.OLTP(rc.Seed)), rc)
 		for j, factor := range []int{1, 2, 4} {
 			r := runNuRAPIDVariant(rc, cmpnurapid.OLTP(rc.Seed),
 				func(c *cmpnurapid.NuRAPIDConfig) { c.TagSets = c.TagSets * factor / 2 })
@@ -211,7 +215,7 @@ func BenchmarkAblationTagCapacity(b *testing.B) {
 func BenchmarkAblationOptimizations(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if t := experiments.NewEval(benchRC()).AblationOptimizations(); t.NumRows() == 0 {
+		if t := experiments.NewEval(benchRC()).AblationOptimizations(); noRows(t) {
 			b.Fatal("empty")
 		}
 	}
@@ -220,7 +224,7 @@ func BenchmarkAblationOptimizations(b *testing.B) {
 func BenchmarkAblationReplicationTrigger(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if t := experiments.NewEval(benchRC()).AblationReplicationTrigger(); t.NumRows() == 0 {
+		if t := experiments.NewEval(benchRC()).AblationReplicationTrigger(); noRows(t) {
 			b.Fatal("empty")
 		}
 	}

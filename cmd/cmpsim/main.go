@@ -22,12 +22,6 @@ import (
 	"cmpnurapid/internal/workload"
 )
 
-var designs = []experiments.DesignName{
-	experiments.UniformShared, experiments.NonUniform, experiments.Private,
-	experiments.Ideal, experiments.NuRAPID, experiments.NuRAPIDCR, experiments.NuRAPIDISC,
-	experiments.PrivateUpdate, experiments.DNUCA,
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -53,6 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	designs := experiments.DesignNames()
 	if *list {
 		names := make([]string, len(designs))
 		for i, d := range designs {

@@ -39,13 +39,14 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := experiments.DefaultRunConfig()
 	var (
 		exps = fs.String("exp", "all", "comma-separated experiments, or all: "+
 			strings.Join(experiments.ExperimentNames(), ", ")+
 			" (ablations and sensitivity sweeps are opt-in, not part of all)")
-		instr    = fs.Uint64("instr", 3_000_000, "measured instructions per core")
-		warmup   = fs.Int("warmup", 5_000_000, "warm-up instructions per core")
-		seed     = fs.Uint64("seed", 42, "workload seed")
+		instr    = fs.Uint64("instr", def.Instructions, "measured instructions per core")
+		warmup   = fs.Int("warmup", def.WarmupInstr, "warm-up instructions per core")
+		seed     = fs.Uint64("seed", def.Seed, "workload seed")
 		format   = fs.String("format", "text", "output format: text or csv")
 		parallel = fs.Int("parallel", experiments.DefaultParallelism(),
 			"max concurrent simulations (1 = sequential; output is identical either way)")

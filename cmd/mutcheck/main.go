@@ -57,6 +57,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// fail reports a setup error as one "mutcheck: " line (the
+	// package's own errors already carry the prefix) and exits 2.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mutcheck:", strings.TrimPrefix(err.Error(), "mutcheck: "))
+		return 2
+	}
 	if *write != "" && *diff != "" {
 		fmt.Fprintln(stderr, "mutcheck: -write and -diff are mutually exclusive")
 		return 2
@@ -84,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	root, err := moduleRoot()
 	if err != nil {
-		fmt.Fprintln(stderr, "mutcheck:", err)
-		return 2
+		return fail(err)
 	}
 
 	packages := mutcheck.DefaultPackages
@@ -112,8 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	allow, err := mutcheck.LoadAllowlist(allowPath)
 	if err != nil {
-		fmt.Fprintln(stderr, "mutcheck:", err)
-		return 2
+		return fail(err)
 	}
 
 	// Read the baseline before the campaign: a missing or corrupt
@@ -121,10 +125,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// runs.
 	var base *mutcheck.Report
 	if *diff != "" {
-		base, err = readReport(*diff)
-		if err != nil {
-			fmt.Fprintln(stderr, "mutcheck:", err)
-			return 2
+		if base, err = readReport(*diff); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -149,8 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rep, err := mutcheck.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "mutcheck:", strings.TrimPrefix(err.Error(), "mutcheck: "))
-		return 2
+		return fail(err)
 	}
 
 	code := 0
@@ -164,12 +165,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *write != "":
 		data, err := rep.MarshalIndent()
 		if err != nil {
-			fmt.Fprintln(stderr, "mutcheck:", err)
-			return 2
+			return fail(err)
 		}
 		if err := os.WriteFile(*write, data, 0o644); err != nil {
-			fmt.Fprintln(stderr, "mutcheck:", err)
-			return 2
+			return fail(err)
 		}
 		fmt.Fprintf(stdout, "wrote %s: %s\n", *write, summary(rep))
 	case *diff != "":

@@ -78,3 +78,33 @@ func TestAbsoluteAllowPathIsReadAsGiven(t *testing.T) {
 		t.Errorf("stderr does not report the allowlist parse error: %s", stderr.String())
 	}
 }
+
+// TestSetupErrorsPrefixedOnce: errors from the mutcheck package already
+// carry "mutcheck: ", so the CLI must not prefix them again — on the
+// allowlist path and on the baseline-report path alike.
+func TestSetupErrorsPrefixedOnce(t *testing.T) {
+	dir := t.TempDir()
+	allow := filepath.Join(dir, "allow")
+	if err := os.WriteFile(allow, []byte("internal/bus/bus.go:New:relswap:1 no marker here\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(dir, "report.json")
+	if err := os.WriteFile(report, []byte(`{"format": 9}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-pkgs", "internal/bus", "-allow", allow}, "mutcheck: allowlist line 1: missing"},
+		{[]string{"-diff", report}, "mutcheck: unsupported report format 9"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", tc.args, code, stderr.String())
+		}
+		if got := stderr.String(); !strings.HasPrefix(got, tc.want) || strings.Count(got, "mutcheck: ") != 1 || strings.Count(got, "\n") != 1 {
+			t.Errorf("run(%v) stderr = %q, want one line starting %q", tc.args, got, tc.want)
+		}
+	}
+}

@@ -46,20 +46,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return usage("unexpected argument %q", fs.Arg(0))
 	}
-	if *ops <= 0 {
-		return usage("-ops must be positive, got %d", *ops)
-	}
-	src, ok := workload.ByName(*wl, *seed)
-	if !ok {
-		return usage("unknown workload %q", *wl)
-	}
-
+	// Inspecting reads only the trace: the recording flags do not apply.
 	if *inspect != "" {
 		if err := inspectTrace(stdout, *inspect); err != nil {
 			fmt.Fprintln(stderr, "tracegen:", err)
 			return 1
 		}
 		return 0
+	}
+	if *ops <= 0 {
+		return usage("-ops must be positive, got %d", *ops)
+	}
+	src, ok := workload.ByName(*wl, *seed)
+	if !ok {
+		return usage("unknown workload %q", *wl)
 	}
 
 	path := *out

@@ -90,3 +90,20 @@ func TestFileErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestInspectIgnoresRecordingFlags: -inspect reads only the trace, so
+// recording flags it does not use (-ops, -workload) cannot make it a
+// usage error.
+func TestInspectIgnoresRecordingFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.trace")
+	if _, stderr, code := runCLI(t, "-workload", "MIX1", "-ops", "5", "-o", path); code != 0 {
+		t.Fatalf("record exited %d\nstderr: %s", code, stderr)
+	}
+	for _, extra := range [][]string{{"-ops", "0"}, {"-ops", "-5"}, {"-workload", "nosuch"}} {
+		stdout, stderr, code := runCLI(t, append([]string{"-inspect", path}, extra...)...)
+		if code != 0 || stderr != "" || !strings.HasPrefix(stdout, path+": 4 cores, 20 ops (") {
+			t.Errorf("-inspect with %v: exit %d, stdout %q, stderr %q; want the summary and exit 0",
+				extra, code, stdout, stderr)
+		}
+	}
+}

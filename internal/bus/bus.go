@@ -25,15 +25,12 @@ import (
 // Config sets the bus timing parameters.
 type Config struct {
 	// Latency is the end-to-end cycles for a transaction to be seen by
-	// all snoopers (Table 1: 32).
+	// all snoopers (Table 1: 32; topo.Derive's Bus).
 	Latency memsys.Cycles
 	// SlotCycles is the issue interval of the pipelined bus: a new
 	// transaction can start every SlotCycles.
 	SlotCycles memsys.Cycles
 }
-
-// DefaultConfig matches the paper's Table 1 bus.
-func DefaultConfig() Config { return Config{Latency: 32, SlotCycles: 4} }
 
 // Validate panics unless the latency and slot width are positive.
 // New runs it, and so does every design config that embeds a bus.

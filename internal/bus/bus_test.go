@@ -8,6 +8,10 @@ import (
 	"cmpnurapid/internal/memsys"
 )
 
+// table1 is the paper's Table 1 bus: 32-cycle latency, a slot every
+// 4 cycles.
+var table1 = Config{Latency: 32, SlotCycles: 4}
+
 // newBus returns a bus counting into fresh stats.
 func newBus(cfg Config) (*Bus, *memsys.L2Stats) {
 	s := memsys.NewL2Stats()
@@ -15,7 +19,7 @@ func newBus(cfg Config) (*Bus, *memsys.L2Stats) {
 }
 
 func TestTransactLatency(t *testing.T) {
-	b, _ := newBus(DefaultConfig())
+	b, _ := newBus(table1)
 	if got := b.Transact(100, coherence.BusRd); got != 132 {
 		t.Errorf("first transaction visible at %d, want 132", got)
 	}
@@ -52,7 +56,7 @@ func TestTransactNoContentionWhenSpaced(t *testing.T) {
 // TestCounts: each issued transaction is counted once, under its
 // kind's label, in the stats the bus was built with.
 func TestCounts(t *testing.T) {
-	b, s := newBus(DefaultConfig())
+	b, s := newBus(table1)
 	b.Transact(0, coherence.BusRd)
 	b.Transact(0, coherence.BusRd)
 	b.Transact(0, coherence.BusRepl)
@@ -87,7 +91,7 @@ func TestOpLabels(t *testing.T) {
 		coherence.BusUpg: memsys.LabelBusUpg, coherence.BusRepl: memsys.LabelBusRepl,
 	}
 	for op, label := range want {
-		b, s := newBus(DefaultConfig())
+		b, s := newBus(table1)
 		b.Transact(0, op)
 		if got := s.BusTransactions.Count(label); got != 1 {
 			t.Errorf("Transact(%v) counted %d under %q, want 1", op, got, label)

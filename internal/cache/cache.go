@@ -73,9 +73,6 @@ func GeometryFor(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes) 
 	return Geometry{Sets: sets, Ways: ways, BlockBytes: blockBytes}
 }
 
-// CapacityBytes returns the data capacity the geometry covers.
-func (g Geometry) CapacityBytes() memsys.Bytes { return g.BlockBytes.Times(g.Sets * g.Ways) }
-
 // Array is a set-associative array of lines with per-set true LRU.
 type Array[T any] struct {
 	geo       Geometry

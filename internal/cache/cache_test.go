@@ -19,8 +19,8 @@ func TestGeometryFor(t *testing.T) {
 	if g.Sets != 2048 || g.Ways != 8 || g.BlockBytes != 128 {
 		t.Errorf("GeometryFor = %+v", g)
 	}
-	if g.CapacityBytes() != 2<<20 {
-		t.Errorf("CapacityBytes = %d, want 2 MB", g.CapacityBytes())
+	if c := g.BlockBytes.Times(g.Sets * g.Ways); c != 2<<20 {
+		t.Errorf("capacity = %d, want 2 MB", c)
 	}
 }
 

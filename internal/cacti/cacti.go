@@ -164,9 +164,6 @@ func (g TagGeometry) SizeKB() float64 {
 // AccessPS returns the tag array access time in picoseconds.
 func (g TagGeometry) AccessPS() Picoseconds { return TagArrayPS(g.SizeKB(), g.Assoc) }
 
-// AccessCycles returns the tag array access time in cycles.
-func (g TagGeometry) AccessCycles() memsys.Cycles { return ToCycles(g.AccessPS()) }
-
 // DataBankCycles returns the access latency in cycles of a data bank of
 // bankBytes capacity laid out for the given associativity, plus the
 // wire delay to reach it over wireMM of routing.

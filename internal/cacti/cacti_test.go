@@ -68,7 +68,7 @@ func TestTagGeometryPrivate2MB(t *testing.T) {
 	if got := g.Entries(); got != 16384 {
 		t.Errorf("Entries = %d, want 16384", got)
 	}
-	if got := g.AccessCycles(); got != 4 {
+	if got := TagCycles(g, 0); got != 4 {
 		t.Errorf("private tag = %d cycles, want 4 (Table 1)", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestTagGeometryNuRAPID(t *testing.T) {
 	if got := g.Sets(); got != 4096 {
 		t.Errorf("Sets = %d, want 4096", got)
 	}
-	if got := g.AccessCycles(); got != 5 {
+	if got := TagCycles(g, 0); got != 5 {
 		t.Errorf("NuRAPID tag = %d cycles, want 5 (Table 1)", got)
 	}
 }
@@ -183,13 +183,13 @@ func TestAccessCyclesMonotonicInGeometry(t *testing.T) {
 	bigger.CacheBytes = 4 << 20
 	wider := base
 	wider.Assoc = 32
-	if base.AccessCycles() > bigger.AccessCycles() {
+	if TagCycles(base, 0) > TagCycles(bigger, 0) {
 		t.Errorf("4 MB tag (%d cycles) faster than 1 MB (%d cycles)",
-			bigger.AccessCycles(), base.AccessCycles())
+			TagCycles(bigger, 0), TagCycles(base, 0))
 	}
-	if base.AccessCycles() > wider.AccessCycles() {
+	if TagCycles(base, 0) > TagCycles(wider, 0) {
 		t.Errorf("32-way tag (%d cycles) faster than 8-way (%d cycles)",
-			wider.AccessCycles(), base.AccessCycles())
+			TagCycles(wider, 0), TagCycles(base, 0))
 	}
 }
 

@@ -23,7 +23,7 @@ func TestCycleCeilingAborts(t *testing.T) {
 	for _, tc := range []struct {
 		design memsys.L2
 		hasBus bool
-	}{{l2.NewPrivate(l2.MESI), true}, {l2.NewSNUCA(l2.Static), false}} {
+	}{{l2.NewPrivate(l2.MESI, topo.Derive()), true}, {l2.NewSNUCA(l2.Static, topo.Derive()), false}} {
 		design, hasBus := tc.design, tc.hasBus
 		t.Run(design.Name(), func(t *testing.T) {
 			cfg := cmpsim.DefaultConfig()

@@ -136,12 +136,6 @@ type System struct {
 	// quantum, so runUntil's completion check is an O(1) counter
 	// decrement instead of the historical O(N) sweep per step.
 	phaseDone []bool
-	// onStep, when non-nil, observes every scheduler pick before the
-	// step executes. It is a test-only hook: the reference-scan
-	// differential and tie-break tests record step-order traces
-	// through it. Production runs leave it nil (one predictable
-	// branch on the hot path).
-	onStep func(core int)
 }
 
 // Validate panics unless the L1 configuration is one New can build:
@@ -450,9 +444,6 @@ func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(co
 				Design: s.l2.Name(), Workload: s.stream.Name(),
 				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
 			})
-		}
-		if s.onStep != nil {
-			s.onStep(pick)
 		}
 		s.step(pick)
 		if !s.phaseDone[pick] && complete(pick) {

@@ -8,6 +8,7 @@ import (
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
+	"cmpnurapid/internal/topo"
 )
 
 // scriptedWorkload replays fixed per-core op lists, then idles with
@@ -386,8 +387,8 @@ func TestIdealFasterThanUniformShared(t *testing.T) {
 		}
 		return ops
 	}
-	uni := New(DefaultConfig(), l2.NewUniformShared(), newScripted(mk()))
-	idl := New(DefaultConfig(), l2.NewIdeal(), newScripted(mk()))
+	uni := New(DefaultConfig(), l2.NewUniformShared(topo.Derive()), newScripted(mk()))
+	idl := New(DefaultConfig(), l2.NewIdeal(topo.Derive()), newScripted(mk()))
 	ru := uni.Run(200)
 	ri := idl.Run(200)
 	if Speedup(ri, ru) <= 1 {

@@ -38,14 +38,13 @@ func TestZeroWorkOpPanics(t *testing.T) {
 		}
 	}
 	sys := New(smallCfg(), sharedL2(), &zeroWorkAfter{script: newScripted(ops), healthy: healthy})
-	steps := 0
-	sys.onStep = func(int) { steps++ }
+	rec := record(sys)
 	defer func() {
 		r := recover()
 		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "cmpsim: ") {
 			t.Fatalf("zero-work op panicked with %v, want a cmpsim: message", r)
 		}
-		if steps != healthy+1 {
+		if steps := len(rec.trace); steps != healthy+1 {
 			t.Errorf("panicked on step %d, want the first zero-work op, step %d", steps, healthy+1)
 		}
 	}()

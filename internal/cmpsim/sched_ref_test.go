@@ -31,9 +31,6 @@ func (s *System) runUntilScan(instrPerCore uint64, phase phaseKind, done func() 
 				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
 			})
 		}
-		if s.onStep != nil {
-			s.onStep(pick)
-		}
 		s.step(pick)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
+	"cmpnurapid/internal/topo"
 )
 
 // lockstepWorkload keeps every core clock-equal forever: identical
@@ -19,10 +20,29 @@ type lockstepWorkload struct{}
 func (lockstepWorkload) Next(core int) Op { return Op{Compute: 1, NoMem: true} }
 func (lockstepWorkload) Name() string     { return "lockstep" }
 
-// tracedRun executes warmup+run on s recording the step-order trace
-// through the test-only onStep hook.
+// recorder wraps a system's workload and records the core of every
+// Next call. step draws exactly one op per scheduler pick, after the
+// ceiling check, so the recorded cores are the step-order trace.
+type recorder struct {
+	Workload
+	trace []int
+}
+
+func (r *recorder) Next(core int) Op {
+	r.trace = append(r.trace, core)
+	return r.Workload.Next(core)
+}
+
+// record installs a recorder in front of s's workload.
+func record(s *System) *recorder {
+	r := &recorder{Workload: s.stream}
+	s.stream = r
+	return r
+}
+
+// tracedRun executes warmup+run on s recording the step-order trace.
 func tracedRun(s *System, warmup int, quantum uint64, scan bool) (trace []int, r Results) {
-	s.onStep = func(core int) { trace = append(trace, core) }
+	rec := record(s)
 	if scan {
 		s.warmupScan(warmup)
 		r = s.runScan(quantum)
@@ -30,8 +50,7 @@ func tracedRun(s *System, warmup int, quantum uint64, scan bool) (trace []int, r
 		s.Warmup(warmup)
 		r = s.Run(quantum)
 	}
-	s.onStep = nil
-	return trace, r
+	return rec.trace, r
 }
 
 // TestSchedulerTieBreakPinned pins the tie-break contract on a
@@ -102,7 +121,7 @@ func (w *diffWorkload) Next(core int) Op {
 func TestSeqVsHeapEquivalence(t *testing.T) {
 	designs := map[string]func() memsys.L2{
 		"shared":      sharedL2,
-		"private":     func() memsys.L2 { return l2.NewPrivate(l2.MESI) },
+		"private":     func() memsys.L2 { return l2.NewPrivate(l2.MESI, topo.Derive()) },
 		"cmp-nurapid": func() memsys.L2 { return core.New(core.DefaultConfig()) },
 	}
 	for name, mk := range designs {
@@ -214,7 +233,7 @@ func TestCeilingTripIdenticalUnderHeap(t *testing.T) {
 	trip := func(scan bool) (lim *CycleLimitExceeded) {
 		cfg := smallCfg()
 		cfg.MaxCycles = memsys.CyclesOf(3000)
-		sys := New(cfg, l2.NewPrivate(l2.MESI), newScripted(mkOps()))
+		sys := New(cfg, l2.NewPrivate(l2.MESI, topo.Derive()), newScripted(mkOps()))
 		defer func() {
 			var ok bool
 			if lim, ok = recover().(*CycleLimitExceeded); !ok {
@@ -240,10 +259,9 @@ func TestCeilingTripIdenticalUnderHeap(t *testing.T) {
 // done()-before-first-step loop.
 func TestRunZeroQuantumNeedsNoSteps(t *testing.T) {
 	sys := New(smallCfg(), sharedL2(), lockstepWorkload{})
-	steps := 0
-	sys.onStep = func(int) { steps++ }
+	rec := record(sys)
 	r := sys.Run(0)
-	if steps != 0 {
+	if steps := len(rec.trace); steps != 0 {
 		t.Errorf("Run(0) executed %d steps, want 0", steps)
 	}
 	if len(r.Cores) != 4 || r.Instructions != 0 {
@@ -268,9 +286,7 @@ func TestHeapMatchesScanAfterReentry(t *testing.T) {
 	sys := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
 	ref := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
 
-	var sysTrace, refTrace []int
-	sys.onStep = func(c int) { sysTrace = append(sysTrace, c) }
-	ref.onStep = func(c int) { refTrace = append(refTrace, c) }
+	sysRec, refRec := record(sys), record(ref)
 	for i := 0; i < 3; i++ {
 		// Each warmup resets the quantum baselines, so every Run is a
 		// fresh phase entered with mid-flight clocks and whatever
@@ -283,7 +299,7 @@ func TestHeapMatchesScanAfterReentry(t *testing.T) {
 			t.Fatalf("run %d results diverge:\nrunUntil:  %+v\nreference: %+v", i, sr, rr)
 		}
 	}
-	if !reflect.DeepEqual(sysTrace, refTrace) {
-		t.Fatalf("re-entry traces diverge (runUntil %d steps, reference %d steps)", len(sysTrace), len(refTrace))
+	if !reflect.DeepEqual(sysRec.trace, refRec.trace) {
+		t.Fatalf("re-entry traces diverge (runUntil %d steps, reference %d steps)", len(sysRec.trace), len(refRec.trace))
 	}
 }

@@ -117,7 +117,7 @@ func TestNoStaleL1CopiesCMPNuRAPIDWithMigration(t *testing.T) {
 }
 
 func TestNoStaleL1CopiesPrivate(t *testing.T) {
-	runStaleDetector(t, func() memsys.L2 { return l2.NewPrivate(l2.MESI) }, 40000, 128)
+	runStaleDetector(t, func() memsys.L2 { return l2.NewPrivate(l2.MESI, topo.Derive()) }, 40000, 128)
 }
 
 func TestNoStaleL1CopiesShared(t *testing.T) {

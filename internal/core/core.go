@@ -142,21 +142,25 @@ func (r ReplicationPolicy) String() string {
 	return fmt.Sprintf("ReplicationPolicy(%d)", int(r))
 }
 
-// DefaultConfig returns the paper's 8 MB 4-core configuration: four
-// 2 MB single-ported d-groups, 8-way doubled tag arrays, Table 1
-// latencies, and all three optimizations on.
-func DefaultConfig() Config {
-	l := topo.Derive()
+// DefaultConfig returns the paper's 8 MB 4-core configuration:
+// ConfigAt(topo.Derive()).
+func DefaultConfig() Config { return ConfigAt(topo.Derive()) }
+
+// ConfigAt returns the paper's configuration at l's size: four
+// single-ported d-groups of l.DGroupBytes, 8-way tag arrays with twice
+// a d-group-sized cache's sets, l's latencies, and all three
+// optimizations on.
+func ConfigAt(l topo.Latencies) Config {
 	return Config{
 		BlockBytes:      topo.BlockBytes,
-		TagSets:         2 * (topo.PrivateBytes / (topo.BlockBytes * topo.PrivateAssoc)),
+		TagSets:         2 * l.DGroupBytes.Per(topo.BlockBytes*topo.PrivateAssoc),
 		TagWays:         topo.PrivateAssoc,
-		DGroupFrames:    topo.DGroupBytes / topo.BlockBytes,
+		DGroupFrames:    l.DGroupBytes.Per(topo.BlockBytes),
 		TagLatency:      l.NuRAPIDTag,
 		DGroupLat:       l.DGroupData,
-		DGroupOccupancy: l.PrivateData, // a 2 MB bank's access time
-		MemLatency:      300,
-		Bus:             bus.Config{Latency: l.Bus, SlotCycles: 4},
+		DGroupOccupancy: l.PrivateData, // a d-group bank's access time
+		MemLatency:      topo.MemLatency,
+		Bus:             bus.Config{Latency: l.Bus, SlotCycles: topo.BusSlotCycles},
 		Replication:     ReplicateSecondUse,
 		EnableISC:       true,
 		Promotion:       Fastest,

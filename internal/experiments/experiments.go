@@ -80,31 +80,50 @@ const (
 	DNUCA DesignName = "non-uniform-shared-dynamic"
 )
 
-// NewDesign constructs a fresh instance of the named design.
-func NewDesign(d DesignName) memsys.L2 {
-	switch d {
-	case UniformShared:
-		return l2.NewUniformShared()
-	case NonUniform:
-		return l2.NewSNUCA(l2.Static)
-	case Private:
-		return l2.NewPrivate(l2.MESI)
-	case Ideal:
-		return l2.NewIdeal()
-	case NuRAPID:
-		return core.New(core.DefaultConfig())
-	case NuRAPIDCR:
-		cfg := core.DefaultConfig()
+// designTable is the one list of designs, in the order cmpsim -list
+// prints them, each with its one constructor at latencies l.
+var designTable = []struct {
+	name  DesignName
+	build func(l topo.Latencies) memsys.L2
+}{
+	{UniformShared, func(l topo.Latencies) memsys.L2 { return l2.NewUniformShared(l) }},
+	{NonUniform, func(l topo.Latencies) memsys.L2 { return l2.NewSNUCA(l2.Static, l) }},
+	{Private, func(l topo.Latencies) memsys.L2 { return l2.NewPrivate(l2.MESI, l) }},
+	{Ideal, func(l topo.Latencies) memsys.L2 { return l2.NewIdeal(l) }},
+	{NuRAPID, func(l topo.Latencies) memsys.L2 { return core.New(core.ConfigAt(l)) }},
+	{NuRAPIDCR, func(l topo.Latencies) memsys.L2 {
+		cfg := core.ConfigAt(l)
 		cfg.EnableISC = false
 		return core.New(cfg)
-	case NuRAPIDISC:
-		cfg := core.DefaultConfig()
+	}},
+	{NuRAPIDISC, func(l topo.Latencies) memsys.L2 {
+		cfg := core.ConfigAt(l)
 		cfg.Replication = core.ReplicateFirstUse
 		return core.New(cfg)
-	case PrivateUpdate:
-		return l2.NewPrivate(l2.Update)
-	case DNUCA:
-		return l2.NewSNUCA(l2.Migrate)
+	}},
+	{PrivateUpdate, func(l topo.Latencies) memsys.L2 { return l2.NewPrivate(l2.Update, l) }},
+	{DNUCA, func(l topo.Latencies) memsys.L2 { return l2.NewSNUCA(l2.Migrate, l) }},
+}
+
+// DesignNames lists every design NewDesign builds.
+func DesignNames() []DesignName {
+	names := make([]DesignName, len(designTable))
+	for i, e := range designTable {
+		names[i] = e.name
+	}
+	return names
+}
+
+// NewDesign constructs a fresh instance of the named design at the
+// paper's 8 MB configuration.
+func NewDesign(d DesignName) memsys.L2 { return newDesign(d, topo.Derive()) }
+
+// newDesign constructs d at the latencies (and size) l.
+func newDesign(d DesignName, l topo.Latencies) memsys.L2 {
+	for _, e := range designTable {
+		if e.name == d {
+			return e.build(l)
+		}
 	}
 	panic(fmt.Sprintf("experiments: unknown design %q", d))
 }
@@ -126,13 +145,6 @@ func simulate(l2 memsys.L2, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
 // Run simulates one (design, workload) pair.
 func Run(d DesignName, w cmpsim.Workload, rc RunConfig) cmpsim.Results {
 	return simulate(NewDesign(d), w, rc)
-}
-
-// RunProfile builds a fresh workload generator for p and runs it on d.
-// Every design sees an identical per-core reference stream.
-func RunProfile(d DesignName, p workload.Profile, rc RunConfig) cmpsim.Results {
-	p.Seed = rc.Seed
-	return Run(d, workload.New(p), rc)
 }
 
 // Table1 regenerates the paper's Table 1 (cache and bus latencies)
@@ -176,10 +188,10 @@ func Table3(seed uint64) *stats.Table {
 	t := stats.NewTable("Table 3: Multithreaded Workloads (synthetic profiles)",
 		"Workload", "Instr", "RO", "RW", "Private/core", "Footprint")
 	for _, p := range workload.Multithreaded(seed) {
-		perCore := (p.PrivateBlocks[0] + p.CodeBlocks + p.ROBlocks + p.RWBlocks) * workload.BlockBytes
+		perCore := (p.PrivateBlocks[0] + p.CodeBlocks + p.ROBlocks + p.RWBlocks) * topo.BlockBytes
 		t.Row(p.Name,
 			stats.Pct(p.InstrFrac), stats.Pct(p.ROFrac), stats.Pct(p.RWFrac),
-			fmt.Sprintf("%.1f MB", float64(p.PrivateBlocks[0]*workload.BlockBytes)/(1<<20)),
+			fmt.Sprintf("%.1f MB", float64(p.PrivateBlocks[0]*topo.BlockBytes)/(1<<20)),
 			fmt.Sprintf("%.1f MB/core", float64(perCore)/(1<<20)))
 	}
 	return t

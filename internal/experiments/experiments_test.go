@@ -102,11 +102,21 @@ func TestNewDesignUnknownPanics(t *testing.T) {
 	NewDesign("bogus")
 }
 
+// TestAllDesignsConstruct: every listed design builds through its one
+// constructor at every size of the capacity sweep and runs briefly.
 func TestAllDesignsConstruct(t *testing.T) {
-	for _, d := range []DesignName{UniformShared, NonUniform, Private, Ideal, NuRAPID, NuRAPIDCR, NuRAPIDISC} {
-		l2 := NewDesign(d)
-		if l2 == nil {
-			t.Errorf("NewDesign(%s) = nil", d)
+	names := DesignNames()
+	if len(names) != 9 {
+		t.Fatalf("DesignNames() lists %d designs, want 9: %v", len(names), names)
+	}
+	rc := RunConfig{WarmupInstr: 2_000, Instructions: 2_000, Seed: 42}
+	for _, d := range names {
+		for _, mb := range []int{4, 8, 16} {
+			cfg := sized(d, mb)
+			r := simulate(cfg.l2(), workload.New(workload.OLTP(rc.Seed)), rc)
+			if r.Instructions < 4*rc.Instructions || r.Cycles <= 0 {
+				t.Errorf("%s: degenerate run %d instructions, %d cycles", cfg.name, r.Instructions, r.Cycles)
+			}
 		}
 	}
 }
@@ -260,8 +270,8 @@ func TestClosestDGroupHitFrac(t *testing.T) {
 // TestDeterminism: identical run configs give identical results.
 func TestDeterminism(t *testing.T) {
 	rc := RunConfig{WarmupInstr: 50_000, Instructions: 50_000, Seed: 7}
-	a := RunProfile(NuRAPID, workload.OLTP(rc.Seed), rc)
-	b := RunProfile(NuRAPID, workload.OLTP(rc.Seed), rc)
+	a := Run(NuRAPID, workload.New(workload.OLTP(rc.Seed)), rc)
+	b := Run(NuRAPID, workload.New(workload.OLTP(rc.Seed)), rc)
 	if a.Cycles != b.Cycles || a.Instructions != b.Instructions {
 		t.Errorf("non-deterministic: %d/%d vs %d/%d cycles/instr",
 			a.Cycles, a.Instructions, b.Cycles, b.Instructions)
@@ -276,8 +286,8 @@ func TestDeterminism(t *testing.T) {
 // instruction mix at equal instruction targets).
 func TestIdenticalStreamsAcrossDesigns(t *testing.T) {
 	rc := RunConfig{WarmupInstr: 20_000, Instructions: 20_000, Seed: 3}
-	a := RunProfile(UniformShared, workload.Barnes(rc.Seed), rc)
-	b := RunProfile(Ideal, workload.Barnes(rc.Seed), rc)
+	a := Run(UniformShared, workload.New(workload.Barnes(rc.Seed)), rc)
+	b := Run(Ideal, workload.New(workload.Barnes(rc.Seed)), rc)
 	// Same instruction quantum retired per core.
 	for c := range a.Cores {
 		if a.Cores[c].Instructions == 0 || b.Cores[c].Instructions == 0 {

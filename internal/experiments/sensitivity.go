@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"cmpnurapid/internal/bus"
-	"cmpnurapid/internal/core"
-	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/stats"
 	"cmpnurapid/internal/topo"
@@ -17,39 +14,18 @@ import (
 // tradeoff CMP-NuRAPID navigates shifts with cache size) and workload
 // seed (the paper injects random perturbations and reruns, §4.3).
 
-// sized is design d at an alternative total capacity, with latencies
-// re-derived from the timing model at that geometry. At the paper's
-// 8 MB it is the design itself, so that point shares the figures'
-// simulation.
+// sized is design d at an alternative total capacity, built by d's
+// one constructor at latencies re-derived from the timing model at
+// that geometry. At the paper's 8 MB it is the design itself, so that
+// point shares the figures' simulation.
 func sized(d DesignName, totalMB int) config {
 	total := memsys.MB(totalMB)
 	if total == topo.TotalL2Bytes {
 		return design(d)
 	}
-	return config{fmt.Sprintf("%s[size=%dMB]", d, totalMB), func() memsys.L2 { return sizedL2(d, total) }}
-}
-
-func sizedL2(d DesignName, totalBytes memsys.Bytes) memsys.L2 {
-	dgroupBytes := totalBytes / topo.NumDGroups
-	lat := topo.DeriveWith(dgroupBytes)
-	switch d {
-	case UniformShared:
-		return l2.NewShared("uniform-shared", totalBytes, topo.SharedAssoc,
-			topo.BlockBytes, lat.SharedTotal, 300)
-	case Private:
-		return l2.NewPrivateWith(l2.MESI, dgroupBytes, topo.PrivateAssoc, topo.BlockBytes,
-			lat.PrivateTotal, bus.Config{Latency: lat.Bus, SlotCycles: 4}, 300)
-	case NuRAPID:
-		cfg := core.DefaultConfig()
-		cfg.TagSets = 2 * dgroupBytes.Per(topo.BlockBytes*topo.PrivateAssoc)
-		cfg.DGroupFrames = dgroupBytes.Per(topo.BlockBytes)
-		cfg.TagLatency = lat.NuRAPIDTag
-		cfg.DGroupLat = lat.DGroupData
-		cfg.DGroupOccupancy = lat.PrivateData
-		cfg.Bus = bus.Config{Latency: lat.Bus, SlotCycles: 4}
-		return core.New(cfg)
-	}
-	panic(fmt.Sprintf("experiments: no sized variant of %q", d))
+	return config{fmt.Sprintf("%s[size=%dMB]", d, totalMB), func() memsys.L2 {
+		return newDesign(d, topo.DeriveWith(total/topo.NumDGroups))
+	}}
 }
 
 // sizeSweepMB is the capacity sweep the "sens-size" experiment runs.

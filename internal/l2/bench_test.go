@@ -7,6 +7,7 @@ import (
 	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
+	"cmpnurapid/internal/topo"
 )
 
 // The baseline designs' access benchmarks share runAccessBench: each
@@ -32,9 +33,9 @@ func runAccessBench(b *testing.B, setup func() func(int)) {
 	}
 }
 
-func sharedAccesses() func(int) { return uniformAccesses(NewUniformShared()) }
-func snucaAccesses() func(int)  { return uniformAccesses(NewSNUCA(Static)) }
-func dnucaAccesses() func(int)  { return uniformAccesses(NewSNUCA(Migrate)) }
+func sharedAccesses() func(int) { return uniformAccesses(NewUniformShared(topo.Derive())) }
+func snucaAccesses() func(int)  { return uniformAccesses(NewSNUCA(Static, topo.Derive())) }
+func dnucaAccesses() func(int)  { return uniformAccesses(NewSNUCA(Migrate, topo.Derive())) }
 
 // uniformAccesses draws blocks uniformly from a 64K-block space.
 func uniformAccesses(s memsys.L2) func(int) {
@@ -46,8 +47,8 @@ func uniformAccesses(s memsys.L2) func(int) {
 	}
 }
 
-func privateAccesses() func(int)       { return regionAccesses(NewPrivate(MESI)) }
-func privateUpdateAccesses() func(int) { return regionAccesses(NewPrivate(Update)) }
+func privateAccesses() func(int)       { return regionAccesses(NewPrivate(MESI, topo.Derive())) }
+func privateUpdateAccesses() func(int) { return regionAccesses(NewPrivate(Update, topo.Derive())) }
 
 // regionAccesses sends 70% of each core's accesses to its own region
 // and the rest to a shared one.

@@ -74,7 +74,7 @@ func TestSharedEvictionInvalidatesAllL1s(t *testing.T) {
 }
 
 func TestUniformSharedPaperLatency(t *testing.T) {
-	s := NewUniformShared()
+	s := NewUniformShared(topo.Derive())
 	s.Access(0, 0, 0x1000, false)
 	r := s.Access(100, 1, 0x1000, false)
 	if r.Latency != 59 {
@@ -83,7 +83,7 @@ func TestUniformSharedPaperLatency(t *testing.T) {
 }
 
 func TestIdealPaperLatency(t *testing.T) {
-	s := NewIdeal()
+	s := NewIdeal(topo.Derive())
 	s.Access(0, 0, 0x1000, false)
 	r := s.Access(100, 1, 0x1000, false)
 	if r.Latency != 10 {

@@ -74,12 +74,12 @@ func (w writeThrough) IsCommunication(core int, addr memsys.Addr) bool {
 	return first >= 0
 }
 
-// NewPrivate builds the paper's configuration under proto: 2 MB 8-way
-// per core, 10-cycle hit (Table 1), 32-cycle bus, 300-cycle memory.
-func NewPrivate(proto Protocol) memsys.L2 {
-	l := topo.Derive()
-	return NewPrivateWith(proto, topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
-		l.PrivateTotal, bus.Config{Latency: l.Bus, SlotCycles: 4}, 300)
+// NewPrivate builds the paper's configuration under proto at l's
+// size: one d-group's capacity, 8-way, per core at the private latency
+// (Table 1: 10 cycles at 2 MB), l's bus, topo.MemLatency memory.
+func NewPrivate(proto Protocol, l topo.Latencies) memsys.L2 {
+	return NewPrivateWith(proto, l.DGroupBytes, topo.PrivateAssoc, topo.BlockBytes,
+		l.PrivateTotal, bus.Config{Latency: l.Bus, SlotCycles: topo.BusSlotCycles}, topo.MemLatency)
 }
 
 // NewPrivateWith builds private caches with explicit geometry/timing:

@@ -32,23 +32,22 @@ type Shared struct {
 	l1inv      func(core int, addr memsys.Addr)
 }
 
-// NewUniformShared builds the paper's base configuration: 8 MB, 32-way,
-// 128 B blocks, 59-cycle access (26 tag + 33 data, Table 1), 300-cycle
-// memory.
-func NewUniformShared() *Shared {
-	l := topo.Derive()
-	return NewShared("uniform-shared", topo.TotalL2Bytes, topo.SharedAssoc,
-		topo.BlockBytes, l.SharedTotal, 300)
+// NewUniformShared builds the paper's base configuration at l's size:
+// the four d-groups' capacity as one 32-way cache of 128 B blocks at
+// the shared latency (Table 1: 59 cycles, 26 tag + 33 data, at 8 MB)
+// over topo.MemLatency memory.
+func NewUniformShared(l topo.Latencies) *Shared {
+	return NewShared("uniform-shared", l.DGroupBytes.Times(topo.NumDGroups), topo.SharedAssoc,
+		topo.BlockBytes, l.SharedTotal, topo.MemLatency)
 }
 
 // NewIdeal builds the ideal cache: the full shared capacity at each
-// private cache's 10-cycle latency. "The ideal cache has the capacity
-// advantages of shared and latency advantages of private caches"
-// (§5.1.1); it is unbuildable and serves as the upper bound.
-func NewIdeal() *Shared {
-	l := topo.Derive()
-	return NewShared("ideal", topo.TotalL2Bytes, topo.SharedAssoc,
-		topo.BlockBytes, l.PrivateTotal, 300)
+// private cache's latency (10 cycles at 8 MB). "The ideal cache has the
+// capacity advantages of shared and latency advantages of private
+// caches" (§5.1.1); it is unbuildable and serves as the upper bound.
+func NewIdeal(l topo.Latencies) *Shared {
+	return NewShared("ideal", l.DGroupBytes.Times(topo.NumDGroups), topo.SharedAssoc,
+		topo.BlockBytes, l.PrivateTotal, topo.MemLatency)
 }
 
 // NewShared builds a shared cache with explicit geometry and timing.

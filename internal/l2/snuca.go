@@ -88,13 +88,12 @@ const snucaSlotCycles memsys.Cycles = 4
 // bank and one whose members are both a middle-distance hop away.
 var migratingBanksets = [][]int{{0, 3}, {1, 2}}
 
-// NewSNUCA builds the paper-scale configuration under policy: four
-// 2 MB 8-way banks at the Table 1 d-group distances plus the network
-// overhead.
-func NewSNUCA(policy Policy) *SNUCA {
-	l := topo.Derive()
-	return NewSNUCAWith(policy, topo.DGroupBytes, topo.PrivateAssoc, topo.BlockBytes,
-		l.DGroupData, SNUCANetOverhead, 300)
+// NewSNUCA builds the configuration under policy at l's size: four
+// one-d-group 8-way banks at l's d-group distances plus the network
+// overhead, over topo.MemLatency memory.
+func NewSNUCA(policy Policy, l topo.Latencies) *SNUCA {
+	return NewSNUCAWith(policy, l.DGroupBytes, topo.PrivateAssoc, topo.BlockBytes,
+		l.DGroupData, SNUCANetOverhead, topo.MemLatency)
 }
 
 // NewSNUCAWith builds an SNUCA with explicit geometry and timing.

@@ -62,9 +62,6 @@ func (c Category) String() string {
 	return "unknown"
 }
 
-// IsMiss reports whether the category is any kind of miss.
-func (c Category) IsMiss() bool { return c != Hit }
-
 // Result describes the outcome of one L2 access.
 type Result struct {
 	// Latency is the total cycles the L2 and everything below it

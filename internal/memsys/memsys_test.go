@@ -53,17 +53,6 @@ func TestCategoryString(t *testing.T) {
 	}
 }
 
-func TestCategoryIsMiss(t *testing.T) {
-	if Hit.IsMiss() {
-		t.Error("Hit.IsMiss() = true")
-	}
-	for _, c := range []Category{ROSMiss, RWSMiss, CapacityMiss} {
-		if !c.IsMiss() {
-			t.Errorf("%v.IsMiss() = false", c)
-		}
-	}
-}
-
 func TestRecordAccessCategories(t *testing.T) {
 	s := NewL2Stats()
 	s.RecordAccess(Result{Category: Hit, DGroup: 0, ClosestDGroup: true})

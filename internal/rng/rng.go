@@ -153,13 +153,6 @@ type Zipf struct {
 	t   *ZipfTable
 }
 
-// NewZipf returns a Zipf sampler over [0, n) with exponent theta > 0,
-// drawing from src through a table of its own.
-func NewZipf(src *Source, n int, theta float64) *Zipf {
-	z := NewZipfTable(n, theta).Sampler(src)
-	return &z
-}
-
 // Next returns the next Zipf-distributed rank.
 func (z *Zipf) Next() int {
 	return z.t.rank(z.src.Float64())

@@ -99,7 +99,7 @@ func TestSplitIndependence(t *testing.T) {
 
 func TestZipfRangeAndSkew(t *testing.T) {
 	s := New(21)
-	z := NewZipf(s, 1000, 0.9)
+	z := NewZipfTable(1000, 0.9).Sampler(s)
 	counts := make([]int, 1000)
 	for i := 0; i < 100000; i++ {
 		r := z.Next()
@@ -118,7 +118,7 @@ func TestZipfRangeAndSkew(t *testing.T) {
 func TestZipfLargeN(t *testing.T) {
 	s := New(23)
 	n := zipfTabulateLimit * 4
-	z := NewZipf(s, n, 1.0)
+	z := NewZipfTable(n, 1.0).Sampler(s)
 	if z.t.cdf != nil || z.t.guide != nil {
 		t.Fatal("large-n Zipf should not tabulate")
 	}
@@ -142,10 +142,10 @@ func TestZipfLargeN(t *testing.T) {
 func TestZipfPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewZipf(_, 0, _) did not panic")
+			t.Fatal("NewZipfTable(0, _) did not panic")
 		}
 	}()
-	NewZipf(New(1), 0, 1)
+	NewZipfTable(0, 1).Sampler(New(1))
 }
 
 func BenchmarkUint64(b *testing.B) {

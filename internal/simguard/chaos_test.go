@@ -30,9 +30,9 @@ type invariantChecker interface {
 // sweptDesigns builds one fresh instance of each swept design.
 func sweptDesigns() []memsys.L2 {
 	return []memsys.L2{
-		l2.NewPrivate(l2.MESI),
-		l2.NewPrivate(l2.Update),
-		l2.NewSNUCA(l2.Static),
+		l2.NewPrivate(l2.MESI, topo.Derive()),
+		l2.NewPrivate(l2.Update, topo.Derive()),
+		l2.NewSNUCA(l2.Static, topo.Derive()),
 		core.New(core.DefaultConfig()),
 	}
 }

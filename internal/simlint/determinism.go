@@ -90,7 +90,7 @@ func checkDeterminismFile(pkg *Package, file *ast.File, report Reporter) {
 		case *ast.RangeStmt:
 			if isMapType(pkg, n.X) {
 				if pos, name, found := findEmit(pkg, n.Body); found {
-					report(pos, "%s emits output inside a map iteration; map order is randomized — sort the keys first (stats.SortedKeys)", name)
+					report(pos, "%s emits output inside a map iteration; map order is randomized — sort the keys first", name)
 				}
 			}
 		}

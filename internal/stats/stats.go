@@ -8,7 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -222,9 +221,6 @@ func (t *Table) Rowf(label string, format string, args ...any) {
 	t.rows = append(t.rows, []string{label, fmt.Sprintf(format, args...)})
 }
 
-// NumRows returns the number of rows including the header.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with space-aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder
@@ -339,14 +335,3 @@ func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // Rel formats a relative-performance ratio, e.g. 1.13 -> "1.13x".
 func Rel(f float64) string { return fmt.Sprintf("%.3fx", f) }
-
-// SortedKeys returns the keys of m in sorted order; a tiny helper for
-// deterministic iteration when printing maps.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

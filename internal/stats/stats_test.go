@@ -154,8 +154,8 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("table output missing %q:\n%s", want, s)
 		}
 	}
-	if tb.NumRows() != 4 {
-		t.Errorf("NumRows = %d, want 4", tb.NumRows())
+	if n := strings.Count(tb.CSV(), "\n"); n != 4 {
+		t.Errorf("%d rows, want 4", n)
 	}
 }
 
@@ -215,17 +215,6 @@ func TestPctRel(t *testing.T) {
 	}
 	if got := Rel(1.13); got != "1.130x" {
 		t.Errorf("Rel = %q", got)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys = %v, want %v", got, want)
-		}
 	}
 }
 

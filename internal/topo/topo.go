@@ -129,17 +129,23 @@ type Latencies struct {
 
 	// Pipelined split-transaction bus.
 	Bus memsys.Cycles
+
+	// DGroupBytes is the d-group capacity DeriveWith derived these for.
+	DGroupBytes memsys.Bytes
 }
 
-// Paper §4.2 cache geometry.
+// Paper §4.2 cache geometry, off-chip memory latency (300 cycles) and
+// bus issue interval (a new transaction every 4 cycles).
 const (
 	TotalL2Bytes = 8 << 20
 	BlockBytes   = 128
 	SharedAssoc  = 32
 	TimedAssoc   = 8 // shared latency conservatively timed as 8-way
-	PrivateBytes = 2 << 20
 	PrivateAssoc = 8
 	DGroupBytes  = 2 << 20
+
+	MemLatency    memsys.Cycles = 300
+	BusSlotCycles memsys.Cycles = 4
 )
 
 // DeriveWith computes latencies for an alternative per-d-group
@@ -148,7 +154,7 @@ const (
 // closer together.
 func DeriveWith(dgroupBytes memsys.Bytes) Latencies {
 	scale := sqrtRatio(dgroupBytes, DGroupBytes)
-	var l Latencies
+	l := Latencies{DGroupBytes: dgroupBytes}
 
 	totalBytes := dgroupBytes.Times(NumDGroups)
 	sharedTag := cacti.TagGeometry{

@@ -20,7 +20,7 @@ import (
 // degenerateDesigns builds fresh instances of the invariant-checked
 // design trio the degenerate runs cover.
 func degenerateDesigns() []memsys.L2 {
-	return []memsys.L2{l2.NewPrivate(l2.MESI), core.New(core.DefaultConfig()), l2.NewSNUCA(l2.Static)}
+	return []memsys.L2{l2.NewPrivate(l2.MESI, topo.Derive()), core.New(core.DefaultConfig()), l2.NewSNUCA(l2.Static, topo.Derive())}
 }
 
 // runDegenerate simulates w on every design, requiring completion and

@@ -108,7 +108,7 @@ func (m *Multiprogrammed) Next(core int) cmpsim.Op {
 		mc.zsrc = nil
 	}
 	base := memsys.Addr(PrivateBase + core*PrivateStep)
-	op.Addr = base + memsys.Addr(mc.z.Next()*BlockBytes)
+	op.Addr = base + memsys.Addr(mc.z.Next()*topo.BlockBytes)
 	op.Write = mc.r.Bool(app.WriteFrac)
 	mc.ring[mc.ringPos] = op
 	mc.ringPos = (mc.ringPos + 1) % repeatRing

@@ -33,7 +33,6 @@ const (
 	RWBase      = 0x2000_0000
 	PrivateBase = 0x4000_0000
 	PrivateStep = 0x1000_0000 // per-core private region stride
-	BlockBytes  = 128
 )
 
 // Profile parameterizes one workload.
@@ -195,16 +194,16 @@ func (g *Generator) Next(core int) cmpsim.Op {
 
 	if cg.r.Bool(p.InstrFrac) {
 		op.Instr = true
-		op.Addr = CodeBase + memsys.Addr(cg.code.Next()*BlockBytes)
+		op.Addr = CodeBase + memsys.Addr(cg.code.Next()*topo.BlockBytes)
 		cg.remember(op)
 		return op
 	}
 	x := cg.r.Float64()
 	switch {
 	case x < p.ROFrac:
-		op.Addr = ROBase + memsys.Addr(cg.ro.Next()*BlockBytes)
+		op.Addr = ROBase + memsys.Addr(cg.ro.Next()*topo.BlockBytes)
 	case x < p.ROFrac+p.RWFrac:
-		op.Addr = RWBase + memsys.Addr(cg.rw.Next()*BlockBytes)
+		op.Addr = RWBase + memsys.Addr(cg.rw.Next()*topo.BlockBytes)
 		switch {
 		case cg.r.Bool(p.RWModifyFrac):
 			// Migratory read-modify-write: emit the load now, queue
@@ -216,7 +215,7 @@ func (g *Generator) Next(core int) cmpsim.Op {
 		}
 	default:
 		base := memsys.Addr(PrivateBase + core*PrivateStep)
-		op.Addr = base + memsys.Addr(cg.private.Next()*BlockBytes)
+		op.Addr = base + memsys.Addr(cg.private.Next()*topo.BlockBytes)
 		op.Write = cg.r.Bool(p.PrivateWriteFrac)
 	}
 	cg.remember(op)
@@ -233,7 +232,7 @@ func (cg *coreGen) remember(op cmpsim.Op) {
 }
 
 // blocksForMB converts megabytes to 128 B block counts.
-func blocksForMB(mb float64) int { return int(mb * 1024 * 1024 / BlockBytes) }
+func blocksForMB(mb float64) int { return int(mb * 1024 * 1024 / topo.BlockBytes) }
 
 // uniform returns the same per-core footprint for all cores.
 func uniform(blocks int) [topo.NumCores]int {

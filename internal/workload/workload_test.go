@@ -209,7 +209,7 @@ func TestMixDisjointAddressSpaces(t *testing.T) {
 		seen[c] = map[memsys.Addr]bool{}
 		for i := 0; i < 5000; i++ {
 			op := m.Next(c)
-			seen[c][op.Addr.BlockAddr(BlockBytes)] = true
+			seen[c][op.Addr.BlockAddr(topo.BlockBytes)] = true
 			if op.Instr {
 				t.Fatal("multiprogrammed workloads fetch no shared code")
 			}
@@ -271,15 +271,15 @@ func TestFootprintsMatchPaperRegime(t *testing.T) {
 		for _, b := range p.PrivateBlocks {
 			total += b
 		}
-		if perCore*BlockBytes <= 2<<20 {
-			t.Errorf("%s: per-core demand %d MB fits private cache", p.Name, perCore*BlockBytes>>20)
+		if perCore*topo.BlockBytes <= 2<<20 {
+			t.Errorf("%s: per-core demand %d MB fits private cache", p.Name, perCore*topo.BlockBytes>>20)
 		}
 		// Calibration note: the paper's shared cache shows only ~3%
 		// capacity misses, which corresponds to demand near — not far
 		// above — the 8 MB capacity; we require meaningful pressure
 		// without a blow-out.
-		if total*BlockBytes < 6<<20 {
-			t.Errorf("%s: total demand %d MB leaves the shared cache unpressured", p.Name, total*BlockBytes>>20)
+		if total*topo.BlockBytes < 6<<20 {
+			t.Errorf("%s: total demand %d MB leaves the shared cache unpressured", p.Name, total*topo.BlockBytes>>20)
 		}
 	}
 }
