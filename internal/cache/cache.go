@@ -109,16 +109,17 @@ func (a *Array[T]) tagOf(addr memsys.Addr) uint64 {
 
 // Probe returns the line holding addr, or nil on a miss. It does not
 // update LRU state; pair with Touch on a real access so read-only scans
-// (snoops) do not perturb replacement order.
+// (snoops) do not perturb replacement order. It ranges over the set's
+// own subslice, which keeps it small enough for the compiler to inline
+// into its callers (the set index is the tag's low bits).
 //
 // hotpath:root
 func (a *Array[T]) Probe(addr memsys.Addr) *Line[T] {
-	set := a.SetIndex(addr)
 	tag := a.tagOf(addr)
-	base := set * a.geo.Ways
-	for i := base; i < base+a.geo.Ways; i++ {
-		if a.lines[i].Valid && a.lines[i].Tag == tag {
-			return &a.lines[i]
+	set := a.Set(int(tag & a.setMask))
+	for i := range set {
+		if set[i].Valid && set[i].Tag == tag {
+			return &set[i]
 		}
 	}
 	return nil

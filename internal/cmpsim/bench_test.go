@@ -50,7 +50,7 @@ func (s *System) maxCycle() memsys.Cycle {
 // simStepOp is BenchmarkSimStep's loop body: the i-th call steps core
 // i mod 4, round-robin.
 func simStepOp(s *System) func(i int) {
-	return func(i int) { s.step(i % topo.NumCores) }
+	return func(i int) { s.step(s.cores[i%topo.NumCores]) }
 }
 
 // runQuantumOp is BenchmarkRunQuantum's loop body: one complete

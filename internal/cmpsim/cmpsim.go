@@ -95,6 +95,9 @@ type coreState struct {
 	cycles       memsys.Cycle
 	instructions uint64
 	l1d, l1i     *cache.Array[l1Line]
+	id           int // the core's index, as the workload and the L2 name it
+	// done marks a core that has completed the current phase's quantum.
+	done bool
 
 	baseCycles       memsys.Cycle
 	baseInstructions uint64
@@ -123,7 +126,7 @@ type System struct {
 	cfg    Config
 	l2     memsys.L2
 	comm   CommunicationProber // nil unless the L2 has C blocks
-	cores  []*coreState
+	cores  [topo.NumCores]*coreState
 	stream Workload
 	// directory is set for L2 designs whose protocol does not keep the
 	// L1s coherent itself (the shared caches): the simulator then acts
@@ -131,11 +134,6 @@ type System struct {
 	// (paper §2.2.2: "storing L1 tag copies at the L2 to keep L1
 	// caches coherent").
 	directory bool
-
-	// phaseDone marks cores that have completed the current phase's
-	// quantum, so runUntil's completion check is an O(1) counter
-	// decrement instead of the historical O(N) sweep per step.
-	phaseDone []bool
 }
 
 // Validate panics unless the L1 configuration is one New can build:
@@ -172,16 +170,16 @@ func New(cfg Config, l2 memsys.L2, w Workload) *System {
 		s.directory = true
 	}
 	geo := cfg.l1Geometry()
-	for i := 0; i < topo.NumCores; i++ {
-		s.cores = append(s.cores, &coreState{
+	for i := range s.cores {
+		s.cores[i] = &coreState{
 			l1d: cache.NewArray[l1Line](geo),
 			l1i: cache.NewArray[l1Line](geo),
-		})
+			id:  i,
+		}
 	}
 	if inv, ok := l2.(memsys.L1Invalidator); ok {
 		inv.SetL1Invalidate(s.invalidateL1)
 	}
-	s.phaseDone = make([]bool, topo.NumCores)
 	return s
 }
 
@@ -244,9 +242,10 @@ func (s *System) dirtyL1Copy(core int, addr memsys.Addr) bool {
 	return false
 }
 
-// access runs one memory reference for core and returns its latency.
-func (s *System) access(core int, addr memsys.Addr, write, instr bool) memsys.Cycles {
-	cs := s.cores[core]
+// access runs one memory reference for core cs and returns its
+// latency.
+func (s *System) access(cs *coreState, addr memsys.Addr, write, instr bool) memsys.Cycles {
+	core := cs.id
 	arr := cs.l1d
 	if instr {
 		arr = cs.l1i
@@ -306,26 +305,27 @@ func (s *System) access(core int, addr memsys.Addr, write, instr bool) memsys.Cy
 	return lat + res.Latency
 }
 
-// step executes one op on core. Every op must do work: a memory op
+// step executes one op on core cs. Every op must do work: a memory op
 // costs at least L1Latency cycles and a NoMem op its Compute cycles,
 // so a NoMem op with no compute — which would retire nothing and leave
 // the clock where it is — panics. Every step therefore advances the
-// core's clock, and the cycle ceiling alone bounds every phase.
-func (s *System) step(core int) {
-	op := s.stream.Next(core)
-	cs := s.cores[core]
-	if op.Compute > 0 {
-		cs.cycles = cs.cycles.Add(memsys.CyclesOf(op.Compute)) // CPI 1 for non-memory work
-		cs.instructions += uint64(op.Compute)
+// core's clock, and the cycle ceiling alone bounds every phase. A
+// negative compute, which no instruction count can be, panics too.
+func (s *System) step(cs *coreState) {
+	op := s.stream.Next(cs.id)
+	if op.Compute < 0 {
+		panic("cmpsim: op with negative compute")
 	}
+	cs.cycles = cs.cycles.Add(memsys.CyclesOf(op.Compute)) // CPI 1 for non-memory work
+	cs.instructions += uint64(op.Compute)
 	if op.NoMem {
-		if op.Compute <= 0 {
+		if op.Compute == 0 {
 			panic("cmpsim: zero-work op (NoMem with no compute) would stop the core's clock")
 		}
 		return
 	}
 	cs.lastAddr, cs.lastWrite, cs.lastInstr, cs.lastMemValid = op.Addr, op.Write, op.Instr, true
-	lat := s.access(core, op.Addr, op.Write, op.Instr)
+	lat := s.access(cs, op.Addr, op.Write, op.Instr)
 	cs.cycles = cs.cycles.Add(lat)
 	cs.instructions++
 }
@@ -340,9 +340,7 @@ func (s *System) Warmup(instrPerCore int) {
 	if instrPerCore < 0 {
 		panic("cmpsim: negative warm-up instruction count")
 	}
-	s.runUntil(uint64(instrPerCore), warmupPhase, func(core int) bool {
-		return s.cores[core].instructions >= uint64(instrPerCore)
-	})
+	s.runUntil(uint64(instrPerCore), warmupPhase)
 	for _, cs := range s.cores {
 		cs.baseCycles = cs.cycles
 		cs.baseInstructions = cs.instructions
@@ -363,20 +361,30 @@ func (s *System) Warmup(instrPerCore int) {
 // the standard fixed-work CMP methodology: aggregate IPC equals the
 // total quantum divided by the slowest core's time.
 func (s *System) Run(instrPerCore uint64) Results {
-	s.runUntil(instrPerCore, runPhase, func(core int) bool {
-		cs := s.cores[core]
-		if cs.endValid {
-			return true
-		}
-		if cs.instructions-cs.baseInstructions < instrPerCore {
-			return false
-		}
-		cs.endCycles = cs.cycles
-		cs.endInstructions = cs.instructions
-		cs.endValid = true
-		return true
-	})
+	s.runUntil(instrPerCore, runPhase)
 	return s.results()
+}
+
+// reached reports whether core cs has completed the phase's quantum:
+// instrPerCore instructions in all for a warmup, beyond the warm-up
+// baseline for a Run. In a Run it also snapshots the core's end state
+// the first time it holds, and the snapshot stands until the next
+// Warmup clears it. Once true for a core, it is true for the rest of
+// the phase.
+func (cs *coreState) reached(phase phaseKind, instrPerCore uint64) bool {
+	if phase == warmupPhase {
+		return cs.instructions >= instrPerCore
+	}
+	if cs.endValid {
+		return true
+	}
+	if cs.instructions-cs.baseInstructions < instrPerCore {
+		return false
+	}
+	cs.endCycles = cs.cycles
+	cs.endInstructions = cs.instructions
+	cs.endValid = true
+	return true
 }
 
 // derivedCyclesPerInstr is the per-instruction cycle budget used when
@@ -391,24 +399,20 @@ const derivedCyclesPerInstr = 4096
 const derivedCeilingSlack memsys.Cycles = 1 << 22
 
 // runUntil repeatedly advances the laggard core — the earliest local
-// clock, ties to the lowest core index — until every core satisfies
-// complete. Every core keeps executing until the slowest reaches its
-// target (the paper likewise runs all cores and stops on the
-// slowest's completion): a core is never frozen at its own target,
+// clock, ties to the lowest core index — until every core has reached
+// the phase's quantum. Every core keeps executing until the slowest
+// reaches its target (the paper likewise runs all cores and stops on
+// the slowest's completion): a core is never frozen at its own target,
 // because a frozen core's stale resource reservations would charge
 // phantom wait cycles to the cores still running, and its extra
 // instructions are real throughput.
 //
-// The laggard is picked by a linear scan over the cores with a strict
-// <, so clock ties resolve to the lowest core index. At the simulator's
-// fixed four cores the scan is cheaper than any priority queue (see
+// laggard picks the core without a data-dependent branch (see
 // docs/PERF.md, "The scheduler loop"). Completion is an O(1)
-// remaining-cores counter: complete(core) is consulted only for the
-// core that just stepped, the only core whose progress can have
-// changed. complete must be monotone (once true for a core, true
-// forever within the phase) and is where Run snapshots a core's
-// quantum-completion state, so it runs at the same instant a per-step
-// sweep over every core would have observed the crossing
+// remaining-cores counter: reached is consulted only for the core that
+// just stepped, the only core whose progress can have changed, so it
+// runs (and a Run snapshots the core's quantum) at the same instant a
+// per-step sweep over every core would have observed the crossing
 // (sched_ref_test.go keeps that sweep as the differential reference).
 //
 // Every step advances the picked core's clock (step refuses zero-work
@@ -421,36 +425,60 @@ const derivedCeilingSlack memsys.Cycles = 1 << 22
 // reference loop).
 //
 // hotpath:root
-func (s *System) runUntil(instrPerCore uint64, phase phaseKind, complete func(core int) bool) {
+func (s *System) runUntil(instrPerCore uint64, phase phaseKind) {
 	limit, derived := s.cycleCeiling(instrPerCore, phase)
 	remaining := 0
-	for i := range s.cores {
-		s.phaseDone[i] = complete(i)
-		if !s.phaseDone[i] {
+	for _, cs := range s.cores {
+		cs.done = cs.reached(phase, instrPerCore)
+		if !cs.done {
 			remaining++
 		}
 	}
 	for remaining > 0 {
-		pick := 0
-		for c, cs := range s.cores {
-			if cs.cycles < s.cores[pick].cycles {
-				pick = c
-			}
-		}
-		now := s.cores[pick].cycles
-		if now > limit {
+		cs := s.laggard()
+		if now := cs.cycles; now > limit {
 			panic(&CycleLimitExceeded{
 				Limit: limit, Derived: derived, Now: now,
 				Design: s.l2.Name(), Workload: s.stream.Name(),
 				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
 			})
 		}
-		s.step(pick)
-		if !s.phaseDone[pick] && complete(pick) {
-			s.phaseDone[pick] = true
+		s.step(cs)
+		if !cs.done && cs.reached(phase, instrPerCore) {
+			cs.done = true
 			remaining--
 		}
 	}
+}
+
+// laggard's tournament is written for exactly four cores.
+const _, _ uint = topo.NumCores - 4, 4 - topo.NumCores
+
+// laggard returns the core with the earliest clock, ties to the lowest
+// index: the pick of a linear scan with a strict <. It plays a
+// tournament, 0 against 1 and 2 against 3, then the two winners, each
+// match a strict < so the lower index keeps a tie. Each match is a
+// single-assignment if on clocks loaded up front, which the compiler
+// turns into a conditional move, so the pick has no branch for the
+// clocks to mispredict. It must stay a call: inlined into runUntil,
+// the picked pointer would feed the step's loads, and the compiler
+// keeps a branch rather than make a load address wait on a
+// conditional move.
+//
+//go:noinline
+func (s *System) laggard() *coreState {
+	a, b, c, d := s.cores[0], s.cores[1], s.cores[2], s.cores[3]
+	ta, tb, tc, td := a.cycles, b.cycles, c.cycles, d.cycles
+	if tb < ta {
+		a = b
+	}
+	if td < tc {
+		c = d
+	}
+	if min(tc, td) < min(ta, tb) {
+		a = c
+	}
+	return a
 }
 
 // phaseKind distinguishes warmup from measurement phases for the

@@ -8,28 +8,29 @@ import (
 	"cmpnurapid/internal/memsys"
 )
 
-// zeroWorkAfter serves script's ops until it has served healthy of
-// them in total, across all cores, then zero-work ops: NoMem with no
-// compute, which retire nothing and would leave the clock where it is.
-type zeroWorkAfter struct {
+// badAfter serves script's ops until it has served healthy of them in
+// total, across all cores, then bad forever.
+type badAfter struct {
 	script  *scriptedWorkload
 	healthy int
 	served  int
+	bad     Op
 }
 
-func (z *zeroWorkAfter) Name() string { return "zero-work-after" }
-func (z *zeroWorkAfter) Next(core int) Op {
+func (z *badAfter) Name() string { return "bad-after" }
+func (z *badAfter) Next(core int) Op {
 	if z.served < z.healthy {
 		z.served++
 		return z.script.Next(core)
 	}
-	return Op{NoMem: true}
+	return z.bad
 }
 
-// TestZeroWorkOpPanics: step refuses the first op that does no work,
-// at once, with a cmpsim: message — so every step advances a clock
-// and the cycle ceiling bounds every phase.
-func TestZeroWorkOpPanics(t *testing.T) {
+// refusedAt runs healthy ops of every kind (compute 0 and 1, loads and
+// stores), then bad, and checks that step refuses the first bad op, at
+// once, with a cmpsim: message.
+func refusedAt(t *testing.T, bad Op) {
+	t.Helper()
 	const healthy = 9
 	ops := make([][]Op, 4)
 	for c := range ops {
@@ -37,18 +38,31 @@ func TestZeroWorkOpPanics(t *testing.T) {
 			ops[c] = append(ops[c], Op{Compute: i % 2, Addr: memsys.Addr(0x10000*(c+1) + i*64), Write: i%3 == 0})
 		}
 	}
-	sys := New(smallCfg(), sharedL2(), &zeroWorkAfter{script: newScripted(ops), healthy: healthy})
+	sys := New(smallCfg(), sharedL2(), &badAfter{script: newScripted(ops), healthy: healthy, bad: bad})
 	rec := record(sys)
 	defer func() {
 		r := recover()
 		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "cmpsim: ") {
-			t.Fatalf("zero-work op panicked with %v, want a cmpsim: message", r)
+			t.Fatalf("op %+v panicked with %v, want a cmpsim: message", bad, r)
 		}
 		if steps := len(rec.trace); steps != healthy+1 {
-			t.Errorf("panicked on step %d, want the first zero-work op, step %d", steps, healthy+1)
+			t.Errorf("panicked on step %d, want the first bad op, step %d", steps, healthy+1)
 		}
 	}()
 	sys.Run(1_000_000)
+}
+
+// TestZeroWorkOpPanics: step refuses the first op that does no work
+// (NoMem with no compute, which retires nothing and would leave the
+// clock where it is), so every step advances a clock and the cycle
+// ceiling bounds every phase.
+func TestZeroWorkOpPanics(t *testing.T) { refusedAt(t, Op{NoMem: true}) }
+
+// TestNegativeComputeRefused: step refuses an op with a negative
+// compute, a memory op or not, rather than simulate it as zero.
+func TestNegativeComputeRefused(t *testing.T) {
+	refusedAt(t, Op{Compute: -1, Addr: 0x2000})
+	refusedAt(t, Op{Compute: -1, NoMem: true})
 }
 
 // TestStallSnapshotRecordsLastReference: one real store on core 0,

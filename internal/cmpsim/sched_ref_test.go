@@ -31,7 +31,7 @@ func (s *System) runUntilScan(instrPerCore uint64, phase phaseKind, done func() 
 				Cores: s.snapshotCores(), BusBacklog: s.busBacklog(now),
 			})
 		}
-		s.step(pick)
+		s.step(s.cores[pick])
 	}
 }
 

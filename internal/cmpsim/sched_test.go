@@ -78,6 +78,29 @@ func TestSchedulerTieBreakPinned(t *testing.T) {
 	}
 }
 
+// TestLaggardMatchesScan: the tournament picks what the reference
+// loop's linear scan (strict <, ties to the lowest index) picks, on
+// every assignment of three clock values to the four cores, which
+// covers every order and every pattern of ties.
+func TestLaggardMatchesScan(t *testing.T) {
+	s := New(smallCfg(), sharedL2(), lockstepWorkload{})
+	for v := 0; v < 81; v++ {
+		for c, x := 0, v; c < topo.NumCores; c, x = c+1, x/3 {
+			s.cores[c].cycles = memsys.Cycle(x % 3)
+		}
+		pick := 0
+		for c, cs := range s.cores {
+			if cs.cycles < s.cores[pick].cycles {
+				pick = c
+			}
+		}
+		if got := s.laggard(); got != s.cores[pick] {
+			t.Fatalf("clocks %d %d %d %d: laggard is core %d, the scan picks core %d",
+				s.cores[0].cycles, s.cores[1].cycles, s.cores[2].cycles, s.cores[3].cycles, got.id, pick)
+		}
+	}
+}
+
 // diffWorkload is a seeded random stream mixing private and contended
 // shared references, stores, instruction fetches and pure compute —
 // every op class the scheduler can interleave. Deterministic per seed,
@@ -106,7 +129,7 @@ func (w *diffWorkload) Next(core int) Op {
 	default: // private
 		op.Addr = memsys.Addr(0x10000*(core+1) + w.r.Intn(128)*64)
 	}
-	op.Write = w.r.Bool(0.35)
+	op.Write = w.r.Hit(rng.ChanceOf(0.35))
 	return op
 }
 
@@ -301,5 +324,34 @@ func TestHeapMatchesScanAfterReentry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sysRec.trace, refRec.trace) {
 		t.Fatalf("re-entry traces diverge (runUntil %d steps, reference %d steps)", len(sysRec.trace), len(refRec.trace))
+	}
+}
+
+// TestPhaseSequencesMatchScan drives runUntil and the reference scan
+// through the phase orders a caller may use besides Warmup-then-Run: a
+// Warmup straight after a Warmup (its target counts all instructions,
+// not those past the last baseline), a Run straight after a Run (the
+// first Run's quantum snapshot stands), and a Warmup after a Run whose
+// target the cores have not yet reached. Every Results and the whole
+// step-order trace must match.
+func TestPhaseSequencesMatchScan(t *testing.T) {
+	sys := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(7)})
+	ref := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(7)})
+	sysRec, refRec := record(sys), record(ref)
+	for i, ph := range []struct {
+		warmup bool
+		n      int
+	}{{true, 50}, {true, 300}, {false, 100}, {false, 400}, {true, 2000}, {false, 100}} {
+		if ph.warmup {
+			sys.Warmup(ph.n)
+			ref.warmupScan(ph.n)
+			continue
+		}
+		if sr, rr := sys.Run(uint64(ph.n)), ref.runScan(uint64(ph.n)); !reflect.DeepEqual(sr, rr) {
+			t.Fatalf("phase %d results diverge:\nrunUntil:  %+v\nreference: %+v", i, sr, rr)
+		}
+	}
+	if !reflect.DeepEqual(sysRec.trace, refRec.trace) {
+		t.Fatalf("traces diverge (runUntil %d steps, reference %d steps)", len(sysRec.trace), len(refRec.trace))
 	}
 }

@@ -41,7 +41,7 @@ func (w *randomWorkload) Next(coreID int) Op {
 	default: // read-write shared: the contended case
 		op.Addr = memsys.Addr(0x90000 + w.r.Intn(12)*64)
 	}
-	op.Write = w.r.Bool(0.4)
+	op.Write = w.r.Hit(rng.ChanceOf(0.4))
 	return op
 }
 
@@ -73,7 +73,7 @@ func stepOnce(s *System) (coreID int, op Op) {
 		cs.instructions += uint64(op.Compute)
 	}
 	if !op.NoMem {
-		lat := s.access(pick, op.Addr, op.Write, op.Instr)
+		lat := s.access(cs, op.Addr, op.Write, op.Instr)
 		cs.cycles = cs.cycles.Add(lat)
 		cs.instructions++
 	}

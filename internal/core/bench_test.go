@@ -88,7 +88,7 @@ func mixedWorkload() func(int) {
 		default:
 			addr = memsys.Addr(0x900000 + r.Intn(256)*128)
 		}
-		c.Access(now, core, addr, r.Bool(0.3))
+		c.Access(now, core, addr, r.Hit(rng.ChanceOf(0.3)))
 		now += 10
 	}
 }
@@ -131,7 +131,7 @@ func BenchmarkNew(b *testing.B) {
 // included; update the pin in the commit that explains it.
 func TestNewBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const want = 5_507_560
+	const want = 5_506_744
 	best := ^uint64(0)
 	var before, after runtime.MemStats
 	for i := 0; i < 3; i++ {
@@ -172,7 +172,7 @@ func BenchmarkCheckInvariants(b *testing.B) {
 	r := rng.New(2)
 	now := memsys.Cycle(0)
 	for i := 0; i < 50000; i++ {
-		c.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<20))*128, r.Bool(0.3))
+		c.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<20))*128, r.Hit(rng.ChanceOf(0.3)))
 		now += 10
 	}
 	b.ResetTimer()

@@ -561,7 +561,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 				default: // read-write shared region
 					addr = memsys.Addr(0x90000 + r.Intn(8)*64)
 				}
-				isWrite := r.Bool(0.3)
+				isWrite := r.Hit(rng.ChanceOf(0.3))
 				res := c.Access(now, coreID, addr, isWrite)
 				if res.Latency <= 0 {
 					t.Fatalf("non-positive latency at access %d", i)
@@ -661,7 +661,7 @@ func TestDefaultConfigConstructs(t *testing.T) {
 	r := rng.New(5)
 	now := memsys.Cycle(0)
 	for i := 0; i < 5000; i++ {
-		c.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<20)), r.Bool(0.3))
+		c.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<20)), r.Hit(rng.ChanceOf(0.3)))
 		now += 10
 	}
 	c.CheckInvariants()

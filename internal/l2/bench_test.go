@@ -42,7 +42,7 @@ func uniformAccesses(s memsys.L2) func(int) {
 	r := rng.New(1)
 	now := memsys.Cycle(0)
 	return func(int) {
-		s.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<16)*128), r.Bool(0.3))
+		s.Access(now, r.Intn(4), memsys.Addr(r.Intn(1<<16)*128), r.Hit(rng.ChanceOf(0.3)))
 		now += 10
 	}
 }
@@ -58,12 +58,12 @@ func regionAccesses(p memsys.L2) func(int) {
 	return func(int) {
 		core := r.Intn(4)
 		var addr memsys.Addr
-		if r.Bool(0.7) {
+		if r.Hit(rng.ChanceOf(0.7)) {
 			addr = memsys.Addr(0x100000*(core+1) + r.Intn(8192)*128)
 		} else {
 			addr = memsys.Addr(0x800000 + r.Intn(1024)*128)
 		}
-		p.Access(now, core, addr, r.Bool(0.3))
+		p.Access(now, core, addr, r.Hit(rng.ChanceOf(0.3)))
 		now += 10
 	}
 }

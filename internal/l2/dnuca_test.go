@@ -165,12 +165,12 @@ func TestDNUCARandomInvariants(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		coreID := r.Intn(4)
 		var addr memsys.Addr
-		if r.Bool(0.5) {
+		if r.Hit(rng.ChanceOf(0.5)) {
 			addr = memsys.Addr(0x10000*(coreID+1) + r.Intn(48)*64)
 		} else {
 			addr = memsys.Addr(0x80000 + r.Intn(24)*64)
 		}
-		d.Access(now, coreID, addr, r.Bool(0.3))
+		d.Access(now, coreID, addr, r.Hit(rng.ChanceOf(0.3)))
 		now += memsys.Cycle(r.Intn(20) + 1)
 		if i%5000 == 0 {
 			d.CheckInvariants()

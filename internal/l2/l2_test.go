@@ -394,12 +394,12 @@ func TestPrivateRandomWorkloadInvariants(t *testing.T) {
 		for i := 0; i < 30000; i++ {
 			coreID := r.Intn(4)
 			var addr memsys.Addr
-			if r.Bool(0.5) {
+			if r.Hit(rng.ChanceOf(0.5)) {
 				addr = memsys.Addr(0x10000*(coreID+1) + r.Intn(32)*64)
 			} else {
 				addr = memsys.Addr(0x80000 + r.Intn(16)*64)
 			}
-			p.Access(now, coreID, addr, r.Bool(0.3))
+			p.Access(now, coreID, addr, r.Hit(rng.ChanceOf(0.3)))
 			now += memsys.Cycle(r.Intn(20) + 1)
 			if i%5000 == 0 {
 				p.CheckInvariants()

@@ -17,7 +17,7 @@ func TestSNUCAInvariantsHoldUnderTraffic(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			coreID := r.Intn(topo.NumCores)
 			addr := memsys.Addr(0x4000*(coreID+1) + r.Intn(256)*64)
-			s.Access(now, coreID, addr, r.Bool(0.25))
+			s.Access(now, coreID, addr, r.Hit(rng.ChanceOf(0.25)))
 			now += memsys.Cycle(r.Intn(10) + 1)
 			if i%4000 == 0 {
 				s.CheckInvariants()

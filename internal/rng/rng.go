@@ -61,9 +61,32 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool {
-	return s.Float64() < p
+// Chance is a probability as an integer threshold on the 53 bits a
+// Float64 draw uses: Hit(c) is true when those bits, as an integer k,
+// are below c. ChanceOf converts a probability once, so a hot draw is
+// a shift and an integer compare instead of a float conversion.
+type Chance uint64
+
+// ChanceOf returns the Chance that hits exactly when a Float64 draw
+// from the same bits is below p: ⌈p·2⁵³⌉, clamped to [0, 2⁵³], with
+// NaN (which no draw is below) at 0. The two agree on every draw: a
+// draw is k/2⁵³ for an integer k < 2⁵³, and both the division and
+// p·2⁵³ are exact (scaling by a power of two), so k/2⁵³ < p exactly
+// when k < p·2⁵³, which for an integer k is k < ⌈p·2⁵³⌉.
+func ChanceOf(p float64) Chance {
+	switch {
+	case !(p > 0): // zero, negative or NaN
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return Chance(math.Ceil(p * (1 << 53)))
+}
+
+// Hit draws once and reports whether the draw falls under c: for
+// c = ChanceOf(p) it is exactly Float64() < p on the same stream.
+func (s *Source) Hit(c Chance) bool {
+	return Chance(s.Uint64()>>11) < c
 }
 
 // Split returns a new Source whose seed is derived from this source's
@@ -94,6 +117,12 @@ func (s *Source) Split() *Source {
 //   - cdf[n-1] is sum/sum, which is exactly 1 > u, so the step always
 //     stops inside the table.
 //
+// A bucket j whose next guide entry names the same rank (taking the
+// entry past the last bucket as the first i with cdf[i] >= 1) holds
+// one rank only: cdf[guide[j]] >= (j+1)/m > u, so the step stops at
+// once. The table marks such a bucket with the int32 sign bit, and a
+// draw that lands there returns its rank without loading the CDF.
+//
 // Larger n tabulates nothing: draws map u through the continuous Zipf
 // inverse CDF, an analytic, rejection-free approximation adequate for
 // workload skew.
@@ -101,8 +130,13 @@ type ZipfTable struct {
 	n     int
 	theta float64
 	cdf   []float64 // non-nil when n is small enough to tabulate
-	guide []int32   // guide[j] = first i with cdf[i] >= j/len(guide)
+	// guide[j] is the first i with cdf[i] >= j/len(guide), with
+	// resolved set when bucket j holds that rank alone.
+	guide []int32
 }
+
+// resolved marks a guide entry whose bucket holds a single rank.
+const resolved = math.MinInt32
 
 // zipfTabulateLimit is the largest n for which we precompute the CDF.
 const zipfTabulateLimit = 1 << 16
@@ -130,13 +164,20 @@ func NewZipfTable(n int, theta float64) *ZipfTable {
 	}
 	m := 1 << bits.Len(uint(n-1))
 	t.guide = make([]int32, m)
+	// One pass over the m+1 boundaries j/m: boundary j sets guide[j]
+	// and resolves bucket j-1 when it names the same rank.
 	i := 0
-	for j := range t.guide {
+	for j := 0; j <= m; j++ {
 		x := float64(j) / float64(m)
 		for t.cdf[i] < x {
 			i++
 		}
-		t.guide[j] = int32(i)
+		if j > 0 && t.guide[j-1] == int32(i) {
+			t.guide[j-1] |= resolved
+		}
+		if j < m {
+			t.guide[j] = int32(i)
+		}
 	}
 	return t
 }
@@ -162,6 +203,9 @@ func (z *Zipf) Next() int {
 func (t *ZipfTable) rank(u float64) int {
 	if t.cdf != nil {
 		i := t.guide[int(u*float64(len(t.guide)))]
+		if i < 0 {
+			return int(i &^ resolved)
+		}
 		for t.cdf[i] < u {
 			i++
 		}

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -73,18 +74,79 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestBoolProbability(t *testing.T) {
+func TestHitProbability(t *testing.T) {
 	s := New(11)
+	c := ChanceOf(0.3)
 	const draws = 100000
 	hits := 0
 	for i := 0; i < draws; i++ {
-		if s.Bool(0.3) {
+		if s.Hit(c) {
 			hits++
 		}
 	}
 	got := float64(hits) / draws
 	if math.Abs(got-0.3) > 0.01 {
-		t.Errorf("Bool(0.3) rate = %.4f, want 0.3±0.01", got)
+		t.Errorf("Hit(ChanceOf(0.3)) rate = %.4f, want 0.3±0.01", got)
+	}
+}
+
+// yielding returns a Source whose next Uint64 is v, by running
+// splitmix64's output mix backwards from v to the state that yields it.
+func yielding(v uint64) *Source {
+	unshift := func(y uint64, n uint) uint64 { // inverts y ^ y>>n
+		x := y
+		for i := uint(0); i < 64; i += n {
+			x = y ^ x>>n
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 { // c·inv = 1 mod 2⁶⁴, c odd
+		inv := c
+		for i := 0; i < 5; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	z := unshift(v, 31) * inverse(0x94d049bb133111eb)
+	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
+	z = unshift(z, 30)
+	return &Source{state: z - 0x9e3779b97f4a7c15}
+}
+
+// TestChanceOfMatchesFloat64: Hit(ChanceOf(p)) is the draw Float64() < p
+// on the same stream, for probabilities at and beyond both ends of
+// [0, 1], at the two 53-bit draws around the threshold (the last that
+// hits and the first that misses), and over a long seeded stream.
+func TestChanceOfMatchesFloat64(t *testing.T) {
+	ps := []float64{0, 0x1p-60, 0.3, 0.85, 0.95, 1, 1.5, -0.1, math.NaN(), math.Inf(1)}
+	for _, p := range ps {
+		c := ChanceOf(p)
+		if c > 1<<53 {
+			t.Errorf("ChanceOf(%v) = %d, above 2⁵³", p, c)
+		}
+		agree := func(what string, a, b *Source) {
+			t.Helper()
+			if hit, below := a.Hit(c), b.Float64() < p; hit != below {
+				t.Fatalf("p=%v, %s: Hit %v, Float64() < p %v", p, what, hit, below)
+			}
+		}
+		// The discarded low 11 bits are all ones: they must not count.
+		for _, k := range []uint64{uint64(c) - 1, uint64(c)} {
+			if k < 1<<53 {
+				v := k<<11 | 0x7ff
+				if yielding(v).Uint64() != v {
+					t.Fatalf("yielding(%#x) does not yield it", v)
+				}
+				agree(fmt.Sprintf("k=%d", k), yielding(v), yielding(v))
+			}
+		}
+		a, b := New(2026), New(2026)
+		for i := 0; i < 200_000; i++ {
+			agree(fmt.Sprintf("draw %d", i), a, b)
+		}
+	}
+	if ChanceOf(math.NaN()) != 0 || ChanceOf(-0.1) != 0 || ChanceOf(1.5) != 1<<53 || ChanceOf(math.Inf(1)) != 1<<53 {
+		t.Error("ChanceOf does not clamp to [0, 2⁵³] with NaN at 0")
 	}
 }
 

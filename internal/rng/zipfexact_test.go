@@ -74,8 +74,10 @@ const exhaustiveRanks = 4096
 
 // TestZipfGuideMatchesBinarySearch checks that the guide-table lookup
 // returns the binary search's rank for the draws where the two could
-// disagree: the ends of [0, 1), every guide boundary j/m, every CDF
-// value and its two floating-point neighbours, and random draws.
+// disagree: the ends of [0, 1), both ends of every guide bucket (j/m
+// and the largest float64 below (j+1)/m, so a bucket marked as holding
+// one rank is checked at its first and last draw), every CDF value and
+// its two floating-point neighbours, and random draws.
 func TestZipfGuideMatchesBinarySearch(t *testing.T) {
 	src := rng.New(2026)
 	for _, p := range workloadTables() {
@@ -101,6 +103,7 @@ func TestZipfGuideMatchesBinarySearch(t *testing.T) {
 			check(1 - 0x1p-53)
 			for j := 0; j < m; j++ {
 				check(float64(j) / float64(m))
+				check(math.Nextafter(float64(j+1)/float64(m), 0))
 			}
 			probe := func(i int) {
 				check(math.Nextafter(cdf[i], 0))

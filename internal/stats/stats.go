@@ -8,55 +8,54 @@ import (
 	"encoding/csv"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
 // Dist is an ordered categorical distribution: a fixed set of labels,
 // each with a count. Order is presentation order (the order labels were
 // registered), matching the stacked-bar ordering in the paper's figures.
+// A label is found by scanning the labels: the simulator's
+// distributions have at most six, where a scan of string compares
+// (each a length check, then a pointer check, since the labels are
+// constants) is cheaper than hashing the label into a map.
 type Dist struct {
 	labels []string
-	index  map[string]int
 	counts []uint64
 }
 
 // NewDist creates a distribution over the given labels, all zero.
 func NewDist(labels ...string) *Dist {
-	d := &Dist{
-		labels: append([]string(nil), labels...),
-		index:  make(map[string]int, len(labels)),
-		counts: make([]uint64, len(labels)),
-	}
 	for i, l := range labels {
-		if _, dup := d.index[l]; dup {
+		if slices.Contains(labels[:i], l) {
 			panic("stats: duplicate label " + l)
 		}
-		d.index[l] = i
 	}
-	return d
+	return &Dist{
+		labels: append([]string(nil), labels...),
+		counts: make([]uint64, len(labels)),
+	}
 }
 
-// Add increments label by n. It panics on an unknown label: a typo in a
-// measurement site is a bug we want to fail loudly on.
-func (d *Dist) Add(label string, n uint64) {
-	i, ok := d.index[label]
-	if !ok {
-		panic("stats: unknown label " + label)
+// index returns label's position. It panics on an unknown label: a
+// typo in a measurement site is a bug we want to fail loudly on.
+func (d *Dist) index(label string) int {
+	for i, l := range d.labels {
+		if l == label {
+			return i
+		}
 	}
-	d.counts[i] += n
+	panic("stats: unknown label " + label)
 }
+
+// Add increments label by n. It panics on an unknown label.
+func (d *Dist) Add(label string, n uint64) { d.counts[d.index(label)] += n }
 
 // Inc increments label by one.
 func (d *Dist) Inc(label string) { d.Add(label, 1) }
 
 // Count returns the count for label.
-func (d *Dist) Count(label string) uint64 {
-	i, ok := d.index[label]
-	if !ok {
-		panic("stats: unknown label " + label)
-	}
-	return d.counts[i]
-}
+func (d *Dist) Count(label string) uint64 { return d.counts[d.index(label)] }
 
 // Total returns the sum of all counts.
 func (d *Dist) Total() uint64 {

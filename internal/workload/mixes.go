@@ -61,10 +61,9 @@ type mixCore struct {
 	// builds its table; from then on z samples it and zsrc is nil.
 	zsrc *rng.Source
 	z    rng.Zipf
-	// ring holds recently issued references for temporal bursts.
-	ring    [repeatRing]cmpsim.Op
-	ringLen int
-	ringPos int
+	ring burstRing
+	// The app's per-op probabilities, converted once.
+	repeat, write rng.Chance
 }
 
 // NewMix builds a multiprogrammed workload from four applications.
@@ -75,7 +74,11 @@ func NewMix(name string, apps [topo.NumCores]App, seed uint64) *Multiprogrammed 
 	root := rng.New(seed ^ 0x5bf0_3635)
 	for c := 0; c < topo.NumCores; c++ {
 		r := root.Split()
-		m.cores[c] = mixCore{r: r, zsrc: r.Split()}
+		m.cores[c] = mixCore{
+			r: r, zsrc: r.Split(),
+			repeat: rng.ChanceOf(apps[c].RepeatFrac),
+			write:  rng.ChanceOf(apps[c].WriteFrac),
+		}
 	}
 	return m
 }
@@ -99,8 +102,8 @@ func (m *Multiprogrammed) Next(core int) cmpsim.Op {
 		op.Compute = app.ComputeMin
 	}
 	// Temporal burst: re-touch a recent reference as a load.
-	if mc.ringLen > 0 && mc.r.Bool(app.RepeatFrac) {
-		op.Addr = mc.ring[mc.r.Intn(mc.ringLen)].Addr
+	if mc.ring.n > 0 && mc.r.Hit(mc.repeat) {
+		op.Addr = mc.ring.recent(mc.r).Addr
 		return op
 	}
 	if mc.zsrc != nil {
@@ -109,12 +112,8 @@ func (m *Multiprogrammed) Next(core int) cmpsim.Op {
 	}
 	base := memsys.Addr(PrivateBase + core*PrivateStep)
 	op.Addr = base + memsys.Addr(mc.z.Next()*topo.BlockBytes)
-	op.Write = mc.r.Bool(app.WriteFrac)
-	mc.ring[mc.ringPos] = op
-	mc.ringPos = (mc.ringPos + 1) % repeatRing
-	if mc.ringLen < repeatRing {
-		mc.ringLen++
-	}
+	op.Write = mc.r.Hit(mc.write)
+	mc.ring.remember(op)
 	return op
 }
 

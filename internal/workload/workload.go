@@ -95,11 +95,35 @@ type Profile struct {
 // repeatRing is the number of recent addresses bursts draw from.
 const repeatRing = 8
 
+// burstRing holds a core's most recent fresh references, which
+// temporal bursts re-touch (see Profile.RepeatFrac).
+type burstRing struct {
+	ops    [repeatRing]cmpsim.Op
+	n, pos int
+}
+
+// remember records a fresh reference, displacing the oldest.
+func (r *burstRing) remember(op cmpsim.Op) {
+	r.ops[r.pos] = op
+	r.pos = (r.pos + 1) % repeatRing
+	if r.n < repeatRing {
+		r.n++
+	}
+}
+
+// recent draws one of the remembered references uniformly. The ring
+// must not be empty.
+func (r *burstRing) recent(src *rng.Source) cmpsim.Op {
+	return r.ops[src.Intn(r.n)]
+}
+
 // Generator produces cmpsim.Op streams from a Profile. It implements
 // cmpsim.Workload.
 type Generator struct {
 	p     Profile
 	cores [topo.NumCores]coreGen
+	// The profile's per-op probabilities, converted once.
+	repeat, instr, modify, rwWrite, privateWrite rng.Chance
 }
 
 type coreGen struct {
@@ -111,10 +135,7 @@ type coreGen struct {
 	// pendingStore holds the second half of a read-modify-write pair.
 	pendingStore memsys.Addr
 	hasPending   bool
-	// ring holds recently issued references for temporal bursts.
-	ring    [repeatRing]cmpsim.Op
-	ringLen int
-	ringPos int
+	ring         burstRing
 }
 
 // New builds a generator for the profile. Each distinct (footprint,
@@ -122,7 +143,14 @@ type coreGen struct {
 // that draws from it: the four cores' code, RO and RW streams, and
 // their private streams when the footprints are uniform.
 func New(p Profile) *Generator {
-	g := &Generator{p: p}
+	g := &Generator{
+		p:            p,
+		repeat:       rng.ChanceOf(p.RepeatFrac),
+		instr:        rng.ChanceOf(p.InstrFrac),
+		modify:       rng.ChanceOf(p.RWModifyFrac),
+		rwWrite:      rng.ChanceOf(p.RWWriteFrac),
+		privateWrite: rng.ChanceOf(p.PrivateWriteFrac),
+	}
 	type key struct {
 		n     int
 		theta float64
@@ -185,17 +213,17 @@ func (g *Generator) Next(core int) cmpsim.Op {
 	}
 
 	// Temporal burst: re-touch a recent reference (as a load).
-	if cg.ringLen > 0 && cg.r.Bool(p.RepeatFrac) {
-		prev := cg.ring[cg.r.Intn(cg.ringLen)]
+	if cg.ring.n > 0 && cg.r.Hit(g.repeat) {
+		prev := cg.ring.recent(cg.r)
 		op.Addr = prev.Addr
 		op.Instr = prev.Instr
 		return op
 	}
 
-	if cg.r.Bool(p.InstrFrac) {
+	if cg.r.Hit(g.instr) {
 		op.Instr = true
 		op.Addr = CodeBase + memsys.Addr(cg.code.Next()*topo.BlockBytes)
-		cg.remember(op)
+		cg.ring.remember(op)
 		return op
 	}
 	x := cg.r.Float64()
@@ -205,30 +233,21 @@ func (g *Generator) Next(core int) cmpsim.Op {
 	case x < p.ROFrac+p.RWFrac:
 		op.Addr = RWBase + memsys.Addr(cg.rw.Next()*topo.BlockBytes)
 		switch {
-		case cg.r.Bool(p.RWModifyFrac):
+		case cg.r.Hit(g.modify):
 			// Migratory read-modify-write: emit the load now, queue
 			// the store.
 			cg.pendingStore = op.Addr
 			cg.hasPending = true
-		case cg.r.Bool(p.RWWriteFrac):
+		case cg.r.Hit(g.rwWrite):
 			op.Write = true
 		}
 	default:
 		base := memsys.Addr(PrivateBase + core*PrivateStep)
 		op.Addr = base + memsys.Addr(cg.private.Next()*topo.BlockBytes)
-		op.Write = cg.r.Bool(p.PrivateWriteFrac)
+		op.Write = cg.r.Hit(g.privateWrite)
 	}
-	cg.remember(op)
+	cg.ring.remember(op)
 	return op
-}
-
-// remember records a fresh reference in the burst ring.
-func (cg *coreGen) remember(op cmpsim.Op) {
-	cg.ring[cg.ringPos] = op
-	cg.ringPos = (cg.ringPos + 1) % repeatRing
-	if cg.ringLen < repeatRing {
-		cg.ringLen++
-	}
 }
 
 // blocksForMB converts megabytes to 128 B block counts.
