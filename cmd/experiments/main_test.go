@@ -149,6 +149,30 @@ func TestGoldens(t *testing.T) {
 	}
 }
 
+// TestFullEvaluation: the whole evaluation at paper scale must print
+// docs/full_evaluation.txt byte for byte. It takes about 30 s of wall
+// time (52 s CPU) on a 2-vCPU VM, so it only runs when explicitly
+// requested:
+//
+//	CMPNURAPID_FULL=1 go test -run TestFullEvaluation -timeout 30m ./cmd/experiments
+func TestFullEvaluation(t *testing.T) {
+	if os.Getenv("CMPNURAPID_FULL") == "" {
+		t.Skip("set CMPNURAPID_FULL=1 to run the paper-scale evaluation against docs/full_evaluation.txt")
+	}
+	ref := filepath.Join("..", "..", "docs", "full_evaluation.txt")
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runCLI(t, "-exp", "all", "-instr", "3000000", "-warmup", "5000000", "-seed", "42")
+	if code != 0 {
+		t.Fatalf("exited %d\nstderr: %s", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Errorf("stdout differs from %s at %s", ref, firstDiff(string(want), stdout))
+	}
+}
+
 // firstDiff names the first line at which got departs from want.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

@@ -14,28 +14,40 @@ import (
 // benchWorkload is an allocation-free deterministic stream: each core
 // walks a private 32 KB window with periodic stores and periodic
 // references into a shared region (so replication, coherence and the
-// bus all stay exercised). State is four counters — Next never
+// bus all stay exercised). State is four counters — drawing never
 // allocates, keeping the benchmark a measurement of the simulator's
-// per-cycle path alone.
+// per-cycle path alone. It has a Fill, as the production workloads
+// do, so the benchmarks run the batched refill path.
 type benchWorkload struct {
 	n [topo.NumCores]uint64
 }
 
 func (w *benchWorkload) Next(c int) Op {
-	w.n[c]++
-	i := w.n[c]
-	addr := memsys.Addr(0x100000*uint64(c+1) + i%512*64)
-	if i%17 == 0 {
-		addr = memsys.Addr(0x800000 + i%64*64)
+	var op [1]Op
+	w.Fill(c, op[:])
+	return op[0]
+}
+
+// Fill writes core c's next len(ops) ops.
+//
+// hotpath:root
+func (w *benchWorkload) Fill(c int, ops []Op) {
+	for k := range ops {
+		w.n[c]++
+		i := w.n[c]
+		addr := memsys.Addr(0x100000*uint64(c+1) + i%512*64)
+		if i%17 == 0 {
+			addr = memsys.Addr(0x800000 + i%64*64)
+		}
+		ops[k] = Op{Compute: int(i % 4), Addr: addr, Write: i%5 == 0}
 	}
-	return Op{Compute: int(i % 4), Addr: addr, Write: i%5 == 0}
 }
 
 func (w *benchWorkload) Name() string { return "bench-synthetic" }
 
-func benchSystem() *System {
-	return New(DefaultConfig(), core.New(core.DefaultConfig()), &benchWorkload{})
-}
+// nextOnly hides a workload's Fill, so a system built on it refills
+// its op buffers through the Next adapter.
+type nextOnly struct{ Workload }
 
 func (s *System) maxCycle() memsys.Cycle {
 	var m memsys.Cycle
@@ -62,19 +74,19 @@ func runQuantumOp(s *System) func(i int) {
 	}
 }
 
-// warmOp builds the bench system, warms it for 10,000 instructions per
-// core and returns it with op's loop body bound to it. The benchmarks
-// time that body and the allocation tests below count it, so both
-// measure the same loop.
-func warmOp(op func(*System) func(int)) (*System, func(int)) {
-	s := benchSystem()
+// warmOp builds the bench system on w, warms it for 10,000
+// instructions per core and returns it with op's loop body bound to
+// it. The benchmarks time that body and the allocation tests below
+// count it, so both measure the same loop.
+func warmOp(w Workload, op func(*System) func(int)) (*System, func(int)) {
+	s := New(DefaultConfig(), core.New(core.DefaultConfig()), w)
 	s.Warmup(10_000)
 	return s, op(s)
 }
 
 // runSimBench times op and reports its simulated-cycle throughput.
 func runSimBench(b *testing.B, op func(*System) func(int)) {
-	s, f := warmOp(op)
+	s, f := warmOp(&benchWorkload{}, op)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := s.maxCycle()
@@ -120,13 +132,20 @@ func perRun(runs int, f func(int)) (allocs, bytes uint64) {
 
 // TestStepDoesNotAllocate holds the per-cycle path to zero heap
 // allocations — the property the hotpath lint enforces statically,
-// checked here dynamically. A regression to either gate (a construct
-// the lint misses, or an audited marker hiding a per-cycle cost) shows
-// up as a nonzero average.
+// checked here dynamically — on both refill paths: the workload's own
+// Fill, as BenchmarkSimStep runs it, and the Next adapter. A
+// regression to either gate (a construct the lint misses, or an
+// audited marker hiding a per-cycle cost) shows up as a nonzero
+// average.
 func TestStepDoesNotAllocate(t *testing.T) {
-	_, f := warmOp(simStepOp)
-	if allocs, bytes := perRun(20_000, f); allocs != 0 || bytes != 0 {
-		t.Fatalf("step allocates %d times (%d B) per call, want 0", allocs, bytes)
+	for name, w := range map[string]Workload{
+		"fill":         &benchWorkload{},
+		"next-adapter": nextOnly{&benchWorkload{}},
+	} {
+		_, f := warmOp(w, simStepOp)
+		if allocs, bytes := perRun(20_000, f); allocs != 0 || bytes != 0 {
+			t.Errorf("%s: step allocates %d times (%d B) per call, want 0", name, allocs, bytes)
+		}
 	}
 }
 
@@ -137,7 +156,7 @@ func TestStepDoesNotAllocate(t *testing.T) {
 // a change to the allocation profile, an improvement included; update
 // the pin in the commit that explains it.
 func TestRunQuantumAllocs(t *testing.T) {
-	_, f := warmOp(runQuantumOp)
+	_, f := warmOp(&benchWorkload{}, runQuantumOp)
 	if allocs, bytes := perRun(500, f); allocs != 3 || bytes != 448 {
 		t.Fatalf("a quantum allocates %d times (%d B), want 3 (448 B)", allocs, bytes)
 	}

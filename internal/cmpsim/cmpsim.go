@@ -32,11 +32,51 @@ type Op struct {
 
 // Workload supplies each core's instruction stream. Implementations
 // must be deterministic for a fixed seed.
+//
+// The simulator draws each core's ops ahead of executing them, up to
+// opBatch at a time, so a core's stream may depend only on that core's
+// earlier draws: never on another core's draws, and never on the
+// simulation. A System owns its workload; build a fresh one for each
+// System. A workload that also has a Fill(core int, ops []Op) method
+// is refilled through it, one call per batch (see filler).
 type Workload interface {
 	// Next returns core's next op. Streams are infinite.
 	Next(core int) Op
 	// Name identifies the workload in experiment output.
 	Name() string
+}
+
+// filler is a workload that draws a batch of a core's ops in one call:
+// Fill(core, ops) writes core's next len(ops) ops, exactly the ops that
+// len(ops) calls of Next(core) would return. New uses a workload's Fill
+// when it has one, and otherwise refills through Next.
+type filler interface {
+	Fill(core int, ops []Op)
+}
+
+// opBatch is the number of ops each core's buffer holds: the simulator
+// calls into the workload once per opBatch ops of a core.
+const opBatch = 64
+
+// nextFiller fills a batch from a Next-only workload.
+type nextFiller struct{ w Workload }
+
+// Fill implements filler by calling Next once per op.
+//
+// hotpath:root
+func (f nextFiller) Fill(core int, ops []Op) {
+	for i := range ops {
+		ops[i] = f.w.Next(core)
+	}
+}
+
+// fillerOf resolves how a System refills its op buffers from w.
+func fillerOf(w Workload) filler {
+	f, ok := w.(filler)
+	if !ok {
+		f = nextFiller{w}
+	}
+	return f
 }
 
 // CommunicationProber is implemented by L2 designs (CMP-NuRAPID) whose
@@ -98,6 +138,10 @@ type coreState struct {
 	id           int // the core's index, as the workload and the L2 name it
 	// done marks a core that has completed the current phase's quantum.
 	done bool
+	// ops buffers the core's drawn but not yet executed ops: ops[pos:]
+	// run before the next refill.
+	ops []Op
+	pos int
 
 	baseCycles       memsys.Cycle
 	baseInstructions uint64
@@ -128,6 +172,7 @@ type System struct {
 	comm   CommunicationProber // nil unless the L2 has C blocks
 	cores  [topo.NumCores]*coreState
 	stream Workload
+	fill   filler // stream's batched draw, resolved once by New
 	// directory is set for L2 designs whose protocol does not keep the
 	// L1s coherent itself (the shared caches): the simulator then acts
 	// as the L2-resident L1 directory that real shared-L2 CMPs carry
@@ -162,7 +207,7 @@ func (cfg Config) l1Geometry() cache.Geometry {
 // New builds a system around the given L2 design and workload.
 func New(cfg Config, l2 memsys.L2, w Workload) *System {
 	cfg.Validate()
-	s := &System{cfg: cfg, l2: l2, stream: w}
+	s := &System{cfg: cfg, l2: l2, stream: w, fill: fillerOf(w)}
 	if cp, ok := l2.(CommunicationProber); ok {
 		s.comm = cp
 	}
@@ -175,6 +220,8 @@ func New(cfg Config, l2 memsys.L2, w Workload) *System {
 			l1d: cache.NewArray[l1Line](geo),
 			l1i: cache.NewArray[l1Line](geo),
 			id:  i,
+			ops: make([]Op, opBatch),
+			pos: opBatch, // empty: the first step fills it
 		}
 	}
 	if inv, ok := l2.(memsys.L1Invalidator); ok {
@@ -311,8 +358,17 @@ func (s *System) access(cs *coreState, addr memsys.Addr, write, instr bool) mems
 // the clock where it is — panics. Every step therefore advances the
 // core's clock, and the cycle ceiling alone bounds every phase. A
 // negative compute, which no instruction count can be, panics too.
+//
+// The op comes from the core's buffer, which one Fill call refills
+// when it runs dry. Drawing ahead changes no simulated bit: a core's
+// stream depends on nothing but its own earlier draws (see Workload).
 func (s *System) step(cs *coreState) {
-	op := s.stream.Next(cs.id)
+	if cs.pos == len(cs.ops) {
+		s.fill.Fill(cs.id, cs.ops)
+		cs.pos = 0
+	}
+	op := cs.ops[cs.pos]
+	cs.pos++
 	if op.Compute < 0 {
 		panic("cmpsim: op with negative compute")
 	}

@@ -116,6 +116,25 @@ func TestInstructionFetchUsesICache(t *testing.T) {
 	}
 }
 
+// TestFetchAndLoadUseSeparateL1s: on a cold system, core 0 fetches an
+// instruction from A and then loads A. The fetch fills the L1I only, so
+// the load misses in the L1D: a fetch served from (and installed in)
+// the L1D would turn the load into a hit.
+func TestFetchAndLoadUseSeparateL1s(t *testing.T) {
+	ops := [][]Op{
+		{{Addr: 0x300, Instr: true}, {Addr: 0x300}},
+		{}, {}, {},
+	}
+	s := New(smallCfg(), sharedL2(), newScripted(ops))
+	c := s.Run(2).Cores[0]
+	if c.L1IMisses != 1 || c.L1IHits != 0 {
+		t.Errorf("I-cache stats = %d hits / %d misses, want 0/1", c.L1IHits, c.L1IMisses)
+	}
+	if c.L1DMisses != 1 || c.L1DHits != 0 {
+		t.Errorf("D-cache stats = %d hits / %d misses, want 0/1 (the fetch filled the L1D?)", c.L1DHits, c.L1DMisses)
+	}
+}
+
 func TestWriteBackL1AbsorbsRepeatedStores(t *testing.T) {
 	ops := [][]Op{
 		{

@@ -138,10 +138,13 @@ func TestValidateRejectsNegativeGuards(t *testing.T) {
 }
 
 // TestValidateL1Boundaries: each L1 geometry and latency field is
-// rejected at zero and accepted at its smallest buildable value. For
-// L1Bytes that is one set of smallCfg's two 64 B ways; every other
+// refused at zero and at -1 by the positivity check itself, with its
+// message (not by a divide or a cache: panic further in), and accepted
+// at its smallest buildable value. For L1Bytes that is one set of
+// smallCfg's two 64 B ways, or one byte with one 1 B way; every other
 // field builds at one.
 func TestValidateL1Boundaries(t *testing.T) {
+	const want = "cmpsim: L1 geometry and latency must be positive"
 	for name, f := range map[string]struct {
 		set func(*Config, int)
 		min int
@@ -151,22 +154,31 @@ func TestValidateL1Boundaries(t *testing.T) {
 		"L1Block":   {func(c *Config, v int) { c.L1Block = memsys.Bytes(v) }, 1},
 		"L1Latency": {func(c *Config, v int) { c.L1Latency = memsys.CyclesOf(v) }, 1},
 	} {
-		for _, v := range []int{0, f.min} {
+		for _, v := range []int{-1, 0, f.min} {
 			cfg := smallCfg()
 			f.set(&cfg, v)
 			func() {
 				defer func() {
-					if rejected := recover() != nil; rejected != (v == 0) {
-						t.Errorf("%s = %d: rejected %v, want %v", name, v, rejected, v == 0)
+					r := recover()
+					switch {
+					case v == f.min && r != nil:
+						t.Errorf("%s = %d: rejected with %v, want accepted", name, v, r)
+					case v != f.min && r != want:
+						t.Errorf("%s = %d: panicked with %v, want %q", name, v, r, want)
 					}
 				}()
 				cfg.Validate()
 			}()
-			if v != 0 {
+			if v == f.min {
 				New(cfg, sharedL2(), lockstepWorkload{})
 			}
 		}
 	}
+	// With one-byte blocks and one way, one byte is a whole L1: the
+	// positivity check must not refuse L1Bytes = 1 where it builds.
+	tiny := smallCfg()
+	tiny.L1Bytes, tiny.L1Ways, tiny.L1Block = 1, 1, 1
+	New(tiny, sharedL2(), lockstepWorkload{})
 }
 
 // TestValidateRejectsUnbuildableL1: Validate itself must reject every

@@ -21,8 +21,9 @@ func (lockstepWorkload) Next(core int) Op { return Op{Compute: 1, NoMem: true} }
 func (lockstepWorkload) Name() string     { return "lockstep" }
 
 // recorder wraps a system's workload and records the core of every
-// Next call. step draws exactly one op per scheduler pick, after the
-// ceiling check, so the recorded cores are the step-order trace.
+// Next call. With each core's op buffer cut to one op (see record),
+// step draws exactly one op per scheduler pick, after the ceiling
+// check, so the recorded cores are the step-order trace.
 type recorder struct {
 	Workload
 	trace []int
@@ -33,10 +34,13 @@ func (r *recorder) Next(core int) Op {
 	return r.Workload.Next(core)
 }
 
-// record installs a recorder in front of s's workload.
+// record installs a recorder in front of s's workload, which must not
+// have been drawn from yet, and cuts every core's op buffer to one op:
+// each refill is then one Next call, made by the step that runs it.
 func record(s *System) *recorder {
 	r := &recorder{Workload: s.stream}
-	s.stream = r
+	s.stream, s.fill = r, fillerOf(r)
+	oneOpBuffers(s)
 	return r
 }
 

@@ -223,14 +223,23 @@ func (rp *Replayer) Name() string { return rp.name }
 // Len returns the recorded op count for core.
 func (rp *Replayer) Len(core int) int { return len(rp.ops[core]) }
 
-// Next implements cmpsim.Workload.
+// Next implements cmpsim.Workload: one op, drawn by Fill.
 //
 // hotpath:root
 func (rp *Replayer) Next(core int) cmpsim.Op {
-	if rp.pos[core] < len(rp.ops[core]) {
-		op := rp.ops[core][rp.pos[core]]
-		rp.pos[core]++
-		return op
+	var op [1]cmpsim.Op
+	rp.Fill(core, op[:])
+	return op[0]
+}
+
+// Fill writes core's next len(ops) ops, which cmpsim calls to refill a
+// core's op buffer: the recorded ops first, then the idle compute ops.
+//
+// hotpath:root
+func (rp *Replayer) Fill(core int, ops []cmpsim.Op) {
+	n := copy(ops, rp.ops[core][rp.pos[core]:])
+	rp.pos[core] += n
+	for i := n; i < len(ops); i++ {
+		ops[i] = cmpsim.Op{Compute: 1, NoMem: true}
 	}
-	return cmpsim.Op{Compute: 1, NoMem: true}
 }

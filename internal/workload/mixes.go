@@ -89,32 +89,47 @@ func (m *Multiprogrammed) Name() string { return m.name }
 // Apps returns the per-core applications.
 func (m *Multiprogrammed) Apps() [topo.NumCores]App { return m.apps }
 
-// Next implements cmpsim.Workload.
+// Next implements cmpsim.Workload: one op, drawn by Fill.
 //
 // hotpath:root
 func (m *Multiprogrammed) Next(core int) cmpsim.Op {
+	var op [1]cmpsim.Op
+	m.Fill(core, op[:])
+	return op[0]
+}
+
+// Fill writes core's next len(ops) ops, which cmpsim calls to refill a
+// core's op buffer. It holds the mix's only copy of the stream logic,
+// so any split of a stream into Fill and Next calls draws the same ops.
+//
+// hotpath:root
+func (m *Multiprogrammed) Fill(core int, ops []cmpsim.Op) {
 	mc := &m.cores[core]
 	app := &m.apps[core]
-	op := cmpsim.Op{}
-	if app.ComputeMax > app.ComputeMin {
-		op.Compute = app.ComputeMin + mc.r.Intn(app.ComputeMax-app.ComputeMin+1)
-	} else {
-		op.Compute = app.ComputeMin
-	}
-	// Temporal burst: re-touch a recent reference as a load.
-	if mc.ring.n > 0 && mc.r.Hit(mc.repeat) {
-		op.Addr = mc.ring.recent(mc.r).Addr
-		return op
-	}
+	// A core builds its Zipf table on its first Fill. The build draws
+	// only from zsrc, never from mc.r, so this placement changes no op.
 	if mc.zsrc != nil {
 		mc.z = rng.NewZipfTable(max1(app.Blocks), app.Theta).Sampler(mc.zsrc)
 		mc.zsrc = nil
 	}
 	base := memsys.Addr(PrivateBase + core*PrivateStep)
-	op.Addr = base + memsys.Addr(mc.z.Next()*topo.BlockBytes)
-	op.Write = mc.r.Hit(mc.write)
-	mc.ring.remember(op)
-	return op
+	for i := range ops {
+		op := &ops[i]
+		*op = cmpsim.Op{}
+		if app.ComputeMax > app.ComputeMin {
+			op.Compute = app.ComputeMin + mc.r.Intn(app.ComputeMax-app.ComputeMin+1)
+		} else {
+			op.Compute = app.ComputeMin
+		}
+		// Temporal burst: re-touch a recent reference as a load.
+		if mc.ring.n > 0 && mc.r.Hit(mc.repeat) {
+			op.Addr = mc.ring.recent(mc.r).Addr
+			continue
+		}
+		op.Addr = base + memsys.Addr(mc.z.Next()*topo.BlockBytes)
+		op.Write = mc.r.Hit(mc.write)
+		mc.ring.remember(*op)
+	}
 }
 
 // MixApps returns Table 2's application lists.

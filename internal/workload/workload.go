@@ -189,65 +189,79 @@ func max1(n int) int {
 // Name implements cmpsim.Workload.
 func (g *Generator) Name() string { return g.p.Name }
 
-// Next implements cmpsim.Workload.
+// Next implements cmpsim.Workload: one op, drawn by Fill.
 //
 // hotpath:root
 func (g *Generator) Next(core int) cmpsim.Op {
+	var op [1]cmpsim.Op
+	g.Fill(core, op[:])
+	return op[0]
+}
+
+// Fill writes core's next len(ops) ops, which cmpsim calls to refill a
+// core's op buffer. It holds the generator's only copy of the stream
+// logic, so any split of a stream into Fill and Next calls draws the
+// same ops.
+//
+// hotpath:root
+func (g *Generator) Fill(core int, ops []cmpsim.Op) {
 	cg := &g.cores[core]
 	p := &g.p
-	op := cmpsim.Op{}
+	private := memsys.Addr(PrivateBase + core*PrivateStep)
+	for i := range ops {
+		op := &ops[i]
+		*op = cmpsim.Op{}
 
-	// Complete a read-modify-write pair: the store follows the load
-	// with no intervening work.
-	if cg.hasPending {
-		cg.hasPending = false
-		op.Addr = cg.pendingStore
-		op.Write = true
-		return op
-	}
-
-	if p.ComputeMax > p.ComputeMin {
-		op.Compute = p.ComputeMin + cg.r.Intn(p.ComputeMax-p.ComputeMin+1)
-	} else {
-		op.Compute = p.ComputeMin
-	}
-
-	// Temporal burst: re-touch a recent reference (as a load).
-	if cg.ring.n > 0 && cg.r.Hit(g.repeat) {
-		prev := cg.ring.recent(cg.r)
-		op.Addr = prev.Addr
-		op.Instr = prev.Instr
-		return op
-	}
-
-	if cg.r.Hit(g.instr) {
-		op.Instr = true
-		op.Addr = CodeBase + memsys.Addr(cg.code.Next()*topo.BlockBytes)
-		cg.ring.remember(op)
-		return op
-	}
-	x := cg.r.Float64()
-	switch {
-	case x < p.ROFrac:
-		op.Addr = ROBase + memsys.Addr(cg.ro.Next()*topo.BlockBytes)
-	case x < p.ROFrac+p.RWFrac:
-		op.Addr = RWBase + memsys.Addr(cg.rw.Next()*topo.BlockBytes)
-		switch {
-		case cg.r.Hit(g.modify):
-			// Migratory read-modify-write: emit the load now, queue
-			// the store.
-			cg.pendingStore = op.Addr
-			cg.hasPending = true
-		case cg.r.Hit(g.rwWrite):
+		// Complete a read-modify-write pair: the store follows the load
+		// with no intervening work.
+		if cg.hasPending {
+			cg.hasPending = false
+			op.Addr = cg.pendingStore
 			op.Write = true
+			continue
 		}
-	default:
-		base := memsys.Addr(PrivateBase + core*PrivateStep)
-		op.Addr = base + memsys.Addr(cg.private.Next()*topo.BlockBytes)
-		op.Write = cg.r.Hit(g.privateWrite)
+
+		if p.ComputeMax > p.ComputeMin {
+			op.Compute = p.ComputeMin + cg.r.Intn(p.ComputeMax-p.ComputeMin+1)
+		} else {
+			op.Compute = p.ComputeMin
+		}
+
+		// Temporal burst: re-touch a recent reference (as a load).
+		if cg.ring.n > 0 && cg.r.Hit(g.repeat) {
+			prev := cg.ring.recent(cg.r)
+			op.Addr = prev.Addr
+			op.Instr = prev.Instr
+			continue
+		}
+
+		if cg.r.Hit(g.instr) {
+			op.Instr = true
+			op.Addr = CodeBase + memsys.Addr(cg.code.Next()*topo.BlockBytes)
+			cg.ring.remember(*op)
+			continue
+		}
+		x := cg.r.Float64()
+		switch {
+		case x < p.ROFrac:
+			op.Addr = ROBase + memsys.Addr(cg.ro.Next()*topo.BlockBytes)
+		case x < p.ROFrac+p.RWFrac:
+			op.Addr = RWBase + memsys.Addr(cg.rw.Next()*topo.BlockBytes)
+			switch {
+			case cg.r.Hit(g.modify):
+				// Migratory read-modify-write: emit the load now, queue
+				// the store.
+				cg.pendingStore = op.Addr
+				cg.hasPending = true
+			case cg.r.Hit(g.rwWrite):
+				op.Write = true
+			}
+		default:
+			op.Addr = private + memsys.Addr(cg.private.Next()*topo.BlockBytes)
+			op.Write = cg.r.Hit(g.privateWrite)
+		}
+		cg.ring.remember(*op)
 	}
-	cg.ring.remember(op)
-	return op
 }
 
 // blocksForMB converts megabytes to 128 B block counts.

@@ -47,5 +47,5 @@ rm -rf "$tmp"
 echo "== benchmarks (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== full reproduction (optional, 56–60 s on a 2-vCPU VM): CMPNURAPID_FULL=1 go test -run TestFullReproduction -timeout 30m . =="
+echo "== full reproduction (optional, about a minute on a 2-vCPU VM): CMPNURAPID_FULL=1 go test -run 'TestFullReproduction|TestFullEvaluation' -timeout 30m . ./cmd/experiments =="
 echo "OK"
